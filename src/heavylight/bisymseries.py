@@ -2,53 +2,48 @@
 
 A BiSymSeries is a finitely supported map {(lam, mu) -> UVPoly} with a bound
 on the total arity |lam| + |mu|.  Factor 1 indexes the heavy markings,
-factor 2 the light ones.  The two plethysm operations substitute into one
-factor while leaving monomials of the other factor fixed; their Adams maps
-rescale the power-sum indices of BOTH factors and apply the coefficient
-Adams operation.
+factor 2 the light ones.  It is the two-factor subclass of the series core
+in symseries.py, which supplies the ring arithmetic, the Adams map, the
+plethysm kernel, Exp/Log and the Schur transform; this module adds only the
+key algebra of pairs and the two-factor operations.  The two plethysm
+operations substitute into one factor while leaving monomials of the other
+factor fixed; the Adams maps rescale the power-sum indices of BOTH factors
+and apply the coefficient Adams operation.
 """
 
-from fractions import Fraction
+from math import comb
 
-from .partitions import gen_partitions, mn_character, multiplicities, union, z_of
+from .partitions import multiplicities, union, z_of
 from .powerseries import FormalPS2
-from .symseries import SymSeries, _as_poly, _mobius
-from .uvpoly import UVPoly
+from .symseries import SymSeries, _Series
+from .uvpoly import UVPoly, as_poly
 
 
-class BiSymSeries:
+class BiSymSeries(_Series):
     """Element of the total-arity-truncated bisymmetric series ring."""
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict, trunc: int):
-        if trunc < 0:
-            raise ValueError("truncation must be nonnegative")
-        clean = {}
-        for (lam, mu), c in coeffs.items():
-            c = _as_poly(c)
-            if sum(lam) + sum(mu) <= trunc and not c.is_zero():
-                clean[(tuple(lam), tuple(mu))] = c
-        self.coeffs = clean
-        self.trunc = trunc
+    _UNIT = ((), ())
+    _POWER_TAGS = ("p1", "p2")
+
+    @staticmethod
+    def _arity(key):
+        return sum(key[0]) + sum(key[1])
+
+    @staticmethod
+    def _key_mul(a, b):
+        return (union(a[0], b[0]), union(a[1], b[1]))
+
+    # A key already is the tuple (lam, mu) of its factor partitions.
+    _factors = _from_factors = staticmethod(tuple)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(trunc: int) -> "BiSymSeries":
-        return BiSymSeries({}, trunc)
-
-    @staticmethod
-    def one(trunc: int) -> "BiSymSeries":
-        return BiSymSeries({((), ()): UVPoly.one()}, trunc)
-
-    @staticmethod
     def power_sum(k: int, factor: int, trunc: int) -> "BiSymSeries":
-        if factor == 1:
-            return BiSymSeries({((k,), ()): UVPoly.one()}, trunc)
-        if factor == 2:
-            return BiSymSeries({((), (k,)): UVPoly.one()}, trunc)
-        raise ValueError("factor must be 1 or 2")
+        """The generator p_k of the chosen tensor factor."""
+        return BiSymSeries.inject(SymSeries.power_sum(k, trunc), factor)
 
     @staticmethod
     def inject(f: SymSeries, factor: int) -> "BiSymSeries":
@@ -60,25 +55,6 @@ class BiSymSeries:
         raise ValueError("factor must be 1 or 2")
 
     # -- structure --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSymSeries):
-            return NotImplemented
-        n = min(self.trunc, other.trunc)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self[k] == other[k] for k in keys if sum(k[0]) + sum(k[1]) <= n
-        )
-
-    def __getitem__(self, key) -> UVPoly:
-        lam, mu = key
-        return self.coeffs.get((tuple(lam), tuple(mu)), UVPoly.zero())
-
-    def constant_term(self) -> UVPoly:
-        return self[((), ())]
-
-    def truncate(self, trunc: int) -> "BiSymSeries":
-        return BiSymSeries(self.coeffs, min(self.trunc, trunc))
 
     def arity_component(self, m: int, n: int) -> "BiSymSeries":
         """Terms with |lam| = m and |mu| = n."""
@@ -96,166 +72,37 @@ class BiSymSeries:
             {(mu, lam): c for (lam, mu), c in self.coeffs.items()}, self.trunc
         )
 
-    def support_keys(self):
-        """Canonical order: total arity, then factor-1 arity, then lex order."""
-        order = {
-            lam: i
-            for n in range(self.trunc + 1)
-            for i, lam in enumerate(gen_partitions(n))
-        }
-        return sorted(
-            self.coeffs,
-            key=lambda k: (
-                sum(k[0]) + sum(k[1]),
-                sum(k[0]),
-                order[k[0]],
-                order[k[1]],
-            ),
-        )
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            other = BiSymSeries({((), ()): _as_poly(other)}, self.trunc)
-        n = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = self[k] + c
-        return BiSymSeries(out, n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiSymSeries({k: -c for k, c in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            return self + (-_as_poly(other))
-        return self + (-other)
+    # -- ring and plethystic operations -------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            c = _as_poly(other)
-            return BiSymSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc)
-        n = min(self.trunc, other.trunc)
-        out: dict = {}
-        for (l1, m1), c1 in self.coeffs.items():
-            s1 = sum(l1) + sum(m1)
-            if s1 > n:
-                continue
-            for (l2, m2), c2 in other.coeffs.items():
-                if s1 + sum(l2) + sum(m2) > n:
-                    continue
-                key = (union(l1, l2), union(m1, m2))
-                prod = c1 * c2
-                prev = out.get(key)
-                out[key] = prod if prev is None else prev + prod
-        return BiSymSeries(out, n)
+        return self._mul(other)
 
     __rmul__ = __mul__
-
-    # -- plethysm -----------------------------------------------------------
-
-    def adams2(self, k: int) -> "BiSymSeries":
-        """Adams map for factor-2 plethysm: indices of both factors scale by k
-        and coefficients undergo u,v -> u^k,v^k."""
-        if k == 1:
-            return self
-        out = {}
-        for (lam, mu), c in self.coeffs.items():
-            key = (tuple(p * k for p in lam), tuple(p * k for p in mu))
-            if sum(key[0]) + sum(key[1]) <= self.trunc:
-                out[key] = c.adams(k)
-        return BiSymSeries(out, self.trunc)
 
     def pleth2(self, g: "BiSymSeries") -> "BiSymSeries":
         """Factor-2 plethysm self o_2 g.
 
-        Every p_k in factor 2 of self is replaced by adams2(k, g); factor-1
+        Every p_k in factor 2 of self is replaced by adams(k, g); factor-1
         monomials and coefficients of self pass through unchanged.  `g` must
         have zero constant term.
         """
-        if not g.constant_term().is_zero():
-            raise ValueError("pleth2 requires zero constant term in the inner series")
-        n = min(self.trunc, g.trunc)
-        g = g.truncate(n)
-        adams_cache: dict = {}
-
-        def adams_of(k):
-            if k not in adams_cache:
-                adams_cache[k] = g.adams2(k)
-            return adams_cache[k]
-
-        prod_cache: dict = {(): BiSymSeries.one(n)}
-
-        def product_for(mu):
-            if mu not in prod_cache:
-                prod_cache[mu] = adams_of(mu[0]) * product_for(mu[1:])
-            return prod_cache[mu]
-
-        out: dict = {}
-        for (lam, mu), c in self.coeffs.items():
-            if sum(lam) > n:
-                continue
-            sub = product_for(mu)
-            for (l2, m2), c2 in sub.coeffs.items():
-                if sum(lam) + sum(l2) + sum(m2) > n:
-                    continue
-                key = (union(lam, l2), m2)
-                prod = c * c2
-                prev = out.get(key)
-                out[key] = prod if prev is None else prev + prod
-        return BiSymSeries(out, n)
+        return self._pleth(g, 2)
 
     def pleth1(self, g: "BiSymSeries") -> "BiSymSeries":
-        """Factor-1 plethysm, implemented by factor swap around pleth2."""
-        return self.swap_factors().pleth2(g.swap_factors()).swap_factors()
+        """Factor-1 plethysm self o_1 g, the mirror image of pleth2."""
+        return self._pleth(g, 1)
 
     def exp2(self) -> "BiSymSeries":
-        """Sum over n >= 1 of h_n^{(2)} o_2 self (zero constant term required).
+        """Exp: sum over n >= 1 of h_n o self (zero constant term required).
 
-        Newton recurrence in the substitution algebra homomorphism.
+        The Adams maps scale both factors and commute with swap_factors, so
+        this one map serves substitution into either factor.
         """
-        if not self.constant_term().is_zero():
-            raise ValueError("exp2 requires zero constant term")
-        n = self.trunc
-        h_of = [BiSymSeries.one(n)]
-        p_of = {k: self.adams2(k) for k in range(1, n + 1)}
-        for m in range(1, n + 1):
-            acc = BiSymSeries.zero(n)
-            for k in range(1, m + 1):
-                acc = acc + p_of[k] * h_of[m - k]
-            h_of.append(acc * Fraction(1, m))
-        total = BiSymSeries.zero(n)
-        for m in range(1, n + 1):
-            total = total + h_of[m]
-        return total
-
-    def exp1(self) -> "BiSymSeries":
-        return self.swap_factors().exp2().swap_factors()
+        return self._exp()
 
     def log2(self) -> "BiSymSeries":
-        """Inverse of exp2 via the Moebius formula for the factor-2 Adams maps."""
-        if not self.constant_term().is_zero():
-            raise ValueError("log2 requires zero constant term")
-        n = self.trunc
-        log1p = BiSymSeries.zero(n)
-        power = BiSymSeries.one(n)
-        for m in range(1, n + 1):
-            power = power * self
-            if not power.coeffs:
-                break
-            log1p = log1p + power * Fraction((-1) ** (m - 1), m)
-        total = BiSymSeries.zero(n)
-        for d in range(1, n + 1):
-            mu = _mobius(d)
-            if mu:
-                total = total + log1p.adams2(d) * Fraction(mu, d)
-        return total
-
-    def log1(self) -> "BiSymSeries":
-        return self.swap_factors().log2().swap_factors()
+        """Log, the inverse of exp2."""
+        return self._log()
 
     # -- specializations -----------------------------------------------------
 
@@ -270,22 +117,12 @@ class BiSymSeries:
         return FormalPS2(vars, coeffs, self.trunc)
 
     def to_schur_pairs(self) -> dict:
-        """Expansion into products s_lam^{(1)} s_mu^{(2)}: map (lam, mu) -> UVPoly."""
-        by_arity: dict = {}
-        for (lam, mu), c in self.coeffs.items():
-            by_arity.setdefault((sum(lam), sum(mu)), {})[(lam, mu)] = c
-        out: dict = {}
-        for (m, n), block in by_arity.items():
-            for slam in gen_partitions(m):
-                for smu in gen_partitions(n):
-                    acc = UVPoly.zero()
-                    for (plam, pmu), c in block.items():
-                        chi = mn_character(slam, plam) * mn_character(smu, pmu)
-                        if chi:
-                            acc = acc + c * chi
-                    if not acc.is_zero():
-                        out[(slam, smu)] = acc
-        return out
+        """Expansion into products s_lam^{(1)} s_mu^{(2)}: map (lam, mu) -> UVPoly.
+
+        The character transform is separable: it is applied to factor 1 and
+        then to factor 2 of each (m, n) block.
+        """
+        return self._schur()
 
     @staticmethod
     def from_schur_pairs(schur_coeffs: dict, trunc: int) -> "BiSymSeries":
@@ -294,7 +131,7 @@ class BiSymSeries:
             term = BiSymSeries.inject(SymSeries.schur(tuple(lam), trunc), 1) * BiSymSeries.inject(
                 SymSeries.schur(tuple(mu), trunc), 2
             )
-            total = total + term * _as_poly(c)
+            total = total + term * as_poly(c)
         return total
 
     def trace_from_ch(self, m: int, n: int, lam: tuple, mu: tuple) -> UVPoly:
@@ -304,11 +141,6 @@ class BiSymSeries:
             raise ValueError("class type sizes must equal the arities")
         return self[(lam, mu)] * (z_of(lam) * z_of(mu))
 
-    def weight_zero(self) -> "BiSymSeries":
-        return BiSymSeries(
-            {k: c.weight_zero() for k, c in self.coeffs.items()}, self.trunc
-        )
-
     def set_factor2_to_zero(self) -> SymSeries:
         """Keep only terms with empty factor 2, as a symmetric series."""
         return SymSeries(
@@ -317,43 +149,13 @@ class BiSymSeries:
 
     # -- presentation ----------------------------------------------------------
 
-    def __str__(self):
-        return self.pretty(basis="power")
-
-    __repr__ = __str__
-
     def pretty(self, basis: str = "power") -> str:
         """Render as a sum over pairs; basis is 'power' or 'schur'."""
         if basis == "power":
-            items = [(k, self.coeffs[k]) for k in self.support_keys()]
-            tag1, tag2 = "p1", "p2"
-        elif basis == "schur":
-            sch = self.to_schur_pairs()
-            order = {
-                lam: i
-                for n in range(self.trunc + 1)
-                for i, lam in enumerate(gen_partitions(n))
-            }
-            keys = sorted(
-                sch,
-                key=lambda k: (
-                    sum(k[0]) + sum(k[1]),
-                    sum(k[0]),
-                    order[k[0]],
-                    order[k[1]],
-                ),
-            )
-            items = [(k, sch[k]) for k in keys]
-            tag1, tag2 = "s1", "s2"
-        else:
-            raise ValueError("basis must be 'power' or 'schur'")
-        from .partitions import format_partition
-
-        parts = [
-            f"({c})*{tag1}{format_partition(lam)}*{tag2}{format_partition(mu)}"
-            for (lam, mu), c in items
-        ]
-        return " + ".join(parts) if parts else "0"
+            return str(self)
+        if basis == "schur":
+            return self._render(self.to_schur_pairs(), ("s1", "s2"))
+        raise ValueError("basis must be 'power' or 'schur'")
 
 
 def coproduct(f: SymSeries) -> BiSymSeries:
@@ -362,8 +164,6 @@ def coproduct(f: SymSeries) -> BiSymSeries:
     For p_lambda with multiplicities m_i the image is the product over i of
     sum_j C(m_i, j) p_i^{j (1)} p_i^{(m_i - j) (2)}, expanded directly.
     """
-    from math import comb
-
     out: dict = {}
     for lam, c in f.coeffs.items():
         pieces = [((), (), 1)]

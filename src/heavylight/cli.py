@@ -23,6 +23,18 @@ from .tables import TableSpec, render_table
 from .verify import run_suite
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a usage error
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _closed_inputs():
     return load_fixture("genus1_stable"), load_fixture("genus0_smooth")
 
@@ -182,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closed-table", help="heavy/light series of the compactification")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-arity", type=int, default=5)
+    p.add_argument("--max-arity", type=_at_least(0), default=5)
     p.add_argument("--basis", choices=("schur", "power"), default="schur")
     p.add_argument("--form", choices=("hodge", "poincare", "numeric"), default="hodge")
     p.add_argument("--format", choices=("text", "csv", "latex"), default="text")
@@ -190,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("open-table", help="heavy/light series of the smooth locus")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-arity", type=int, default=5)
+    p.add_argument("--max-arity", type=_at_least(0), default=5)
     p.add_argument("--weight0", action="store_true")
     p.add_argument("--basis", choices=("schur", "power"), default="schur")
     p.add_argument("--form", choices=("hodge", "weight0"), default="hodge")
@@ -199,19 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler-genfun", help="Euler characteristics of the all-light spaces")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=_at_least(1), default=10)
     p.set_defaults(fn=cmd_euler_genfun)
 
     p = sub.add_parser("slice-n1", help="single-light-marking slice from the derivative formula")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_at_least(0), required=True)
     p.add_argument("--variant", choices=("open", "closed"), default="closed")
     p.set_defaults(fn=cmd_slice_n1)
 
     p = sub.add_parser("tropical", help="tropical equivariant Euler characteristic")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_at_least(0), required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.set_defaults(fn=cmd_tropical)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -220,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-compare", help="brute-force oracle vs the open pipeline")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-arity", type=int, default=5)
+    p.add_argument("--max-arity", type=_at_least(0), default=5)
     p.set_defaults(fn=cmd_oracle_compare)
     return ap
 

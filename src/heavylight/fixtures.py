@@ -65,6 +65,13 @@ def default_fixture_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+def _header_int(lineno: int, key: str, rest: str) -> int:
+    try:
+        return int(rest)
+    except ValueError:
+        raise FixtureError(lineno, f"{key} must be an integer, got {rest.strip()!r}") from None
+
+
 def parse_fixture(text: str) -> SeriesFixture:
     """Parse fixture text; raises FixtureError with a line position."""
     name = genus = variant = trunc = None
@@ -81,13 +88,13 @@ def parse_fixture(text: str) -> SeriesFixture:
         if key == "series":
             name = rest.strip()
         elif key == "genus":
-            genus = int(rest)
+            genus = _header_int(lineno, key, rest)
         elif key == "variant":
             variant = rest.strip()
             if variant not in VARIANTS:
                 raise FixtureError(lineno, f"unknown variant {variant!r}")
         elif key == "truncation":
-            trunc = int(rest)
+            trunc = _header_int(lineno, key, rest)
         elif key == "term":
             fields = {}
             for chunk in rest.split(None, 2):

@@ -94,21 +94,6 @@ def representative_of_type(mu: tuple) -> tuple:
     return tuple(out)
 
 
-def _count_compatible_colorings(tau: tuple, pi: tuple, j: int) -> int:
-    """Number of ordered partitions (B_1..B_j) of [n] with tau(B_i) = B_{pi(i)}.
-
-    Equivalently surjective colorings c: [n] -> [j] with c(tau(x)) = pi(c(x));
-    counted by full scan, which is exact and fast at the capped sizes.
-    """
-    n = len(tau)
-    count = 0
-    for assignment in _colorings(n, j):
-        if all(assignment[tau[x] - 1] == pi[assignment[x] - 1] for x in range(n)):
-            if len(set(assignment)) == j:
-                count += 1
-    return count
-
-
 def _colorings(n: int, j: int):
     if n == 0:
         yield ()

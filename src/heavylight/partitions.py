@@ -48,12 +48,6 @@ def gen_partitions(n: int) -> tuple:
     return tuple(out)
 
 
-def partitions_upto(n: int):
-    """All partitions of size 0..n, ascending size, canonical order inside."""
-    for k in range(n + 1):
-        yield from gen_partitions(k)
-
-
 def multiplicities(lam: tuple) -> dict:
     """Map part value -> multiplicity."""
     m: dict = {}

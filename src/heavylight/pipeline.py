@@ -17,6 +17,7 @@ brute-force stratification oracle.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .bisymseries import BiSymSeries, coproduct, exp2_of_p1
 from .fixtures import SeriesFixture
@@ -129,14 +130,7 @@ def _falling_binomial_poly(k: int) -> UVPoly:
     acc = UVPoly.one()
     for i in range(k):
         acc = acc * (UVPoly.uv_power(1) - UVPoly.const(i))
-    return acc / Fraction(_factorial(k))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return acc / Fraction(factorial(k))
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +173,7 @@ def legendre_check(smooth_fx: SeriesFixture, stable_fx: SeriesFixture, trunc: in
 
 def _expm1_ps2(order: int) -> FormalPS2:
     """e^y - 1 as a bivariate series in (x, y)."""
-    coeffs = {(0, j): Fraction(1, _factorial(j)) for j in range(1, order + 1)}
+    coeffs = {(0, j): c for j, c in enumerate(_exp_minus_one(order).coeffs)}
     return FormalPS2(("x", "y"), coeffs, order)
 
 
@@ -240,7 +234,7 @@ def genus1_light_chi_egf(order: int) -> FormalPS1:
 
 def _exp_minus_one(order: int) -> FormalPS1:
     coeffs = [UVPoly.zero()] + [
-        UVPoly.const(Fraction(1, _factorial(j))) for j in range(1, order + 1)
+        UVPoly.const(Fraction(1, factorial(j))) for j in range(1, order + 1)
     ]
     return FormalPS1("y", coeffs, order)
 

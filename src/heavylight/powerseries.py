@@ -4,19 +4,18 @@ FormalPS1 is univariate (a fixed variable name, coefficients indexed
 0..order); FormalPS2 is bivariate with truncation on the total degree.
 All arithmetic is exact; binary operations truncate to the minimum of the
 two orders.
+
+These classes deliberately share no code with the symmetric-function
+series core in symseries.py.  Their composition, exp and reversion are the
+independent route that the rank specializations (`SymSeries.rank1`,
+`BiSymSeries.rank2`) are checked against: the offdiag benchmark workload,
+the property suite, the numeric-versus-equivariant verify checks and the
+rank tests compare plethysm with composition here.
 """
 
 from fractions import Fraction
 
-from .uvpoly import UVPoly
-
-
-def _as_poly(c) -> UVPoly:
-    if isinstance(c, UVPoly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return UVPoly.const(c)
-    raise TypeError(f"cannot use {type(c)!r} as a series coefficient")
+from .uvpoly import UVPoly, as_poly
 
 
 class FormalPS1:
@@ -27,7 +26,7 @@ class FormalPS1:
     def __init__(self, var: str, coeffs, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = [_as_poly(c) for c in coeffs]
+        coeffs = [as_poly(c) for c in coeffs]
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than order allows")
         coeffs += [UVPoly.zero()] * (order + 1 - len(coeffs))
@@ -59,7 +58,7 @@ class FormalPS1:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, UVPoly)):
             out = list(self.coeffs)
-            out[0] = out[0] + _as_poly(other)
+            out[0] = out[0] + as_poly(other)
             return FormalPS1(self.var, out, self.order)
         n = min(self.order, other.order)
         return FormalPS1(self.var, [self[i] + other[i] for i in range(n + 1)], n)
@@ -71,12 +70,12 @@ class FormalPS1:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, UVPoly)):
-            return self + (-_as_poly(other))
+            return self + (-as_poly(other))
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, UVPoly)):
-            c = _as_poly(other)
+            c = as_poly(other)
             return FormalPS1(self.var, [a * c for a in self.coeffs], self.order)
         n = min(self.order, other.order)
         out = [UVPoly.zero() for _ in range(n + 1)]
@@ -151,10 +150,6 @@ class FormalPS1:
             inv = FormalPS1(self.var, coeffs, self.order)
         return inv
 
-    def eval_coeffs(self, u0, v0) -> list:
-        """Evaluate every coefficient at (u0, v0); returns Fractions."""
-        return [c.eval(u0, v0) for c in self.coeffs]
-
     def __str__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -175,7 +170,7 @@ class FormalPS2:
             raise ValueError("order must be nonnegative")
         clean = {}
         for (i, j), c in coeffs.items():
-            c = _as_poly(c)
+            c = as_poly(c)
             if i < 0 or j < 0:
                 raise ValueError("negative exponent in bivariate series")
             if i + j <= order and not c.is_zero():
@@ -211,7 +206,7 @@ class FormalPS2:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, UVPoly)):
             out = dict(self.coeffs)
-            out[(0, 0)] = self[(0, 0)] + _as_poly(other)
+            out[(0, 0)] = self[(0, 0)] + as_poly(other)
             return FormalPS2(self.vars, out, self.order)
         n = min(self.order, other.order)
         out = dict(self.coeffs)
@@ -226,12 +221,12 @@ class FormalPS2:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, UVPoly)):
-            return self + (-_as_poly(other))
+            return self + (-as_poly(other))
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, UVPoly)):
-            c = _as_poly(other)
+            c = as_poly(other)
             return FormalPS2(
                 self.vars, {k: v * c for k, v in self.coeffs.items()}, self.order
             )
@@ -248,11 +243,6 @@ class FormalPS2:
         return FormalPS2(self.vars, out, n)
 
     __rmul__ = __mul__
-
-    def coefficient_x_slice(self, i: int) -> FormalPS1:
-        """The series in var2 multiplying var1^i."""
-        coeffs = [self[(i, j)] for j in range(self.order - i + 1)]
-        return FormalPS1(self.vars[1], coeffs, self.order - i)
 
     def __str__(self):
         parts = []

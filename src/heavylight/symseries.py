@@ -1,37 +1,38 @@
 """Truncated symmetric-function series in the power-sum basis.
 
-A SymSeries is a finitely supported map {partition -> UVPoly} together with
-an arity bound `trunc`; the partition indexing a monomial p_lambda has size
-equal to the arity of that term.  The power-sum basis is canonical
+`_Series` is the graded series ring written once for both series types: a
+finitely supported map {key -> UVPoly} with a bound `trunc` on the arity of
+its keys.  It holds the ring arithmetic, the Adams maps, the plethysm kernel,
+the Exp/Log pair and the Schur character transform, in the formalism of
+Bergeron-Labelle-Leroux (Combinatorial Species and Tree-like Structures) and
+Getzler-Kapranov (Modular operads).  A subclass supplies only its key
+algebra: the arity of a key, the product of two keys and the split of a key
+into one partition per tensor factor.  SymSeries (one factor, here) and
+BiSymSeries (two factors, bisymseries.py) are its two subclasses.
+
+A SymSeries key is a partition lambda indexing the monomial p_lambda; its
+size is the arity of that term.  The power-sum basis is canonical
 internally; Schur form is a presentation-layer conversion.
 
 Binary operations truncate to the minimum of the two operand orders.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from .partitions import (
+    format_partition,
     gen_partitions,
     mn_character,
     multiplicities,
-    specht_dimension,
     union,
     z_of,
 )
 from .powerseries import FormalPS1
-from .uvpoly import UVPoly
+from .uvpoly import UVPoly, as_poly
 
 
-def _as_poly(c) -> UVPoly:
-    if isinstance(c, UVPoly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return UVPoly.const(c)
-    raise TypeError(f"cannot use {type(c)!r} as a coefficient")
-
-
-def _mobius(n: int) -> int:
+def mobius(n: int) -> int:
+    """The number-theoretic Moebius function mu(n)."""
     if n == 1:
         return 1
     result, m, p = 1, n, 2
@@ -47,31 +48,284 @@ def _mobius(n: int) -> int:
     return result
 
 
-class SymSeries:
-    """Element of the arity-truncated symmetric-function series ring."""
+def _character_transform(block: dict, f: int, size: int) -> dict:
+    """Sum_mu chi^lam(mu) * c_mu over factor f of one arity block.
+
+    `block` maps tuples of partitions, one per factor, to coefficients; the
+    partitions in slot f all have the given size.  Terms that agree in the
+    other slots are transformed together, and slot f of the result runs
+    over every partition lam of that size.
+    """
+    grouped: dict = {}
+    for parts, c in block.items():
+        grouped.setdefault(parts[:f] + parts[f + 1:], {})[parts[f]] = c
+    out = {}
+    for rest, by_mu in grouped.items():
+        for lam in gen_partitions(size):
+            acc = UVPoly.zero()
+            for mu, c in by_mu.items():
+                chi = mn_character(lam, mu)
+                if chi:
+                    acc = acc + c * chi
+            if not acc.is_zero():
+                out[rest[:f] + (lam,) + rest[f:]] = acc
+    return out
+
+
+class _Series:
+    """Arity-truncated series over a graded key algebra.
+
+    Subclasses set `_UNIT`, the key of the constant term, and
+    `_POWER_TAGS`, the printed name of each factor's power sums, and define
+    `_arity(key)`, `_key_mul(a, b)`, `_factors(key)` (one partition per
+    tensor factor) and its inverse `_from_factors(parts)`.
+    """
 
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs: dict, trunc: int):
         if trunc < 0:
             raise ValueError("truncation must be nonnegative")
+        arity = self._arity
         clean = {}
-        for lam, c in coeffs.items():
-            c = _as_poly(c)
-            if sum(lam) <= trunc and not c.is_zero():
-                clean[lam] = c
+        for key, c in coeffs.items():
+            c = as_poly(c)
+            if arity(key) <= trunc and not c.is_zero():
+                clean[key] = c
         self.coeffs = clean
         self.trunc = trunc
 
+    @classmethod
+    def zero(cls, trunc: int):
+        return cls({}, trunc)
+
+    @classmethod
+    def one(cls, trunc: int):
+        return cls({cls._UNIT: UVPoly.one()}, trunc)
+
+    # -- basic structure --------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = min(self.trunc, other.trunc)
+        keys = set(self.coeffs) | set(other.coeffs)
+        return all(self[k] == other[k] for k in keys if self._arity(k) <= n)
+
+    def __getitem__(self, key) -> UVPoly:
+        return self.coeffs.get(key, UVPoly.zero())
+
+    def constant_term(self) -> UVPoly:
+        return self[self._UNIT]
+
+    def truncate(self, trunc: int):
+        return type(self)(self.coeffs, min(self.trunc, trunc))
+
+    def weight_zero(self):
+        """Specialize every coefficient at u = v = 0."""
+        return type(self)({k: c.weight_zero() for k, c in self.coeffs.items()}, self.trunc)
+
+    def support_keys(self):
+        """Keys in canonical order (see `_canonical_order`)."""
+        return self._canonical_order(self.coeffs)
+
+    def _canonical_order(self, keys) -> list:
+        """Ascending total arity, then the arity of each factor in turn, then
+        the lex-decreasing order of each factor's partition."""
+        order = {lam: i for n in range(self.trunc + 1) for i, lam in enumerate(gen_partitions(n))}
+
+        def rank(key):
+            parts = self._factors(key)
+            return (self._arity(key), tuple(map(sum, parts)), tuple(order[p] for p in parts))
+
+        return sorted(keys, key=rank)
+
+    def _render(self, coeffs: dict, tags: tuple) -> str:
+        """A sum of terms (c)*tag[partition]*..., one tag per factor, in
+        canonical order."""
+        terms = []
+        for k in self._canonical_order(coeffs):
+            names = [t + format_partition(p) for t, p in zip(tags, self._factors(k))]
+            terms.append("*".join([f"({coeffs[k]})"] + names))
+        return " + ".join(terms) if terms else "0"
+
+    def __str__(self):
+        return self._render(self.coeffs, self._POWER_TAGS)
+
+    __repr__ = __str__
+
+    # -- ring operations --------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, UVPoly)):
+            other = type(self)({self._UNIT: as_poly(other)}, self.trunc)
+        n = min(self.trunc, other.trunc)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = self[k] + c
+        return type(self)(out, n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.coeffs.items()}, self.trunc)
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction, UVPoly)):
+            return self + (-as_poly(other))
+        return self + (-other)
+
+    def _mul(self, other):
+        """Truncated product, or the multiple by a scalar coefficient."""
+        if isinstance(other, (int, Fraction, UVPoly)):
+            c = as_poly(other)
+            return type(self)({k: v * c for k, v in self.coeffs.items()}, self.trunc)
+        n = min(self.trunc, other.trunc)
+        out: dict = {}
+        self._add_products(out, self.coeffs, other.coeffs, n)
+        return type(self)(out, n)
+
+    def _add_products(self, out: dict, left: dict, right: dict, n: int):
+        """out[a * b] += left[a] * right[b] over the pairs of arity <= n."""
+        arity, key_mul = self._arity, self._key_mul
+        right = [(k, arity(k), c) for k, c in right.items()]
+        for k1, c1 in left.items():
+            s1 = arity(k1)
+            for k2, s2, c2 in right:
+                if s1 + s2 <= n:
+                    key = key_mul(k1, k2)
+                    prod = c1 * c2
+                    prev = out.get(key)
+                    out[key] = prod if prev is None else prev + prod
+
+    # -- plethystic operations ----------------------------------------------
+
+    def adams(self, k: int):
+        """The k-th Adams map: p_j -> p_{jk} in every factor and u,v -> u^k,v^k.
+
+        Equals plethysm by p_k on the left.
+        """
+        if k == 1:
+            return self
+        factors, join = self._factors, self._from_factors
+        return type(self)(
+            {
+                join(tuple(tuple(p * k for p in lam) for lam in factors(key))): c.adams(k)
+                for key, c in self.coeffs.items()
+                if k * self._arity(key) <= self.trunc
+            },
+            self.trunc,
+        )
+
+    def _pleth(self, g, factor: int):
+        """Substitute g into one tensor factor: each p_k there becomes adams(k, g).
+
+        Monomials of the other factors and the coefficients of self pass
+        through unchanged; `g` must have zero constant term.  The product of
+        the Adams images over the parts of a partition is memoised on every
+        suffix of the partition, and the terms of self that share that
+        partition are multiplied by it together.
+        """
+        if not g.constant_term().is_zero():
+            raise ValueError("plethysm requires zero constant term in the inner series")
+        n = min(self.trunc, g.trunc)
+        g = g.truncate(n)
+        groups: dict = {}
+        for key, c in self.coeffs.items():
+            if self._arity(key) <= n:
+                parts, f = self._factors(key), factor - 1
+                rest = self._from_factors(parts[:f] + ((),) + parts[f + 1:])
+                groups.setdefault(parts[f], {})[rest] = c
+        adams_of: dict = {}
+        prods = {(): self.one(n)}
+        out: dict = {}
+        for part, left in groups.items():
+            for i in range(len(part) - 1, -1, -1):
+                if part[i:] not in prods:
+                    k = part[i]
+                    if k not in adams_of:
+                        adams_of[k] = g.adams(k)
+                    prods[part[i:]] = adams_of[k] * prods[part[i + 1:]]
+            self._add_products(out, left, prods[part].coeffs, n)
+        return type(self)(out, n)
+
+    def _exp(self):
+        """Exp: the sum over n >= 1 of h_n o self (zero constant term required).
+
+        Uses the Newton recurrence n*(h_n o f) = sum_k (p_k o f)(h_{n-k} o f).
+        """
+        if not self.constant_term().is_zero():
+            raise ValueError("Exp requires zero constant term")
+        n = self.trunc
+        h_of = [self.one(n)]
+        p_of = {k: self.adams(k) for k in range(1, n + 1)}
+        for m in range(1, n + 1):
+            acc = self.zero(n)
+            for k in range(1, m + 1):
+                acc = acc + p_of[k] * h_of[m - k]
+            h_of.append(acc * Fraction(1, m))
+        total = self.zero(n)
+        for m in range(1, n + 1):
+            total = total + h_of[m]
+        return total
+
+    def _log(self):
+        """Log, the inverse of Exp: the f with Exp(f) = self.
+
+        Computed by the Moebius formula f = sum_d mu(d)/d * adams_d(log(1+self)).
+        """
+        if not self.constant_term().is_zero():
+            raise ValueError("Log requires zero constant term")
+        n = self.trunc
+        log1p = self.zero(n)
+        power = self.one(n)
+        for m in range(1, n + 1):
+            power = power * self
+            if not power.coeffs:
+                break
+            log1p = log1p + power * Fraction((-1) ** (m - 1), m)
+        total = self.zero(n)
+        for d in range(1, n + 1):
+            mu = mobius(d)
+            if mu:
+                total = total + log1p.adams(d) * Fraction(mu, d)
+        return total
+
+    def _schur(self) -> dict:
+        """Schur expansion: the character transform applied to each factor of
+        each block of fixed factor arities."""
+        blocks: dict = {}
+        for key, c in self.coeffs.items():
+            parts = self._factors(key)
+            blocks.setdefault(tuple(map(sum, parts)), {})[parts] = c
+        out = {}
+        for sizes in sorted(blocks):
+            block = blocks[sizes]
+            for f, size in enumerate(sizes):
+                block = _character_transform(block, f, size)
+            out.update((self._from_factors(parts), c) for parts, c in block.items())
+        return out
+
+
+class SymSeries(_Series):
+    """Element of the arity-truncated symmetric-function series ring."""
+
+    __slots__ = ()
+
+    _UNIT = ()
+    _POWER_TAGS = ("p",)
+    _arity = staticmethod(sum)
+    _key_mul = staticmethod(union)
+
+    @staticmethod
+    def _factors(lam):
+        return (lam,)
+
+    @staticmethod
+    def _from_factors(parts):
+        return parts[0]
+
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zero(trunc: int) -> "SymSeries":
-        return SymSeries({}, trunc)
-
-    @staticmethod
-    def one(trunc: int) -> "SymSeries":
-        return SymSeries({(): UVPoly.one()}, trunc)
 
     @staticmethod
     def power_sum(k: int, trunc: int) -> "SymSeries":
@@ -82,7 +336,7 @@ class SymSeries:
 
     @staticmethod
     def p_monomial(lam: tuple, trunc: int, coeff=1) -> "SymSeries":
-        return SymSeries({tuple(lam): _as_poly(coeff)}, trunc)
+        return SymSeries({tuple(lam): as_poly(coeff)}, trunc)
 
     @staticmethod
     def homogeneous_h(n: int, trunc: int) -> "SymSeries":
@@ -116,180 +370,34 @@ class SymSeries:
         for lam in gen_partitions(n):
             if lam not in traces:
                 raise ValueError(f"missing trace for class {lam}")
-            coeffs[lam] = _as_poly(traces[lam]) / z_of(lam)
+            coeffs[lam] = as_poly(traces[lam]) / z_of(lam)
         return SymSeries(coeffs, trunc)
 
-    # -- basic structure --------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, SymSeries):
-            return NotImplemented
-        n = min(self.trunc, other.trunc)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self[k] == other[k] for k in keys if sum(k) <= n)
-
-    def __getitem__(self, lam: tuple) -> UVPoly:
-        return self.coeffs.get(tuple(lam), UVPoly.zero())
+    # -- structure ----------------------------------------------------------
 
     def arity_part(self, n: int) -> "SymSeries":
         return SymSeries(
             {lam: c for lam, c in self.coeffs.items() if sum(lam) == n}, self.trunc
         )
 
-    def max_arity(self) -> int:
-        return max((sum(lam) for lam in self.coeffs), default=0)
-
-    def constant_term(self) -> UVPoly:
-        return self[()]
-
-    def truncate(self, trunc: int) -> "SymSeries":
-        return SymSeries(self.coeffs, min(self.trunc, trunc))
-
-    def support_keys(self):
-        """Keys in canonical order: ascending arity, then lex-decreasing."""
-        order = {lam: i for n in range(self.trunc + 1) for i, lam in enumerate(gen_partitions(n))}
-        return sorted(self.coeffs, key=lambda lam: (sum(lam), order[lam]))
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            other = SymSeries({(): _as_poly(other)}, self.trunc)
-        n = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = self[lam] + c
-        return SymSeries(out, n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymSeries({k: -c for k, c in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            return self + (-_as_poly(other))
-        return self + (-other)
+    # -- ring and plethystic operations ---------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            c = _as_poly(other)
-            return SymSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc)
-        n = min(self.trunc, other.trunc)
-        out: dict = {}
-        for lam, c1 in self.coeffs.items():
-            s1 = sum(lam)
-            if s1 > n:
-                continue
-            for mu, c2 in other.coeffs.items():
-                if s1 + sum(mu) > n:
-                    continue
-                key = union(lam, mu)
-                prod = c1 * c2
-                prev = out.get(key)
-                out[key] = prod if prev is None else prev + prod
-        return SymSeries(out, n)
+        return self._mul(other)
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "SymSeries":
-        return self * c
-
-    # -- symmetric-function operations ------------------------------------
-
-    def adams(self, k: int) -> "SymSeries":
-        """The k-th Adams map: p_j -> p_{jk} and u,v -> u^k,v^k.
-
-        Equals plethysm by p_k on the left.
-        """
-        if k == 1:
-            return self
-        out = {}
-        for lam, c in self.coeffs.items():
-            scaled = tuple(part * k for part in lam)
-            if sum(scaled) <= self.trunc:
-                out[scaled] = c.adams(k)
-        return SymSeries(out, self.trunc)
-
     def plethysm(self, g: "SymSeries") -> "SymSeries":
-        """Plethystic substitution self o g.
-
-        `g` must have zero constant term.  Computed monomial-wise: p_lambda
-        maps to the product over parts k of adams(k, g); per-partition
-        products are memoized incrementally.
-        """
-        if not g.constant_term().is_zero():
-            raise ValueError("plethysm requires zero constant term in the inner series")
-        n = min(self.trunc, g.trunc)
-        if not g.coeffs:
-            # degenerate input: only the arity-0 part of self survives
-            return SymSeries({(): self[()]}, n)
-        g = g.truncate(n)
-        adams_cache: dict = {}
-
-        def adams_of(k):
-            if k not in adams_cache:
-                adams_cache[k] = g.adams(k)
-            return adams_cache[k]
-
-        prod_cache: dict = {(): SymSeries.one(n)}
-
-        def product_for(lam):
-            if lam not in prod_cache:
-                rest = product_for(lam[1:])
-                prod_cache[lam] = adams_of(lam[0]) * rest
-            return prod_cache[lam]
-
-        out = SymSeries.zero(n)
-        for lam in sorted(self.coeffs, key=len):
-            if sum(lam) > 0 and min(lam) > n:
-                continue
-            c = self.coeffs[lam]
-            out = out + product_for(lam) * c
-        return out
+        """Plethystic substitution self o g; `g` must have zero constant term."""
+        return self._pleth(g, 1)
 
     def exp_series(self) -> "SymSeries":
-        """Sum over n >= 1 of h_n o self (self must have zero constant term).
-
-        Uses the Newton recurrence n*(h_n o f) = sum_k (p_k o f)(h_{n-k} o f).
-        """
-        if not self.constant_term().is_zero():
-            raise ValueError("exp_series requires zero constant term")
-        n = self.trunc
-        h_of = [SymSeries.one(n)]
-        p_of = {k: self.adams(k) for k in range(1, n + 1)}
-        for m in range(1, n + 1):
-            acc = SymSeries.zero(n)
-            for k in range(1, m + 1):
-                acc = acc + p_of[k] * h_of[m - k]
-            h_of.append(acc * Fraction(1, m))
-        total = SymSeries.zero(n)
-        for m in range(1, n + 1):
-            total = total + h_of[m]
-        return total
+        """Exp: sum over n >= 1 of h_n o self (self must have zero constant term)."""
+        return self._exp()
 
     def log_series(self) -> "SymSeries":
-        """Inverse of exp_series: the f with exp_series(f) = self.
-
-        Computed by the Moebius formula f = sum_d mu(d)/d * adams_d(log(1+self)).
-        """
-        if not self.constant_term().is_zero():
-            raise ValueError("log_series requires zero constant term")
-        n = self.trunc
-        # log(1 + self) as a series of products
-        log1p = SymSeries.zero(n)
-        power = SymSeries.one(n)
-        for m in range(1, n + 1):
-            power = power * self
-            if not power.coeffs:
-                break
-            log1p = log1p + power * Fraction((-1) ** (m - 1), m)
-        total = SymSeries.zero(n)
-        for d in range(1, n + 1):
-            mu = _mobius(d)
-            if mu:
-                total = total + log1p.adams(d) * Fraction(mu, d)
-        return total
+        """Log, the inverse of exp_series: the f with exp_series(f) = self."""
+        return self._log()
 
     def pleth_inverse(self) -> "SymSeries":
         """Compositional inverse under plethysm of p_1 + (arity >= 2 terms).
@@ -335,27 +443,14 @@ class SymSeries:
 
         a_lam = sum_mu chi^lam(mu) * [p_mu] self.
         """
-        out: dict = {}
-        for n in range(self.trunc + 1):
-            part_n = {lam: c for lam, c in self.coeffs.items() if sum(lam) == n}
-            if not part_n:
-                continue
-            for lam in gen_partitions(n):
-                acc = UVPoly.zero()
-                for mu, c in part_n.items():
-                    chi = mn_character(lam, mu)
-                    if chi:
-                        acc = acc + c * chi
-                if not acc.is_zero():
-                    out[lam] = acc
-        return out
+        return self._schur()
 
     @staticmethod
     def from_schur(schur_coeffs: dict, trunc: int) -> "SymSeries":
         """Inverse of to_schur: p_mu coefficient is sum_lam a_lam chi^lam(mu)/z_mu."""
         total = SymSeries.zero(trunc)
         for lam, c in schur_coeffs.items():
-            total = total + SymSeries.schur(tuple(lam), trunc) * _as_poly(c)
+            total = total + SymSeries.schur(tuple(lam), trunc) * as_poly(c)
         return total
 
     def trace_from_ch(self, n: int, lam: tuple) -> UVPoly:
@@ -374,47 +469,3 @@ class SymSeries:
             if all(p == 1 for p in lam):
                 coeffs[len(lam)] = coeffs[len(lam)] + c
         return FormalPS1(var, coeffs, self.trunc)
-
-    def weight_zero(self) -> "SymSeries":
-        """Specialize every coefficient at u = v = 0."""
-        return SymSeries(
-            {lam: c.weight_zero() for lam, c in self.coeffs.items()}, self.trunc
-        )
-
-    def map_coeffs(self, fn) -> "SymSeries":
-        return SymSeries({lam: fn(c) for lam, c in self.coeffs.items()}, self.trunc)
-
-    # -- presentation ------------------------------------------------------
-
-    def __str__(self):
-        from .partitions import format_partition
-
-        parts = [
-            f"({self[lam]})*p{format_partition(lam)}" for lam in self.support_keys()
-        ]
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
-
-    def schur_str(self) -> str:
-        sch = self.to_schur()
-        order = {
-            lam: i
-            for n in range(self.trunc + 1)
-            for i, lam in enumerate(gen_partitions(n))
-        }
-        from .partitions import format_partition
-
-        keys = sorted(sch, key=lambda lam: (sum(lam), order[lam]))
-        parts = [f"({sch[lam]})*s{format_partition(lam)}" for lam in keys]
-        return " + ".join(parts) if parts else "0"
-
-
-def schur_dimension_egf(schur_coeffs: dict, trunc: int, var: str = "x") -> FormalPS1:
-    """Exponential generating function of dimensions of a Schur expansion."""
-    coeffs = [UVPoly.zero() for _ in range(trunc + 1)]
-    for lam, c in schur_coeffs.items():
-        n = sum(lam)
-        if n <= trunc:
-            coeffs[n] = coeffs[n] + _as_poly(c) * Fraction(specht_dimension(tuple(lam)), factorial(n))
-    return FormalPS1(var, coeffs, trunc)

@@ -152,10 +152,6 @@ class UVPoly:
             total += c * u0**a * v0**b
         return total
 
-    def swap_uv(self) -> "UVPoly":
-        """Substitute u <-> v."""
-        return UVPoly({(b, a): c for (a, b), c in self.terms.items()})
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0, 0), Fraction(0))
 
@@ -193,9 +189,6 @@ class UVPoly:
         """Apply u^a v^b -> u^{dim-a} v^{dim-b} (duality reflection)."""
         return UVPoly({(dim - a, dim - b): c for (a, b), c in self.terms.items()})
 
-    def max_total_degree(self) -> int:
-        return max((a + b for (a, b) in self.terms), default=0)
-
     # -- text form --------------------------------------------------------
 
     def __str__(self):
@@ -208,6 +201,15 @@ class UVPoly:
         return "+".join(parts)
 
     __repr__ = __str__
+
+
+def as_poly(c) -> UVPoly:
+    """A series coefficient: a UVPoly as is, an int or Fraction as a constant."""
+    if isinstance(c, UVPoly):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return UVPoly.const(c)
+    raise TypeError(f"cannot use {type(c)!r} as a series coefficient")
 
 
 def parse_uvpoly(text: str) -> UVPoly:

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from heavylight.bisymseries import BiSymSeries, coproduct, exp2_of_p1
-from heavylight.partitions import gen_partitions
+from heavylight.partitions import gen_partitions, mn_character
 from heavylight.powerseries import FormalPS2
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
@@ -65,6 +66,11 @@ def test_pleth2_axioms():
 def test_pleth1_axiom():
     assert P(2, 1).pleth1(P(3, 2)) == BiSymSeries({((), (6,)): 1}, T)
     assert P(2, 2).pleth1(P(1, 1) + P(1, 2)) == P(2, 2)
+    # reference route: factor-2 plethysm conjugated by the factor swap
+    rng = random.Random(18)
+    for _ in range(20):
+        f, g = random_bi(rng, 6), random_bi(rng, 6)
+        assert f.pleth1(g) == f.swap_factors().pleth2(g.swap_factors()).swap_factors()
 
 
 def test_exp2():
@@ -94,6 +100,27 @@ def test_to_schur_pairs():
     assert h2.to_schur_pairs() == {((), (2,)): UVPoly.one()}
     sq = (P(1, 2) * P(1, 2)).to_schur_pairs()
     assert sq == {((), (2,)): UVPoly.one(), ((), (1, 1)): UVPoly.one()}
+    # reference: the direct sum of chi^slam(plam) chi^smu(pmu) c over each block
+    rng = random.Random(22)
+    coeffs = {}
+    for total in range(6):
+        for m in range(total + 1):
+            for key in itertools.product(gen_partitions(m), gen_partitions(total - m)):
+                if rng.random() < 0.6:
+                    mono = (rng.randint(0, 2), rng.randint(0, 2))
+                    coeffs[key] = UVPoly({mono: Fraction(rng.randint(-5, 5), rng.randint(1, 4))})
+    f = BiSymSeries(coeffs, 5)
+    want = {}
+    for total in range(6):
+        for m in range(total + 1):
+            for slam, smu in itertools.product(gen_partitions(m), gen_partitions(total - m)):
+                acc = UVPoly.zero()
+                for (plam, pmu), c in f.coeffs.items():
+                    if sum(plam) == m and sum(pmu) == total - m:
+                        acc = acc + c * (mn_character(slam, plam) * mn_character(smu, pmu))
+                if not acc.is_zero():
+                    want[(slam, smu)] = acc
+    assert f.to_schur_pairs() == want
 
 
 def test_from_schur_pairs_round_trip():
@@ -160,12 +187,14 @@ def test_exp2_log2_round_trip():
 
 
 def test_exp1():
+    # exp2 and log2 serve factor 1 as well: the Adams maps scale both factors
     total = SymSeries.zero(T)
     for n in range(1, T + 1):
         total = total + SymSeries.homogeneous_h(n, T)
-    assert P(1, 1).exp1() == BiSymSeries.inject(total, 1)
-    assert P(1, 1).exp1().rank2()[(2, 0)] == UVPoly.const(Fraction(1, 2))
+    assert P(1, 1).exp2() == BiSymSeries.inject(total, 1)
+    assert P(1, 1).exp2().rank2()[(2, 0)] == UVPoly.const(Fraction(1, 2))
     rng = random.Random(17)
     for _ in range(5):
         f = random_bi(rng, 6)
-        assert f.exp1().log1() == f
+        assert f.exp2().log2() == f
+        assert f.swap_factors().exp2() == f.exp2().swap_factors()

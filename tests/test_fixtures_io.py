@@ -47,6 +47,12 @@ def test_parse_error_carries_line_number():
     with pytest.raises(FixtureError) as err:
         parse_fixture(bad)
     assert err.value.lineno == 5
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(MINIMAL.replace("genus 0", "genus one"))
+    assert err.value.lineno == 2
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(MINIMAL.replace("truncation 4", "truncation 4.5"))
+    assert err.value.lineno == 4
 
 
 def test_size_mismatch_error():

@@ -142,12 +142,15 @@ def test_cli_oracle_compare():
 
 
 def test_cli_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["closed-table", "--genus"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (
+        ["closed-table", "--genus"],
+        ["no-such-command"],
+        ["euler-genfun", "--genus", "1", "--order", "0"],
+        ["closed-table", "--genus", "1", "--max-arity", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_cli_failure_exit_code():

@@ -51,7 +51,7 @@ from heavylight.pipeline import (  # noqa: E402
     open_series,
 )
 from heavylight.powerseries import FormalPS1  # noqa: E402
-from heavylight.symseries import SymSeries  # noqa: E402
+from heavylight.symseries import SymSeries, mobius  # noqa: E402
 from heavylight.tables import (  # noqa: E402
     GOLDEN_DIR,
     compare_row_to_golden,
@@ -92,20 +92,6 @@ def euler_phi(n: int) -> int:
         p += 1
     if m > 1:
         out *= m - 1
-    return out
-
-
-def mobius(n: int) -> int:
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
     return out
 
 
