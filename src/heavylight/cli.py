@@ -129,6 +129,9 @@ def cmd_slice_n1(args) -> int:
     if fx.genus != args.genus:
         print(f"no {args.variant} fixture for genus {args.genus}", file=sys.stderr)
         return 1
+    if args.m + 1 > fx.trunc:
+        print(f"m + 1 = {args.m + 1} exceeds fixture truncation {fx.trunc}", file=sys.stderr)
+        return 1
     if not stability_ok(args.genus, args.m, 1):
         print("empty: outside the stability range")
         return 0

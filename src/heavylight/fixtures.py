@@ -95,6 +95,8 @@ def parse_fixture(text: str) -> SeriesFixture:
                 raise FixtureError(lineno, f"unknown variant {variant!r}")
         elif key == "truncation":
             trunc = _header_int(lineno, key, rest)
+            if trunc < 0:
+                raise FixtureError(lineno, f"truncation must be nonnegative, got {trunc}")
         elif key == "term":
             fields = {}
             for chunk in rest.split(None, 2):

@@ -173,7 +173,7 @@ def legendre_check(smooth_fx: SeriesFixture, stable_fx: SeriesFixture, trunc: in
 
 def _expm1_ps2(order: int) -> FormalPS2:
     """e^y - 1 as a bivariate series in (x, y)."""
-    coeffs = {(0, j): c for j, c in enumerate(_exp_minus_one(order).coeffs)}
+    coeffs = {(0, j): c for j, c in _exp_minus_one(order).coeffs.items()}
     return FormalPS2(("x", "y"), coeffs, order)
 
 
@@ -250,7 +250,7 @@ def genus1_stable_chi_egf(order: int) -> FormalPS1:
         raise ValueError("order must be >= 1")
     corr = genus0_numeric_closed_form(order)
     at_one = FormalPS1(
-        "y", [UVPoly.const(c.eval(1, 1)) for c in corr.coeffs], order
+        "y", [UVPoly.const(corr[n].eval(1, 1)) for n in range(order + 1)], order
     )
     g = at_one.reversion()
     one = UVPoly.one()

@@ -1,9 +1,11 @@
 """Truncated formal power series with UVPoly coefficients.
 
-FormalPS1 is univariate (a fixed variable name, coefficients indexed
-0..order); FormalPS2 is bivariate with truncation on the total degree.
-All arithmetic is exact; binary operations truncate to the minimum of the
-two orders.
+`_TruncatedPS` is the ring: a map {exponent -> UVPoly} with a bound `order`
+on the total degree, holding the cleaning, equality, truncation, arithmetic,
+rendering and the one substitution loop.  FormalPS1 is univariate (integer
+exponents; it adds derivative, exp, log and reversion) and FormalPS2 is
+bivariate (exponent pairs).  All arithmetic is exact; binary operations
+truncate to the minimum of the two orders.
 
 These classes deliberately share no code with the symmetric-function
 series core in symseries.py.  Their composition, exp and reversion are the
@@ -13,26 +15,126 @@ the property suite, the numeric-versus-equivariant verify checks and the
 rank tests compare plethysm with composition here.
 """
 
+import operator
 from fractions import Fraction
 
 from .uvpoly import UVPoly, as_poly
 
+_SCALARS = (int, Fraction, UVPoly)
 
-class FormalPS1:
-    """Series sum c_n * var^n for n = 0..order, with UVPoly coefficients."""
 
-    __slots__ = ("var", "coeffs", "order")
+class _TruncatedPS:
+    """Sum of c_e * monomial(e) over exponents e of total degree <= order.
 
-    def __init__(self, var: str, coeffs, order: int):
+    A subclass supplies the exponent type: `_ONE` (the constant term's
+    exponent), `_degree`, `_key_add` (exponent of a product) and `_monomial`.
+    """
+
+    __slots__ = ("vars", "coeffs", "order")
+
+    def __init__(self, vars: tuple, coeffs: dict, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = [as_poly(c) for c in coeffs]
+        clean = {}
+        for e, c in coeffs.items():
+            c = as_poly(c)
+            if self._degree(e) <= order and not c.is_zero():
+                clean[e] = c
+        self.vars = vars
+        self.coeffs = clean
+        self.order = order
+
+    def _like(self, coeffs: dict, order: int):
+        """A series of the same class in the same variables."""
+        out = object.__new__(type(self))
+        _TruncatedPS.__init__(out, self.vars, coeffs, order)
+        return out
+
+    def __getitem__(self, e) -> UVPoly:
+        return self.coeffs.get(e, UVPoly.zero())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        n = min(self.order, other.order)
+        return self.vars == other.vars and self.truncate(n).coeffs == other.truncate(n).coeffs
+
+    def truncate(self, order: int):
+        return self._like(self.coeffs, min(self.order, order))
+
+    def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            other = self._like({self._ONE: other}, self.order)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = self[e] + c
+        return self._like(out, min(self.order, other.order))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.coeffs.items()}, self.order)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            c = as_poly(other)
+            return self._like({e: v * c for e, v in self.coeffs.items()}, self.order)
+        n = min(self.order, other.order)
+        degree, key_add = self._degree, self._key_add
+        right = [(e, degree(e), c) for e, c in other.coeffs.items()]
+        out: dict = {}
+        for e1, c1 in self.coeffs.items():
+            room = n - degree(e1)
+            for e2, d2, c2 in right:
+                if d2 <= room:
+                    e = key_add(e1, e2)
+                    s = out.get(e)
+                    out[e] = c1 * c2 if s is None else s + c1 * c2
+        return self._like(out, n)
+
+    __rmul__ = __mul__
+
+    def _substituted_into(self, outer: "FormalPS1"):
+        """outer(self) for a univariate `outer`; self must have zero constant term."""
+        if not self[self._ONE].is_zero():
+            raise ValueError("substitution requires zero constant term in the inner series")
+        n = min(outer.order, self.order)
+        inner = self.truncate(n)
+        acc = self._like({self._ONE: outer[0]}, n)
+        power = self._like({self._ONE: UVPoly.one()}, n)
+        for i in range(1, n + 1):
+            power = power * inner
+            if not outer[i].is_zero():
+                acc = acc + power * outer[i]
+        return acc
+
+    def __str__(self):
+        parts = [f"({self.coeffs[e]})*{self._monomial(e)}" for e in sorted(self.coeffs)]
+        return " + ".join(parts) if parts else "0"
+
+    __repr__ = __str__
+
+
+class FormalPS1(_TruncatedPS):
+    """Series sum c_n * var^n for n = 0..order, with UVPoly coefficients."""
+
+    __slots__ = ()
+    _ONE = 0
+    _degree = staticmethod(int)  # an integer exponent is its own degree
+    _key_add = staticmethod(operator.add)
+
+    def __init__(self, var: str, coeffs, order: int):
+        coeffs = dict(enumerate(coeffs))
+        super().__init__((var,), coeffs, order)
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than order allows")
-        coeffs += [UVPoly.zero()] * (order + 1 - len(coeffs))
-        self.var = var
-        self.coeffs = coeffs
-        self.order = order
+
+    @property
+    def var(self) -> str:
+        return self.vars[0]
 
     @staticmethod
     def zero(var: str, order: int) -> "FormalPS1":
@@ -43,73 +145,16 @@ class FormalPS1:
         """The series `var` itself."""
         return FormalPS1(var, [UVPoly.zero(), UVPoly.one()], order)
 
-    def __getitem__(self, n: int) -> UVPoly:
-        return self.coeffs[n] if 0 <= n <= self.order else UVPoly.zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalPS1):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self.var == other.var and all(self[i] == other[i] for i in range(n + 1))
-
-    def truncate(self, order: int) -> "FormalPS1":
-        return FormalPS1(self.var, self.coeffs[: order + 1], min(self.order, order))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            out = list(self.coeffs)
-            out[0] = out[0] + as_poly(other)
-            return FormalPS1(self.var, out, self.order)
-        n = min(self.order, other.order)
-        return FormalPS1(self.var, [self[i] + other[i] for i in range(n + 1)], n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalPS1(self.var, [-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            return self + (-as_poly(other))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            c = as_poly(other)
-            return FormalPS1(self.var, [a * c for a in self.coeffs], self.order)
-        n = min(self.order, other.order)
-        out = [UVPoly.zero() for _ in range(n + 1)]
-        for i in range(n + 1):
-            a = self[i]
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return FormalPS1(self.var, out, n)
-
-    __rmul__ = __mul__
+    def _monomial(self, e: int) -> str:
+        return f"{self.var}^{e}"
 
     def derivative(self) -> "FormalPS1":
-        if self.order == 0:
-            return FormalPS1.zero(self.var, 0)
-        out = [self[i + 1] * (i + 1) for i in range(self.order)]
-        return FormalPS1(self.var, out, self.order - 1)
+        out = {n - 1: c * n for n, c in self.coeffs.items() if n}
+        return self._like(out, max(self.order - 1, 0))
 
     def compose(self, inner: "FormalPS1") -> "FormalPS1":
         """self(inner); inner must have zero constant term."""
-        if not inner[0].is_zero():
-            raise ValueError("compose requires zero constant term in inner series")
-        n = min(self.order, inner.order)
-        acc = FormalPS1.zero(inner.var, n) + self[0]
-        power = FormalPS1.zero(inner.var, n) + UVPoly.one()
-        inner_t = inner.truncate(n)
-        for i in range(1, n + 1):
-            power = power * inner_t
-            if not self[i].is_zero():
-                acc = acc + power * self[i]
-        return acc
+        return inner._substituted_into(self)
 
     def exp(self) -> "FormalPS1":
         """exp of a series with zero constant term."""
@@ -145,39 +190,22 @@ class FormalPS1:
         inv = FormalPS1.identity(self.var, self.order)
         for n in range(2, self.order + 1):
             err = self.compose(inv.truncate(n))[n]
-            coeffs = list(inv.coeffs)
-            coeffs[n] = coeffs[n] - err
-            inv = FormalPS1(self.var, coeffs, self.order)
+            inv = inv._like({**inv.coeffs, n: inv[n] - err}, self.order)
         return inv
 
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                parts.append(f"({c})*{self.var}^{i}")
-        return " + ".join(parts) if parts else "0"
 
-    __repr__ = __str__
-
-
-class FormalPS2:
+class FormalPS2(_TruncatedPS):
     """Series sum c_{ij} * var1^i var2^j over i+j <= order."""
 
-    __slots__ = ("vars", "coeffs", "order")
+    __slots__ = ()
+    _ONE = (0, 0)
+    _degree = staticmethod(sum)
+    _key_add = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
 
     def __init__(self, vars: tuple, coeffs: dict, order: int):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        clean = {}
-        for (i, j), c in coeffs.items():
-            c = as_poly(c)
-            if i < 0 or j < 0:
-                raise ValueError("negative exponent in bivariate series")
-            if i + j <= order and not c.is_zero():
-                clean[(i, j)] = c
-        self.vars = (str(vars[0]), str(vars[1]))
-        self.coeffs = clean
-        self.order = order
+        if any(i < 0 or j < 0 for i, j in coeffs):
+            raise ValueError("negative exponent in bivariate series")
+        super().__init__((str(vars[0]), str(vars[1])), coeffs, order)
 
     @staticmethod
     def zero(vars: tuple, order: int) -> "FormalPS2":
@@ -185,84 +213,12 @@ class FormalPS2:
 
     @staticmethod
     def variable(vars: tuple, which: int, order: int) -> "FormalPS2":
-        key = (1, 0) if which == 1 else (0, 1)
-        return FormalPS2(vars, {key: UVPoly.one()}, order)
+        return FormalPS2(vars, {(1, 0) if which == 1 else (0, 1): UVPoly.one()}, order)
 
-    def __getitem__(self, key) -> UVPoly:
-        return self.coeffs.get(key, UVPoly.zero())
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalPS2):
-            return NotImplemented
-        n = min(self.order, other.order)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return self.vars == other.vars and all(
-            self[k] == other[k] for k in keys if k[0] + k[1] <= n
-        )
-
-    def truncate(self, order: int) -> "FormalPS2":
-        return FormalPS2(self.vars, self.coeffs, min(self.order, order))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            out = dict(self.coeffs)
-            out[(0, 0)] = self[(0, 0)] + as_poly(other)
-            return FormalPS2(self.vars, out, self.order)
-        n = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = self[k] + c
-        return FormalPS2(self.vars, out, n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalPS2(self.vars, {k: -c for k, c in self.coeffs.items()}, self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            return self + (-as_poly(other))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            c = as_poly(other)
-            return FormalPS2(
-                self.vars, {k: v * c for k, v in self.coeffs.items()}, self.order
-            )
-        n = min(self.order, other.order)
-        out: dict = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > n:
-                    continue
-                k = (i, j)
-                s = out.get(k)
-                out[k] = c1 * c2 if s is None else s + c1 * c2
-        return FormalPS2(self.vars, out, n)
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        parts = []
-        for (i, j) in sorted(self.coeffs):
-            parts.append(f"({self.coeffs[(i, j)]})*{self.vars[0]}^{i}*{self.vars[1]}^{j}")
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
+    def _monomial(self, e: tuple) -> str:
+        return f"{self.vars[0]}^{e[0]}*{self.vars[1]}^{e[1]}"
 
 
 def compose_ps1_into_ps2(outer: FormalPS1, inner: FormalPS2) -> FormalPS2:
     """Substitute a bivariate series (zero constant term) into a univariate one."""
-    if not inner[(0, 0)].is_zero():
-        raise ValueError("substitution requires zero constant term")
-    n = min(outer.order, inner.order)
-    inner_t = inner.truncate(n)
-    acc = FormalPS2.zero(inner.vars, n) + outer[0]
-    power = FormalPS2.zero(inner.vars, n) + UVPoly.one()
-    for i in range(1, n + 1):
-        power = power * inner_t
-        if not outer[i].is_zero():
-            acc = acc + power * outer[i]
-    return acc
+    return inner._substituted_into(outer)

@@ -15,7 +15,7 @@ from .uvpoly import NotDiagonalError, UVPoly, parse_uvpoly, poincare_str
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
-FORMS = ("hodge", "poincare", "numeric", "weight0")
+FORMS = ("hodge", "poincare", "weight0")
 BASES = ("schur", "power")
 FORMATS = ("text", "csv", "latex")
 
@@ -187,29 +187,16 @@ def _latex_partition(lam: tuple) -> str:
 
 
 def render_table(spec: TableSpec, result) -> str:
-    """Render a HeavyLightResult; deterministic across runs.
-
-    Numeric form emits one row per (m, n) with the dimension-specialized
-    polynomial; equivariant forms emit one line per basis monomial.
-    """
+    """Render a HeavyLightResult, one line per basis monomial; deterministic across runs."""
     lines = []
     sep = "," if spec.fmt == "csv" else " | "
     if spec.fmt == "csv":
-        header = (
-            "m,n,poly"
-            if spec.form == "numeric"
-            else "m,n,lambda,mu,coefficient"
-        )
-        lines.append(header)
+        lines.append("m,n,lambda,mu,coefficient")
     for total in range(spec.max_arity + 1):
         for m in range(total + 1):
             n = total - m
             comp = result.component(m, n)
             if not comp.coeffs:
-                continue
-            if spec.form == "numeric":
-                poly = numeric_value(comp, m, n)
-                lines.append(f"{m}{sep}{n}{sep}{poly}")
                 continue
             entries = (
                 comp.to_schur_pairs() if spec.basis == "schur" else comp.coeffs

@@ -53,6 +53,9 @@ def test_parse_error_carries_line_number():
     with pytest.raises(FixtureError) as err:
         parse_fixture(MINIMAL.replace("truncation 4", "truncation 4.5"))
     assert err.value.lineno == 4
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(MINIMAL.replace("truncation 4", "truncation -1"))
+    assert err.value.lineno == 4
 
 
 def test_size_mismatch_error():

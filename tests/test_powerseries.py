@@ -92,3 +92,39 @@ def test_compose_ps1_into_ps2():
             )
     with pytest.raises(ValueError):
         compose_ps1_into_ps2(e, w + 1)
+
+
+def random_ps1(rng, order, constant_term=True):
+    """A seeded FormalPS1 in x with small rational UVPoly coefficients."""
+    coeffs = [
+        UVPoly({(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                for _ in range(rng.randint(0, 2))})
+        for _ in range(order + 1)
+    ]
+    if not constant_term:
+        coeffs[0] = UVPoly.zero()
+    return FormalPS1("x", coeffs, order)
+
+
+def embed(f):
+    """x^i -> x^i y^0: a univariate series as a bivariate one."""
+    return FormalPS2(("x", "y"), {(i, 0): c for i, c in f.coeffs.items()}, f.order)
+
+
+def test_embedding_into_ps2_commutes_with_the_ring():
+    # FormalPS1 and FormalPS2 share one ring kernel on two exponent types;
+    # each operation on univariate series must match the same operation on
+    # their embeddings, term by term and in the truncation order.
+    def matches(f, big):
+        return f.order == big.order and {(i, 0): c for i, c in f.coeffs.items()} == big.coeffs
+
+    rng = random.Random(7)
+    for _ in range(25):
+        f, g = random_ps1(rng, rng.randint(0, 6)), random_ps1(rng, rng.randint(0, 6))
+        inner = random_ps1(rng, rng.randint(0, 6), constant_term=False)
+        k = rng.randint(0, 7)
+        assert matches(f + g, embed(f) + embed(g))
+        assert matches(f - g, embed(f) - embed(g))
+        assert matches(f * g, embed(f) * embed(g))
+        assert matches(f.truncate(k), embed(f).truncate(k))
+        assert matches(f.compose(inner), compose_ps1_into_ps2(f, embed(inner)))

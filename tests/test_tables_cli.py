@@ -154,5 +154,9 @@ def test_cli_usage_error_exit_code():
 
 
 def test_cli_failure_exit_code():
-    code, _ = run_cli(["closed-table", "--genus", "3"])
-    assert code == 1
+    for argv in (
+        ["closed-table", "--genus", "3"],
+        ["slice-n1", "--genus", "1", "--m", "20"],
+    ):
+        code, _ = run_cli(argv)
+        assert code == 1, argv

@@ -32,6 +32,7 @@ Run `python tools/generate_fixtures.py --phase all` from the repo root.
 """
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -44,7 +45,6 @@ sys.path.insert(0, str(REPO / "src"))
 from heavylight.fixtures import SeriesFixture, parse_fixture, save_fixture, write_fixture  # noqa: E402
 from heavylight.partitions import gen_partitions, multiplicities, z_of  # noqa: E402
 from heavylight.pipeline import (  # noqa: E402
-    closed_series,
     genus0_numeric_closed_form,
     genus1_stable_chi_egf,
     legendre_check,
@@ -54,8 +54,6 @@ from heavylight.powerseries import FormalPS1  # noqa: E402
 from heavylight.symseries import SymSeries, mobius  # noqa: E402
 from heavylight.tables import (  # noqa: E402
     GOLDEN_DIR,
-    compare_row_to_golden,
-    parse_golden_numeric,
     parse_golden_pairs,
 )
 from heavylight.uvpoly import UVPoly, divide_diagonal_exact  # noqa: E402
@@ -161,8 +159,8 @@ def genus0_smooth_plethysm_route(trunc: int) -> SymSeries:
     return SymSeries(coeffs, trunc)
 
 
-def phase_genus0(quick: bool = False):
-    t_int = 7 if quick else SMOOTH0_INTERNAL_TRUNC
+def phase_genus0():
+    t_int = SMOOTH0_INTERNAL_TRUNC
     t_ship = min(t_int, SMOOTH0_SHIP_TRUNC)
     t_rooted = min(t_int - 2, ROOTED_TRUNC)
     t_stable = min(t_rooted, STABLE0_SHIP_TRUNC)
@@ -356,9 +354,9 @@ def discriminant_form_coefficients(limit: int) -> dict:
     return tau
 
 
-def phase_genus1(quick: bool = False):
-    trunc = 5 if quick else SMOOTH1_TRUNC
-    numeric_trunc = 6 if quick else NUMERIC1_TRUNC
+def phase_genus1():
+    trunc = SMOOTH1_TRUNC
+    numeric_trunc = NUMERIC1_TRUNC
     log(f"elliptic histograms over primes {PRIMES}")
     hists = {p: elliptic_trace_histogram(p) for p in PRIMES}
     for p in PRIMES:
@@ -490,9 +488,9 @@ def numeric_necklace_rank(order: int):
     return log1m * Fraction(-1, 2) + (rk_vm * 2 + rk_vm * rk_vm) * Fraction(1, 4), rk_vm
 
 
-def phase_assemble(quick: bool = False):
-    trunc = 5 if quick else STABLE1_TRUNC
-    numeric_trunc = 6 if quick else NUMERIC1_TRUNC
+def phase_assemble():
+    trunc = STABLE1_TRUNC
+    numeric_trunc = NUMERIC1_TRUNC
     smooth0 = genus0_smooth(trunc + 2)
     pd = load_rooted_inverse()
     assert pd.trunc >= trunc, "cached rooted inverse is too shallow; rerun --phase genus0"
@@ -584,17 +582,12 @@ def phase_weight0():
 
     rows, rhs = [], []
     for row in golden:
-        keys = set()
-        for col in columns:
-            keys |= set(col.component(row.m, row.n).to_schur_pairs())
-        for key in row.pairs:
-            keys.add(key)
+        schs = [col.component(row.m, row.n).to_schur_pairs() for col in columns]
+        keys = set(row.pairs)
+        for sch in schs:
+            keys |= set(sch)
         for key in sorted(keys):
-            coeffs = []
-            for col in columns:
-                sch = col.component(row.m, row.n).to_schur_pairs()
-                val = sch.get(key, UVPoly.zero()).constant_term()
-                coeffs.append(val)
+            coeffs = [sch.get(key, UVPoly.zero()).constant_term() for sch in schs]
             want = sum(row.pairs.get(key, {}).values())
             rows.append(coeffs)
             rhs.append(Fraction(want))
@@ -622,37 +615,14 @@ def phase_weight0():
 
 
 def phase_verify():
-    from heavylight.fixtures import load_fixture
-    from heavylight.pipeline import closed_series_numeric
+    from heavylight.verify import table_suite
 
     log("final gate: reference tables through the pipelines")
-    smooth0 = load_fixture("genus0_smooth", DATA_DIR)
-    stable1 = load_fixture("genus1_stable", DATA_DIR)
-    res = closed_series(stable1, smooth0, trunc=5)
-    problems = []
-    for row in parse_golden_pairs(GOLDEN_DIR / "genus1_poincare_table.txt"):
-        problems += [
-            f"({row.m},{row.n}): {p}"
-            for p in compare_row_to_golden(res.component(row.m, row.n), row)
-        ]
-    assert not problems, "equivariant table mismatches:\n" + "\n".join(problems)
-    log("equivariant table reproduced")
-
-    numeric_fx = load_fixture("genus1_stable_numeric", DATA_DIR)
-    egf = numeric_fx.data.rank1("x")
-    table = closed_series_numeric(egf)
-    golden = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")
-    for n, (poly, _mode) in golden.items():
-        got = table[(0, n)] * factorial(n)
-        assert got == poly, f"numeric table mismatch at n={n}: {got}"
-    log("numeric table reproduced")
-
-    w0 = load_fixture("genus2_smooth_weight0", DATA_DIR)
-    resw = open_series(w0)
-    for row in parse_golden_pairs(GOLDEN_DIR / "genus2_weight0_table.txt"):
-        probs = compare_row_to_golden(resw.component(row.m, row.n), row)
-        assert not probs, f"weight-zero table mismatch at ({row.m},{row.n}): {probs}"
-    log("weight-zero table reproduced")
+    os.environ["HL_FIXTURE_DIR"] = str(DATA_DIR)  # table_suite loads the fixtures just written
+    checks = table_suite()
+    failed = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
+    assert not failed, "reference table mismatches:\n" + "\n".join(failed)
+    log(f"{len(checks)} reference tables reproduced")
 
 
 PHASES = {
@@ -667,21 +637,11 @@ PHASES = {
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--phase", default="all", choices=list(PHASES) + ["all"])
-    ap.add_argument("--quick", action="store_true", help="reduced truncations for debugging")
     args = ap.parse_args()
     start = time.time()
-    if args.phase == "all":
-        for name, fn in PHASES.items():
-            if name in ("weight0", "verify"):
-                fn()
-            else:
-                fn(args.quick)
-    else:
-        fn = PHASES[args.phase]
-        if args.phase in ("weight0", "verify"):
+    for name, fn in PHASES.items():
+        if args.phase in (name, "all"):
             fn()
-        else:
-            fn(args.quick)
     log(f"done in {time.time() - start:.1f}s")
 
 
