@@ -149,13 +149,9 @@ class BiSymSeries(_Series):
 
     # -- presentation ----------------------------------------------------------
 
-    def pretty(self, basis: str = "power") -> str:
-        """Render as a sum over pairs; basis is 'power' or 'schur'."""
-        if basis == "power":
-            return str(self)
-        if basis == "schur":
-            return self._render(self.to_schur_pairs(), ("s1", "s2"))
-        raise ValueError("basis must be 'power' or 'schur'")
+    def pretty(self) -> str:
+        """Render as a sum over pairs of Schur functions."""
+        return self._render(self.to_schur_pairs(), ("s1", "s2"))
 
 
 def coproduct(f: SymSeries) -> BiSymSeries:

@@ -10,6 +10,7 @@ import sys
 from math import factorial
 
 from .fixtures import load_fixture
+from .oracle import oracle_compare
 from .pipeline import (
     closed_series,
     closed_series_numeric,
@@ -19,8 +20,23 @@ from .pipeline import (
     stability_ok,
     tropical_euler,
 )
-from .tables import TableSpec, render_table
-from .verify import run_suite
+from .tables import BASES, FORMATS, TableSpec, render_table
+from .verify import SUITES, run_suite
+
+# The shipped fixture serving each (variant, genus).  Genus 2 ships only the
+# weight-zero part of its open series.
+FIXTURES = {
+    ("open", 0): "genus0_smooth",
+    ("open", 1): "genus1_smooth",
+    ("open", 2): "genus2_smooth_weight0",
+    ("closed", 0): "genus0_stable",
+    ("closed", 1): "genus1_stable",
+    ("numeric", 1): "genus1_stable_numeric",
+}
+
+
+class Refused(Exception):
+    """A request the shipped data cannot serve; `main` prints it and returns 1."""
 
 
 def _at_least(minimum: int):
@@ -35,37 +51,27 @@ def _at_least(minimum: int):
     return integer
 
 
-def _closed_inputs():
-    return load_fixture("genus1_stable"), load_fixture("genus0_smooth")
-
-
-def _open_fixture(genus: int, weight0: bool):
-    if genus == 2 or weight0:
-        if genus != 2:
-            raise SystemExit("weight-zero open tables are shipped for genus 2 only")
-        return load_fixture("genus2_smooth_weight0")
-    if genus == 1:
-        return load_fixture("genus1_smooth")
-    if genus == 0:
-        return load_fixture("genus0_smooth")
-    raise SystemExit(f"no open fixture for genus {genus}")
+def _fixture(variant: str, genus: int, arity: int):
+    """The shipped fixture for (variant, genus); refuses an arity beyond its truncation."""
+    if (variant, genus) not in FIXTURES:
+        shipped = ", ".join(str(g) for v, g in FIXTURES if v == variant)
+        raise Refused(f"no {variant} fixture for genus {genus} (shipped: genus {shipped})")
+    fx = load_fixture(FIXTURES[variant, genus])
+    if arity > fx.trunc:
+        raise Refused(f"needs arity {arity}, beyond the truncation {fx.trunc} of fixture {fx.name}")
+    return fx
 
 
 def cmd_closed_table(args) -> int:
     if args.genus != 1:
-        print("closed tables are shipped for genus 1 only", file=sys.stderr)
-        return 1
+        raise Refused("closed tables are shipped for genus 1 only")
     if args.form == "numeric":
-        numeric = load_fixture("genus1_stable_numeric")
-        order = args.max_arity
-        if order > numeric.trunc:
-            print(f"max arity {order} exceeds numeric truncation {numeric.trunc}", file=sys.stderr)
-            return 1
-        table = closed_series_numeric(numeric.data.rank1("x"), order)
+        numeric = _fixture("numeric", 1, args.max_arity)
+        table = closed_series_numeric(numeric.data.rank1("x"), args.max_arity)
         sep = "," if args.format == "csv" else " | "
         if args.format == "csv":
             print("m,n,poly")
-        for total in range(order + 1):
+        for total in range(args.max_arity + 1):
             for m in range(total + 1):
                 n = total - m
                 if not stability_ok(1, m, n):
@@ -74,37 +80,20 @@ def cmd_closed_table(args) -> int:
                 if not poly.is_zero():
                     print(f"{m}{sep}{n}{sep}{poly}")
         return 0
-    stable1, smooth0 = _closed_inputs()
-    if args.max_arity > stable1.trunc:
-        print(f"max arity {args.max_arity} exceeds fixture truncation {stable1.trunc}", file=sys.stderr)
-        return 1
-    spec = TableSpec(
-        genus=1,
-        variant="closed",
-        basis=args.basis,
-        form=args.form,
-        max_arity=args.max_arity,
-        fmt=args.format,
-    )
+    stable1 = _fixture("closed", 1, args.max_arity)
+    smooth0 = _fixture("open", 0, args.max_arity + 1)  # the corrector needs one arity more
+    spec = TableSpec(basis=args.basis, form=args.form, max_arity=args.max_arity, fmt=args.format)
     res = closed_series(stable1, smooth0, trunc=args.max_arity)
     sys.stdout.write(render_table(spec, res))
     return 0
 
 
 def cmd_open_table(args) -> int:
-    fx = _open_fixture(args.genus, args.weight0)
-    if args.max_arity > fx.trunc:
-        print(f"max arity {args.max_arity} exceeds fixture truncation {fx.trunc}", file=sys.stderr)
-        return 1
-    form = "weight0" if (args.weight0 or fx.variant == "weight0") else args.form
-    spec = TableSpec(
-        genus=args.genus,
-        variant="open",
-        basis=args.basis,
-        form=form,
-        max_arity=args.max_arity,
-        fmt=args.format,
-    )
+    fx = _fixture("open", args.genus, args.max_arity)
+    if args.weight0 and fx.variant != "weight0":
+        raise Refused("weight-zero open tables are shipped for genus 2 only")
+    form = "weight0" if fx.variant == "weight0" else args.form
+    spec = TableSpec(basis=args.basis, form=form, max_arity=args.max_arity, fmt=args.format)
     res = open_series(fx, trunc=args.max_arity)
     sys.stdout.write(render_table(spec, res))
     return 0
@@ -112,8 +101,7 @@ def cmd_open_table(args) -> int:
 
 def cmd_euler_genfun(args) -> int:
     if args.genus != 1:
-        print("the Euler generating function is shipped for genus 1", file=sys.stderr)
-        return 1
+        raise Refused("the Euler generating function is shipped for genus 1")
     series = genus1_light_chi_egf(args.order)
     for n in range(1, args.order + 1):
         chi = series[n].constant_term() * factorial(n)
@@ -122,36 +110,22 @@ def cmd_euler_genfun(args) -> int:
 
 
 def cmd_slice_n1(args) -> int:
-    if args.variant == "closed":
-        fx = load_fixture("genus1_stable") if args.genus == 1 else load_fixture("genus0_stable")
-    else:
-        fx = _open_fixture(args.genus, weight0=args.genus == 2)
-    if fx.genus != args.genus:
-        print(f"no {args.variant} fixture for genus {args.genus}", file=sys.stderr)
-        return 1
-    if args.m + 1 > fx.trunc:
-        print(f"m + 1 = {args.m + 1} exceeds fixture truncation {fx.trunc}", file=sys.stderr)
-        return 1
+    fx = _fixture(args.variant, args.genus, args.m + 1)
     if not stability_ok(args.genus, args.m, 1):
         print("empty: outside the stability range")
         return 0
-    comp = slice_n1(fx, args.m)
-    print(comp.pretty(basis="schur"))
+    print(slice_n1(fx, args.m).pretty())
     return 0
 
 
 def cmd_tropical(args) -> int:
-    fx = _open_fixture(args.genus, weight0=args.genus == 2)
-    if args.m + args.n > fx.trunc:
-        print(f"total arity exceeds fixture truncation {fx.trunc}", file=sys.stderr)
-        return 1
+    fx = _fixture("open", args.genus, args.m + args.n)
     res = open_series(fx, trunc=args.m + args.n)
     try:
         chi = tropical_euler(res, args.m, args.n)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(chi.pretty(basis="schur"))
+        raise Refused(str(exc)) from exc
+    print(chi.pretty())
     numeric = chi.trace_from_ch(args.m, args.n, (1,) * args.m, (1,) * args.n)
     print(f"numeric: {numeric.constant_term()}")
     return 0
@@ -177,39 +151,33 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    if args.genus not in (1, 2):
-        print("oracle comparison is shipped for genus 1 and genus 2", file=sys.stderr)
-        return 1
-    checks = []
-    fx = load_fixture("genus1_smooth" if args.genus == 1 else "genus2_smooth_weight0")
-    cap = min(args.max_arity, fx.trunc)
-    res = open_series(fx, trunc=cap)
-    from .oracle import oracle_compare as compare
-
-    for m, n, ok in compare(args.genus, fx, res, cap):
-        checks.append((f"({m},{n})", ok, ""))
-    return _print_checks(checks)
+    if args.genus == 0:
+        raise Refused("oracle comparison is shipped for genus 1 and genus 2")
+    fx = _fixture("open", args.genus, args.max_arity)
+    res = open_series(fx, trunc=args.max_arity)
+    rows = oracle_compare(args.genus, fx, res, args.max_arity)
+    return _print_checks([(f"({m},{n})", ok, "") for m, n, ok in rows])
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hl", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("closed-table", help="heavy/light series of the compactification")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-arity", type=_at_least(0), default=5)
-    p.add_argument("--basis", choices=("schur", "power"), default="schur")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--genus", type=int, required=True)
+    table.add_argument("--max-arity", type=_at_least(0), default=5)
+    table.add_argument("--basis", choices=BASES, default="schur")
+    table.add_argument("--format", choices=FORMATS, default="text")
+
+    p = sub.add_parser(
+        "closed-table", parents=[table], help="heavy/light series of the compactification"
+    )
     p.add_argument("--form", choices=("hodge", "poincare", "numeric"), default="hodge")
-    p.add_argument("--format", choices=("text", "csv", "latex"), default="text")
     p.set_defaults(fn=cmd_closed_table)
 
-    p = sub.add_parser("open-table", help="heavy/light series of the smooth locus")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-arity", type=_at_least(0), default=5)
+    p = sub.add_parser("open-table", parents=[table], help="heavy/light series of the smooth locus")
     p.add_argument("--weight0", action="store_true")
-    p.add_argument("--basis", choices=("schur", "power"), default="schur")
     p.add_argument("--form", choices=("hodge", "weight0"), default="hodge")
-    p.add_argument("--format", choices=("text", "csv", "latex"), default="text")
     p.set_defaults(fn=cmd_open_table)
 
     p = sub.add_parser("euler-genfun", help="Euler characteristics of the all-light spaces")
@@ -230,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tropical)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("all", "fixtures", "tables", "properties"), default="all")
+    p.add_argument("--suite", choices=tuple(SUITES), default="all")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle-compare", help="brute-force oracle vs the open pipeline")
@@ -242,7 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Refused as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -25,6 +25,10 @@ from .powerseries import FormalPS1, FormalPS2, compose_ps1_into_ps2
 from .symseries import SymSeries
 from .uvpoly import UVPoly, divide_diagonal_exact
 
+# Genus-1 outputs are pure (diagonal, palindromic, nonnegative in the Schur
+# basis) up to this total arity; the weight-12 cusp form enters at arity 11.
+GENUS1_PURE_ARITY = 10
+
 
 def stability_ok(g: int, m: int, n: int) -> bool:
     """Heavy/light stability: 2g - 2 + m + min(n, 1) > 0."""

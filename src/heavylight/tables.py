@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .bisymseries import BiSymSeries
 from .partitions import format_partition, parse_partition, specht_dimension
+from .pipeline import GENUS1_PURE_ARITY
 from .uvpoly import NotDiagonalError, UVPoly, parse_uvpoly, poincare_str
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -24,8 +25,6 @@ FORMATS = ("text", "csv", "latex")
 class TableSpec:
     """Rendering request for a heavy/light table."""
 
-    genus: int
-    variant: str
     basis: str = "schur"
     form: str = "hodge"
     max_arity: int = 5
@@ -38,13 +37,6 @@ class TableSpec:
             raise ValueError(f"unknown basis {self.basis!r}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.form == "poincare" and not (
-            self.variant == "closed" and self.genus == 1 and self.max_arity <= 10
-        ):
-            raise ValueError(
-                "poincare form requires the closed variant in the proven-diagonal "
-                "range (genus 1, total arity <= 10)"
-            )
 
 
 def parse_tpoly(text: str) -> dict:
@@ -188,6 +180,13 @@ def _latex_partition(lam: tuple) -> str:
 
 def render_table(spec: TableSpec, result) -> str:
     """Render a HeavyLightResult, one line per basis monomial; deterministic across runs."""
+    if spec.form == "poincare" and not (
+        result.variant == "closed" and result.genus == 1 and spec.max_arity <= GENUS1_PURE_ARITY
+    ):
+        raise ValueError(
+            "poincare form requires the closed variant in the proven-diagonal "
+            f"range (genus 1, total arity <= {GENUS1_PURE_ARITY})"
+        )
     lines = []
     sep = "," if spec.fmt == "csv" else " | "
     if spec.fmt == "csv":

@@ -9,10 +9,11 @@ from fractions import Fraction
 from math import factorial
 
 from .bisymseries import BiSymSeries, coproduct
-from .fixtures import SeriesFixture, load_fixture
+from .fixtures import SHIPPED, SeriesFixture, load_fixture
 from .oracle import oracle_compare, stirling2, stirling2_recurrence
 from .partitions import gen_partitions, mn_character, z_of
 from .pipeline import (
+    GENUS1_PURE_ARITY,
     closed_series,
     closed_series_numeric,
     genus0_numeric_closed_form,
@@ -36,9 +37,12 @@ from .tables import (
 from .uvpoly import UVPoly
 
 SEED = 0x484C
+CASES = 50  # random cases per plethysm axiom
+CORB_ARITY = 6  # total arity of the numeric change-of-variables comparison
+ORACLE_ARITY = 5  # the brute-force enumeration grows quickly with the arity
 
 
-def _random_sparse(rng, trunc, max_terms=3, with_uv=True, zero_constant=True):
+def _random_sparse(rng, trunc, max_terms=3, zero_constant=True):
     """A small random series: few partition keys, small coefficients."""
     coeffs = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -46,7 +50,7 @@ def _random_sparse(rng, trunc, max_terms=3, with_uv=True, zero_constant=True):
         parts = gen_partitions(n)
         lam = parts[rng.randrange(len(parts))]
         c = Fraction(rng.choice([-2, -1, 1, 1, 2]), rng.choice([1, 1, 2]))
-        if with_uv and rng.random() < 0.5:
+        if rng.random() < 0.5:
             poly = UVPoly.monomial(rng.randint(0, 1), rng.randint(0, 1), c)
         else:
             poly = UVPoly.const(c)
@@ -65,22 +69,30 @@ def _random_sparse_bi(rng, trunc, max_terms=3, zero_constant=True):
     return out
 
 
-def property_suite(cases: int = 50) -> list:
+def _genus0_gates(smooth0: SeriesFixture, stable0: SeriesFixture) -> tuple:
+    """Genus-0 inverse pair at arity 8; rank of d(smooth)/dp_1 against its closed form."""
+    closed_form = genus0_numeric_closed_form(smooth0.trunc - 1)
+    deriv_rank = smooth0.data.d_dp1().rank1("y")
+    rank_ok = all(deriv_rank[k] == -closed_form[k] for k in range(2, smooth0.trunc))
+    return legendre_check(smooth0, stable0, trunc=8), rank_ok
+
+
+def property_suite() -> list:
     rng = random.Random(SEED)
     checks = []
 
     ok = True
-    for _ in range(cases):
+    for _ in range(CASES):
         f = _random_sparse(rng, 6)
         g = _random_sparse(rng, 6)
         h = _random_sparse(rng, 6)
         if not ((f.plethysm(g)).plethysm(h) == f.plethysm(g.plethysm(h))):
             ok = False
             break
-    checks.append(("plethysm associativity (random sparse, arity <= 6)", ok, f"{cases} cases"))
+    checks.append(("plethysm associativity (random sparse, arity <= 6)", ok, f"{CASES} cases"))
 
     ok = True
-    for _ in range(cases):
+    for _ in range(CASES):
         f1 = _random_sparse(rng, 6)
         f2 = _random_sparse(rng, 6)
         g = _random_sparse(rng, 6)
@@ -93,7 +105,7 @@ def property_suite(cases: int = 50) -> list:
         if pk.plethysm(f1 * f2) != pk.plethysm(f1) * pk.plethysm(f2):
             ok = False
             break
-    checks.append(("plethysm ring-map axioms (random sparse)", ok, f"{cases} cases"))
+    checks.append(("plethysm ring-map axioms (random sparse)", ok, f"{CASES} cases"))
 
     ok = True
     for _ in range(10):
@@ -138,20 +150,10 @@ def property_suite(cases: int = 50) -> list:
 
     smooth0 = load_fixture("genus0_smooth")
     stable0 = load_fixture("genus0_stable")
-    checks.append(
-        (
-            "genus-0 inverse pair (arity 8)",
-            legendre_check(smooth0, stable0, trunc=8),
-            f"truncations {smooth0.trunc}/{stable0.trunc}",
-        )
-    )
-
-    closed_form = genus0_numeric_closed_form(smooth0.trunc - 1)
-    deriv_rank = smooth0.data.d_dp1().rank1("y")
-    ok = all(
-        deriv_rank[k] == -closed_form[k] for k in range(2, smooth0.trunc)
-    )
-    checks.append(("genus-0 fixture rank matches the closed form", ok, ""))
+    pair_ok, rank_ok = _genus0_gates(smooth0, stable0)
+    truncations = f"truncations {smooth0.trunc}/{stable0.trunc}"
+    checks.append(("genus-0 inverse pair (arity 8)", pair_ok, truncations))
+    checks.append(("genus-0 fixture rank matches the closed form", rank_ok, ""))
 
     stable1 = load_fixture("genus1_stable")
     res = closed_series(stable1, smooth0)
@@ -159,13 +161,14 @@ def property_suite(cases: int = 50) -> list:
     detail = ""
     for (lam, mu), c in res.data.coeffs.items():
         m, n = sum(lam), sum(mu)
-        if m + n > 10:
+        if m + n > GENUS1_PURE_ARITY:
             continue
         if not c.is_diagonal() or not c.is_palindromic(m + n):
             ok = False
             detail = f"({m},{n}) key {(lam, mu)}"
             break
-    checks.append(("purity and palindromy of genus-1 closed outputs (m+n <= 10)", ok, detail))
+    name = f"purity and palindromy of genus-1 closed outputs (m+n <= {GENUS1_PURE_ARITY})"
+    checks.append((name, ok, detail))
 
     ok = True
     smooth1 = load_fixture("genus1_smooth")
@@ -281,16 +284,8 @@ def _random_sparse_min2(rng, trunc):
 
 def fixture_suite() -> list:
     checks = []
-    names = [
-        "genus0_smooth",
-        "genus0_stable",
-        "genus1_smooth",
-        "genus1_stable",
-        "genus1_stable_numeric",
-        "genus2_smooth_weight0",
-    ]
     fixtures = {}
-    for name in names:
+    for name in SHIPPED:
         try:
             fx = load_fixture(name)
             fixtures[name] = fx
@@ -298,22 +293,12 @@ def fixture_suite() -> list:
             checks.append((f"fixture {name} parses and satisfies bounds", ok, f"trunc {fx.trunc}"))
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             checks.append((f"fixture {name} parses and satisfies bounds", False, str(exc)))
-    if len(fixtures) < len(names):
+    if len(fixtures) < len(SHIPPED):
         return checks
 
-    checks.append(
-        (
-            "genus-0 inverse pair on shipped fixtures",
-            legendre_check(fixtures["genus0_smooth"], fixtures["genus0_stable"], trunc=8),
-            "arity 8",
-        )
-    )
-
-    smooth0 = fixtures["genus0_smooth"]
-    closed_form = genus0_numeric_closed_form(smooth0.trunc - 1)
-    deriv_rank = smooth0.data.d_dp1().rank1("y")
-    ok = all(deriv_rank[k] == -closed_form[k] for k in range(2, smooth0.trunc))
-    checks.append(("genus-0 smooth rank gate", ok, ""))
+    pair_ok, rank_ok = _genus0_gates(fixtures["genus0_smooth"], fixtures["genus0_stable"])
+    checks.append(("genus-0 inverse pair on shipped fixtures", pair_ok, "arity 8"))
+    checks.append(("genus-0 smooth rank gate", rank_ok, ""))
 
     eq = fixtures["genus1_stable"]
     num = fixtures["genus1_stable_numeric"]
@@ -326,7 +311,7 @@ def fixture_suite() -> list:
         poly = num.data[(1,) * n] * factorial(n)
         if poly.mirror(n) != poly:
             ok = False
-        if n <= 10 and not poly.is_palindromic(n):
+        if n <= GENUS1_PURE_ARITY and not poly.is_palindromic(n):
             ok = False
     checks.append(("genus-1 numeric fixture duality symmetry", ok, ""))
 
@@ -348,7 +333,7 @@ def fixture_suite() -> list:
         ("genus0_smooth", False, None),
         ("genus1_smooth", False, None),
         ("genus0_stable", True, None),
-        ("genus1_stable", True, 10),
+        ("genus1_stable", True, GENUS1_PURE_ARITY),
         ("genus2_smooth_weight0", False, None),
     ]
     for name, need_nonneg, positivity_cap in specs:
@@ -368,7 +353,7 @@ def fixture_suite() -> list:
     for n in range(1, num.trunc + 1):
         poly = num.data[(1,) * n] * factorial(n)
         for (a, b), c in poly.terms.items():
-            if c.denominator != 1 or (n <= 10 and c < 0):
+            if c.denominator != 1 or (n <= GENUS1_PURE_ARITY and c < 0):
                 ok = False
                 detail = f"numeric arity {n}: bad coefficient {c}"
     checks.append(("Schur multiplicities are integral (and nonnegative where proper)", ok, detail))
@@ -409,33 +394,33 @@ def table_suite() -> list:
     return checks
 
 
-def oracle_suite(max_arity: int = 5) -> list:
+def oracle_suite() -> list:
     checks = []
     smooth1 = load_fixture("genus1_smooth")
-    res1 = open_series(smooth1, trunc=min(max_arity, smooth1.trunc))
-    rows = oracle_compare(1, smooth1, res1, max_arity)
+    res1 = open_series(smooth1, trunc=ORACLE_ARITY)
+    rows = oracle_compare(1, smooth1, res1, ORACLE_ARITY)
     for m, n, ok in rows:
         checks.append((f"oracle genus 1 ({m},{n})", ok, ""))
     w0 = load_fixture("genus2_smooth_weight0")
-    res2 = open_series(w0, trunc=min(max_arity, w0.trunc))
-    for m, n, ok in oracle_compare(2, w0, res2, max_arity):
+    res2 = open_series(w0, trunc=ORACLE_ARITY)
+    for m, n, ok in oracle_compare(2, w0, res2, ORACLE_ARITY):
         checks.append((f"oracle genus 2 weight-zero ({m},{n})", ok, ""))
     return checks
 
 
-def corb_suite(trunc: int = 6) -> list:
+def corb_suite() -> list:
     """Numeric change-of-variables against the rank of the equivariant pipeline."""
     checks = []
     smooth0 = load_fixture("genus0_smooth")
     smooth1 = load_fixture("genus1_smooth")
     stable1 = load_fixture("genus1_stable")
 
-    t = min(trunc, smooth1.trunc)
+    t = min(CORB_ARITY, smooth1.trunc)
     res = open_series(smooth1, trunc=t)
     direct = open_series_numeric(smooth1.data.rank1("x"), t)
     checks.append(("numeric open pipeline equals equivariant rank (genus 1)", res.data.rank2() == direct, f"arity {t}"))
 
-    t = min(trunc, stable1.trunc, smooth0.trunc - 1)
+    t = min(CORB_ARITY, stable1.trunc, smooth0.trunc - 1)
     resc = closed_series(stable1, smooth0, trunc=t)
     directc = closed_series_numeric(stable1.data.rank1("x"), t)
     # mask unstable corner (0,0) which the equivariant pipeline removes
@@ -450,15 +435,15 @@ def corb_suite(trunc: int = 6) -> list:
     return checks
 
 
+# Suite name -> the suites it runs, in order.  They are named rather than held,
+# so that a call goes through the module attribute, which a profiler may wrap.
+SUITES = {
+    "all": ("fixture_suite", "table_suite", "property_suite", "corb_suite", "oracle_suite"),
+    "fixtures": ("fixture_suite",),
+    "tables": ("table_suite",),
+    "properties": ("property_suite",),
+}
+
+
 def run_suite(name: str) -> list:
-    if name == "fixtures":
-        return fixture_suite()
-    if name == "tables":
-        return table_suite()
-    if name == "properties":
-        return property_suite()
-    if name == "all":
-        out = fixture_suite() + table_suite() + property_suite() + corb_suite()
-        out += oracle_suite()
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+    return [check for suite in SUITES[name] for check in globals()[suite]()]

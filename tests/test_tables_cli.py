@@ -1,9 +1,9 @@
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from heavylight.cli import main
+from heavylight.cli import FIXTURES, _fixture, main
 from heavylight.fixtures import load_fixture
 from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
@@ -25,6 +25,13 @@ def run_cli(args):
     return code, buf.getvalue()
 
 
+def run_cli_stderr(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
 def test_parse_tpoly():
     assert parse_tpoly("t^4+2*t^2+1") == {4: 1, 2: 2, 0: 1}
     assert parse_tpoly("-1") == {0: -1}
@@ -39,7 +46,7 @@ def test_render_poincare_row():
     smooth0 = load_fixture("genus0_smooth")
     stable1 = load_fixture("genus1_stable")
     res = closed_series(stable1, smooth0, trunc=3)
-    spec = TableSpec(genus=1, variant="closed", basis="schur", form="poincare", max_arity=3)
+    spec = TableSpec(basis="schur", form="poincare", max_arity=3)
     text = render_table(spec, res)
     assert "0 | 3 | [] | [2,1] | t^4+t^2" in text
     assert "0 | 3 | [] | [3] | t^6+2*t^4+2*t^2+1" in text
@@ -51,9 +58,9 @@ def test_render_formats_are_deterministic():
     w0 = load_fixture("genus2_smooth_weight0")
     res = open_series(w0, trunc=4)
     for fmt in ("text", "csv", "latex"):
-        spec = TableSpec(genus=2, variant="open", form="weight0", max_arity=4, fmt=fmt)
+        spec = TableSpec(form="weight0", max_arity=4, fmt=fmt)
         assert render_table(spec, res) == render_table(spec, res)
-    spec = TableSpec(genus=2, variant="open", form="weight0", max_arity=4, fmt="latex")
+    spec = TableSpec(form="weight0", max_arity=4, fmt="latex")
     text = render_table(spec, res)
     assert "s_{2}^{(2)}" in text
 
@@ -62,19 +69,19 @@ def test_render_latex_poincare_combined_row():
     smooth0 = load_fixture("genus0_smooth")
     stable1 = load_fixture("genus1_stable")
     res = closed_series(stable1, smooth0, trunc=3)
-    spec = TableSpec(
-        genus=1, variant="closed", basis="schur", form="poincare", max_arity=3, fmt="latex"
-    )
+    spec = TableSpec(basis="schur", form="poincare", max_arity=3, fmt="latex")
     text = render_table(spec, res)
     # monomials follow the canonical partition order (lex-decreasing)
     assert "(0,3) & $(t^6+2*t^4+2*t^2+1)s_{3}^{(2)} + (t^4+t^2)s_{2,1}^{(2)}$" in text
 
 
 def test_poincare_form_guard():
+    open2 = open_series(load_fixture("genus2_smooth_weight0"), trunc=4)
     with pytest.raises(ValueError):
-        TableSpec(genus=2, variant="open", form="poincare", max_arity=4)
+        render_table(TableSpec(form="poincare", max_arity=4), open2)
+    closed1 = closed_series(load_fixture("genus1_stable"), load_fixture("genus0_smooth"), trunc=3)
     with pytest.raises(ValueError):
-        TableSpec(genus=1, variant="closed", form="poincare", max_arity=11)
+        render_table(TableSpec(form="poincare", max_arity=11), closed1)
 
 
 def test_numeric_value_weight0_example():
@@ -157,6 +164,19 @@ def test_cli_failure_exit_code():
     for argv in (
         ["closed-table", "--genus", "3"],
         ["slice-n1", "--genus", "1", "--m", "20"],
+        ["oracle-compare", "--genus", "1", "--max-arity", "9"],
+        ["open-table", "--genus", "3"],
+        ["open-table", "--genus", "1", "--weight0"],
     ):
-        code, _ = run_cli(argv)
+        code, err = run_cli_stderr(argv)
         assert code == 1, argv
+        assert err.count("\n") == 1, (argv, err)
+
+
+def test_cli_fixture_table_matches_the_fixture_headers():
+    header_variants = {"open": ("open", "weight0"), "closed": ("closed",), "numeric": ("closed",)}
+    for (variant, genus), name in FIXTURES.items():
+        fx = _fixture(variant, genus, 0)
+        assert fx.name == name
+        assert fx.genus == genus, name
+        assert fx.variant in header_variants[variant], name

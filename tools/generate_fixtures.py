@@ -45,6 +45,7 @@ sys.path.insert(0, str(REPO / "src"))
 from heavylight.fixtures import SeriesFixture, parse_fixture, save_fixture, write_fixture  # noqa: E402
 from heavylight.partitions import gen_partitions, multiplicities, z_of  # noqa: E402
 from heavylight.pipeline import (  # noqa: E402
+    GENUS1_PURE_ARITY,
     genus0_numeric_closed_form,
     genus1_stable_chi_egf,
     legendre_check,
@@ -539,7 +540,7 @@ def phase_assemble():
         want = chi_series_n[n].constant_term()
         assert got == want, f"numeric chi mismatch at {n}: {got} != {want}"
         poly = stable1_numeric[n] * factorial(n)
-        assert poly.is_palindromic(n) or n > 10, f"palindromy fails at {n}"
+        assert poly.is_palindromic(n) or n > GENUS1_PURE_ARITY, f"palindromy fails at {n}"
 
     assert stable1.rank1("y") == stable1_numeric.truncate(trunc), (
         "equivariant rank disagrees with the numeric assembly"
