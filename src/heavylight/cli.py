@@ -10,7 +10,7 @@ import sys
 from math import factorial
 
 from .fixtures import load_fixture
-from .oracle import oracle_compare
+from .oracle import ENUMERATION_CAP, oracle_compare
 from .pipeline import (
     closed_series,
     closed_series_numeric,
@@ -20,7 +20,7 @@ from .pipeline import (
     stability_ok,
     tropical_euler,
 )
-from .tables import BASES, FORMATS, TableSpec, render_table
+from .tables import BASES, FORMATS, TableSpec, numeric_value, render_table
 from .verify import SUITES, run_suite
 
 # The shipped fixture serving each (variant, genus).  Genus 2 ships only the
@@ -66,6 +66,8 @@ def cmd_closed_table(args) -> int:
     if args.genus != 1:
         raise Refused("closed tables are shipped for genus 1 only")
     if args.form == "numeric":
+        if args.format == "latex":
+            raise Refused("the numeric form has text and csv formats only")
         numeric = _fixture("numeric", 1, args.max_arity)
         table = closed_series_numeric(numeric.data.rank1("x"), args.max_arity)
         sep = "," if args.format == "csv" else " | "
@@ -126,8 +128,7 @@ def cmd_tropical(args) -> int:
     except ValueError as exc:
         raise Refused(str(exc)) from exc
     print(chi.pretty())
-    numeric = chi.trace_from_ch(args.m, args.n, (1,) * args.m, (1,) * args.n)
-    print(f"numeric: {numeric.constant_term()}")
+    print(f"numeric: {numeric_value(chi, args.m, args.n).constant_term()}")
     return 0
 
 
@@ -151,9 +152,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    if args.genus == 0:
-        raise Refused("oracle comparison is shipped for genus 1 and genus 2")
     fx = _fixture("open", args.genus, args.max_arity)
+    if args.max_arity > ENUMERATION_CAP:
+        raise Refused(f"the oracle enumerates up to total arity {ENUMERATION_CAP}")
     res = open_series(fx, trunc=args.max_arity)
     rows = oracle_compare(args.genus, fx, res, args.max_arity)
     return _print_checks([(f"({m},{n})", ok, "") for m, n, ok in rows])

@@ -150,7 +150,7 @@ def genus0_numeric_closed_form(order: int) -> FormalPS1:
     if order < 1:
         raise ValueError("order must be >= 1")
     coeffs = [UVPoly.zero(), UVPoly.one()]
-    divisor = {1: Fraction(1), 2: Fraction(-1)}  # uv - (uv)^2
+    divisor = UVPoly.uv_power(1) - UVPoly.uv_power(2)
     for k in range(2, order + 1):
         coeffs.append(divide_diagonal_exact(_falling_binomial_poly(k), divisor))
     return FormalPS1("y", coeffs, order)

@@ -1,8 +1,10 @@
 """Table rendering and golden-table storage.
 
 Golden files hold the reference tables as structured monomial data; they are
-compared monomial-by-monomial, never as raw strings.  Rows marked `partial`
-are compared only on the monomials they list.
+compared monomial-by-monomial, never as raw strings.  A pair-table row lists
+one Schur pair per line with its coefficient in the t grammar of `uvpoly`,
+read into a UVPoly; rows marked `partial` are compared only on the monomials
+they list.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from pathlib import Path
 from .bisymseries import BiSymSeries
 from .partitions import format_partition, parse_partition, specht_dimension
 from .pipeline import GENUS1_PURE_ARITY
-from .uvpoly import NotDiagonalError, UVPoly, parse_uvpoly, poincare_str
+from .uvpoly import UVPoly, parse_tpoly, parse_uvpoly, poincare_str
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -39,42 +41,6 @@ class TableSpec:
             raise ValueError(f"unknown format {self.fmt!r}")
 
 
-def parse_tpoly(text: str) -> dict:
-    """Parse a polynomial in t, e.g. 't^4+2*t^2+1' -> {4:1, 2:2, 0:1}."""
-    out: dict = {}
-    for raw in text.replace("-", "+-").split("+"):
-        term = raw.strip()
-        if not term:
-            continue
-        sign = Fraction(1)
-        if term.startswith("-"):
-            sign = Fraction(-1)
-            term = term[1:]
-        if "t^" in term:
-            if "*" in term:
-                coeff_s, exp_s = term.split("*", 1)
-                coeff = Fraction(coeff_s)
-            else:
-                coeff = Fraction(1)
-                exp_s = term
-            exp = int(exp_s[2:])
-        else:
-            coeff = Fraction(term)
-            exp = 0
-        out[exp] = out.get(exp, Fraction(0)) + sign * coeff
-    return {e: c for e, c in out.items() if c}
-
-
-def tpoly_to_uv(tpoly: dict) -> UVPoly:
-    """Interpret t^{2k} as (uv)^k; odd powers of t are rejected."""
-    terms = {}
-    for e, c in tpoly.items():
-        if e % 2:
-            raise ValueError("odd power of t cannot be a uv-polynomial")
-        terms[(e // 2, e // 2)] = c
-    return UVPoly(terms)
-
-
 # -- golden files ---------------------------------------------------------------
 
 
@@ -83,7 +49,7 @@ class GoldenRow:
     m: int
     n: int
     mode: str  # full | partial | inferred
-    pairs: dict  # (lam, mu) -> dict {t-exponent: coeff}
+    pairs: dict  # (lam, mu) -> UVPoly
     numeric: Fraction | None = None
 
 
@@ -134,25 +100,16 @@ def parse_golden_numeric(path: Path) -> dict:
 def compare_row_to_golden(component: BiSymSeries, row: GoldenRow) -> list:
     """Monomial-by-monomial comparison; returns a list of mismatch strings."""
     sch = component.to_schur_pairs()
+    partial = row.mode == "partial"
     problems = []
-    if row.mode == "partial":
-        for key, tpoly in row.pairs.items():
-            got = sch.get(key, UVPoly.zero())
-            try:
-                got_t = got.to_poincare()
-            except NotDiagonalError:
+    for key in row.pairs if partial else set(row.pairs) | set(sch):
+        want = row.pairs.get(key, UVPoly.zero())
+        got = sch.get(key, UVPoly.zero())
+        if partial:
+            if not got.is_diagonal():
                 problems.append(f"pair {key}: off-diagonal coefficient {got}")
                 continue
-            for e, c in tpoly.items():
-                if got_t.get(e, Fraction(0)) != c:
-                    problems.append(
-                        f"pair {key}: t^{e} coefficient {got_t.get(e, 0)} != {c}"
-                    )
-        return problems
-    golden_uv = {k: tpoly_to_uv(tp) for k, tp in row.pairs.items()}
-    for key in set(golden_uv) | set(sch):
-        want = golden_uv.get(key, UVPoly.zero())
-        got = sch.get(key, UVPoly.zero())
+            got = UVPoly({k: c for k, c in got.terms.items() if k in want.terms})
         if want != got:
             problems.append(f"pair {key}: {got} != {want}")
     return problems
@@ -168,7 +125,7 @@ def numeric_value(component: BiSymSeries, m: int, n: int) -> UVPoly:
 
 def _poly_for_form(c: UVPoly, form: str) -> str:
     if form == "poincare":
-        return poincare_str(c.to_poincare())
+        return poincare_str(c)
     if form == "weight0":
         return str(c.weight_zero())
     return str(c)
@@ -230,10 +187,9 @@ def _pkey(lam: tuple):
     return tuple(-p for p in lam)
 
 
-def numeric_pair_value(tpolys: dict) -> Fraction:
-    """Dimension-weighted sum of a golden row's Schur-pair data at t = 1."""
-    total = Fraction(0)
-    for (lam, mu), tp in tpolys.items():
-        val = sum(tp.values())
-        total += val * specht_dimension(lam) * specht_dimension(mu)
-    return total
+def numeric_pair_value(pairs: dict) -> Fraction:
+    """Dimension-weighted sum of a golden row's Schur-pair data at u = v = 1."""
+    return sum(
+        c.eval(1, 1) * specht_dimension(lam) * specht_dimension(mu)
+        for (lam, mu), c in pairs.items()
+    )

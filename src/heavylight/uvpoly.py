@@ -4,21 +4,27 @@ UVPoly is the coefficient ring of every series in this package.  Values are
 immutable: every operation returns a fresh polynomial, zero coefficients are
 never stored, and equality is structural.
 
-Text grammar (bit-exact, used by fixtures and table emitters):
+Two bit-exact text grammars: the uv form, used by fixtures and table
+emitters, and the t form, the Poincare form of a diagonal polynomial with
+t^2 = uv, used by golden tables and the poincare table form.
 
-    poly := term ('+' term)*
-    term := rat '*u^' int '*v^' int
-    rat  := '-'? int ('/' int)?
+    poly  := '0' | term ('+' term)*
+    term  := rat '*u^' int '*v^' int
+    tpoly := '-'? tterm (('+' | '-') tterm)*
+    tterm := urat | (urat '*')? 't^' int
+    rat   := '-'? urat
+    urat  := int ('/' int)?
 
-Terms are ordered by (u-exponent, v-exponent) lexicographically descending;
-the zero polynomial prints as `0`.
+The uv form orders terms by (u-exponent, v-exponent) descending.  The t form
+orders them by t-exponent descending and has even exponents only; it writes
+t^e for a coefficient of 1, and a constant term without t^0.
 """
 
 from fractions import Fraction
 
 
 class NotDiagonalError(ValueError):
-    """Raised when a polynomial with off-diagonal terms is rewritten in t."""
+    """Raised when a polynomial with off-diagonal terms is read as one in q = uv."""
 
 
 def _coerce(c) -> Fraction:
@@ -164,26 +170,11 @@ class UVPoly:
         """True if every term is a power of uv."""
         return all(a == b for (a, b) in self.terms)
 
-    def diagonal_coeffs(self) -> dict:
-        """Map k -> coefficient of (uv)^k.  Requires a diagonal polynomial."""
-        if not self.is_diagonal():
-            raise NotDiagonalError(f"off-diagonal term in {self}")
-        return {a: c for (a, _), c in self.terms.items()}
-
-    def to_poincare(self) -> dict:
-        """Rewrite c*(uv)^a as c*t^{2a}; map is exponent-of-t -> coefficient.
-
-        Raises NotDiagonalError if any term has unequal u,v exponents.
-        """
-        return {2 * a: c for a, c in self.diagonal_coeffs().items()}
-
     def is_palindromic(self, dim: int) -> bool:
         """True if diagonal and invariant under (uv)^k -> (uv)^{dim-k}."""
-        try:
-            d = self.diagonal_coeffs()
-        except NotDiagonalError:
-            return False
-        return all(d.get(dim - k, Fraction(0)) == c for k, c in d.items())
+        return self.is_diagonal() and all(
+            self.terms.get((dim - a, dim - a)) == c for (a, _), c in self.terms.items()
+        )
 
     def mirror(self, dim: int) -> "UVPoly":
         """Apply u^a v^b -> u^{dim-a} v^{dim-b} (duality reflection)."""
@@ -234,15 +225,30 @@ def parse_uvpoly(text: str) -> UVPoly:
     return UVPoly(terms)
 
 
-def poincare_str(tpoly: dict) -> str:
-    """Render an exponent->coefficient map as a polynomial in t, descending."""
-    if not tpoly:
-        return "0"
-    parts = []
-    for e in sorted(tpoly, reverse=True):
-        c = tpoly[e]
-        if c == 0:
+def parse_tpoly(text: str) -> UVPoly:
+    """Parse the t grammar, reading t^{2k} as (uv)^k; odd powers of t are rejected."""
+    out = UVPoly()
+    for term in text.replace("-", "+-").split("+"):
+        term = term.strip()
+        if not term:
             continue
+        sign = -1 if term.startswith("-") else 1
+        coeff_s, _, exp_s = term.lstrip("-").partition("t^")
+        coeff = Fraction(coeff_s.removesuffix("*") or 1) if exp_s else Fraction(coeff_s)
+        e = int(exp_s or 0)
+        if e % 2:
+            raise ValueError("odd power of t cannot be a uv-polynomial")
+        out = out + UVPoly.uv_power(e // 2, sign * coeff)
+    return out
+
+
+def poincare_str(poly: UVPoly) -> str:
+    """Render a diagonal polynomial in the t grammar; NotDiagonalError otherwise."""
+    if not poly.is_diagonal():
+        raise NotDiagonalError(f"off-diagonal term in {poly}")
+    parts = []
+    for a, _ in sorted(poly.terms, reverse=True):
+        c, e = poly.terms[(a, a)], 2 * a
         if e == 0:
             parts.append(f"{c}")
         elif c == 1:
@@ -251,37 +257,25 @@ def poincare_str(tpoly: dict) -> str:
             parts.append(f"-t^{e}")
         else:
             parts.append(f"{c}*t^{e}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+    return "+".join(parts).replace("+-", "-") or "0"
 
 
-def divide_diagonal_exact(numerator: UVPoly, divisor_diag: dict) -> UVPoly:
+def divide_diagonal_exact(numerator: UVPoly, divisor: UVPoly) -> UVPoly:
     """Exact division of diagonal polynomials viewed as univariate in q = uv.
 
-    `divisor_diag` maps q-exponent -> coefficient.  Raises ValueError when the
-    division leaves a remainder (an invariant violation for callers).
+    Raises ValueError when the division leaves a remainder (an invariant
+    violation for callers).
     """
-    num = dict(numerator.diagonal_coeffs())
-    div = {k: _coerce(c) for k, c in divisor_diag.items() if c != 0}
-    if not div:
+    if not divisor:
         raise ZeroDivisionError("division by zero polynomial")
-    dtop = max(div)
-    dlead = div[dtop]
-    quo: dict = {}
-    while num:
-        ntop = max(num)
-        if ntop < dtop:
+    if not (numerator.is_diagonal() and divisor.is_diagonal()):
+        raise NotDiagonalError(f"off-diagonal term in {numerator} / {divisor}")
+    top = max(divisor.terms)
+    quo, rem = UVPoly(), numerator
+    while rem:
+        lead = max(rem.terms)
+        if lead < top:
             raise ValueError("inexact diagonal division (remainder left)")
-        shift = ntop - dtop
-        factor = num[ntop] / dlead
-        quo[shift] = factor
-        for e, c in div.items():
-            k = e + shift
-            s = num.get(k, Fraction(0)) - factor * c
-            if s:
-                num[k] = s
-            else:
-                num.pop(k, None)
-    return UVPoly({(k, k): c for k, c in quo.items()})
+        step = UVPoly.uv_power(lead[0] - top[0], rem.terms[lead] / divisor.terms[top])
+        quo, rem = quo + step, rem - step * divisor
+    return quo

@@ -163,7 +163,7 @@ def property_suite() -> list:
         m, n = sum(lam), sum(mu)
         if m + n > GENUS1_PURE_ARITY:
             continue
-        if not c.is_diagonal() or not c.is_palindromic(m + n):
+        if not c.is_palindromic(m + n):
             ok = False
             detail = f"({m},{n}) key {(lam, mu)}"
             break

@@ -3,19 +3,19 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from heavylight.bisymseries import BiSymSeries
 from heavylight.cli import FIXTURES, _fixture, main
 from heavylight.fixtures import load_fixture
 from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
     GOLDEN_DIR,
     TableSpec,
+    compare_row_to_golden,
     numeric_value,
     parse_golden_pairs,
-    parse_tpoly,
     render_table,
-    tpoly_to_uv,
 )
-from heavylight.uvpoly import UVPoly
+from heavylight.uvpoly import UVPoly, parse_tpoly
 
 
 def run_cli(args):
@@ -33,13 +33,39 @@ def run_cli_stderr(args):
 
 
 def test_parse_tpoly():
-    assert parse_tpoly("t^4+2*t^2+1") == {4: 1, 2: 2, 0: 1}
-    assert parse_tpoly("-1") == {0: -1}
-    assert parse_tpoly("t^10") == {10: 1}
-    assert parse_tpoly("5*t^8-t^2") == {8: 5, 2: -1}
-    assert tpoly_to_uv({4: 1, 0: 1}) == UVPoly.uv_power(2) + 1
+    q = UVPoly.uv_power
+    assert parse_tpoly("t^4+2*t^2+1") == q(2) + q(1, 2) + 1
+    assert parse_tpoly("-1") == UVPoly.const(-1)
+    assert parse_tpoly("t^10") == q(5)
+    assert parse_tpoly("5*t^8-t^2") == q(4, 5) - q(1)
+    assert parse_tpoly("t^4+1") == q(2) + 1
     with pytest.raises(ValueError):
-        tpoly_to_uv({3: 1})
+        parse_tpoly("t^3")
+
+
+def _golden_row(tmp_path, text):
+    path = tmp_path / "row.txt"
+    path.write_text(text)
+    (row,) = parse_golden_pairs(path)
+    return row
+
+
+def test_compare_row_to_golden_failure_paths(tmp_path):
+    q = UVPoly.uv_power
+    schur = {((), (2,)): q(2) + q(1, 2) + 1, ((), (1, 1)): q(1)}
+    comp = BiSymSeries.from_schur_pairs(schur, 2)
+    full = "row 0 2 full\npair [] [2] : t^4+2*t^2+1\npair [] [1,1] : t^2\n"
+    assert compare_row_to_golden(comp, _golden_row(tmp_path, full)) == []
+    partial = "row 0 2 partial\npair [] [2] : 2*t^2\n"
+    assert compare_row_to_golden(comp, _golden_row(tmp_path, partial)) == []
+    for text in (
+        "row 0 2 full\npair [] [2] : t^4+3*t^2+1\npair [] [1,1] : t^2\n",  # wrong coefficient
+        "row 0 2 full\npair [] [2] : t^4+2*t^2+1\n",  # [1,1] is missing
+        "row 0 2 partial\npair [] [2] : t^4+5\n",  # wrong listed monomial
+    ):
+        assert compare_row_to_golden(comp, _golden_row(tmp_path, text)), text
+    off = BiSymSeries.from_schur_pairs({((), (2,)): UVPoly.monomial(1, 0) + q(1, 2)}, 2)
+    assert compare_row_to_golden(off, _golden_row(tmp_path, partial))
 
 
 def test_render_poincare_row():
@@ -146,6 +172,9 @@ def test_cli_oracle_compare():
     code, out = run_cli(["oracle-compare", "--genus", "2", "--max-arity", "3"])
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+    code, out = run_cli(["oracle-compare", "--genus", "0"])
+    assert code == 0
+    assert "20/20 checks passed" in out
 
 
 def test_cli_usage_error_exit_code():
@@ -167,6 +196,8 @@ def test_cli_failure_exit_code():
         ["oracle-compare", "--genus", "1", "--max-arity", "9"],
         ["open-table", "--genus", "3"],
         ["open-table", "--genus", "1", "--weight0"],
+        ["oracle-compare", "--genus", "0", "--max-arity", "8"],
+        ["closed-table", "--genus", "1", "--form", "numeric", "--format", "latex"],
     ):
         code, err = run_cli_stderr(argv)
         assert code == 1, argv

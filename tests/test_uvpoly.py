@@ -7,9 +7,11 @@ from heavylight.uvpoly import (
     NotDiagonalError,
     UVPoly,
     divide_diagonal_exact,
+    parse_tpoly,
     parse_uvpoly,
     poincare_str,
 )
+from heavylight.tables import GOLDEN_DIR
 
 
 def test_adams():
@@ -37,15 +39,31 @@ def test_eval():
 
 def test_to_poincare():
     f = UVPoly.uv_power(2) + UVPoly.uv_power(1, 2) + 1
-    assert f.to_poincare() == {4: 1, 2: 2, 0: 1}
-    assert UVPoly.one().to_poincare() == {0: 1}
+    assert parse_tpoly(poincare_str(f)) == f
+    assert poincare_str(UVPoly.one()) == "1"
     with pytest.raises(NotDiagonalError):
-        (UVPoly.monomial(1, 0) + UVPoly.monomial(0, 1)).to_poincare()
+        poincare_str(UVPoly.monomial(1, 0) + UVPoly.monomial(0, 1))
 
 
 def test_poincare_str():
     f = UVPoly.uv_power(2) + UVPoly.uv_power(1, 2) + 1
-    assert poincare_str(f.to_poincare()) == "t^4+2*t^2+1"
+    assert poincare_str(f) == "t^4+2*t^2+1"
+    assert poincare_str(UVPoly.zero()) == "0"
+    assert poincare_str(UVPoly.uv_power(4, 5) - UVPoly.uv_power(1)) == "5*t^8-t^2"
+    assert poincare_str(UVPoly.const(Fraction(-1, 2)) - UVPoly.uv_power(2, 3)) == "-3*t^4-1/2"
+    with pytest.raises(NotDiagonalError):
+        poincare_str(UVPoly.monomial(1, 0) + UVPoly.monomial(0, 1))
+
+
+def test_tpoly_round_trip_on_golden_pairs():
+    count = 0
+    for name in ("genus1_poincare_table.txt", "genus2_weight0_table.txt"):
+        for line in (GOLDEN_DIR / name).read_text().splitlines():
+            if line.startswith("pair"):
+                text = line.split(":", 1)[1].strip()
+                assert poincare_str(parse_tpoly(text)) == text, (name, line)
+                count += 1
+    assert count == 97
 
 
 def test_adams_composition_property():
@@ -95,7 +113,10 @@ def test_mirror_and_palindromy():
 def test_divide_diagonal_exact():
     # (q^3 - q) / (q - q^2) = -q - 1  checked by reconstruction
     num = UVPoly({(3, 3): 1, (1, 1): -1})
-    quo = divide_diagonal_exact(num, {1: 1, 2: -1})
+    divisor = UVPoly.uv_power(1) - UVPoly.uv_power(2)
+    quo = divide_diagonal_exact(num, divisor)
     assert quo == UVPoly({(1, 1): -1, (0, 0): -1})
-    with pytest.raises(ValueError):
-        divide_diagonal_exact(UVPoly.uv_power(1) + 1, {1: 1, 2: -1})
+    with pytest.raises(ValueError, match="remainder"):
+        divide_diagonal_exact(UVPoly.uv_power(1) + 1, divisor)
+    with pytest.raises(NotDiagonalError):
+        divide_diagonal_exact(UVPoly.monomial(2, 1), divisor)

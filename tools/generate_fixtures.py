@@ -36,6 +36,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
@@ -55,6 +56,7 @@ from heavylight.powerseries import FormalPS1  # noqa: E402
 from heavylight.symseries import SymSeries, mobius  # noqa: E402
 from heavylight.tables import (  # noqa: E402
     GOLDEN_DIR,
+    numeric_value,
     parse_golden_pairs,
 )
 from heavylight.uvpoly import UVPoly, divide_diagonal_exact  # noqa: E402
@@ -98,26 +100,19 @@ def divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def qpoly(coeffs: dict) -> UVPoly:
-    """Diagonal polynomial in q = uv from {exponent: coefficient}."""
-    return UVPoly({(k, k): Fraction(c) for k, c in coeffs.items() if c})
-
-
 # ---------------------------------------------------------------------------
 # Phase: genus 0
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def projective_line_orbit_poly(l: int) -> UVPoly:
     """Number of exact-period-l Frobenius orbits on the projective line, as a
     polynomial in q (rational coefficients)."""
-    acc = {}
+    acc = UVPoly.zero()
     for d in divisors(l):
-        mu = mobius(l // d)
-        if mu:
-            acc[d] = acc.get(d, 0) + mu
-            acc[0] = acc.get(0, 0) + mu
-    return qpoly({k: Fraction(c, l) for k, c in acc.items()})
+        acc = acc + (UVPoly.uv_power(d) + 1) * mobius(l // d)
+    return acc / l
 
 
 def conf_trace(lam: tuple) -> UVPoly:
@@ -129,7 +124,7 @@ def conf_trace(lam: tuple) -> UVPoly:
         for i in range(c):
             acc = acc * (orbits - UVPoly.const(i))
         acc = acc * (l**c)
-    return divide_diagonal_exact(acc, {3: Fraction(1), 1: Fraction(-1)})
+    return divide_diagonal_exact(acc, UVPoly.uv_power(3) - UVPoly.uv_power(1))
 
 
 def genus0_smooth(trunc: int) -> SymSeries:
@@ -156,7 +151,7 @@ def genus0_smooth_plethysm_route(trunc: int) -> SymSeries:
     for n in range(3, trunc + 1):
         part = conf.arity_part(n)
         for lam, c in part.coeffs.items():
-            coeffs[lam] = divide_diagonal_exact(c, {3: Fraction(1), 1: Fraction(-1)})
+            coeffs[lam] = divide_diagonal_exact(c, UVPoly.uv_power(3) - UVPoly.uv_power(1))
     return SymSeries(coeffs, trunc)
 
 
@@ -385,7 +380,7 @@ def phase_genus1():
                 vals[p] = Fraction(acc, p - 1)
             use_tau = n >= 11
             sol = fit_qpolynomial(vals, n + 1, tau if use_tau else None)
-            poly = qpoly({i: c for i, c in enumerate(sol[: n + 2])})
+            poly = sum((UVPoly.uv_power(i, c) for i, c in enumerate(sol[: n + 2])), UVPoly())
             if use_tau:
                 c_tau = sol[-1]
                 poly = poly + UVPoly({(11, 0): c_tau, (0, 11): c_tau})
@@ -589,9 +584,8 @@ def phase_weight0():
             keys |= set(sch)
         for key in sorted(keys):
             coeffs = [sch.get(key, UVPoly.zero()).constant_term() for sch in schs]
-            want = sum(row.pairs.get(key, {}).values())
             rows.append(coeffs)
-            rhs.append(Fraction(want))
+            rhs.append(row.pairs.get(key, UVPoly.zero()).eval(1, 1))
     log(f"solving {len(rows)} equations in {len(unknowns)} unknowns")
     sol = linsolve_exact(rows, rhs)
 
@@ -603,8 +597,7 @@ def phase_weight0():
     # numeric column check
     res = open_series(fx)
     for row in golden:
-        comp = res.component(row.m, row.n)
-        num = comp.trace_from_ch(row.m, row.n, (1,) * row.m, (1,) * row.n).constant_term()
+        num = numeric_value(res.component(row.m, row.n), row.m, row.n).constant_term()
         assert num == row.numeric, f"numeric column mismatch at {(row.m, row.n)}"
     save_fixture(fx, DATA_DIR)
     log("genus-2 weight-zero fixture written")
