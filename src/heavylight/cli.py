@@ -66,8 +66,8 @@ def cmd_closed_table(args) -> int:
     if args.genus != 1:
         raise Refused("closed tables are shipped for genus 1 only")
     if args.form == "numeric":
-        if args.format == "latex":
-            raise Refused("the numeric form has text and csv formats only")
+        if args.format == "latex" or args.basis == "power":
+            raise Refused("the numeric form takes neither --basis power nor --format latex")
         numeric = _fixture("numeric", 1, args.max_arity)
         table = closed_series_numeric(numeric.data.rank1("x"), args.max_arity)
         sep = "," if args.format == "csv" else " | "

@@ -4,7 +4,9 @@ The pipeline computes heavy/light series through plethysm; this module
 recomputes small components directly from the stratification by the number
 of distinct light points, averaging over explicit permutations, so that any
 systematic error in the plethysm machinery is caught by exact comparison.
-Enumeration is capped at total arity 7.
+Enumeration is capped at total arity 7.  The Stirling numbers S(n, k) are
+counted too, in one cached walk per n, never by the recurrence they are
+checked against.
 """
 
 from fractions import Fraction
@@ -20,40 +22,38 @@ from .uvpoly import UVPoly
 ENUMERATION_CAP = 7
 
 
-def set_partitions(n: int):
-    """All set partitions of {1..n} as tuples of sorted block tuples.
+@lru_cache(maxsize=None)
+def block_counts(n: int) -> tuple:
+    """Set partitions of an n-set tallied by number of blocks: entry k is S(n, k).
 
-    Enumerated via restricted-growth strings; the count is the Bell number.
+    One walk over the restricted-growth strings of length n (Knuth, TAOCP 4A
+    7.2.1.5) that tracks only how many blocks are open; each complete string
+    adds one to its tally, so every partition is visited and counted once.
     """
-    if n == 0:
-        yield ()
-        return
+    if not 0 <= n <= 12:
+        raise ValueError(f"enumeration covers 0 <= n <= 12, not n = {n}")
+    tally = [0] * (n + 1)
 
-    def rec(i, assignment, maxblock):
-        if i > n:
-            blocks: list = [[] for _ in range(maxblock + 1)]
-            for elt, b in enumerate(assignment, start=1):
-                blocks[b].append(elt)
-            yield tuple(tuple(b) for b in blocks)
+    def walk(length, blocks):
+        if length == n:
+            tally[blocks] += 1
             return
-        for b in range(maxblock + 2):
-            yield from rec(i + 1, assignment + [b], max(maxblock, b))
+        for _ in range(blocks):  # the next element joins an open block
+            walk(length + 1, blocks)
+        walk(length + 1, blocks + 1)  # or opens a new one
 
-    yield from rec(2, [0], 0)
+    walk(0, 0)
+    return tuple(tally)
 
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """Number of set partitions of an n-set into k blocks, by enumeration.
-
-    Direct enumeration is used up to n = 12 and cross-checked against the
-    recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1) in the tests.
-    """
-    if n < 0 or k < 0:
+    """Number of set partitions of an n-set into k blocks, by enumeration: read from
+    `block_counts(n)`, one walk per n, cached, and independent of the recurrence."""
+    if k < 0:
         raise ValueError("arguments must be nonnegative")
-    if n > 12:
-        raise ValueError("enumeration capped at n = 12")
-    return sum(1 for sp in set_partitions(n) if len(sp) == k)
+    counts = block_counts(n)
+    return counts[k] if k <= n else 0
 
 
 def stirling2_recurrence(n: int, k: int) -> int:

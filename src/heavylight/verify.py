@@ -261,9 +261,9 @@ def property_suite() -> list:
             break
     checks.append(("coproduct ring map, cocommutativity, counit", ok, "10 cases"))
 
-    ok = stirling2(12, 5) == stirling2_recurrence(12, 5) and all(
+    ok = all(
         stirling2(n, k) == stirling2_recurrence(n, k)
-        for n in range(9)
+        for n in (*range(9), 12)
         for k in range(n + 1)
     )
     checks.append(("set-partition counts match the recurrence", ok, ""))
@@ -309,7 +309,7 @@ def fixture_suite() -> list:
     ok = True
     for n in range(1, num.trunc + 1):
         poly = num.data[(1,) * n] * factorial(n)
-        if poly.mirror(n) != poly:
+        if any(a > n or b > n for a, b in poly.terms) or poly.mirror(n) != poly:
             ok = False
         if n <= GENUS1_PURE_ARITY and not poly.is_palindromic(n):
             ok = False

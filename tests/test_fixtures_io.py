@@ -86,6 +86,20 @@ def test_shipped_fixtures_validate():
     assert not failures, failures
 
 
+def test_numeric_duality_fails_on_a_term_above_the_dimension(tmp_path, monkeypatch):
+    from heavylight.fixtures import default_fixture_dir
+    from heavylight.verify import fixture_suite
+
+    for path in default_fixture_dir().glob("*.hlf"):
+        text = path.read_text()
+        if path.stem == "genus1_stable_numeric":
+            text = text.replace("lambda=[1,1] poly=", "lambda=[1,1] poly=1*u^3*v^3+")
+        (tmp_path / path.name).write_text(text)
+    monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
+    checks = {name: ok for name, ok, _ in fixture_suite()}
+    assert checks["genus-1 numeric fixture duality symmetry"] is False
+
+
 def test_fixture_dir_env_override(tmp_path, monkeypatch):
     fx = parse_fixture(MINIMAL)
     from heavylight.fixtures import save_fixture

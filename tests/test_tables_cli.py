@@ -168,6 +168,12 @@ def test_cli_verify_tables_suite():
     assert "3/3 checks passed" in out
 
 
+def test_cli_verify_all_suite():
+    code, out = run_cli(["verify", "--suite", "all"])
+    assert code == 0
+    assert out.endswith("\n72/72 checks passed\n")
+
+
 def test_cli_oracle_compare():
     code, out = run_cli(["oracle-compare", "--genus", "2", "--max-arity", "3"])
     assert code == 0
@@ -198,6 +204,7 @@ def test_cli_failure_exit_code():
         ["open-table", "--genus", "1", "--weight0"],
         ["oracle-compare", "--genus", "0", "--max-arity", "8"],
         ["closed-table", "--genus", "1", "--form", "numeric", "--format", "latex"],
+        ["closed-table", "--genus", "1", "--form", "numeric", "--basis", "power"],
     ):
         code, err = run_cli_stderr(argv)
         assert code == 1, argv
