@@ -12,8 +12,11 @@ from math import factorial
 
 def is_partition(parts) -> bool:
     """True if `parts` is a weakly decreasing tuple of positive integers."""
-    return all(p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    return (
+        type(parts) is tuple
+        and set(map(type, parts)) <= {int}
+        and parts == tuple(sorted(parts, reverse=True))
+        and (not parts or parts[-1] >= 1)
     )
 
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .partitions import (
     format_partition,
     gen_partitions,
+    is_partition,
     mn_character,
     multiplicities,
     union,
@@ -86,9 +87,13 @@ class _Series:
     def __init__(self, coeffs: dict, trunc: int):
         if trunc < 0:
             raise ValueError("truncation must be nonnegative")
-        arity = self._arity
+        arity, factors, width = self._arity, self._factors, len(self._POWER_TAGS)
         clean = {}
         for key, c in coeffs.items():
+            parts = factors(key) if type(key) is tuple else ()
+            if len(parts) != width or not all(map(is_partition, parts)):
+                why = "each factor must be a weakly decreasing tuple of positive ints"
+                raise ValueError(f"{type(self).__name__} key {key!r} is not canonical: {why}")
             c = as_poly(c)
             if arity(key) <= trunc and not c.is_zero():
                 clean[key] = c

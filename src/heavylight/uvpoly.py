@@ -1,8 +1,14 @@
 """Exact-rational polynomials in the two Hodge variables u, v.
 
-UVPoly is the coefficient ring of every series in this package.  Values are
-immutable: every operation returns a fresh polynomial, zero coefficients are
-never stored, and equality is structural.
+UVPoly is the coefficient ring of every series in this package.  It stores
+integer numerators keyed by exponent pair over one positive integer
+denominator, in lowest terms: no zero numerator is stored, the gcd of the
+denominator and all numerators is 1, and zero has denominator 1.  So
+equality and hashing are structural, and arithmetic is on ints with one gcd
+at the end.  One denominator per polynomial fits the data: a power-sum
+coefficient takes its denominator from z_lambda (Macdonald, Symmetric
+Functions and Hall Polynomials, I.2 and I.7), and every u^a v^b term of it
+shares that denominator.  Values are immutable.
 
 Two bit-exact text grammars: the uv form, used by fixtures and table
 emitters, and the t form, the Poincare form of a diagonal polynomial with
@@ -21,6 +27,7 @@ t^e for a coefficient of 1, and a constant term without t^0.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class NotDiagonalError(ValueError):
@@ -35,81 +42,101 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
 
 
-class UVPoly:
-    """Sparse polynomial sum of c * u^a * v^b with Fraction coefficients."""
+def _lowest(nums: dict, den: int) -> "UVPoly":
+    """The UVPoly nums / den, reduced to lowest terms; `nums` holds no zero, den > 0."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+    p = object.__new__(UVPoly)
+    p.nums, p.den = nums, den
+    return p
 
-    __slots__ = ("terms",)
+
+class UVPoly:
+    """Sparse polynomial sum of nums[a, b] * u^a * v^b / den, in lowest terms.
+
+    `terms` reads the coefficients back as Fractions, never ints even when
+    den == 1, so that a caller dividing two of them gets an exact quotient.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (a, b), c in terms.items():
-                c = _coerce(c)
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative exponent in term ({a},{b})")
-                if c != 0:
-                    clean[(a, b)] = c
-        self.terms = clean
+        terms = {k: _coerce(c) for k, c in (terms or {}).items()}
+        for a, b in terms:
+            if a < 0 or b < 0:
+                raise ValueError(f"negative exponent in term ({a},{b})")
+        # Each Fraction is in lowest terms, so over the lcm of their
+        # denominators the numerators have no common factor with it.
+        self.den = lcm(*(c.denominator for c in terms.values()))
+        self.nums = {k: c.numerator * (self.den // c.denominator) for k, c in terms.items() if c}
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as {(a, b) -> Fraction}, a fresh dict on each access."""
+        return {k: Fraction(n, self.den) for k, n in self.nums.items()}
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero() -> "UVPoly":
-        return UVPoly()
+        return _lowest({}, 1)
 
     @staticmethod
     def const(c) -> "UVPoly":
-        return UVPoly({(0, 0): _coerce(c)})
+        return UVPoly({(0, 0): c})
 
     @staticmethod
     def one() -> "UVPoly":
-        return UVPoly.const(1)
+        return _lowest({(0, 0): 1}, 1)
 
     @staticmethod
     def monomial(a: int, b: int, c=1) -> "UVPoly":
-        return UVPoly({(a, b): _coerce(c)})
+        return UVPoly({(a, b): c})
 
     @staticmethod
     def uv_power(k: int, c=1) -> "UVPoly":
         """c * (uv)^k."""
-        return UVPoly({(k, k): _coerce(c)})
+        return UVPoly({(k, k): c})
 
     # -- ring structure -------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
         if not isinstance(other, UVPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UVPoly):
             other = UVPoly.const(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
+        g = gcd(self.den, other.den)  # both go over the lcm of the two
+        s1, s2 = other.den // g, self.den // g
+        nums = {k: n * s1 for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            s = nums.get(k, 0) + n * s2
             if s:
-                out[k] = s
+                nums[k] = s
             else:
-                out.pop(k, None)
-        return UVPoly(out)
+                del nums[k]
+        return _lowest(nums, self.den * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UVPoly({k: -c for k, c in self.terms.items()})
+        return _lowest({k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UVPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -117,20 +144,18 @@ class UVPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if c == 0:
-                return UVPoly()
-            return UVPoly({k: c * v for k, v in self.terms.items()})
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+            p = other.numerator
+            nums = {k: n * p for k, n in self.nums.items()} if p else {}
+            return _lowest(nums, self.den * other.denominator)
+        nums: dict = {}
+        get = nums.get
+        for (a1, b1), n1 in self.nums.items():
+            for (a2, b2), n2 in other.nums.items():
                 k = (a1 + a2, b1 + b2)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return UVPoly(out)
+                nums[k] = get(k, 0) + n1 * n2
+        if 0 in nums.values():
+            nums = {k: n for k, n in nums.items() if n}
+        return _lowest(nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -138,7 +163,7 @@ class UVPoly:
         c = _coerce(scalar)
         if c == 0:
             raise ZeroDivisionError("division of UVPoly by zero scalar")
-        return UVPoly({k: v / c for k, v in self.terms.items()})
+        return self * (1 / c)
 
     # -- operations -----------------------------------------------------
 
@@ -148,59 +173,48 @@ class UVPoly:
             raise ValueError("adams exponent must be >= 1")
         if k == 1:
             return self
-        return UVPoly({(a * k, b * k): c for (a, b), c in self.terms.items()})
+        return _lowest({(a * k, b * k): n for (a, b), n in self.nums.items()}, self.den)
 
     def eval(self, u0, v0) -> Fraction:
         """Evaluate at rational u0, v0."""
         u0, v0 = _coerce(u0), _coerce(v0)
-        total = Fraction(0)
-        for (a, b), c in self.terms.items():
-            total += c * u0**a * v0**b
-        return total
+        return sum((n * u0**a * v0**b for (a, b), n in self.nums.items()), Fraction(0)) / self.den
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
+        return Fraction(self.nums.get((0, 0), 0), self.den)
 
     def weight_zero(self) -> "UVPoly":
         """Specialize u = v = 0 (keep the constant term)."""
-        c = self.constant_term()
-        return UVPoly.const(c) if c else UVPoly()
+        return UVPoly.const(self.constant_term())
 
     def is_diagonal(self) -> bool:
         """True if every term is a power of uv."""
-        return all(a == b for (a, b) in self.terms)
+        return all(a == b for (a, b) in self.nums)
 
     def is_palindromic(self, dim: int) -> bool:
         """True if diagonal and invariant under (uv)^k -> (uv)^{dim-k}."""
         return self.is_diagonal() and all(
-            self.terms.get((dim - a, dim - a)) == c for (a, _), c in self.terms.items()
+            self.nums.get((dim - a, dim - a)) == n for (a, _), n in self.nums.items()
         )
 
     def mirror(self, dim: int) -> "UVPoly":
         """Apply u^a v^b -> u^{dim-a} v^{dim-b} (duality reflection)."""
-        return UVPoly({(dim - a, dim - b): c for (a, b), c in self.terms.items()})
+        if any(a > dim or b > dim for a, b in self.nums):
+            raise ValueError(f"negative exponent in the mirror of {self} at {dim}")
+        return _lowest({(dim - a, dim - b): n for (a, b), n in self.nums.items()}, self.den)
 
     # -- text form --------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms, reverse=True):
-            c = self.terms[(a, b)]
-            parts.append(f"{c}*u^{a}*v^{b}")
-        return "+".join(parts)
+        terms = self.terms
+        return "+".join(f"{terms[a, b]}*u^{a}*v^{b}" for a, b in sorted(terms, reverse=True)) or "0"
 
     __repr__ = __str__
 
 
 def as_poly(c) -> UVPoly:
     """A series coefficient: a UVPoly as is, an int or Fraction as a constant."""
-    if isinstance(c, UVPoly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return UVPoly.const(c)
-    raise TypeError(f"cannot use {type(c)!r} as a series coefficient")
+    return c if isinstance(c, UVPoly) else UVPoly.const(c)
 
 
 def parse_uvpoly(text: str) -> UVPoly:
@@ -219,8 +233,6 @@ def parse_uvpoly(text: str) -> UVPoly:
         b = int(pieces[2][2:])
         if (a, b) in terms:
             raise ValueError(f"duplicate exponent pair in uv-poly: ({a},{b})")
-        if a < 0 or b < 0:
-            raise ValueError(f"negative exponent in uv-poly term: {raw!r}")
         terms[(a, b)] = c
     return UVPoly(terms)
 
@@ -246,9 +258,9 @@ def poincare_str(poly: UVPoly) -> str:
     """Render a diagonal polynomial in the t grammar; NotDiagonalError otherwise."""
     if not poly.is_diagonal():
         raise NotDiagonalError(f"off-diagonal term in {poly}")
-    parts = []
-    for a, _ in sorted(poly.terms, reverse=True):
-        c, e = poly.terms[(a, a)], 2 * a
+    parts, terms = [], poly.terms
+    for a, _ in sorted(terms, reverse=True):
+        c, e = terms[(a, a)], 2 * a
         if e == 0:
             parts.append(f"{c}")
         elif c == 1:
@@ -270,12 +282,12 @@ def divide_diagonal_exact(numerator: UVPoly, divisor: UVPoly) -> UVPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if not (numerator.is_diagonal() and divisor.is_diagonal()):
         raise NotDiagonalError(f"off-diagonal term in {numerator} / {divisor}")
-    top = max(divisor.terms)
+    top, top_c = max(divisor.terms.items())
     quo, rem = UVPoly(), numerator
     while rem:
-        lead = max(rem.terms)
+        lead, lead_c = max(rem.terms.items())
         if lead < top:
             raise ValueError("inexact diagonal division (remainder left)")
-        step = UVPoly.uv_power(lead[0] - top[0], rem.terms[lead] / divisor.terms[top])
+        step = UVPoly.uv_power(lead[0] - top[0], lead_c / top_c)
         quo, rem = quo + step, rem - step * divisor
     return quo

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from heavylight.bisymseries import BiSymSeries
 from heavylight.partitions import gen_partitions, specht_dimension
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
@@ -205,3 +206,16 @@ def higher_terms(rng):
         parts = gen_partitions(n)
         coeffs[parts[rng.randrange(len(parts))]] = UVPoly.const(rng.choice([-2, -1, 1, 2]))
     return SymSeries(coeffs, 8)
+
+
+def test_non_canonical_keys_are_rejected():
+    # (1, 2) and (2, 1) name the same p_1 p_2; accepting both would make
+    # equal series compare unequal and break the canonical order.
+    for bad in [(1, 2), (0,), (2, -1), (2.0, 1)]:
+        with pytest.raises(ValueError, match="not canonical"):
+            SymSeries({bad: 1}, 5)
+    for bad in [((1, 2), ()), ((1,),), ((), (1, 3)), ((2,), (1,), ())]:
+        with pytest.raises(ValueError, match="not canonical"):
+            BiSymSeries({bad: 1}, 5)
+    assert SymSeries({(2, 1): 1}, 5) == p(2, 5) * p(1, 5)
+    assert str(BiSymSeries({((2, 1), (1,)): 1}, 5)) == "(1*u^0*v^0)*p1[2,1]*p2[1]"

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from heavylight.fixtures import load_fixture
+from heavylight.pipeline import closed_series
 from heavylight.uvpoly import (
     NotDiagonalError,
     UVPoly,
@@ -120,3 +122,18 @@ def test_divide_diagonal_exact():
         divide_diagonal_exact(UVPoly.uv_power(1) + 1, divisor)
     with pytest.raises(NotDiagonalError):
         divide_diagonal_exact(UVPoly.monomial(2, 1), divisor)
+
+
+def test_integral_polynomials_read_back_as_fractions():
+    def exact(c):
+        return type(c) is Fraction
+
+    p = UVPoly({(2, 2): 3, (1, 0): -1, (0, 0): 4})
+    assert all(exact(c) for c in p.terms.values())
+    assert exact(p.eval(1, 1)) and exact(p.constant_term())
+    assert exact(UVPoly.uv_power(1).constant_term())
+    quo = divide_diagonal_exact(UVPoly({(3, 3): 1, (1, 1): -1}), UVPoly.uv_power(1) - UVPoly.uv_power(2))
+    assert quo.terms and all(exact(c) for c in quo.terms.values())
+    res = closed_series(load_fixture("genus1_stable"), load_fixture("genus0_smooth"), trunc=6)
+    coeffs = [c for poly in res.data.coeffs.values() for c in poly.terms.values()]
+    assert coeffs and all(exact(c) for c in coeffs)
