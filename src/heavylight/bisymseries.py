@@ -16,7 +16,7 @@ from math import comb
 from .partitions import multiplicities, union, z_of
 from .powerseries import FormalPS2
 from .symseries import SymSeries, _Series
-from .uvpoly import UVPoly, as_poly
+from .uvpoly import UVPoly
 
 
 class BiSymSeries(_Series):
@@ -126,13 +126,8 @@ class BiSymSeries(_Series):
 
     @staticmethod
     def from_schur_pairs(schur_coeffs: dict, trunc: int) -> "BiSymSeries":
-        total = BiSymSeries.zero(trunc)
-        for (lam, mu), c in schur_coeffs.items():
-            term = BiSymSeries.inject(SymSeries.schur(tuple(lam), trunc), 1) * BiSymSeries.inject(
-                SymSeries.schur(tuple(mu), trunc), 2
-            )
-            total = total + term * as_poly(c)
-        return total
+        """Inverse of to_schur_pairs."""
+        return BiSymSeries.from_schur(schur_coeffs, trunc)
 
     def trace_from_ch(self, m: int, n: int, lam: tuple, mu: tuple) -> UVPoly:
         """Character value of the class (lam, mu): z_lam z_mu * [p_lam p_mu] self."""

@@ -311,6 +311,22 @@ class _Series:
             out.update((self._from_factors(parts), c) for parts, c in block.items())
         return out
 
+    @classmethod
+    def from_schur(cls, schur_coeffs: dict, trunc: int):
+        """Inverse of the Schur expansion: key (mu_1, ...) gets the sum over Schur
+        keys (lam_1, ...) of their a * prod_f chi^{lam_f}(mu_f) / z_{mu_f}."""
+        out: dict = {}
+        for key, a in schur_coeffs.items():
+            terms = [((), as_poly(a))]
+            for lam in map(tuple, cls._factors(key)):
+                mus_of_size = gen_partitions(sum(lam))
+                column = [(mu, Fraction(mn_character(lam, mu), z_of(mu))) for mu in mus_of_size]
+                terms = [(mus + (mu,), c * w) for mus, c in terms for mu, w in column if w]
+            for mus, c in terms:
+                k = cls._from_factors(mus)
+                out[k] = out[k] + c if k in out else c
+        return cls(out, trunc)
+
 
 class SymSeries(_Series):
     """Element of the arity-truncated symmetric-function series ring."""
@@ -340,10 +356,6 @@ class SymSeries(_Series):
         return SymSeries({(k,): UVPoly.one()}, trunc)
 
     @staticmethod
-    def p_monomial(lam: tuple, trunc: int, coeff=1) -> "SymSeries":
-        return SymSeries({tuple(lam): as_poly(coeff)}, trunc)
-
-    @staticmethod
     def homogeneous_h(n: int, trunc: int) -> "SymSeries":
         """h_n = sum over partitions of n of p_lambda / z_lambda."""
         if n > trunc:
@@ -356,14 +368,7 @@ class SymSeries(_Series):
     @staticmethod
     def schur(lam: tuple, trunc: int) -> "SymSeries":
         """s_lambda expanded in power sums."""
-        n = sum(lam)
-        return SymSeries(
-            {
-                mu: UVPoly.const(Fraction(mn_character(tuple(lam), mu), z_of(mu)))
-                for mu in gen_partitions(n)
-            },
-            trunc,
-        )
+        return SymSeries.from_schur({tuple(lam): 1}, trunc)
 
     @staticmethod
     def frobenius_from_traces(n: int, traces: dict, trunc: int) -> "SymSeries":
@@ -449,14 +454,6 @@ class SymSeries(_Series):
         a_lam = sum_mu chi^lam(mu) * [p_mu] self.
         """
         return self._schur()
-
-    @staticmethod
-    def from_schur(schur_coeffs: dict, trunc: int) -> "SymSeries":
-        """Inverse of to_schur: p_mu coefficient is sum_lam a_lam chi^lam(mu)/z_mu."""
-        total = SymSeries.zero(trunc)
-        for lam, c in schur_coeffs.items():
-            total = total + SymSeries.schur(tuple(lam), trunc) * as_poly(c)
-        return total
 
     def trace_from_ch(self, n: int, lam: tuple) -> UVPoly:
         """Character value on the class of type lam: z_lam * [p_lam] self."""

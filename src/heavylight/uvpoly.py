@@ -282,12 +282,17 @@ def divide_diagonal_exact(numerator: UVPoly, divisor: UVPoly) -> UVPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if not (numerator.is_diagonal() and divisor.is_diagonal()):
         raise NotDiagonalError(f"off-diagonal term in {numerator} / {divisor}")
-    top, top_c = max(divisor.terms.items())
-    quo, rem = UVPoly(), numerator
+    # Pseudo-division of the numerators, premultiplied so each step is exact.
+    d = {a: c for (a, _), c in divisor.nums.items()}
+    top = max(d)
+    scale = abs(d[top]) ** max(0, max(numerator.nums, default=(0, 0))[0] - top + 1)
+    rem, quo = {a: c * scale for (a, _), c in numerator.nums.items()}, {}
     while rem:
-        lead, lead_c = max(rem.terms.items())
+        lead = max(rem)
         if lead < top:
             raise ValueError("inexact diagonal division (remainder left)")
-        step = UVPoly.uv_power(lead[0] - top[0], lead_c / top_c)
-        quo, rem = quo + step, rem - step * divisor
-    return quo
+        step = quo[lead - top] = rem[lead] // d[top]
+        for a, c in d.items():
+            rem[lead - top + a] = rem.get(lead - top + a, 0) - step * c
+        rem = {a: c for a, c in rem.items() if c}
+    return _lowest({(a, a): c * divisor.den for a, c in quo.items()}, numerator.den * scale)

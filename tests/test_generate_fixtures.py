@@ -1,0 +1,114 @@
+"""The genus-1 fit of tools/generate_fixtures.py.
+
+The generator is the independent route that produces every shipped
+fixture.  These tests check its exact batched solver and its Frobenius
+orbit table against per-column and per-call references written here.  The
+module is loaded by path, the way `python tools/generate_fixtures.py`
+runs it.
+"""
+
+import importlib.util
+import random
+from fractions import Fraction
+from math import comb
+from pathlib import Path
+
+import pytest
+
+from heavylight.partitions import gen_partitions, multiplicities
+from heavylight.symseries import mobius
+
+GENERATOR = Path(__file__).resolve().parents[1] / "tools" / "generate_fixtures.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("generate_fixtures", GENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _load()
+
+
+@pytest.fixture(scope="module")
+def histograms():
+    return {p: gen.elliptic_trace_histogram(p) for p in gen.PRIMES}
+
+
+def power_sum_of_roots(t: int, p: int, l: int) -> int:
+    """alpha^l + beta^l for the roots of x^2 - t x + p, by the closed form
+    sum_k (-1)^k l/(l-k) C(l-k, k) p^k t^(l-2k)."""
+    return sum(
+        (-1) ** k * l * comb(l - k, k) // (l - k) * p**k * t ** (l - 2 * k)
+        for k in range(l // 2 + 1)
+    )
+
+
+def reference_marked_count(lam: tuple, t: int, p: int) -> int:
+    """The twisted marked count computed from scratch for one call."""
+    total = 1
+    for l, c in multiplicities(lam).items():
+        divisors = [d for d in range(1, l + 1) if l % d == 0]
+        exact = sum(mobius(l // d) * (p**d + 1 - power_sum_of_roots(t, p, d)) for d in divisors)
+        for i in range(c):
+            total *= exact // l - i
+        total *= l**c
+    return total // (p + 1 - t)
+
+
+def random_system(rng, nrows, ncols, nrhs):
+    rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+
+    def value():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+
+    sols = [[value() for _ in range(ncols)] for _ in range(nrhs)]
+    cols = [[sum(a * x for a, x in zip(row, sol)) for row in rows] for sol in sols]
+    return rows, cols, sols
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_solve_equals_one_solve_per_column(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 8)
+    rows, cols, sols = random_system(rng, ncols + rng.randint(0, 6), ncols, rng.randint(1, 9))
+    batched = gen.linsolve_exact(rows, cols)
+    assert batched == [gen.linsolve_exact(rows, [col])[0] for col in cols] == sols
+
+
+@pytest.mark.parametrize("bad", range(5))
+def test_one_inconsistent_column_raises(bad):
+    rng = random.Random(100 + bad)
+    rows, cols, _ = random_system(rng, 9, 4, 5)
+    cols[bad][rng.randrange(9)] += Fraction(1, 3)
+    with pytest.raises(ValueError, match="inconsistent"):
+        gen.linsolve_exact(rows, cols)
+    gen.linsolve_exact(rows, cols[:bad] + cols[bad + 1:])
+
+
+def test_underdetermined_system_raises():
+    rng = random.Random(7)
+    rows, cols, _ = random_system(rng, 6, 3, 2)
+    rows = [row + [row[0] + row[1]] for row in rows]  # a fourth, dependent column
+    with pytest.raises(ValueError, match="underdetermined"):
+        gen.linsolve_exact(rows, cols)
+
+
+def test_orbit_counts_rebuild_the_point_counts(histograms):
+    for p, hist in histograms.items():
+        for t in hist:
+            orbits = gen.frobenius_orbit_counts(t, p)
+            assert len(orbits) == gen.NUMERIC1_TRUNC + 1 and orbits[0] == 0
+            for l in range(1, gen.NUMERIC1_TRUNC + 1):
+                assert orbits[l] >= 0
+                got = sum(d * orbits[d] for d in range(1, l + 1) if l % d == 0)
+                assert got == p**l + 1 - power_sum_of_roots(t, p, l), (t, p, l)
+
+
+def test_twisted_marked_count_matches_the_per_call_reference(histograms):
+    lams = [lam for n in range(1, 7) for lam in gen_partitions(n)]
+    for p, hist in histograms.items():
+        for t in hist:
+            for lam in lams:
+                assert gen.twisted_marked_count(lam, t, p) == reference_marked_count(lam, t, p)

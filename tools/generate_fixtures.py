@@ -16,9 +16,13 @@ Derivations (all exact):
   smooth o (p_1 + rooted) - e_2 o rooted.
 * genus-1 smooth: groupoid point counts of elliptic curves with marked
   points over many prime fields, aggregated by Frobenius trace, then exact
-  polynomial interpolation in q; the weight-12 cusp-form correction enters
-  at arity 11 and is detected by fitting against the discriminant-form
-  coefficients and replaced by its Hodge realization u^11 + v^11.
+  polynomial interpolation in q.  Each arity is fitted by one exact
+  elimination of its matrix in the primes, with one right-hand side per
+  conjugacy class, and every prime beyond the unknowns stays a consistency
+  equation for every class; the Frobenius orbit counts are computed once
+  per (trace, prime).  The weight-12 cusp-form correction enters at arity
+  11 and is detected by fitting against the discriminant-form coefficients
+  and replaced by its Hodge realization u^11 + v^11.
 * genus-1 stable: core-and-trees assembly.  A stable genus-1 curve is a
   core (smooth elliptic vertex, or an unoriented necklace of rational
   vertices) with rational trees hanging from its slots; the necklace series
@@ -258,7 +262,27 @@ def elliptic_trace_histogram(p: int) -> dict:
     return hist
 
 
-def twisted_marked_count(lam: tuple, t: int, p: int) -> Fraction:
+@lru_cache(maxsize=None)
+def frobenius_orbit_counts(t: int, p: int) -> tuple:
+    """Frobenius orbits of exact period l on a curve over F_p with trace t.
+
+    Entry l, for 1 <= l <= NUMERIC1_TRUNC, is the number of such orbits;
+    entry 0 is 0.  The curve has p^d + 1 - s_d points over F_{p^d}, where
+    s_d = alpha^d + beta^d for the Frobenius eigenvalues, and Moebius
+    inversion over the divisors of l leaves the points of exact period l.
+    """
+    s = [2, t]
+    for d in range(2, NUMERIC1_TRUNC + 1):
+        s.append(t * s[d - 1] - p * s[d - 2])
+    orbits = [0]
+    for l in range(1, NUMERIC1_TRUNC + 1):
+        m_l = sum(mobius(l // d) * (p**d + 1 - s[d]) for d in divisors(l))
+        assert m_l % l == 0, "period count not divisible by period"
+        orbits.append(m_l // l)
+    return tuple(orbits)
+
+
+def twisted_marked_count(lam: tuple, t: int, p: int) -> int:
     """Twisted count of marked-point configurations on one curve, divided by
     the order of its translation group.
 
@@ -268,29 +292,32 @@ def twisted_marked_count(lam: tuple, t: int, p: int) -> Fraction:
     with no distinguished origin has them as extra automorphisms, so the raw
     count is divided by the rational point count.
     """
-    max_l = max(lam)
-    s = [2, t]
-    for d in range(2, max_l + 1):
-        s.append(t * s[d - 1] - p * s[d - 2])
-    n_pts = {d: p**d + 1 - s[d] for d in range(1, max_l + 1)}
+    orbits = frobenius_orbit_counts(t, p)
     total = 1
     for l, c in multiplicities(lam).items():
-        m_l = sum(mobius(l // d) * n_pts[d] for d in divisors(l))
-        assert m_l % l == 0, "period count not divisible by period"
-        orbits = m_l // l
         for i in range(c):
-            total *= orbits - i
+            total *= orbits[l] - i
         if total == 0:
-            return Fraction(0)
+            return 0
         total *= l**c
     n1 = p + 1 - t
     assert total % n1 == 0, "translation action must be free on configurations"
-    return Fraction(total // n1)
+    return total // n1
 
 
-def linsolve_exact(rows: list, rhs: list) -> list:
-    """Solve an overdetermined exact linear system; raises if inconsistent."""
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+def linsolve_exact(rows: list, rhs_cols: list) -> list:
+    """Solve rows * x = b exactly for each column b of `rhs_cols`, by one
+    Gauss-Jordan elimination of the matrix augmented with every column.
+
+    Returns one solution per column.  Raises if the matrix has a nontrivial
+    kernel, or if any one column is inconsistent with the rows: with more
+    rows than unknowns, every surplus row is a consistency equation for
+    every column.
+    """
+    m = [
+        list(map(Fraction, row)) + [Fraction(col[i]) for col in rhs_cols]
+        for i, row in enumerate(rows)
+    ]
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -309,29 +336,30 @@ def linsolve_exact(rows: list, rhs: list) -> list:
         r += 1
         if r == len(m):
             break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
+    for j in range(ncols, ncols + len(rhs_cols)):
+        if any(m[i][j] != 0 for i in range(r, len(m))):
             raise ValueError("inconsistent linear system")
     if len(pivots) < ncols:
         raise ValueError("underdetermined linear system")
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][ncols]
-    return sol
+    sols = []
+    for j in range(ncols, ncols + len(rhs_cols)):
+        sol = [Fraction(0)] * ncols
+        for i, c in enumerate(pivots):
+            sol[c] = m[i][j]
+        sols.append(sol)
+    return sols
 
 
-def fit_qpolynomial(values: dict, degree: int, extra_tau: dict | None = None):
-    """Fit values[p] = sum_i c_i p^i (+ c_tau * tau(p)); exact, with every
-    supplied prime participating as a consistency equation."""
-    primes = sorted(values)
-    rows, rhs = [], []
-    for p in primes:
+def qpolynomial_rows(degree: int, extra_tau: dict | None = None) -> list:
+    """One row per prime p for fitting values[p] = sum_i c_i p^i (+ c_tau *
+    tau(p)): every prime participates as a consistency equation."""
+    rows = []
+    for p in PRIMES:
         row = [Fraction(p) ** i for i in range(degree + 1)]
         if extra_tau is not None:
             row.append(Fraction(extra_tau[p]))
         rows.append(row)
-        rhs.append(values[p])
-    return linsolve_exact(rows, rhs)
+    return rows
 
 
 def discriminant_form_coefficients(limit: int) -> dict:
@@ -367,19 +395,17 @@ def phase_genus1():
     trace_polys: dict = {}
     numeric_coeffs = [UVPoly.zero()] * (numeric_trunc + 1)
     for n in arities:
-        for lam in gen_partitions(n):
-            if n > trunc and lam != (1,) * n:
-                continue
-            vals = {}
+        lams = [lam for lam in gen_partitions(n) if n <= trunc or lam == (1,) * n]
+        columns = []
+        for lam in lams:
+            col = []
             for p in PRIMES:
-                acc = 0
-                for t, cnt in hists[p].items():
-                    w = twisted_marked_count(lam, t, p)
-                    if w:
-                        acc += cnt * w
-                vals[p] = Fraction(acc, p - 1)
-            use_tau = n >= 11
-            sol = fit_qpolynomial(vals, n + 1, tau if use_tau else None)
+                acc = sum(cnt * twisted_marked_count(lam, t, p) for t, cnt in hists[p].items())
+                col.append(Fraction(acc, p - 1))
+            columns.append(col)
+        use_tau = n >= 11
+        sols = linsolve_exact(qpolynomial_rows(n + 1, tau if use_tau else None), columns)
+        for lam, sol in zip(lams, sols):
             poly = sum((UVPoly.uv_power(i, c) for i, c in enumerate(sol[: n + 2])), UVPoly())
             if use_tau:
                 c_tau = sol[-1]
@@ -510,7 +536,7 @@ def phase_assemble():
     core = smooth1 + neck
     stable1 = core.plethysm(pd)
 
-    expected1 = SymSeries.p_monomial((1,), trunc, UVPoly.one() + UVPoly.uv_power(1))
+    expected1 = SymSeries({(1,): UVPoly.one() + UVPoly.uv_power(1)}, trunc)
     assert stable1.arity_part(1) == expected1, "one-marking stable space must be the projective line"
 
     log("Euler-characteristic cross-check against the closed form")
@@ -587,7 +613,7 @@ def phase_weight0():
             rows.append(coeffs)
             rhs.append(row.pairs.get(key, UVPoly.zero()).eval(1, 1))
     log(f"solving {len(rows)} equations in {len(unknowns)} unknowns")
-    sol = linsolve_exact(rows, rhs)
+    (sol,) = linsolve_exact(rows, [rhs])
 
     data = SymSeries(
         {nu: UVPoly.const(sol[index[nu]]) for nu in unknowns}, WEIGHT0_TRUNC
