@@ -4,11 +4,11 @@ A BiSymSeries is a finitely supported map {(lam, mu) -> UVPoly} with a bound
 on the total arity |lam| + |mu|.  Factor 1 indexes the heavy markings,
 factor 2 the light ones.  It is the two-factor subclass of the series core
 in symseries.py, which supplies the ring arithmetic, the Adams map, the
-plethysm kernel, Exp/Log and the Schur transform; this module adds only the
-key algebra of pairs and the two-factor operations.  The two plethysm
-operations substitute into one factor while leaving monomials of the other
-factor fixed; the Adams maps rescale the power-sum indices of BOTH factors
-and apply the coefficient Adams operation.
+plethysm kernel, Exp/Log and the Schur change of basis; this module adds
+only the key algebra of pairs and the two-factor operations.  The two
+plethysm operations substitute into one factor while leaving monomials of
+the other factor fixed; the Adams maps rescale the power-sum indices of
+BOTH factors and apply the coefficient Adams operation.
 """
 
 from math import comb
@@ -107,21 +107,15 @@ class BiSymSeries(_Series):
     # -- specializations -----------------------------------------------------
 
     def rank2(self, vars=("x", "y")) -> FormalPS2:
-        """p_1^{(1)} -> x, p_1^{(2)} -> y, higher power sums -> 0."""
-        coeffs: dict = {}
-        for (lam, mu), c in self.coeffs.items():
-            if all(p == 1 for p in lam) and all(p == 1 for p in mu):
-                key = (len(lam), len(mu))
-                prev = coeffs.get(key)
-                coeffs[key] = c if prev is None else prev + c
-        return FormalPS2(vars, coeffs, self.trunc)
+        """p_1^{(1)} -> x, p_1^{(2)} -> y, higher power sums -> 0: x^i y^j takes
+        the coefficient of p_1^{(1) i} p_1^{(2) j}, the one monomial that survives."""
+        n = self.trunc
+        coeffs = {(i, j): self[((1,) * i, (1,) * j)] for i in range(n + 1) for j in range(n + 1 - i)}
+        return FormalPS2(vars, coeffs, n)
 
     def to_schur_pairs(self) -> dict:
-        """Expansion into products s_lam^{(1)} s_mu^{(2)}: map (lam, mu) -> UVPoly.
-
-        The character transform is separable: it is applied to factor 1 and
-        then to factor 2 of each (m, n) block.
-        """
+        """Expansion into products s_lam^{(1)} s_mu^{(2)}: map (lam, mu) -> UVPoly,
+        changing the basis of factor 1 and then of factor 2."""
         return self._schur()
 
     @staticmethod

@@ -196,19 +196,6 @@ def stirling_rank_check(
     return val == expected
 
 
-def vertex_stable(g_e: int, special_count: int, weights) -> bool:
-    """Stability of one component: 2g - 2 + #special + total weight > 0."""
-    if g_e < 0 or special_count < 0:
-        raise ValueError("arguments must be nonnegative")
-    total = Fraction(0)
-    for w in weights:
-        w = Fraction(w)
-        if not 0 < w <= 1:
-            raise ValueError("weights must lie in (0, 1]")
-        total += w
-    return Fraction(2 * g_e - 2 + special_count) + total > 0
-
-
 def oracle_compare(
     g: int, fixture: SeriesFixture, open_result, max_arity: int
 ) -> list:

@@ -70,11 +70,6 @@ def z_of(lam: tuple) -> int:
     return z
 
 
-def class_size(lam: tuple) -> int:
-    """Number of permutations of cycle type lam."""
-    return factorial(sum(lam)) // z_of(lam)
-
-
 def union(lam: tuple, mu: tuple) -> tuple:
     """Multiset union of parts, re-sorted into a partition."""
     return tuple(sorted(lam + mu, reverse=True))

@@ -3,21 +3,26 @@
 `_Series` is the graded series ring written once for both series types: a
 finitely supported map {key -> UVPoly} with a bound `trunc` on the arity of
 its keys.  It holds the ring arithmetic, the Adams maps, the plethysm kernel,
-the Exp/Log pair and the Schur character transform, in the formalism of
-Bergeron-Labelle-Leroux (Combinatorial Species and Tree-like Structures) and
-Getzler-Kapranov (Modular operads).  A subclass supplies only its key
-algebra: the arity of a key, the product of two keys and the split of a key
-into one partition per tensor factor.  SymSeries (one factor, here) and
-BiSymSeries (two factors, bisymseries.py) are its two subclasses.
+the Exp/Log pair and the one change of basis between power sums and Schur
+functions, in the formalism of Bergeron-Labelle-Leroux (Combinatorial
+Species and Tree-like Structures) and Getzler-Kapranov (Modular operads).
+A subclass supplies only its key algebra: the arity of a key, the product of
+two keys and the split of a key into one partition per tensor factor.
+SymSeries (one factor, here) and BiSymSeries (two factors, bisymseries.py)
+are its two subclasses.
 
 A SymSeries key is a partition lambda indexing the monomial p_lambda; its
 size is the arity of that term.  The power-sum basis is canonical
-internally; Schur form is a presentation-layer conversion.
+internally; Schur form is a presentation-layer conversion: the
+characteristic map of Macdonald (Symmetric Functions and Hall Polynomials,
+I.7), applied to one tensor factor at a time through cached character
+columns, in either direction.
 
 Binary operations truncate to the minimum of the two operand orders.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .partitions import (
     format_partition,
@@ -49,28 +54,20 @@ def mobius(n: int) -> int:
     return result
 
 
-def _character_transform(block: dict, f: int, size: int) -> dict:
-    """Sum_mu chi^lam(mu) * c_mu over factor f of one arity block.
+@lru_cache(maxsize=None)
+def _schur_column(mu: tuple) -> tuple:
+    """The nonzero (lam, chi^lam(mu)) over the partitions lam of |mu|: the
+    Schur expansion p_mu = sum_lam chi^lam(mu) s_lam."""
+    chis = ((lam, mn_character(lam, mu)) for lam in gen_partitions(sum(mu)))
+    return tuple((lam, chi) for lam, chi in chis if chi)
 
-    `block` maps tuples of partitions, one per factor, to coefficients; the
-    partitions in slot f all have the given size.  Terms that agree in the
-    other slots are transformed together, and slot f of the result runs
-    over every partition lam of that size.
-    """
-    grouped: dict = {}
-    for parts, c in block.items():
-        grouped.setdefault(parts[:f] + parts[f + 1:], {})[parts[f]] = c
-    out = {}
-    for rest, by_mu in grouped.items():
-        for lam in gen_partitions(size):
-            acc = UVPoly.zero()
-            for mu, c in by_mu.items():
-                chi = mn_character(lam, mu)
-                if chi:
-                    acc = acc + c * chi
-            if not acc.is_zero():
-                out[rest[:f] + (lam,) + rest[f:]] = acc
-    return out
+
+@lru_cache(maxsize=None)
+def _power_column(lam: tuple) -> tuple:
+    """The nonzero (mu, chi^lam(mu) / z_mu) over the partitions mu of |lam|:
+    the power-sum expansion s_lam = sum_mu chi^lam(mu) / z_mu p_mu."""
+    chis = ((mu, mn_character(lam, mu)) for mu in gen_partitions(sum(lam)))
+    return tuple((mu, Fraction(chi, z_of(mu))) for mu, chi in chis if chi)
 
 
 class _Series:
@@ -297,35 +294,32 @@ class _Series:
         return total
 
     def _schur(self) -> dict:
-        """Schur expansion: the character transform applied to each factor of
-        each block of fixed factor arities."""
-        blocks: dict = {}
-        for key, c in self.coeffs.items():
-            parts = self._factors(key)
-            blocks.setdefault(tuple(map(sum, parts)), {})[parts] = c
-        out = {}
-        for sizes in sorted(blocks):
-            block = blocks[sizes]
-            for f, size in enumerate(sizes):
-                block = _character_transform(block, f, size)
-            out.update((self._from_factors(parts), c) for parts, c in block.items())
-        return out
+        """Schur expansion: [s_lam] self = sum_mu prod_f chi^{lam_f}(mu_f) [p_mu] self."""
+        return self._change_basis(self.coeffs, _schur_column)
 
     @classmethod
     def from_schur(cls, schur_coeffs: dict, trunc: int):
-        """Inverse of the Schur expansion: key (mu_1, ...) gets the sum over Schur
-        keys (lam_1, ...) of their a * prod_f chi^{lam_f}(mu_f) / z_{mu_f}."""
-        out: dict = {}
-        for key, a in schur_coeffs.items():
-            terms = [((), as_poly(a))]
-            for lam in map(tuple, cls._factors(key)):
-                mus_of_size = gen_partitions(sum(lam))
-                column = [(mu, Fraction(mn_character(lam, mu), z_of(mu))) for mu in mus_of_size]
-                terms = [(mus + (mu,), c * w) for mus, c in terms for mu, w in column if w]
-            for mus, c in terms:
-                k = cls._from_factors(mus)
-                out[k] = out[k] + c if k in out else c
-        return cls(out, trunc)
+        """Inverse of the Schur expansion: [p_mu] = sum_lam a_lam prod_f
+        chi^{lam_f}(mu_f) / z_{mu_f}.  Schur keys are checked as series keys are."""
+        schur = cls(schur_coeffs, trunc).coeffs
+        return cls(cls._change_basis(schur, _power_column), trunc)
+
+    @classmethod
+    def _change_basis(cls, coeffs: dict, column) -> dict:
+        """Map each tensor factor in turn through column(part) -> ((new_part, weight), ...),
+        the other factors held fixed; zero sums are dropped after each factor."""
+        terms = {cls._factors(k): c for k, c in coeffs.items()}
+        for f in range(len(cls._POWER_TAGS)):
+            out: dict = {}
+            for parts, c in terms.items():
+                head, tail = parts[:f], parts[f + 1:]
+                for new, w in column(parts[f]):
+                    key = head + (new,) + tail
+                    term = c * w
+                    prev = out.get(key)
+                    out[key] = term if prev is None else prev + term
+            terms = {k: c for k, c in out.items() if not c.is_zero()}
+        return {cls._from_factors(parts): c for parts, c in terms.items()}
 
 
 class SymSeries(_Series):
@@ -369,19 +363,6 @@ class SymSeries(_Series):
     def schur(lam: tuple, trunc: int) -> "SymSeries":
         """s_lambda expanded in power sums."""
         return SymSeries.from_schur({tuple(lam): 1}, trunc)
-
-    @staticmethod
-    def frobenius_from_traces(n: int, traces: dict, trunc: int) -> "SymSeries":
-        """Assemble sum_lam traces[lam]/z_lam * p_lam over partitions of n.
-
-        `traces` must provide a value for every partition of n.
-        """
-        coeffs = {}
-        for lam in gen_partitions(n):
-            if lam not in traces:
-                raise ValueError(f"missing trace for class {lam}")
-            coeffs[lam] = as_poly(traces[lam]) / z_of(lam)
-        return SymSeries(coeffs, trunc)
 
     # -- structure ----------------------------------------------------------
 
@@ -465,9 +446,6 @@ class SymSeries(_Series):
         return self[lam] * z_of(lam)
 
     def rank1(self, var: str = "x") -> FormalPS1:
-        """Rank specialization p_1 -> var, p_k -> 0 for k >= 2."""
-        coeffs = [UVPoly.zero() for _ in range(self.trunc + 1)]
-        for lam, c in self.coeffs.items():
-            if all(p == 1 for p in lam):
-                coeffs[len(lam)] = coeffs[len(lam)] + c
-        return FormalPS1(var, coeffs, self.trunc)
+        """Rank specialization p_1 -> var, p_k -> 0 for k >= 2: var^n takes the
+        coefficient of p_1^n, the one monomial of arity n that survives."""
+        return FormalPS1(var, [self[(1,) * n] for n in range(self.trunc + 1)], self.trunc)

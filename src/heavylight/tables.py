@@ -14,7 +14,7 @@ from pathlib import Path
 from .bisymseries import BiSymSeries
 from .partitions import format_partition, parse_partition, specht_dimension
 from .pipeline import GENUS1_PURE_ARITY
-from .uvpoly import UVPoly, parse_tpoly, parse_uvpoly, poincare_str
+from .uvpoly import UVPoly, parse_rational, parse_tpoly, parse_uvpoly, poincare_str
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -53,47 +53,57 @@ class GoldenRow:
     numeric: Fraction | None = None
 
 
+def _parse_lines(path: Path, parse_line):
+    """Call parse_line on each line with its comment stripped, skipping blank
+    lines; a ValueError from a line is raised again as "<file>:<line>: ..."."""
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                parse_line(line)
+            except ValueError as exc:
+                raise ValueError(f"{path.name}:{lineno}: {exc}") from None
+
+
 def parse_golden_pairs(path: Path) -> list:
     """Parse a pair-table golden file into GoldenRow records."""
     rows: list = []
-    cur = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("row"):
-            fields = line.split()
-            m, n = int(fields[1]), int(fields[2])
-            mode = fields[3] if len(fields) > 3 else "full"
-            cur = GoldenRow(m=m, n=n, mode=mode, pairs={})
-            rows.append(cur)
-        elif line.startswith("pair"):
+
+    def parse_line(line):
+        directive, *fields = line.split()
+        if directive == "row":
+            m, n, *mode = fields
+            rows.append(GoldenRow(m=int(m), n=int(n), mode=mode[0] if mode else "full", pairs={}))
+        elif directive not in ("pair", "numeric"):
+            raise ValueError(f"unknown golden directive {line!r}")
+        elif not rows:
+            raise ValueError(f"{directive} line before any row")
+        elif directive == "pair":
             head, poly_s = line.split(":", 1)
             _, lam_s, mu_s = head.split()
-            cur.pairs[(parse_partition(lam_s), parse_partition(mu_s))] = parse_tpoly(
+            rows[-1].pairs[(parse_partition(lam_s), parse_partition(mu_s))] = parse_tpoly(
                 poly_s.strip()
             )
-        elif line.startswith("numeric"):
-            cur.numeric = Fraction(line.split()[1])
         else:
-            raise ValueError(f"{path.name}:{lineno}: unknown golden directive {line!r}")
+            (value,) = fields
+            rows[-1].numeric = parse_rational(value)
+
+    _parse_lines(path, parse_line)
     return rows
 
 
 def parse_golden_numeric(path: Path) -> dict:
     """Parse a numeric golden table: map n -> (UVPoly, mode)."""
     out: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def parse_line(line):
         if not line.startswith("row"):
-            raise ValueError(f"{path.name}:{lineno}: unknown directive {line!r}")
+            raise ValueError(f"unknown directive {line!r}")
         head, poly_s = line.split(":", 1)
-        fields = head.split()
-        n = int(fields[1])
-        mode = fields[2] if len(fields) > 2 else "full"
-        out[n] = (parse_uvpoly(poly_s.strip()), mode)
+        _, n, *mode = head.split()
+        out[int(n)] = (parse_uvpoly(poly_s.strip()), mode[0] if mode else "full")
+
+    _parse_lines(path, parse_line)
     return out
 
 

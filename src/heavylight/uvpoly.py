@@ -217,6 +217,14 @@ def as_poly(c) -> UVPoly:
     return c if isinstance(c, UVPoly) else UVPoly.const(c)
 
 
+def parse_rational(text: str) -> Fraction:
+    """A coefficient literal; a zero denominator is a ValueError like any other bad literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {text!r}") from None
+
+
 def parse_uvpoly(text: str) -> UVPoly:
     """Parse the canonical UVPoly grammar."""
     text = text.strip()
@@ -228,7 +236,7 @@ def parse_uvpoly(text: str) -> UVPoly:
         pieces = raw.split("*")
         if len(pieces) != 3 or not pieces[1].startswith("u^") or not pieces[2].startswith("v^"):
             raise ValueError(f"malformed uv-poly term: {raw!r}")
-        c = Fraction(pieces[0])
+        c = parse_rational(pieces[0])
         a = int(pieces[1][2:])
         b = int(pieces[2][2:])
         if (a, b) in terms:
@@ -246,7 +254,7 @@ def parse_tpoly(text: str) -> UVPoly:
             continue
         sign = -1 if term.startswith("-") else 1
         coeff_s, _, exp_s = term.lstrip("-").partition("t^")
-        coeff = Fraction(coeff_s.removesuffix("*") or 1) if exp_s else Fraction(coeff_s)
+        coeff = parse_rational(coeff_s.removesuffix("*") or "1") if exp_s else parse_rational(coeff_s)
         e = int(exp_s or 0)
         if e % 2:
             raise ValueError("odd power of t cannot be a uv-polynomial")

@@ -58,6 +58,13 @@ def test_parse_error_carries_line_number():
     assert err.value.lineno == 4
 
 
+def test_zero_denominator_carries_line_number():
+    bad = MINIMAL.replace("poly=1*u^0*v^0", "poly=1/0*u^0*v^0")
+    with pytest.raises(FixtureError, match="zero denominator") as err:
+        parse_fixture(bad)
+    assert err.value.lineno == 5
+
+
 def test_size_mismatch_error():
     bad = MINIMAL.replace("lambda=[3]", "lambda=[2]")
     with pytest.raises(FixtureError):

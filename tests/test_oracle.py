@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -14,7 +13,6 @@ from heavylight.oracle import (
     stirling2,
     stirling2_recurrence,
     stirling_rank_check,
-    vertex_stable,
 )
 from heavylight.pipeline import open_series, open_series_numeric
 from heavylight.symseries import SymSeries
@@ -91,26 +89,6 @@ def test_stirling_rank_check():
             assert stirling_rank_check(1, m, n, table, numeric_smooth)
 
 
-def test_vertex_stable():
-    # terminal rational tail carrying weights that sum to 1 is unstable
-    assert not vertex_stable(0, 1, [Fraction(1, 2), Fraction(1, 2)])
-    assert vertex_stable(0, 1, [1, Fraction(1, 5)])
-    assert not vertex_stable(1, 0, [])
-    assert vertex_stable(1, 1, [])
-    with pytest.raises(ValueError):
-        vertex_stable(0, 1, [2])
-
-
-def test_vertex_stable_monotone_in_heavy_weights():
-    cases = [
-        (0, 1, [Fraction(1, 3)]),
-        (0, 2, []),
-        (1, 0, []),
-        (0, 1, [Fraction(1, 2), Fraction(1, 2)]),
-    ]
-    for g, s, ws in cases:
-        if vertex_stable(g, s, ws):
-            assert vertex_stable(g, s, ws + [1])
 
 
 def test_oracle_input_agnostic_identity():

@@ -3,7 +3,6 @@ from math import factorial
 import pytest
 
 from heavylight.partitions import (
-    class_size,
     format_partition,
     gen_partitions,
     mn_character,
@@ -73,7 +72,6 @@ def test_z_of():
     assert z_of(()) == 1
     assert z_of((1, 1, 1)) == 6
     # |class of a transposition in S_3| = 3, so z = 3!/3
-    assert class_size((2, 1)) == 3
     assert z_of((2, 1)) == 2
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heavylight.bisymseries import BiSymSeries
-from heavylight.partitions import gen_partitions, specht_dimension
+from heavylight.partitions import gen_partitions, specht_dimension, z_of
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 
@@ -133,15 +133,10 @@ def test_schur_round_trip_random():
         assert back == {k: v for k, v in data.items() if not v.is_zero()}
 
 
-def test_frobenius_from_traces():
-    triv = {lam: UVPoly.one() for lam in gen_partitions(2)}
-    assert SymSeries.frobenius_from_traces(2, triv, T) == h(2)
-    regular = {(1, 1): UVPoly.const(2), (2,): UVPoly.zero()}
-    assert SymSeries.frobenius_from_traces(2, regular, T) == p(1) * p(1)
-    sign3 = {lam: UVPoly.const(signature(lam)) for lam in gen_partitions(3)}
-    assert SymSeries.frobenius_from_traces(3, sign3, T) == SymSeries.schur((1, 1, 1), T)
-    with pytest.raises(ValueError):
-        SymSeries.frobenius_from_traces(2, {(2,): UVPoly.one()}, T)
+def test_schur_of_the_sign_character():
+    # e_3 = s_{1,1,1} is the Frobenius characteristic of the sign character
+    sign3 = {lam: Fraction(signature(lam), z_of(lam)) for lam in gen_partitions(3)}
+    assert SymSeries.schur((1, 1, 1), T) == SymSeries(sign3, T)
 
 
 def signature(lam):
@@ -210,12 +205,17 @@ def higher_terms(rng):
 
 def test_non_canonical_keys_are_rejected():
     # (1, 2) and (2, 1) name the same p_1 p_2; accepting both would make
-    # equal series compare unequal and break the canonical order.
-    for bad in [(1, 2), (0,), (2, -1), (2.0, 1)]:
+    # equal series compare unequal and break the canonical order.  A Schur
+    # key is checked the same way: s_{1,3} is no Schur function.
+    for bad in [(1, 2), (0,), (2, -1), (2.0, 1), (1, 3)]:
+        for make in (SymSeries, SymSeries.from_schur):
+            with pytest.raises(ValueError, match="not canonical"):
+                make({bad: 1}, 5)
         with pytest.raises(ValueError, match="not canonical"):
-            SymSeries({bad: 1}, 5)
+            SymSeries.schur(bad, 5)
     for bad in [((1, 2), ()), ((1,),), ((), (1, 3)), ((2,), (1,), ())]:
-        with pytest.raises(ValueError, match="not canonical"):
-            BiSymSeries({bad: 1}, 5)
+        for make in (BiSymSeries, BiSymSeries.from_schur_pairs):
+            with pytest.raises(ValueError, match="not canonical"):
+                make({bad: 1}, 5)
     assert SymSeries({(2, 1): 1}, 5) == p(2, 5) * p(1, 5)
     assert str(BiSymSeries({((2, 1), (1,)): 1}, 5)) == "(1*u^0*v^0)*p1[2,1]*p2[1]"

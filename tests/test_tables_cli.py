@@ -12,6 +12,7 @@ from heavylight.tables import (
     TableSpec,
     compare_row_to_golden,
     numeric_value,
+    parse_golden_numeric,
     parse_golden_pairs,
     render_table,
 )
@@ -39,6 +40,9 @@ def test_parse_tpoly():
     assert parse_tpoly("t^10") == q(5)
     assert parse_tpoly("5*t^8-t^2") == q(4, 5) - q(1)
     assert parse_tpoly("t^4+1") == q(2) + 1
+    for bad in ("1/0", "1/0*t^2", "t^2+3/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_tpoly(bad)
     with pytest.raises(ValueError):
         parse_tpoly("t^3")
 
@@ -66,6 +70,30 @@ def test_compare_row_to_golden_failure_paths(tmp_path):
         assert compare_row_to_golden(comp, _golden_row(tmp_path, text)), text
     off = BiSymSeries.from_schur_pairs({((), (2,)): UVPoly.monomial(1, 0) + q(1, 2)}, 2)
     assert compare_row_to_golden(off, _golden_row(tmp_path, partial))
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_golden_pairs, "row 1"),
+        (parse_golden_pairs, "row 1 x"),
+        (parse_golden_pairs, "row 0 2 full\npair [] : t^2"),
+        (parse_golden_pairs, "row 0 2 full\nnumeric"),
+        (parse_golden_pairs, "pair [] [2] : t^2"),
+        (parse_golden_pairs, "row 0 2 full\nnumeric 1/0"),
+        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow : 1*u^0*v^0"),
+        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow 2 1*u^0*v^0"),
+    ],
+    ids=["row-no-n", "row-bad-n", "pair-two-fields", "numeric-no-value", "pair-before-row",
+         "numeric-zero-denominator", "numeric-row-no-n", "numeric-row-no-colon"],
+)
+def test_golden_parse_errors_carry_position(tmp_path, parse, text):
+    path = tmp_path / "golden.txt"
+    path.write_text("# header\n" + text + "\n")
+    line = text.count("\n") + 2
+    with pytest.raises(ValueError, match=f"^golden.txt:{line}: ") as err:
+        parse(path)
+    assert type(err.value) is ValueError
 
 
 def test_render_poincare_row():

@@ -102,6 +102,9 @@ def test_grammar_round_trip():
         parse_uvpoly("u^2*v^1")
     with pytest.raises(ValueError):
         parse_uvpoly("1*u^1*v^1+2*u^1*v^1")
+    for bad in ("1/0*u^0*v^0", "1*u^1*v^1+2/0*u^0*v^0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_uvpoly(bad)
 
 
 def test_mirror_and_palindromy():
