@@ -5,10 +5,10 @@ on the total arity |lam| + |mu|.  Factor 1 indexes the heavy markings,
 factor 2 the light ones.  It is the two-factor subclass of the series core
 in symseries.py, which supplies the ring arithmetic, the Adams map, the
 plethysm kernel, Exp/Log and the Schur change of basis; this module adds
-only the key algebra of pairs and the two-factor operations.  The two
-plethysm operations substitute into one factor while leaving monomials of
-the other factor fixed; the Adams maps rescale the power-sum indices of
-BOTH factors and apply the coefficient Adams operation.
+only the key algebra of pairs and the two-factor operations.  The factor-2
+plethysm substitutes into factor 2 while leaving monomials of factor 1
+fixed; the Adams maps rescale the power-sum indices of BOTH factors and
+apply the coefficient Adams operation.
 """
 
 from math import comb
@@ -87,10 +87,6 @@ class BiSymSeries(_Series):
         have zero constant term.
         """
         return self._pleth(g, 2)
-
-    def pleth1(self, g: "BiSymSeries") -> "BiSymSeries":
-        """Factor-1 plethysm self o_1 g, the mirror image of pleth2."""
-        return self._pleth(g, 1)
 
     def exp2(self) -> "BiSymSeries":
         """Exp: sum over n >= 1 of h_n o self (zero constant term required).

@@ -11,6 +11,7 @@ checked against.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from .bisymseries import BiSymSeries
@@ -94,15 +95,6 @@ def representative_of_type(mu: tuple) -> tuple:
     return tuple(out)
 
 
-def _colorings(n: int, j: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _colorings(n - 1, j):
-        for c in range(1, j + 1):
-            yield rest + (c,)
-
-
 def _block_permutation_counts(tau: tuple, j: int) -> dict:
     """Map pi -> number of ordered partitions (B_1..B_j) with tau(B_i) = B_{pi(i)}.
 
@@ -111,7 +103,7 @@ def _block_permutation_counts(tau: tuple, j: int) -> dict:
     """
     n = len(tau)
     counts: dict = {}
-    for assignment in _colorings(n, j):
+    for assignment in product(range(1, j + 1), repeat=n):
         if len(set(assignment)) != j:
             continue
         pi = [0] * j
@@ -172,28 +164,6 @@ def oracle_open_ch(
     if not stability_ok(g, m, n):
         return BiSymSeries.zero(trunc)
     return series
-
-
-def stirling_rank_check(
-    g: int, m: int, n: int, numeric_open, numeric_smooth: dict
-) -> bool:
-    """Check the multiset-of-markings class identity at the numeric level.
-
-    `numeric_open` is the bivariate numeric open series; `numeric_smooth`
-    maps arity k to the numeric polynomial of the smooth space with k
-    markings.  Verifies that the (m,n) value equals
-    sum_k S(n,k) * numeric_smooth[m+k].
-    """
-    val = numeric_open[(m, n)] * (factorial(m) * factorial(n))
-    if n == 0:
-        expected = numeric_smooth.get(m, UVPoly.zero())
-    else:
-        expected = UVPoly.zero()
-        for k in range(1, n + 1):
-            s = stirling2(n, k)
-            if s and (m + k) in numeric_smooth:
-                expected = expected + numeric_smooth[m + k] * s
-    return val == expected
 
 
 def oracle_compare(

@@ -5,8 +5,10 @@ classes into the corresponding heavy/light series:
 
   * open_series:   coproduct, then substitute the light-markings exponential
                    into the second factor (smooth locus).
-  * closed_series: coproduct, then substitute the rational-tails corrector
-                   followed by the exponential (stable compactification).
+  * closed_series: coproduct, then substitute once the composed corrector
+                   (p_1 - dG_0/dp_1) o_2 Exp, G_0 the smooth genus-0 series:
+                   the rational-tails corrector with the exponential already
+                   substituted into it (stable compactification).
 
 Numeric shadows of both pipelines act on exponential generating functions by
 change of variables; they must agree with the rank specialization of the
@@ -85,16 +87,13 @@ def open_series(fx: SeriesFixture, trunc: int | None = None) -> HeavyLightResult
     )
 
 
-def tail_free_series(
-    stable_fx: SeriesFixture, smooth_g0: SeriesFixture, trunc: int | None = None
+def _corrector(
+    stable_fx: SeriesFixture, smooth_g0: SeriesFixture, trunc: int | None
 ) -> BiSymSeries:
-    """Series of stable curves with no rational tails carrying only light points.
-
-    This is the intermediate coproduct(stable) o_2 (p_1 - d(smooth genus-0)/dp_1)
-    of the closed pipeline, exposed for the consistency checks.
-    """
+    """The factor-2 rational-tails corrector p_1 - d(smooth genus 0)/dp_1,
+    truncated at the requested arity, after checking both fixtures."""
     if stable_fx.variant != "closed":
-        raise ValueError("tail_free_series expects a closed fixture")
+        raise ValueError("the stable series must be a closed fixture")
     if smooth_g0.variant != "open" or smooth_g0.genus != 0:
         raise ValueError("the corrector fixture must be the genus-0 open series")
     t_max = min(stable_fx.trunc, smooth_g0.trunc - 1)
@@ -102,8 +101,20 @@ def tail_free_series(
     if t > t_max:
         raise ValueError(f"requested truncation {t} exceeds available {t_max}")
     deriv = smooth_g0.data.d_dp1().truncate(t)
-    inner = BiSymSeries.power_sum(1, 2, t) - BiSymSeries.inject(deriv, 2)
-    return coproduct(stable_fx.data.truncate(t)).pleth2(inner)
+    return BiSymSeries.power_sum(1, 2, t) - BiSymSeries.inject(deriv, 2)
+
+
+def tail_free_series(
+    stable_fx: SeriesFixture, smooth_g0: SeriesFixture, trunc: int | None = None
+) -> BiSymSeries:
+    """Series of stable curves with no rational tails carrying only light points.
+
+    The intermediate coproduct(stable) o_2 (p_1 - d(smooth genus-0)/dp_1) of
+    the two-step route to the closed series, exposed for the consistency
+    checks.
+    """
+    inner = _corrector(stable_fx, smooth_g0, trunc)
+    return coproduct(stable_fx.data.truncate(inner.trunc)).pleth2(inner)
 
 
 def closed_series(
@@ -111,12 +122,15 @@ def closed_series(
 ) -> HeavyLightResult:
     """Heavy/light series of the compactification.
 
-    coproduct(stable) o_2 (p_1 - d(smooth_0)/dp_1) o_2 Exp(light generator),
-    truncated and stability-masked.
+    coproduct(stable) o_2 K with the composed corrector
+    K = (p_1 - d(smooth_0)/dp_1) o_2 Exp(light generator), truncated and
+    stability-masked.  Plethysm is associative, so this one substitution
+    equals tail_free_series(...) o_2 Exp, and K is formed on the small
+    factor-2 series rather than on the coproduct.
     """
-    core = tail_free_series(stable_fx, smooth_g0, trunc)
-    t = core.trunc
-    res = core.pleth2(exp2_of_p1(t))
+    inner = _corrector(stable_fx, smooth_g0, trunc)
+    t = inner.trunc
+    res = coproduct(stable_fx.data.truncate(t)).pleth2(inner.pleth2(exp2_of_p1(t)))
     res = _mask_stability(stable_fx.genus, res)
     return HeavyLightResult(
         genus=stable_fx.genus,

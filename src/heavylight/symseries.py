@@ -23,6 +23,7 @@ Binary operations truncate to the minimum of the two operand orders.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .partitions import (
     format_partition,
@@ -34,7 +35,7 @@ from .partitions import (
     z_of,
 )
 from .powerseries import FormalPS1
-from .uvpoly import UVPoly, as_poly
+from .uvpoly import UVPoly, _lowest, as_poly
 
 
 def mobius(n: int) -> int:
@@ -307,19 +308,30 @@ class _Series:
     @classmethod
     def _change_basis(cls, coeffs: dict, column) -> dict:
         """Map each tensor factor in turn through column(part) -> ((new_part, weight), ...),
-        the other factors held fixed; zero sums are dropped after each factor."""
-        terms = {cls._factors(k): c for k, c in coeffs.items()}
+        the other factors held fixed.  Each output key gathers its contributions
+        (numerators, weight numerator, denominator) and sums them once over the
+        lcm of their denominators; zero sums are dropped after each factor, and
+        each final coefficient is reduced once."""
+        terms = {cls._factors(k): (c.nums, c.den) for k, c in coeffs.items()}
         for f in range(len(cls._POWER_TAGS)):
-            out: dict = {}
-            for parts, c in terms.items():
+            gathered: dict = {}
+            for parts, (nums, den) in terms.items():
                 head, tail = parts[:f], parts[f + 1:]
                 for new, w in column(parts[f]):
-                    key = head + (new,) + tail
-                    term = c * w
-                    prev = out.get(key)
-                    out[key] = term if prev is None else prev + term
-            terms = {k: c for k, c in out.items() if not c.is_zero()}
-        return {cls._from_factors(parts): c for parts, c in terms.items()}
+                    item = (nums, w.numerator, den * w.denominator)
+                    gathered.setdefault(head + (new,) + tail, []).append(item)
+            terms = {}
+            for key, items in gathered.items():
+                d = lcm(*(den for _, _, den in items))
+                total: dict = {}
+                for nums, s, den in items:
+                    s *= d // den
+                    for m, n in nums.items():
+                        total[m] = total.get(m, 0) + n * s
+                total = {m: n for m, n in total.items() if n}
+                if total:
+                    terms[key] = (total, d)
+        return {cls._from_factors(parts): _lowest(*t) for parts, t in terms.items()}
 
 
 class SymSeries(_Series):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bisymseries import BiSymSeries
-from .partitions import format_partition, parse_partition, specht_dimension
+from .partitions import format_partition, parse_partition
 from .pipeline import GENUS1_PURE_ARITY
 from .uvpoly import UVPoly, parse_rational, parse_tpoly, parse_uvpoly, poincare_str
 
@@ -195,11 +195,3 @@ def render_table(spec: TableSpec, result) -> str:
 
 def _pkey(lam: tuple):
     return tuple(-p for p in lam)
-
-
-def numeric_pair_value(pairs: dict) -> Fraction:
-    """Dimension-weighted sum of a golden row's Schur-pair data at u = v = 1."""
-    return sum(
-        c.eval(1, 1) * specht_dimension(lam) * specht_dimension(mu)
-        for (lam, mu), c in pairs.items()
-    )

@@ -246,20 +246,24 @@ def parse_uvpoly(text: str) -> UVPoly:
 
 
 def parse_tpoly(text: str) -> UVPoly:
-    """Parse the t grammar, reading t^{2k} as (uv)^k; odd powers of t are rejected."""
-    out = UVPoly()
-    for term in text.replace("-", "+-").split("+"):
+    """Parse the t grammar, reading t^{2k} as (uv)^k; odd powers of t, empty
+    terms and a repeated exponent are rejected."""
+    text = text.strip()
+    terms = {}
+    for term in (text[:1] + text[1:].replace("-", "+-")).split("+"):
         term = term.strip()
         if not term:
-            continue
+            raise ValueError(f"empty term in t-poly {text!r}")
         sign = -1 if term.startswith("-") else 1
         coeff_s, _, exp_s = term.lstrip("-").partition("t^")
         coeff = parse_rational(coeff_s.removesuffix("*") or "1") if exp_s else parse_rational(coeff_s)
         e = int(exp_s or 0)
         if e % 2:
             raise ValueError("odd power of t cannot be a uv-polynomial")
-        out = out + UVPoly.uv_power(e // 2, sign * coeff)
-    return out
+        if (e // 2, e // 2) in terms:
+            raise ValueError(f"duplicate exponent in t-poly: t^{e}")
+        terms[e // 2, e // 2] = sign * coeff
+    return UVPoly(terms)
 
 
 def poincare_str(poly: UVPoly) -> str:

@@ -63,16 +63,6 @@ def test_pleth2_axioms():
         P(1, 2).pleth2(BiSymSeries.one(T))
 
 
-def test_pleth1_axiom():
-    assert P(2, 1).pleth1(P(3, 2)) == BiSymSeries({((), (6,)): 1}, T)
-    assert P(2, 2).pleth1(P(1, 1) + P(1, 2)) == P(2, 2)
-    # reference route: factor-2 plethysm conjugated by the factor swap
-    rng = random.Random(18)
-    for _ in range(20):
-        f, g = random_bi(rng, 6), random_bi(rng, 6)
-        assert f.pleth1(g) == f.swap_factors().pleth2(g.swap_factors()).swap_factors()
-
-
 def test_exp2():
     E = exp2_of_p1(T)
     assert P(1, 2).exp2() == E

@@ -12,7 +12,6 @@ from heavylight.oracle import (
     representative_of_type,
     stirling2,
     stirling2_recurrence,
-    stirling_rank_check,
 )
 from heavylight.pipeline import open_series, open_series_numeric
 from heavylight.symseries import SymSeries
@@ -72,6 +71,28 @@ def test_oracle_cap():
     smooth1 = load_fixture("genus1_smooth")
     with pytest.raises(ValueError):
         oracle_open_ch(1, 4, 4, smooth1)
+
+
+def stirling_rank_check(
+    g: int, m: int, n: int, numeric_open, numeric_smooth: dict
+) -> bool:
+    """Check the multiset-of-markings class identity at the numeric level.
+
+    `numeric_open` is the bivariate numeric open series; `numeric_smooth`
+    maps arity k to the numeric polynomial of the smooth space with k
+    markings.  Verifies that the (m,n) value equals
+    sum_k S(n,k) * numeric_smooth[m+k].
+    """
+    val = numeric_open[(m, n)] * (factorial(m) * factorial(n))
+    if n == 0:
+        expected = numeric_smooth.get(m, UVPoly.zero())
+    else:
+        expected = UVPoly.zero()
+        for k in range(1, n + 1):
+            s = stirling2(n, k)
+            if s and (m + k) in numeric_smooth:
+                expected = expected + numeric_smooth[m + k] * s
+    return val == expected
 
 
 def test_stirling_rank_check():

@@ -1,11 +1,16 @@
+import hashlib
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from heavylight.bisymseries import BiSymSeries
 from heavylight.cli import FIXTURES, _fixture, main
 from heavylight.fixtures import load_fixture
+from heavylight.partitions import specht_dimension
 from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
     GOLDEN_DIR,
@@ -17,6 +22,8 @@ from heavylight.tables import (
     render_table,
 )
 from heavylight.uvpoly import UVPoly, parse_tpoly
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run_cli(args):
@@ -45,6 +52,17 @@ def test_parse_tpoly():
             parse_tpoly(bad)
     with pytest.raises(ValueError):
         parse_tpoly("t^3")
+
+
+def test_parse_tpoly_rejects_empty_and_repeated_terms(tmp_path):
+    for bad in ("", "+", " ", "t^2+", "-", "t^2+t^2", "3+1", "t^4-2*t^4"):
+        with pytest.raises(ValueError):
+            parse_tpoly(bad)
+    # a golden pair line with no coefficient is refused, not read as 0
+    path = tmp_path / "golden.txt"
+    path.write_text("row 0 2 full\npair [] [2] :\n")
+    with pytest.raises(ValueError, match="^golden.txt:2: "):
+        parse_golden_pairs(path)
 
 
 def _golden_row(tmp_path, text):
@@ -145,10 +163,16 @@ def test_numeric_value_weight0_example():
     assert val == -3
 
 
+def numeric_pair_value(pairs: dict) -> Fraction:
+    """Dimension-weighted sum of a golden row's Schur-pair data at u = v = 1."""
+    return sum(
+        c.eval(1, 1) * specht_dimension(lam) * specht_dimension(mu)
+        for (lam, mu), c in pairs.items()
+    )
+
+
 def test_golden_numeric_pair_sums():
     rows = parse_golden_pairs(GOLDEN_DIR / "genus2_weight0_table.txt")
-    from heavylight.tables import numeric_pair_value
-
     for row in rows:
         assert numeric_pair_value(row.pairs) == row.numeric
 
@@ -246,3 +270,14 @@ def test_cli_fixture_table_matches_the_fixture_headers():
         assert fx.name == name
         assert fx.genus == genus, name
         assert fx.variant in header_variants[variant], name
+
+
+def test_closed10_stdout_matches_the_benchmark_digest():
+    # perfbench/expected.json is read only; it is the benchmark's record.
+    expected = json.loads(EXPECTED.read_text())
+    code, out = run_cli(
+        ["closed-table", "--genus", "1", "--max-arity", "10", "--basis", "schur"]
+        + ["--form", "poincare", "--format", "text"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["closed10_stdout_sha256"]
