@@ -27,36 +27,4 @@ from .powerseries import FormalPS1, FormalPS2
 from .symseries import SymSeries
 from .uvpoly import NotDiagonalError, UVPoly, parse_uvpoly
 
-__all__ = [
-    "BiSymSeries",
-    "FormalPS1",
-    "FormalPS2",
-    "HeavyLightResult",
-    "NotDiagonalError",
-    "SeriesFixture",
-    "SymSeries",
-    "UVPoly",
-    "closed_series",
-    "closed_series_numeric",
-    "coproduct",
-    "exp2_of_p1",
-    "gen_partitions",
-    "genus0_numeric_closed_form",
-    "genus1_light_chi_egf",
-    "genus1_stable_chi_egf",
-    "legendre_check",
-    "load_fixture",
-    "mn_character",
-    "open_series",
-    "open_series_numeric",
-    "parse_fixture",
-    "parse_uvpoly",
-    "slice_n1",
-    "stability_ok",
-    "tail_free_series",
-    "tropical_euler",
-    "write_fixture",
-    "z_of",
-]
-
 __version__ = "0.1.0"

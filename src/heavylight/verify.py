@@ -1,12 +1,17 @@
 """Verification suites run by `hl verify` and reused by the test suite.
 
-Each check returns (name, ok, detail); suites return lists of checks.
-Randomized checks use a fixed seed so runs are reproducible.
+Every check is a module-level function that returns (ok, detail).  A
+randomized check is a `case(rng) -> bool`, run by `_cases` until its first
+failure.  Each suite loads the fixtures and computes the results its checks
+share once, then runs one ordered table of (name, check) rows through
+`_run`, which turns it into (name, ok, detail) rows.  The suites draw from
+one fixed-seed stream in table order, so runs are reproducible.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from .bisymseries import BiSymSeries, coproduct
 from .fixtures import SHIPPED, SeriesFixture, load_fixture
@@ -69,208 +74,6 @@ def _random_sparse_bi(rng, trunc, max_terms=3, zero_constant=True):
     return out
 
 
-def _genus0_gates(smooth0: SeriesFixture, stable0: SeriesFixture) -> tuple:
-    """Genus-0 inverse pair at arity 8; rank of d(smooth)/dp_1 against its closed form."""
-    closed_form = genus0_numeric_closed_form(smooth0.trunc - 1)
-    deriv_rank = smooth0.data.d_dp1().rank1("y")
-    rank_ok = all(deriv_rank[k] == -closed_form[k] for k in range(2, smooth0.trunc))
-    return legendre_check(smooth0, stable0, trunc=8), rank_ok
-
-
-def property_suite() -> list:
-    rng = random.Random(SEED)
-    checks = []
-
-    ok = True
-    for _ in range(CASES):
-        f = _random_sparse(rng, 6)
-        g = _random_sparse(rng, 6)
-        h = _random_sparse(rng, 6)
-        if not ((f.plethysm(g)).plethysm(h) == f.plethysm(g.plethysm(h))):
-            ok = False
-            break
-    checks.append(("plethysm associativity (random sparse, arity <= 6)", ok, f"{CASES} cases"))
-
-    ok = True
-    for _ in range(CASES):
-        f1 = _random_sparse(rng, 6)
-        f2 = _random_sparse(rng, 6)
-        g = _random_sparse(rng, 6)
-        lhs = (f1 * f2).plethysm(g)
-        if lhs != f1.plethysm(g) * f2.plethysm(g):
-            ok = False
-            break
-        k = rng.randint(1, 4)
-        pk = SymSeries.power_sum(k, 6)
-        if pk.plethysm(f1 * f2) != pk.plethysm(f1) * pk.plethysm(f2):
-            ok = False
-            break
-    checks.append(("plethysm ring-map axioms (random sparse)", ok, f"{CASES} cases"))
-
-    ok = True
-    for _ in range(10):
-        f = SymSeries.power_sum(1, 8) + _random_sparse_min2(rng, 8)
-        g = f.pleth_inverse()
-        p1 = SymSeries.power_sum(1, 8)
-        if f.plethysm(g) != p1 or g.plethysm(f) != p1:
-            ok = False
-            break
-    checks.append(("plethystic inverse round trip (arity 8)", ok, "10 cases"))
-
-    ok = True
-    for _ in range(10):
-        f = _random_sparse(rng, 8)
-        if f.exp_series().log_series() != f:
-            ok = False
-            break
-        b = BiSymSeries.inject(_random_sparse(rng, 8, max_terms=2), 2) + BiSymSeries.inject(
-            _random_sparse(rng, 8, max_terms=2), 1
-        ) * BiSymSeries.power_sum(1, 2, 8)
-        if b.exp2().log2() != b:
-            ok = False
-            break
-    checks.append(("exp/log round trips (arity 8)", ok, "10 cases"))
-
-    ok = True
-    detail = []
-    for n in range(8):
-        parts = gen_partitions(n)
-        for mu in parts:
-            for nu in parts:
-                s = sum(mn_character(l, mu) * mn_character(l, nu) for l in parts)
-                want = z_of(mu) if mu == nu else 0
-                if s != want:
-                    ok = False
-                    detail.append(f"{mu},{nu}")
-        if not all(mn_character(l, (1,) * n) > 0 for l in parts):
-            ok = False
-        if sum(mn_character(l, (1,) * n) ** 2 for l in parts) != factorial(n):
-            ok = False
-    checks.append(("character orthogonality and dimensions (n <= 7)", ok, ";".join(detail)))
-
-    smooth0 = load_fixture("genus0_smooth")
-    stable0 = load_fixture("genus0_stable")
-    pair_ok, rank_ok = _genus0_gates(smooth0, stable0)
-    truncations = f"truncations {smooth0.trunc}/{stable0.trunc}"
-    checks.append(("genus-0 inverse pair (arity 8)", pair_ok, truncations))
-    checks.append(("genus-0 fixture rank matches the closed form", rank_ok, ""))
-
-    stable1 = load_fixture("genus1_stable")
-    res = closed_series(stable1, smooth0)
-    ok = True
-    detail = ""
-    for (lam, mu), c in res.data.coeffs.items():
-        m, n = sum(lam), sum(mu)
-        if m + n > GENUS1_PURE_ARITY:
-            continue
-        if not c.is_palindromic(m + n):
-            ok = False
-            detail = f"({m},{n}) key {(lam, mu)}"
-            break
-    name = f"purity and palindromy of genus-1 closed outputs (m+n <= {GENUS1_PURE_ARITY})"
-    checks.append((name, ok, detail))
-
-    ok = True
-    smooth1 = load_fixture("genus1_smooth")
-    res_open1 = open_series(smooth1)
-    results = (
-        (1, res),
-        (2, open_series(load_fixture("genus2_smooth_weight0"))),
-        (1, res_open1),
-        (0, open_series(smooth0, trunc=6)),
-    )
-    for g, result in results:
-        for total in range(result.data.trunc + 1):
-            for m in range(total + 1):
-                n = total - m
-                if not stability_ok(g, m, n) and result.component(m, n).coeffs:
-                    ok = False
-    checks.append(("stability support vanishing", ok, ""))
-
-    # slice consistency: single light marking from the derivative formula
-    ok = True
-    for fx, result in ((stable1, res), (smooth1, res_open1)):
-        for m in range(0, min(4, fx.trunc - 1) + 1):
-            want = result.component(m, 1)
-            got = slice_n1(fx, m)
-            if not stability_ok(fx.genus, m, 1):
-                got = BiSymSeries.zero(got.trunc)
-            if got != want:
-                ok = False
-    checks.append(("single-light-marking slice matches the pipeline", ok, ""))
-
-    # tail-free intermediate consistency: coproduct(stable) = core o (p1 + d stable0 / dp1)
-    t = min(stable1.trunc, stable0.trunc - 1, 6)
-    core = tail_free_series(stable1, smooth0, trunc=t)
-    inner = BiSymSeries.power_sum(1, 2, t) + BiSymSeries.inject(
-        stable0.data.d_dp1().truncate(t), 2
-    )
-    ok = core.pleth2(inner) == coproduct(stable1.data.truncate(t))
-    checks.append(("tail-free factorization of the stable coproduct", ok, f"arity {t}"))
-
-    # weight-zero specialization commutes with the open pipeline
-    t = 5
-    spec_first = open_series(
-        SeriesFixture(
-            name=smooth1.name,
-            genus=smooth1.genus,
-            variant="weight0",
-            trunc=t,
-            data=smooth1.data.truncate(t).weight_zero(),
-        )
-    )
-    spec_last = open_series(smooth1, trunc=t)
-    ok = spec_first.data == spec_last.data.weight_zero()
-    checks.append(("weight-zero specialization commutes with the pipeline", ok, f"arity {t}"))
-
-    # rank2 carries factor-2 plethysm into composition in y
-    ok = True
-    for _ in range(10):
-        f = _random_sparse_bi(rng, 6)
-        g = _random_sparse_bi(rng, 6)
-        lhs = f.pleth2(g).rank2()
-        rf, rg = f.rank2(), g.rank2()
-        acc = FormalPS2.zero(("x", "y"), 6)
-        xv = FormalPS2.variable(("x", "y"), 1, 6)
-        for (i, j), c in rf.coeffs.items():
-            term = FormalPS2(("x", "y"), {(0, 0): c}, 6)
-            for _k in range(i):
-                term = term * xv
-            for _k in range(j):
-                term = term * rg
-            acc = acc + term
-        if acc != lhs:
-            ok = False
-            break
-    checks.append(("rank carries plethysm into composition", ok, "10 cases"))
-
-    # coproduct is a cocommutative ring map
-    ok = True
-    for _ in range(10):
-        f = _random_sparse(rng, 6, zero_constant=False)
-        g = _random_sparse(rng, 6, zero_constant=False)
-        if coproduct(f * g) != coproduct(f) * coproduct(g):
-            ok = False
-            break
-        cf = coproduct(f)
-        if cf.swap_factors() != cf:
-            ok = False
-            break
-        if cf.set_factor2_to_zero() != f:
-            ok = False
-            break
-    checks.append(("coproduct ring map, cocommutativity, counit", ok, "10 cases"))
-
-    ok = all(
-        stirling2(n, k) == stirling2_recurrence(n, k)
-        for n in (*range(9), 12)
-        for k in range(n + 1)
-    )
-    checks.append(("set-partition counts match the recurrence", ok, ""))
-
-    return checks
-
-
 def _random_sparse_min2(rng, trunc):
     """Random series supported in arities >= 2."""
     coeffs = {}
@@ -282,157 +85,333 @@ def _random_sparse_min2(rng, trunc):
     return SymSeries(coeffs, trunc)
 
 
-def fixture_suite() -> list:
-    checks = []
-    fixtures = {}
-    for name in SHIPPED:
-        try:
-            fx = load_fixture(name)
-            fixtures[name] = fx
-            ok = fx.data.trunc == fx.trunc and fx.stability_bound_ok()
-            checks.append((f"fixture {name} parses and satisfies bounds", ok, f"trunc {fx.trunc}"))
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            checks.append((f"fixture {name} parses and satisfies bounds", False, str(exc)))
-    if len(fixtures) < len(SHIPPED):
-        return checks
+def _cases(rng, count, case) -> tuple:
+    """Run `case(rng)` up to `count` times, stopping at the first failure."""
+    return all(case(rng) for _ in range(count)), f"{count} cases"
 
-    pair_ok, rank_ok = _genus0_gates(fixtures["genus0_smooth"], fixtures["genus0_stable"])
-    checks.append(("genus-0 inverse pair on shipped fixtures", pair_ok, "arity 8"))
-    checks.append(("genus-0 smooth rank gate", rank_ok, ""))
 
-    eq = fixtures["genus1_stable"]
-    num = fixtures["genus1_stable_numeric"]
+def _run(table) -> list:
+    """The (name, ok, detail) rows of a table of (name, check) rows, in order."""
+    return [(name, *check()) for name, check in table]
+
+
+def _genus0_gates(smooth0: SeriesFixture, stable0: SeriesFixture) -> tuple:
+    """Genus-0 inverse pair at arity 8; rank of d(smooth)/dp_1 against its closed form."""
+    closed_form = genus0_numeric_closed_form(smooth0.trunc - 1)
+    deriv_rank = smooth0.data.d_dp1().rank1("y")
+    rank_ok = all(deriv_rank[k] == -closed_form[k] for k in range(2, smooth0.trunc))
+    return legendre_check(smooth0, stable0, trunc=8), rank_ok
+
+
+def _associativity_case(rng) -> bool:
+    f = _random_sparse(rng, 6)
+    g = _random_sparse(rng, 6)
+    h = _random_sparse(rng, 6)
+    return (f.plethysm(g)).plethysm(h) == f.plethysm(g.plethysm(h))
+
+
+def _ring_map_case(rng) -> bool:
+    f1 = _random_sparse(rng, 6)
+    f2 = _random_sparse(rng, 6)
+    g = _random_sparse(rng, 6)
+    if (f1 * f2).plethysm(g) != f1.plethysm(g) * f2.plethysm(g):
+        return False
+    pk = SymSeries.power_sum(rng.randint(1, 4), 6)
+    return pk.plethysm(f1 * f2) == pk.plethysm(f1) * pk.plethysm(f2)
+
+
+def _inverse_case(rng) -> bool:
+    p1 = SymSeries.power_sum(1, 8)
+    f = p1 + _random_sparse_min2(rng, 8)
+    g = f.pleth_inverse()
+    return f.plethysm(g) == p1 and g.plethysm(f) == p1
+
+
+def _exp_log_case(rng) -> bool:
+    f = _random_sparse(rng, 8)
+    if f.exp_series().log_series() != f:
+        return False
+    b = BiSymSeries.inject(_random_sparse(rng, 8, max_terms=2), 2) + BiSymSeries.inject(
+        _random_sparse(rng, 8, max_terms=2), 1
+    ) * BiSymSeries.power_sum(1, 2, 8)
+    return b.exp2().log2() == b
+
+
+def _rank_composition_case(rng) -> bool:
+    """rank2 carries factor-2 plethysm into composition in y."""
+    f = _random_sparse_bi(rng, 6)
+    g = _random_sparse_bi(rng, 6)
+    lhs = f.pleth2(g).rank2()
+    rf, rg = f.rank2(), g.rank2()
+    acc = FormalPS2.zero(("x", "y"), 6)
+    xv = FormalPS2.variable(("x", "y"), 1, 6)
+    for (i, j), c in rf.coeffs.items():
+        term = FormalPS2(("x", "y"), {(0, 0): c}, 6)
+        for factor in [xv] * i + [rg] * j:
+            term = term * factor
+        acc = acc + term
+    return acc == lhs
+
+
+def _coproduct_case(rng) -> bool:
+    """The coproduct is a cocommutative ring map with counit."""
+    f = _random_sparse(rng, 6, zero_constant=False)
+    g = _random_sparse(rng, 6, zero_constant=False)
+    if coproduct(f * g) != coproduct(f) * coproduct(g):
+        return False
+    cf = coproduct(f)
+    return cf.swap_factors() == cf and cf.set_factor2_to_zero() == f
+
+
+def _character_orthogonality() -> tuple:
+    bad, dims_ok = [], True
+    for n in range(8):
+        parts = gen_partitions(n)
+        for mu in parts:
+            for nu in parts:
+                s = sum(mn_character(l, mu) * mn_character(l, nu) for l in parts)
+                if s != (z_of(mu) if mu == nu else 0):
+                    bad.append(f"{mu},{nu}")
+        positive = all(mn_character(l, (1,) * n) > 0 for l in parts)
+        dims_ok &= positive and sum(mn_character(l, (1,) * n) ** 2 for l in parts) == factorial(n)
+    return dims_ok and not bad, ";".join(bad)
+
+
+def _purity(res) -> tuple:
+    for (lam, mu), c in res.data.coeffs.items():
+        m, n = sum(lam), sum(mu)
+        if m + n <= GENUS1_PURE_ARITY and not c.is_palindromic(m + n):
+            return False, f"({m},{n}) key {(lam, mu)}"
+    return True, ""
+
+
+def _stability_vanishing(res, res_open1, smooth0) -> tuple:
+    w0 = open_series(load_fixture("genus2_smooth_weight0"))
+    results = ((1, res), (2, w0), (1, res_open1), (0, open_series(smooth0, trunc=6)))
+    return all(
+        stability_ok(g, m, total - m) or not result.component(m, total - m).coeffs
+        for g, result in results
+        for total in range(result.data.trunc + 1)
+        for m in range(total + 1)
+    ), ""
+
+
+def _slice_matches(pairs) -> tuple:
+    """The single-light-marking slice from the derivative formula, per (fixture, result)."""
+    for fx, result in pairs:
+        for m in range(0, min(4, fx.trunc - 1) + 1):
+            got = slice_n1(fx, m)
+            if not stability_ok(fx.genus, m, 1):
+                got = BiSymSeries.zero(got.trunc)
+            if got != result.component(m, 1):
+                return False, ""
+    return True, ""
+
+
+def _tail_free_factorization(stable1, smooth0, stable0) -> tuple:
+    """coproduct(stable) = core o (p1 + d stable0 / dp1)."""
+    t = min(stable1.trunc, stable0.trunc - 1, 6)
+    core = tail_free_series(stable1, smooth0, trunc=t)
+    inner = BiSymSeries.power_sum(1, 2, t) + BiSymSeries.inject(
+        stable0.data.d_dp1().truncate(t), 2
+    )
+    return core.pleth2(inner) == coproduct(stable1.data.truncate(t)), f"arity {t}"
+
+
+def _weight_zero_commutes(smooth1) -> tuple:
+    """Weight-zero specialization commutes with the open pipeline."""
+    t = 5
+    data = smooth1.data.truncate(t).weight_zero()
+    spec_first = open_series(replace(smooth1, variant="weight0", trunc=t, data=data))
+    spec_last = open_series(smooth1, trunc=t)
+    return spec_first.data == spec_last.data.weight_zero(), f"arity {t}"
+
+
+def _stirling_recurrence() -> tuple:
+    pairs = ((n, k) for n in (*range(9), 12) for k in range(n + 1))
+    return all(stirling2(n, k) == stirling2_recurrence(n, k) for n, k in pairs), ""
+
+
+def property_suite() -> list:
+    rng = random.Random(SEED)
+    smooth0, stable0, stable1, smooth1 = map(
+        load_fixture, ("genus0_smooth", "genus0_stable", "genus1_stable", "genus1_smooth")
+    )
+    pair_ok, rank_ok = _genus0_gates(smooth0, stable0)
+    res = closed_series(stable1, smooth0)
+    res_open1 = open_series(smooth1)
+    purity = f"purity and palindromy of genus-1 closed outputs (m+n <= {GENUS1_PURE_ARITY})"
+    return _run((
+        ("plethysm associativity (random sparse, arity <= 6)",
+         lambda: _cases(rng, CASES, _associativity_case)),
+        ("plethysm ring-map axioms (random sparse)", lambda: _cases(rng, CASES, _ring_map_case)),
+        ("plethystic inverse round trip (arity 8)", lambda: _cases(rng, 10, _inverse_case)),
+        ("exp/log round trips (arity 8)", lambda: _cases(rng, 10, _exp_log_case)),
+        ("character orthogonality and dimensions (n <= 7)", _character_orthogonality),
+        ("genus-0 inverse pair (arity 8)",
+         lambda: (pair_ok, f"truncations {smooth0.trunc}/{stable0.trunc}")),
+        ("genus-0 fixture rank matches the closed form", lambda: (rank_ok, "")),
+        (purity, lambda: _purity(res)),
+        ("stability support vanishing", lambda: _stability_vanishing(res, res_open1, smooth0)),
+        ("single-light-marking slice matches the pipeline",
+         lambda: _slice_matches(((stable1, res), (smooth1, res_open1)))),
+        ("tail-free factorization of the stable coproduct",
+         lambda: _tail_free_factorization(stable1, smooth0, stable0)),
+        ("weight-zero specialization commutes with the pipeline",
+         lambda: _weight_zero_commutes(smooth1)),
+        ("rank carries plethysm into composition", lambda: _cases(rng, 10, _rank_composition_case)),
+        ("coproduct ring map, cocommutativity, counit", lambda: _cases(rng, 10, _coproduct_case)),
+        ("set-partition counts match the recurrence", _stirling_recurrence),
+    ))
+
+
+def _numeric_rank(eq, num) -> tuple:
     t = min(eq.trunc, num.trunc)
-    ok = eq.data.rank1("x").truncate(t) == num.data.rank1("x").truncate(t)
-    checks.append(("genus-1 equivariant rank equals the numeric fixture", ok, f"order {t}"))
+    return eq.data.rank1("x").truncate(t) == num.data.rank1("x").truncate(t), f"order {t}"
 
+
+def _numeric_duality(num) -> tuple:
     ok = True
     for n in range(1, num.trunc + 1):
         poly = num.data[(1,) * n] * factorial(n)
-        if any(a > n or b > n for a, b in poly.terms) or poly.mirror(n) != poly:
-            ok = False
-        if n <= GENUS1_PURE_ARITY and not poly.is_palindromic(n):
-            ok = False
-    checks.append(("genus-1 numeric fixture duality symmetry", ok, ""))
+        dual = not any(a > n or b > n for a, b in poly.terms) and poly.mirror(n) == poly
+        ok &= dual and (n > GENUS1_PURE_ARITY or poly.is_palindromic(n))
+    return ok, ""
 
+
+def _light_euler(num) -> tuple:
     chi = genus1_light_chi_egf(num.trunc)
     table = closed_series_numeric(num.data.rank1("x"))
-    ok = all(
+    return all(
         (table[(0, n)] * factorial(n)).eval(1, 1) == chi[n].constant_term() * factorial(n)
         for n in range(1, num.trunc + 1)
-    )
-    checks.append(("all-light Euler characteristics match the closed form", ok, ""))
+    ), ""
 
-    # Structural gate invisible to rank-level checks: in the Schur basis
-    # every fixture coefficient must have integer entries, and the proper
-    # even-cohomology series must have nonnegative ones (they are
-    # representation multiplicities per cohomological degree).
-    ok = True
-    detail = ""
-    specs = [
-        ("genus0_smooth", False, None),
-        ("genus1_smooth", False, None),
-        ("genus0_stable", True, None),
-        ("genus1_stable", True, GENUS1_PURE_ARITY),
-        ("genus2_smooth_weight0", False, None),
-    ]
-    for name, need_nonneg, positivity_cap in specs:
-        sch = fixtures[name].data.to_schur()
-        for lam, poly in sch.items():
-            for (a, b), c in poly.terms.items():
+
+SCHUR_FIXTURES = (
+    "genus0_smooth", "genus1_smooth", "genus0_stable", "genus1_stable", "genus2_smooth_weight0"
+)
+# The proper fixtures, whose Schur multiplicities must be nonnegative up to this arity.
+NONNEGATIVE_UP_TO = {"genus0_stable": inf, "genus1_stable": GENUS1_PURE_ARITY}
+
+
+def _schur_integrality(fixtures, num) -> tuple:
+    """Structural gate invisible to rank-level checks: in the Schur basis
+    every fixture coefficient must have integer entries, and the proper
+    even-cohomology series must have nonnegative ones (they are
+    representation multiplicities per cohomological degree).  The detail
+    names the last offending coefficient."""
+    bad = []
+    for name in SCHUR_FIXTURES:
+        for lam, poly in fixtures[name].data.to_schur().items():
+            nonneg = sum(lam) <= NONNEGATIVE_UP_TO.get(name, -1)
+            for c in poly.terms.values():
                 if c.denominator != 1:
-                    ok = False
-                    detail = f"{name} {lam}: non-integer {c}"
-                if (
-                    need_nonneg
-                    and (positivity_cap is None or sum(lam) <= positivity_cap)
-                    and c < 0
-                ):
-                    ok = False
-                    detail = f"{name} {lam}: negative multiplicity {c}"
+                    bad.append(f"{name} {lam}: non-integer {c}")
+                if nonneg and c < 0:
+                    bad.append(f"{name} {lam}: negative multiplicity {c}")
     for n in range(1, num.trunc + 1):
-        poly = num.data[(1,) * n] * factorial(n)
-        for (a, b), c in poly.terms.items():
+        for c in (num.data[(1,) * n] * factorial(n)).terms.values():
             if c.denominator != 1 or (n <= GENUS1_PURE_ARITY and c < 0):
-                ok = False
-                detail = f"numeric arity {n}: bad coefficient {c}"
-    checks.append(("Schur multiplicities are integral (and nonnegative where proper)", ok, detail))
-    return checks
+                bad.append(f"numeric arity {n}: bad coefficient {c}")
+    return not bad, bad[-1] if bad else ""
+
+
+def fixture_suite() -> list:
+    rows, fixtures = [], {}
+    for name in SHIPPED:
+        try:
+            fx = fixtures[name] = load_fixture(name)
+            ok, detail = fx.data.trunc == fx.trunc and fx.stability_bound_ok(), f"trunc {fx.trunc}"
+        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
+            ok, detail = False, str(exc)
+        rows.append((f"fixture {name} parses and satisfies bounds", ok, detail))
+    if len(fixtures) < len(SHIPPED):
+        return rows
+    num = fixtures["genus1_stable_numeric"]
+    pair_ok, rank_ok = _genus0_gates(fixtures["genus0_smooth"], fixtures["genus0_stable"])
+    return rows + _run((
+        ("genus-0 inverse pair on shipped fixtures", lambda: (pair_ok, "arity 8")),
+        ("genus-0 smooth rank gate", lambda: (rank_ok, "")),
+        ("genus-1 equivariant rank equals the numeric fixture",
+         lambda: _numeric_rank(fixtures["genus1_stable"], num)),
+        ("genus-1 numeric fixture duality symmetry", lambda: _numeric_duality(num)),
+        ("all-light Euler characteristics match the closed form", lambda: _light_euler(num)),
+        ("Schur multiplicities are integral (and nonnegative where proper)",
+         lambda: _schur_integrality(fixtures, num)),
+    ))
+
+
+def _golden_pairs(result, filename, numeric=False) -> tuple:
+    problems = []
+    for row in parse_golden_pairs(GOLDEN_DIR / filename):
+        component = result.component(row.m, row.n)
+        for p in compare_row_to_golden(component, row):
+            problems.append(f"({row.m},{row.n}): {p}")
+        if numeric:
+            num = numeric_value(component, row.m, row.n).constant_term()
+            if num != row.numeric:
+                problems.append(f"({row.m},{row.n}): numeric {num} != {row.numeric}")
+    return not problems, "; ".join(problems[:3])
+
+
+def _golden_numeric(numeric) -> tuple:
+    table = closed_series_numeric(numeric.data.rank1("x"))
+    golden = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")
+    problems = [f"n={n}" for n, (poly, _) in golden.items() if table[(0, n)] * factorial(n) != poly]
+    return not problems, "; ".join(problems)
 
 
 def table_suite() -> list:
-    checks = []
-    smooth0 = load_fixture("genus0_smooth")
-    stable1 = load_fixture("genus1_stable")
-    res = closed_series(stable1, smooth0, trunc=5)
-    problems = []
-    for row in parse_golden_pairs(GOLDEN_DIR / "genus1_poincare_table.txt"):
-        for p in compare_row_to_golden(res.component(row.m, row.n), row):
-            problems.append(f"({row.m},{row.n}): {p}")
-    checks.append(("genus-1 equivariant table", not problems, "; ".join(problems[:3])))
-
-    numeric = load_fixture("genus1_stable_numeric")
-    table = closed_series_numeric(numeric.data.rank1("x"))
-    golden = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")
-    problems = []
-    for n, (poly, _mode) in golden.items():
-        got = table[(0, n)] * factorial(n)
-        if got != poly:
-            problems.append(f"n={n}")
-    checks.append(("genus-1 numeric table", not problems, "; ".join(problems)))
-
-    w0 = load_fixture("genus2_smooth_weight0")
-    resw = open_series(w0)
-    problems = []
-    for row in parse_golden_pairs(GOLDEN_DIR / "genus2_weight0_table.txt"):
-        for p in compare_row_to_golden(resw.component(row.m, row.n), row):
-            problems.append(f"({row.m},{row.n}): {p}")
-        num = numeric_value(resw.component(row.m, row.n), row.m, row.n).constant_term()
-        if num != row.numeric:
-            problems.append(f"({row.m},{row.n}): numeric {num} != {row.numeric}")
-    checks.append(("genus-2 weight-zero table", not problems, "; ".join(problems[:3])))
-    return checks
+    smooth0, stable1 = map(load_fixture, ("genus0_smooth", "genus1_stable"))
+    return _run((
+        ("genus-1 equivariant table", lambda: _golden_pairs(
+            closed_series(stable1, smooth0, trunc=5), "genus1_poincare_table.txt")),
+        ("genus-1 numeric table", lambda: _golden_numeric(load_fixture("genus1_stable_numeric"))),
+        ("genus-2 weight-zero table", lambda: _golden_pairs(
+            open_series(load_fixture("genus2_smooth_weight0")), "genus2_weight0_table.txt",
+            numeric=True)),
+    ))
 
 
 def oracle_suite() -> list:
-    checks = []
-    smooth1 = load_fixture("genus1_smooth")
-    res1 = open_series(smooth1, trunc=ORACLE_ARITY)
-    rows = oracle_compare(1, smooth1, res1, ORACLE_ARITY)
-    for m, n, ok in rows:
-        checks.append((f"oracle genus 1 ({m},{n})", ok, ""))
-    w0 = load_fixture("genus2_smooth_weight0")
-    res2 = open_series(w0, trunc=ORACLE_ARITY)
-    for m, n, ok in oracle_compare(2, w0, res2, ORACLE_ARITY):
-        checks.append((f"oracle genus 2 weight-zero ({m},{n})", ok, ""))
-    return checks
+    rows = []
+    for genus, name, label in (
+        (1, "genus1_smooth", "genus 1"),
+        (2, "genus2_smooth_weight0", "genus 2 weight-zero"),
+    ):
+        fx = load_fixture(name)
+        res = open_series(fx, trunc=ORACLE_ARITY)
+        for m, n, ok in oracle_compare(genus, fx, res, ORACLE_ARITY):
+            rows.append((f"oracle {label} ({m},{n})", ok, ""))
+    return rows
 
 
-def corb_suite() -> list:
-    """Numeric change-of-variables against the rank of the equivariant pipeline."""
-    checks = []
-    smooth0 = load_fixture("genus0_smooth")
-    smooth1 = load_fixture("genus1_smooth")
-    stable1 = load_fixture("genus1_stable")
-
+def _corb_open(smooth1) -> tuple:
     t = min(CORB_ARITY, smooth1.trunc)
-    res = open_series(smooth1, trunc=t)
     direct = open_series_numeric(smooth1.data.rank1("x"), t)
-    checks.append(("numeric open pipeline equals equivariant rank (genus 1)", res.data.rank2() == direct, f"arity {t}"))
+    return open_series(smooth1, trunc=t).data.rank2() == direct, f"arity {t}"
 
+
+def _corb_closed(stable1, smooth0) -> tuple:
     t = min(CORB_ARITY, stable1.trunc, smooth0.trunc - 1)
     resc = closed_series(stable1, smooth0, trunc=t)
     directc = closed_series_numeric(stable1.data.rank1("x"), t)
     # mask unstable corner (0,0) which the equivariant pipeline removes
-    directc_masked = FormalPS2(
-        ("x", "y"),
-        {k: c for k, c in directc.coeffs.items() if stability_ok(1, k[0], k[1])},
-        directc.order,
-    )
-    checks.append(
-        ("numeric closed pipeline equals equivariant rank (genus 1)", resc.data.rank2() == directc_masked, f"arity {t}")
-    )
-    return checks
+    masked = {k: c for k, c in directc.coeffs.items() if stability_ok(1, k[0], k[1])}
+    return resc.data.rank2() == FormalPS2(("x", "y"), masked, directc.order), f"arity {t}"
+
+
+def corb_suite() -> list:
+    """Numeric change-of-variables against the rank of the equivariant pipeline."""
+    smooth0 = load_fixture("genus0_smooth")
+    smooth1 = load_fixture("genus1_smooth")
+    stable1 = load_fixture("genus1_stable")
+    return _run((
+        ("numeric open pipeline equals equivariant rank (genus 1)", lambda: _corb_open(smooth1)),
+        ("numeric closed pipeline equals equivariant rank (genus 1)",
+         lambda: _corb_closed(stable1, smooth0)),
+    ))
 
 
 # Suite name -> the suites it runs, in order.  They are named rather than held,
@@ -446,4 +425,12 @@ SUITES = {
 
 
 def run_suite(name: str) -> list:
-    return [check for suite in SUITES[name] for check in globals()[suite]()]
+    """Every row of the named suites.  A suite that cannot read its inputs
+    (an unreadable or malformed fixture) gives one FAIL row naming it."""
+    rows = []
+    for suite in SUITES[name]:
+        try:
+            rows += globals()[suite]()
+        except (OSError, ValueError) as exc:
+            rows.append((f"{suite} runs", False, str(exc)))
+    return rows

@@ -7,8 +7,14 @@ module is loaded by path, the way `python tools/generate_fixtures.py`
 runs it.
 """
 
+import hashlib
 import importlib.util
+import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -18,7 +24,8 @@ import pytest
 from heavylight.partitions import gen_partitions, multiplicities
 from heavylight.symseries import mobius
 
-GENERATOR = Path(__file__).resolve().parents[1] / "tools" / "generate_fixtures.py"
+ROOT = Path(__file__).resolve().parents[1]
+GENERATOR = ROOT / "tools" / "generate_fixtures.py"
 
 
 def _load():
@@ -112,3 +119,23 @@ def test_twisted_marked_count_matches_the_per_call_reference(histograms):
         for t in hist:
             for lam in lams:
                 assert gen.twisted_marked_count(lam, t, p) == reference_marked_count(lam, t, p)
+
+
+def test_regeneration_writes_the_benchmark_digests(tmp_path):
+    # Regenerate every fixture from first principles on a copy of src/ and
+    # tools/ that holds no .hlf, and compare the nine written files with the
+    # digests in perfbench/expected.json (read only; the benchmark's record).
+    skip = shutil.ignore_patterns("*.hlf", "__pycache__")
+    for part in ("src", "tools"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "HL_FIXTURE_DIR")}
+    subprocess.run(
+        [sys.executable, "tools/generate_fixtures.py", "--phase", "all"],
+        cwd=tmp_path, env=env, check=True, capture_output=True,
+    )
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["regen_sha256"]
+    written = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*.hlf")
+    }
+    assert written == expected

@@ -9,7 +9,7 @@ import pytest
 
 from heavylight.bisymseries import BiSymSeries
 from heavylight.cli import FIXTURES, _fixture, main
-from heavylight.fixtures import load_fixture
+from heavylight.fixtures import default_fixture_dir, load_fixture
 from heavylight.partitions import specht_dimension
 from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
@@ -224,6 +224,28 @@ def test_cli_verify_all_suite():
     code, out = run_cli(["verify", "--suite", "all"])
     assert code == 0
     assert out.endswith("\n72/72 checks passed\n")
+    # the whole report, byte for byte: names, order, details and column widths
+    digest = "97a958ab2d53f44207cd96a85893fccb97d5bce8b0404558d718df0fe873b619"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_verify_reports_an_unreadable_fixture(tmp_path, monkeypatch):
+    for path in default_fixture_dir().glob("*.hlf"):
+        text = path.read_text()
+        if path.stem == "genus0_stable":
+            text = text.replace("truncation 9\n", "truncation nine\n")
+        (tmp_path / path.name).write_text(text)
+    monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
+    code, out = run_cli(["verify", "--suite", "all"])
+    assert code == 1
+    error = "[line 4: truncation must be an integer, got 'nine']"
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["fixture", "property_suite"]
+    assert out.count(error) == 2
+    # the suites that do not read genus0_stable still report every row
+    assert "PASS  genus-2 weight-zero table" in out
+    assert "PASS  oracle genus 2 weight-zero (5,0)" in out
+    assert out.endswith("\n50/52 checks passed\n")
 
 
 def test_cli_oracle_compare():
