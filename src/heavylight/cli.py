@@ -9,7 +9,7 @@ import argparse
 import sys
 from math import factorial
 
-from .fixtures import load_fixture
+from .fixtures import FixtureError, load_fixture
 from .oracle import ENUMERATION_CAP, oracle_compare
 from .pipeline import (
     closed_series,
@@ -52,11 +52,15 @@ def _at_least(minimum: int):
 
 
 def _fixture(variant: str, genus: int, arity: int):
-    """The shipped fixture for (variant, genus); refuses an arity beyond its truncation."""
+    """The shipped fixture for (variant, genus); refuses an arity beyond its
+    truncation, and a fixture file that cannot be read or parsed."""
     if (variant, genus) not in FIXTURES:
         shipped = ", ".join(str(g) for v, g in FIXTURES if v == variant)
         raise Refused(f"no {variant} fixture for genus {genus} (shipped: genus {shipped})")
-    fx = load_fixture(FIXTURES[variant, genus])
+    try:
+        fx = load_fixture(FIXTURES[variant, genus])
+    except (FixtureError, OSError) as exc:
+        raise Refused(str(exc)) from exc
     if arity > fx.trunc:
         raise Refused(f"needs arity {arity}, beyond the truncation {fx.trunc} of fixture {fx.name}")
     return fx

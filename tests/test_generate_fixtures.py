@@ -102,6 +102,43 @@ def test_underdetermined_system_raises():
         gen.linsolve_exact(rows, cols)
 
 
+def seeded_system(seed):
+    """The system of `test_batched_solve_equals_one_solve_per_column`."""
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 8)
+    return rng, random_system(rng, ncols + rng.randint(0, 6), ncols, rng.randint(1, 9))
+
+
+def substitute(rows, x):
+    return [sum(a * xi for a, xi in zip(row, x)) for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_solution_satisfies_every_row(seed):
+    _, (rows, cols, _) = seeded_system(seed)
+    sols = gen.linsolve_exact(rows, cols)
+    assert len(sols) == len(cols)
+    for x, col in zip(sols, cols):
+        assert substitute(rows, x) == col
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_with_fraction_entries(seed):
+    # Each row and its right-hand sides scaled by an odd number of halves,
+    # quarters, sixths or eighths: never integral, and the solutions stay.
+    rng, (rows, cols, sols) = seeded_system(seed)
+    scales = [Fraction(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 4)) for _ in rows]
+    rows = [[a * s for a in row] for row, s in zip(rows, scales)]
+    cols = [[b * s for b, s in zip(col, scales)] for col in cols]
+    assert gen.linsolve_exact(rows, cols) == sols
+
+
+def test_zero_first_pivot_forces_a_row_swap():
+    rows = [[0, 2, 1], [3, 0, 1], [1, 1, 0], [2, -1, 4]]
+    sols = [[Fraction(1, 2), -3, 2], [0, Fraction(5, 3), 1], [7, 0, Fraction(-1, 4)]]
+    assert gen.linsolve_exact(rows, [substitute(rows, x) for x in sols]) == sols
+
+
 def test_orbit_counts_rebuild_the_point_counts(histograms):
     for p, hist in histograms.items():
         for t in hist:

@@ -1,0 +1,119 @@
+"""The series kernel against a naive reference, on random series.
+
+The reference keeps {key: {(a, b): Fraction}}, a key being one partition per
+tensor factor, shares no code with the package and follows the definitions
+(Macdonald, Symmetric Functions and Hall Polynomials, I.7-I.8): a double
+loop over keys joining parts as multisets; p_lam o g as the product of the
+psi^{lam_i}(g), one part at a time; Exp as the sum of h_n o f; the coproduct
+as p_lam o (p_1^(1) + p_1^(2)).  The coefficients are non-integral, on the
+off-diagonal monomials u and v^2, as in the `offdiag` benchmark workload.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from math import factorial, prod
+
+from hypothesis import given, settings, strategies as st
+
+from heavylight.bisymseries import BiSymSeries, coproduct
+from heavylight.symseries import SymSeries
+from heavylight.uvpoly import UVPoly
+
+ARITY = 5
+
+
+def partitions(n, top=None):
+    """The partitions of n with parts at most `top`, weakly decreasing."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, top or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def arity(key):
+    return sum(map(sum, key))
+
+
+def mul(f, g, out):
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            if arity(k1) + arity(k2) <= ARITY:
+                key = tuple(tuple(sorted(a + b, reverse=True)) for a, b in zip(k1, k2))
+                c = out.setdefault(key, Counter())
+                for (a1, b1), x in c1.items():
+                    for (a2, b2), y in c2.items():
+                        c[a1 + a2, b1 + b2] += x * y
+    return out
+
+
+def adams(g, k):
+    return {
+        tuple(tuple(p * k for p in part) for part in key): {(a * k, b * k): x for (a, b), x in c.items()}
+        for key, c in g.items()
+        if k * arity(key) <= ARITY
+    }
+
+
+def pleth(f, g, factor):
+    """f with every p_k of the chosen factor replaced by psi^k(g)."""
+    out = {}
+    for key, c in f.items():
+        term = {key[:factor] + ((),) + key[factor + 1:]: c}
+        for k in key[factor]:
+            term = mul(term, adams(g, k), {})
+        mul(term, {((),) * len(key): {(0, 0): 1}}, out)
+    return out
+
+
+def exp(f, width):
+    """The sum over n >= 1 of h_n o f, with h_n = sum_lam p_lam / z_lam."""
+    z = {lam: prod(k**m * factorial(m) for k, m in Counter(lam).items()) for lam in PARTITIONS[1:]}
+    return pleth({(lam,) + ((),) * (width - 1): {(0, 0): Fraction(1, z[lam])} for lam in z}, f, 0)
+
+
+def ref(x):
+    """A package series, or a reference one with its zero terms dropped."""
+    if isinstance(x, (SymSeries, BiSymSeries)):
+        x = {(key,) if isinstance(x, SymSeries) else key: c.terms for key, c in x.coeffs.items()}
+    terms = {key: {m: v for m, v in c.items() if v} for key, c in x.items()}
+    return {key: c for key, c in terms.items() if c}
+
+
+PARTITIONS = [lam for n in range(ARITY + 1) for lam in partitions(n)]
+PAIRS = [(lam, mu) for lam in PARTITIONS for mu in PARTITIONS if sum(lam) + sum(mu) <= ARITY]
+NON_INTEGRAL = st.builds(Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.sampled_from((5, 7, 11)))
+COEFF = st.builds(lambda a, b: UVPoly({(1, 0): a, (0, 2): b}), NON_INTEGRAL, NON_INTEGRAL)
+SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+
+
+def series(cls, keys):
+    return st.dictionaries(st.sampled_from(keys), COEFF, max_size=6).map(lambda c: cls(c, ARITY))
+
+
+SYM, SYM0 = series(SymSeries, PARTITIONS), series(SymSeries, PARTITIONS[1:])
+BISYM, BISYM0 = series(BiSymSeries, PAIRS), series(BiSymSeries, PAIRS[1:])
+
+
+@SETTINGS
+@given(SYM, SYM, BISYM, BISYM)
+def test_products_and_coproduct_match_the_reference(f, g, a, b):
+    assert ref(f * g) == ref(mul(ref(f), ref(g), {}))
+    assert ref(a * b) == ref(mul(ref(a), ref(b), {}))
+    split = {((1,), ()): {(0, 0): 1}, ((), (1,)): {(0, 0): 1}}
+    assert ref(coproduct(f)) == ref(pleth({key + ((),): c for key, c in ref(f).items()}, split, 0))
+
+
+@SETTINGS
+@given(SYM, SYM0, BISYM, BISYM0)
+def test_plethysm_and_pleth2_match_the_reference(f, g, a, b):
+    assert ref(f.plethysm(g)) == ref(pleth(ref(f), ref(g), 0))
+    assert ref(a.pleth2(b)) == ref(pleth(ref(a), ref(b), 1))
+
+
+@SETTINGS
+@given(SYM0, BISYM0)
+def test_exp_and_its_inverse_match_the_reference(f, a):
+    assert ref(f.exp_series()) == ref(exp(ref(f), 1))
+    assert ref(a.exp2()) == ref(exp(ref(a), 2))
+    assert ref(exp(ref(f.log_series()), 1)) == ref(f)

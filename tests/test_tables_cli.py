@@ -248,6 +248,21 @@ def test_cli_verify_reports_an_unreadable_fixture(tmp_path, monkeypatch):
     assert out.endswith("\n50/52 checks passed\n")
 
 
+def test_cli_reports_an_unreadable_fixture_in_one_line(tmp_path, monkeypatch):
+    for path in default_fixture_dir().glob("*.hlf"):
+        text = path.read_text()
+        if path.stem == "genus0_stable":
+            text = text.replace("truncation 9\n", "truncation nine\n")
+        if path.stem != "genus1_smooth":
+            (tmp_path / path.name).write_text(text)
+    monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
+    code, err = run_cli_stderr(["slice-n1", "--genus", "0", "--m", "3"])
+    assert (code, err) == (1, "line 4: truncation must be an integer, got 'nine'\n")
+    code, err = run_cli_stderr(["open-table", "--genus", "1"])
+    assert code == 1
+    assert err.startswith("fixture 'genus1_smooth' not found at ") and err.count("\n") == 1
+
+
 def test_cli_oracle_compare():
     code, out = run_cli(["oracle-compare", "--genus", "2", "--max-arity", "3"])
     assert code == 0

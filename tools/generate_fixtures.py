@@ -17,18 +17,20 @@ Derivations (all exact):
 * genus-1 smooth: groupoid point counts of elliptic curves with marked
   points over many prime fields, aggregated by Frobenius trace, then exact
   polynomial interpolation in q.  Each arity is fitted by one exact
-  elimination of its matrix in the primes, with one right-hand side per
-  conjugacy class, and every prime beyond the unknowns stays a consistency
-  equation for every class; the Frobenius orbit counts are computed once
-  per (trace, prime).  The weight-12 cusp-form correction enters at arity
-  11 and is detected by fitting against the discriminant-form coefficients
-  and replaced by its Hodge realization u^11 + v^11.
+  fraction-free (Bareiss) elimination of its integer matrix in the primes,
+  with one right-hand side per conjugacy class, and every prime beyond the
+  unknowns stays a consistency equation for every class; the Frobenius
+  orbit counts are computed once per (trace, prime).  The weight-12
+  cusp-form correction enters at arity 11 and is detected by fitting
+  against the discriminant-form coefficients and replaced by its Hodge
+  realization u^11 + v^11.
 * genus-1 stable: core-and-trees assembly.  A stable genus-1 curve is a
   core (smooth elliptic vertex, or an unoriented necklace of rational
   vertices) with rational trees hanging from its slots; the necklace series
   is a dihedral Burnside sum over rotations and reflections.
 * genus-2 weight-zero: exact linear inversion of the reference table
-  through the (independently verified) open pipeline; the system is
+  through the (independently verified) open pipeline, by the same
+  fraction-free elimination; the system is
   overdetermined by a factor of three, so any error in the pipeline or the
   transcription makes it inconsistent.
 
@@ -41,7 +43,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -307,47 +309,47 @@ def twisted_marked_count(lam: tuple, t: int, p: int) -> int:
 
 def linsolve_exact(rows: list, rhs_cols: list) -> list:
     """Solve rows * x = b exactly for each column b of `rhs_cols`, by one
-    Gauss-Jordan elimination of the matrix augmented with every column.
+    fraction-free (Bareiss) Gauss-Jordan elimination of the matrix augmented
+    with every column; entries are ints or Fractions.
 
     Returns one solution per column.  Raises if the matrix has a nontrivial
     kernel, or if any one column is inconsistent with the rows: with more
     rows than unknowns, every surplus row is a consistency equation for
     every column.
     """
-    m = [
-        list(map(Fraction, row)) + [Fraction(col[i]) for col in rhs_cols]
-        for i, row in enumerate(rows)
-    ]
+    m = []
+    for i, row in enumerate(rows):
+        entries = list(row) + [col[i] for col in rhs_cols]
+        d = lcm(*(e.denominator for e in entries))
+        m.append([e.numerator * (d // e.denominator) for e in entries])
     ncols = len(rows[0])
-    pivots = []
-    r = 0
+    r, prev = 0, 1
     for c in range(ncols):
         piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p = m[r][c]
+        # Sylvester's identity: every entry is a minor of the scaled matrix,
+        # so the division by the previous pivot is exact.
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[r])]
+        prev = p
         r += 1
         if r == len(m):
             break
     for j in range(ncols, ncols + len(rhs_cols)):
         if any(m[i][j] != 0 for i in range(r, len(m))):
             raise ValueError("inconsistent linear system")
-    if len(pivots) < ncols:
+    if r < ncols:
         raise ValueError("underdetermined linear system")
-    sols = []
-    for j in range(ncols, ncols + len(rhs_cols)):
-        sol = [Fraction(0)] * ncols
-        for i, c in enumerate(pivots):
-            sol[c] = m[i][j]
-        sols.append(sol)
-    return sols
+    # every pivot row now reads prev * x_c = m[c][j]
+    return [
+        [Fraction(m[c][j], prev) for c in range(ncols)]
+        for j in range(ncols, ncols + len(rhs_cols))
+    ]
 
 
 def qpolynomial_rows(degree: int, extra_tau: dict | None = None) -> list:
@@ -355,9 +357,9 @@ def qpolynomial_rows(degree: int, extra_tau: dict | None = None) -> list:
     tau(p)): every prime participates as a consistency equation."""
     rows = []
     for p in PRIMES:
-        row = [Fraction(p) ** i for i in range(degree + 1)]
+        row = [p**i for i in range(degree + 1)]
         if extra_tau is not None:
-            row.append(Fraction(extra_tau[p]))
+            row.append(extra_tau[p])
         rows.append(row)
     return rows
 
