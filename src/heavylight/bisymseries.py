@@ -56,16 +56,16 @@ class BiSymSeries(_Series):
 
     # -- structure --------------------------------------------------------
 
+    def arity_components(self) -> dict:
+        """{(m, n): the terms with |lam| = m and |mu| = n}, grouped in one pass."""
+        groups: dict = {}
+        for (lam, mu), c in self.coeffs.items():
+            groups.setdefault((sum(lam), sum(mu)), {})[lam, mu] = c
+        return {mn: BiSymSeries(terms, self.trunc) for mn, terms in groups.items()}
+
     def arity_component(self, m: int, n: int) -> "BiSymSeries":
         """Terms with |lam| = m and |mu| = n."""
-        return BiSymSeries(
-            {
-                k: c
-                for k, c in self.coeffs.items()
-                if sum(k[0]) == m and sum(k[1]) == n
-            },
-            self.trunc,
-        )
+        return self.arity_components().get((m, n)) or BiSymSeries.zero(self.trunc)
 
     def swap_factors(self) -> "BiSymSeries":
         return BiSymSeries(
@@ -165,7 +165,5 @@ def coproduct(f: SymSeries) -> BiSymSeries:
 
 def exp2_of_p1(trunc: int) -> BiSymSeries:
     """Sum over n >= 1 of h_n^{(2)}: the light-markings exponential series."""
-    total = SymSeries.zero(trunc)
-    for n in range(1, trunc + 1):
-        total = total + SymSeries.homogeneous_h(n, trunc)
-    return BiSymSeries.inject(total, 2)
+    terms = ((1, SymSeries.homogeneous_h(n, trunc)) for n in range(1, trunc + 1))
+    return BiSymSeries.inject(SymSeries._linear(terms, trunc), 2)

@@ -18,7 +18,7 @@ brute-force stratification oracle.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .bisymseries import BiSymSeries, coproduct, exp2_of_p1
@@ -48,8 +48,12 @@ class HeavyLightResult:
     data: BiSymSeries
     provenance: dict = field(default_factory=dict)
 
+    @cached_property
+    def _components(self) -> dict:
+        return self.data.arity_components()
+
     def component(self, m: int, n: int) -> BiSymSeries:
-        return self.data.arity_component(m, n)
+        return self._components.get((m, n)) or BiSymSeries.zero(self.data.trunc)
 
 
 def _mask_stability(g: int, series: BiSymSeries) -> BiSymSeries:

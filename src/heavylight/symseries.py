@@ -23,7 +23,9 @@ Binary operations truncate to the minimum of the two operand orders.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import accumulate, repeat
+from math import gcd
+from operator import itemgetter, mul
 
 from .partitions import (
     format_partition,
@@ -53,6 +55,33 @@ def mobius(n: int) -> int:
     if m > 1:
         result = -result
     return result
+
+
+def _slot(acc: dict, key, den: int) -> tuple:
+    """The numerators of the running sum acc[key] = [nums, lcm of the denominators
+    added so far] and the factor that puts a term over `den` on that lcm; the
+    numerators are rescaled when `den` raises it."""
+    entry = acc.get(key)
+    if entry is None:
+        acc[key] = entry = [{}, den]
+    nums, d = entry
+    if d % den:
+        s = den // gcd(d, den)
+        for m in nums:
+            nums[m] *= s
+        entry[1] = d = d * s
+    return nums, d // den
+
+
+def _reduced(acc: dict):
+    """The nonzero running sums of `acc` as (key, UVPoly) pairs in lowest terms,
+    each key released from `acc` as it is reduced."""
+    for key in list(acc):
+        nums, den = acc.pop(key)
+        if 0 in nums.values():
+            nums = {m: x for m, x in nums.items() if x}
+        if nums:
+            yield key, _lowest(nums, den)
 
 
 @lru_cache(maxsize=None)
@@ -184,22 +213,40 @@ class _Series:
             c = as_poly(other)
             return type(self)({k: v * c for k, v in self.coeffs.items()}, self.trunc)
         n = min(self.trunc, other.trunc)
-        out: dict = {}
-        self._add_products(out, self.coeffs, other.coeffs, n)
-        return type(self)(out, n)
+        acc: dict = {}
+        self._add_products(acc, self.coeffs, other.coeffs, n)
+        return type(self)(dict(_reduced(acc)), n)
 
-    def _add_products(self, out: dict, left: dict, right: dict, n: int):
-        """out[a * b] += left[a] * right[b] over the pairs of arity <= n."""
+    def _add_products(self, acc: dict, left: dict, right: dict, n: int):
+        """acc[a * b] += left[a] * right[b] over the pairs of arity <= n,
+        convolving the integer numerators into the running sums of `acc`."""
         arity, key_mul = self._arity, self._key_mul
-        right = [(k, arity(k), c) for k, c in right.items()]
+        right = sorted(((arity(k), k, c.nums, c.den) for k, c in right.items()), key=itemgetter(0))
         for k1, c1 in left.items():
-            s1 = arity(k1)
-            for k2, s2, c2 in right:
-                if s1 + s2 <= n:
-                    key = key_mul(k1, k2)
-                    prod = c1 * c2
-                    prev = out.get(key)
-                    out[key] = prod if prev is None else prev + prod
+            s1, nums1, den1 = arity(k1), c1.nums, c1.den
+            for s2, k2, nums2, den2 in right:
+                if s1 + s2 > n:
+                    break
+                total, s = _slot(acc, key_mul(k1, k2), den1 * den2)
+                get = total.get
+                for (a1, b1), x in nums1.items():
+                    x *= s
+                    for (a2, b2), y in nums2.items():
+                        m = (a1 + a2, b1 + b2)
+                        total[m] = get(m, 0) + x * y
+
+    @classmethod
+    def _linear(cls, terms, n: int):
+        """The linear combination sum w * f over the (w, f) of `terms`, with
+        int or Fraction weights, summed in one accumulator and reduced once."""
+        acc: dict = {}
+        for w, f in terms:
+            for key, c in f.coeffs.items():
+                total, s = _slot(acc, key, c.den * w.denominator)
+                s *= w.numerator
+                for m, x in c.nums.items():
+                    total[m] = total.get(m, 0) + x * s
+        return cls(dict(_reduced(acc)), n)
 
     # -- plethystic operations ----------------------------------------------
 
@@ -241,7 +288,7 @@ class _Series:
                 groups.setdefault(parts[f], {})[rest] = c
         adams_of: dict = {}
         prods = {(): self.one(n)}
-        out: dict = {}
+        acc: dict = {}
         for part, left in groups.items():
             for i in range(len(part) - 1, -1, -1):
                 if part[i:] not in prods:
@@ -249,8 +296,8 @@ class _Series:
                     if k not in adams_of:
                         adams_of[k] = g.adams(k)
                     prods[part[i:]] = adams_of[k] * prods[part[i + 1:]]
-            self._add_products(out, left, prods[part].coeffs, n)
-        return type(self)(out, n)
+            self._add_products(acc, left, prods[part].coeffs, n)
+        return type(self)(dict(_reduced(acc)), n)
 
     def _exp(self):
         """Exp: the sum over n >= 1 of h_n o self (zero constant term required).
@@ -263,14 +310,9 @@ class _Series:
         h_of = [self.one(n)]
         p_of = {k: self.adams(k) for k in range(1, n + 1)}
         for m in range(1, n + 1):
-            acc = self.zero(n)
-            for k in range(1, m + 1):
-                acc = acc + p_of[k] * h_of[m - k]
-            h_of.append(acc * Fraction(1, m))
-        total = self.zero(n)
-        for m in range(1, n + 1):
-            total = total + h_of[m]
-        return total
+            terms = ((Fraction(1, m), p_of[k] * h_of[m - k]) for k in range(1, m + 1))
+            h_of.append(self._linear(terms, n))
+        return self._linear(((1, h) for h in h_of[1:]), n)
 
     def _log(self):
         """Log, the inverse of Exp: the f with Exp(f) = self.
@@ -280,19 +322,10 @@ class _Series:
         if not self.constant_term().is_zero():
             raise ValueError("Log requires zero constant term")
         n = self.trunc
-        log1p = self.zero(n)
-        power = self.one(n)
-        for m in range(1, n + 1):
-            power = power * self
-            if not power.coeffs:
-                break
-            log1p = log1p + power * Fraction((-1) ** (m - 1), m)
-        total = self.zero(n)
-        for d in range(1, n + 1):
-            mu = mobius(d)
-            if mu:
-                total = total + log1p.adams(d) * Fraction(mu, d)
-        return total
+        powers = enumerate(accumulate(repeat(self, n), mul), 1)  # (m, self^m)
+        log1p = self._linear(((Fraction((-1) ** (m - 1), m), f) for m, f in powers), n)
+        terms = ((Fraction(mobius(d), d), log1p.adams(d)) for d in range(1, n + 1) if mobius(d))
+        return self._linear(terms, n)
 
     def _schur(self) -> dict:
         """Schur expansion: [s_lam] self = sum_mu prod_f chi^{lam_f}(mu_f) [p_mu] self."""
@@ -308,30 +341,21 @@ class _Series:
     @classmethod
     def _change_basis(cls, coeffs: dict, column) -> dict:
         """Map each tensor factor in turn through column(part) -> ((new_part, weight), ...),
-        the other factors held fixed.  Each output key gathers its contributions
-        (numerators, weight numerator, denominator) and sums them once over the
-        lcm of their denominators; zero sums are dropped after each factor, and
-        each final coefficient is reduced once."""
-        terms = {cls._factors(k): (c.nums, c.den) for k, c in coeffs.items()}
+        the other factors held fixed.  Each output key keeps one running sum
+        of the contributions (numerators times the weight numerator, over the
+        lcm of their denominators); each final coefficient is reduced once."""
+        terms = {cls._factors(k): [c.nums, c.den] for k, c in coeffs.items()}
         for f in range(len(cls._POWER_TAGS)):
-            gathered: dict = {}
+            acc: dict = {}
             for parts, (nums, den) in terms.items():
                 head, tail = parts[:f], parts[f + 1:]
                 for new, w in column(parts[f]):
-                    item = (nums, w.numerator, den * w.denominator)
-                    gathered.setdefault(head + (new,) + tail, []).append(item)
-            terms = {}
-            for key, items in gathered.items():
-                d = lcm(*(den for _, _, den in items))
-                total: dict = {}
-                for nums, s, den in items:
-                    s *= d // den
-                    for m, n in nums.items():
-                        total[m] = total.get(m, 0) + n * s
-                total = {m: n for m, n in total.items() if n}
-                if total:
-                    terms[key] = (total, d)
-        return {cls._from_factors(parts): _lowest(*t) for parts, t in terms.items()}
+                    total, s = _slot(acc, head + (new,) + tail, den * w.denominator)
+                    s *= w.numerator
+                    for m, x in nums.items():
+                        total[m] = total.get(m, 0) + x * s
+            terms = acc
+        return {cls._from_factors(parts): c for parts, c in _reduced(terms)}
 
 
 class SymSeries(_Series):

@@ -7,11 +7,13 @@ loop over keys joining parts as multisets; p_lam o g as the product of the
 psi^{lam_i}(g), one part at a time; Exp as the sum of h_n o f; the coproduct
 as p_lam o (p_1^(1) + p_1^(2)).  The coefficients are non-integral, on the
 off-diagonal monomials u and v^2, as in the `offdiag` benchmark workload.
+Every coefficient the kernel returns is also checked to be in lowest terms,
+so that a missing reduction cannot pass as an equal value.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from heavylight.bisymseries import BiSymSeries, coproduct
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 
-ARITY = 5
+ARITY = 6
 
 
 def partitions(n, top=None):
@@ -93,6 +95,15 @@ def series(cls, keys):
 
 SYM, SYM0 = series(SymSeries, PARTITIONS), series(SymSeries, PARTITIONS[1:])
 BISYM, BISYM0 = series(BiSymSeries, PAIRS), series(BiSymSeries, PAIRS[1:])
+INVERTIBLE = series(SymSeries, PARTITIONS[2:]).map(lambda f: f + SymSeries.power_sum(1, ARITY))
+
+
+def in_lowest_terms(coeffs):
+    """No zero numerator or zero coefficient, den > 0 and gcd(den, *nums) == 1."""
+    return all(
+        0 not in c.nums.values() and c.nums and c.den > 0 and gcd(c.den, *c.nums.values()) == 1
+        for c in coeffs.values()
+    )
 
 
 @SETTINGS
@@ -117,3 +128,21 @@ def test_exp_and_its_inverse_match_the_reference(f, a):
     assert ref(f.exp_series()) == ref(exp(ref(f), 1))
     assert ref(a.exp2()) == ref(exp(ref(a), 2))
     assert ref(exp(ref(f.log_series()), 1)) == ref(f)
+
+
+@SETTINGS
+@given(SYM, SYM0, BISYM, BISYM0)
+def test_kernel_outputs_are_in_lowest_terms(f, g, a, b):
+    for s in (f * g, f.plethysm(g), g.exp_series(), g.log_series(), SymSeries.from_schur(f.coeffs, ARITY)):
+        assert in_lowest_terms(s.coeffs) and in_lowest_terms(s.to_schur())
+    for s in (a * b, a.pleth2(b), b.exp2(), b.log2(), BiSymSeries.from_schur_pairs(a.coeffs, ARITY)):
+        assert in_lowest_terms(s.coeffs) and in_lowest_terms(s.to_schur_pairs())
+
+
+@SETTINGS
+@given(INVERTIBLE)
+def test_pleth_inverse_is_a_two_sided_inverse_of_the_reference(f):
+    g = f.pleth_inverse()
+    p1 = {((1,),): {(0, 0): 1}}
+    assert ref(pleth(ref(f), ref(g), 0)) == p1
+    assert ref(pleth(ref(g), ref(f), 0)) == p1
