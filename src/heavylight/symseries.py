@@ -84,6 +84,20 @@ def _reduced(acc: dict):
             yield key, _lowest(nums, den)
 
 
+def _adams_products(g, parts, prods: dict) -> dict:
+    """Extend `prods`, the table {lam: prod_i adams(lam_i, g)}, to each
+    partition in `parts`, memoised on every suffix of it: each new entry is
+    one product of an Adams image of g and a shorter suffix."""
+    for part in parts:
+        for i in range(len(part) - 1, -1, -1):
+            k = part[i]
+            if (k,) not in prods:
+                prods[(k,)] = g.adams(k)
+            if part[i:] not in prods:
+                prods[part[i:]] = prods[(k,)] * prods[part[i + 1:]]
+    return prods
+
+
 @lru_cache(maxsize=None)
 def _schur_column(mu: tuple) -> tuple:
     """The nonzero (lam, chi^lam(mu)) over the partitions lam of |mu|: the
@@ -286,16 +300,9 @@ class _Series:
                 parts, f = self._factors(key), factor - 1
                 rest = self._from_factors(parts[:f] + ((),) + parts[f + 1:])
                 groups.setdefault(parts[f], {})[rest] = c
-        adams_of: dict = {}
-        prods = {(): self.one(n)}
+        prods = _adams_products(g, groups, {(): self.one(n)})
         acc: dict = {}
         for part, left in groups.items():
-            for i in range(len(part) - 1, -1, -1):
-                if part[i:] not in prods:
-                    k = part[i]
-                    if k not in adams_of:
-                        adams_of[k] = g.adams(k)
-                    prods[part[i:]] = adams_of[k] * prods[part[i + 1:]]
             self._add_products(acc, left, prods[part].coeffs, n)
         return type(self)(dict(_reduced(acc)), n)
 
@@ -429,23 +436,23 @@ class SymSeries(_Series):
     def pleth_inverse(self) -> "SymSeries":
         """Compositional inverse under plethysm of p_1 + (arity >= 2 terms).
 
-        Solves self o g = p_1 arity by arity; the result also satisfies
-        g o self = p_1 to the truncation order.
+        Solves g o self = p_1, which is linear in g: with P_lam = p_lam o self
+        = p_lam + (higher arities), the arity-d part of g is minus the arity-d
+        part of sum_{|lam| < d} g_lam P_lam, each P_lam built once.  These
+        series form a group under plethysm, so also self o g = p_1.
         """
         n = self.trunc
         if not self.constant_term().is_zero() or self.arity_part(1) != SymSeries.power_sum(1, n):
             raise ValueError("pleth_inverse requires the form p_1 + higher-arity terms")
-        higher = SymSeries(
-            {lam: c for lam, c in self.coeffs.items() if sum(lam) >= 2}, n
-        )
-        g = SymSeries.power_sum(1, n)
+        g, prods, acc = {(1,): UVPoly.one()}, {}, {}
         for d in range(2, n + 1):
-            err = higher.truncate(d).plethysm(g.truncate(d)).arity_part(d)
-            coeffs = dict(g.coeffs)
-            for lam, c in err.coeffs.items():
-                coeffs[lam] = g[lam] - c
-            g = SymSeries(coeffs, n)
-        return g
+            lams = [lam for lam in g if sum(lam) == d - 1]
+            _adams_products(self, lams, prods)
+            for lam in lams:
+                self._add_products(acc, {(): g[lam]}, prods[lam].coeffs, n)
+            top = {k: acc.pop(k) for k in [k for k in acc if sum(k) == d]}
+            g.update((k, -c) for k, c in _reduced(top))
+        return SymSeries(g, n)
 
     def d_dpk(self, k: int) -> "SymSeries":
         """Formal partial derivative with respect to p_k."""

@@ -1,10 +1,10 @@
 """The genus-1 fit of tools/generate_fixtures.py.
 
 The generator is the independent route that produces every shipped
-fixture.  These tests check its exact batched solver and its Frobenius
-orbit table against per-column and per-call references written here.  The
-module is loaded by path, the way `python tools/generate_fixtures.py`
-runs it.
+fixture.  These tests check its orbit-reduced elliptic histograms, its
+exact batched solver and its Frobenius orbit table against brute-force,
+per-column and per-call references written here.  The module is loaded by
+path, the way `python tools/generate_fixtures.py` runs it.
 """
 
 import hashlib
@@ -41,6 +41,33 @@ gen = _load()
 @pytest.fixture(scope="module")
 def histograms():
     return {p: gen.elliptic_trace_histogram(p) for p in gen.PRIMES}
+
+
+def reference_trace_histogram(p: int) -> dict:
+    """Weierstrass pairs (a, b) over F_p by Frobenius trace, one character
+    sum over every x for every nonsingular pair."""
+    sqs = {(x * x) % p for x in range(p)}
+    chi = [0] * p
+    for t in range(1, p):
+        chi[t] = 1 if t in sqs else -1
+    hist: dict = {}
+    for a in range(p):
+        vals = [(x * x * x + a * x) % p for x in range(p)]
+        counts = [0] * p
+        for v in vals:
+            counts[v] += 1
+        for b in range(p):
+            if (4 * a * a * a + 27 * b * b) % p == 0:
+                continue
+            s = 0
+            for v in range(p):
+                cv = counts[v]
+                if cv:
+                    s += cv * chi[(v + b) % p]
+            n_points = p + 1 + s
+            t = p + 1 - n_points
+            hist[t] = hist.get(t, 0) + 1
+    return hist
 
 
 def power_sum_of_roots(t: int, p: int, l: int) -> int:
@@ -139,6 +166,11 @@ def test_zero_first_pivot_forces_a_row_swap():
     assert gen.linsolve_exact(rows, [substitute(rows, x) for x in sols]) == sols
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_orbit_reduced_histogram_matches_the_brute_force_count(p):
+    assert gen.elliptic_trace_histogram(p) == reference_trace_histogram(p)
+
+
 def test_orbit_counts_rebuild_the_point_counts(histograms):
     for p, hist in histograms.items():
         for t in hist:
@@ -154,8 +186,10 @@ def test_twisted_marked_count_matches_the_per_call_reference(histograms):
     lams = [lam for n in range(1, 7) for lam in gen_partitions(n)]
     for p, hist in histograms.items():
         for t in hist:
+            orbits = gen.frobenius_orbit_counts(t, p)
             for lam in lams:
-                assert gen.twisted_marked_count(lam, t, p) == reference_marked_count(lam, t, p)
+                got = gen.twisted_marked_count(multiplicities(lam).items(), orbits, p + 1 - t)
+                assert got == reference_marked_count(lam, t, p)
 
 
 def test_regeneration_writes_the_benchmark_digests(tmp_path):

@@ -9,6 +9,11 @@ as p_lam o (p_1^(1) + p_1^(2)).  The coefficients are non-integral, on the
 off-diagonal monomials u and v^2, as in the `offdiag` benchmark workload.
 Every coefficient the kernel returns is also checked to be in lowest terms,
 so that a missing reduction cannot pass as an equal value.
+
+`pleth_inverse` is also compared with an arity-by-arity reference built on
+the package's plethysm: it solves f o g = p_1 with one truncated plethysm
+per arity, keeping its top arity, while the kernel solves g o f = p_1 in
+one pass.  The two inverses must agree coefficient for coefficient.
 """
 
 from collections import Counter
@@ -18,6 +23,7 @@ from math import factorial, gcd, prod
 from hypothesis import given, settings, strategies as st
 
 from heavylight.bisymseries import BiSymSeries, coproduct
+from heavylight.fixtures import load_fixture
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 
@@ -89,13 +95,15 @@ COEFF = st.builds(lambda a, b: UVPoly({(1, 0): a, (0, 2): b}), NON_INTEGRAL, NON
 SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
 
-def series(cls, keys):
-    return st.dictionaries(st.sampled_from(keys), COEFF, max_size=6).map(lambda c: cls(c, ARITY))
+def series(cls, keys, trunc=ARITY):
+    return st.dictionaries(st.sampled_from(keys), COEFF, max_size=6).map(lambda c: cls(c, trunc))
 
 
 SYM, SYM0 = series(SymSeries, PARTITIONS), series(SymSeries, PARTITIONS[1:])
 BISYM, BISYM0 = series(BiSymSeries, PAIRS), series(BiSymSeries, PAIRS[1:])
 INVERTIBLE = series(SymSeries, PARTITIONS[2:]).map(lambda f: f + SymSeries.power_sum(1, ARITY))
+DEEP_KEYS = [lam for n in range(2, 9) for lam in partitions(n)]
+INVERTIBLE_8 = series(SymSeries, DEEP_KEYS, 8).map(lambda f: f + SymSeries.power_sum(1, 8))
 
 
 def in_lowest_terms(coeffs):
@@ -146,3 +154,39 @@ def test_pleth_inverse_is_a_two_sided_inverse_of_the_reference(f):
     p1 = {((1,),): {(0, 0): 1}}
     assert ref(pleth(ref(f), ref(g), 0)) == p1
     assert ref(pleth(ref(g), ref(f), 0)) == p1
+
+
+def reference_pleth_inverse(f):
+    """The right inverse g, f o g = p_1, solved arity by arity: the arity-d
+    part of g is minus that of (the arity >= 2 part of f) o g."""
+    n = f.trunc
+    higher = SymSeries({lam: c for lam, c in f.coeffs.items() if sum(lam) >= 2}, n)
+    g = SymSeries.power_sum(1, n)
+    for d in range(2, n + 1):
+        err = higher.truncate(d).plethysm(g.truncate(d)).arity_part(d)
+        coeffs = dict(g.coeffs)
+        for lam, c in err.coeffs.items():
+            coeffs[lam] = g[lam] - c
+        g = SymSeries(coeffs, n)
+    return g
+
+
+def same_numerators(g, h):
+    """Equal keys, and equal `nums` and `den` on every key."""
+    return g.coeffs.keys() == h.coeffs.keys() and all(
+        (c.nums, c.den) == (h.coeffs[k].nums, h.coeffs[k].den) for k, c in g.coeffs.items()
+    )
+
+
+@SETTINGS
+@given(INVERTIBLE_8)
+def test_pleth_inverse_equals_the_arity_by_arity_reference(f):
+    assert same_numerators(f.pleth_inverse(), reference_pleth_inverse(f))
+
+
+def test_rooted_tree_inverse_equals_the_arity_by_arity_reference():
+    # The generator's genus-0 rooted-tree inverse: p_1 minus the p_1-derivative
+    # of the smooth genus-0 series, at truncation 10.
+    smooth = load_fixture("genus0_smooth").data
+    f = SymSeries.power_sum(1, 10) - smooth.d_dp1().truncate(10)
+    assert same_numerators(f.pleth_inverse(), reference_pleth_inverse(f))

@@ -16,11 +16,15 @@ Derivations (all exact):
   smooth o (p_1 + rooted) - e_2 o rooted.
 * genus-1 smooth: groupoid point counts of elliptic curves with marked
   points over many prime fields, aggregated by Frobenius trace, then exact
-  polynomial interpolation in q.  Each arity is fitted by one exact
+  polynomial interpolation in q.  The Weierstrass pairs (a, b) are counted
+  by trace one orbit of (a, b) -> (l^4 a, l^6 b) at a time: isomorphic
+  curves share a trace, so one character sum per orbit is weighted by the
+  orbit's size.  Each (trace, prime) becomes one row of its pair count,
+  Frobenius orbit counts and rational point count, built once and read by
+  every conjugacy class.  Each arity is fitted by one exact
   fraction-free (Bareiss) elimination of its integer matrix in the primes,
   with one right-hand side per conjugacy class, and every prime beyond the
-  unknowns stays a consistency equation for every class; the Frobenius
-  orbit counts are computed once per (trace, prime).  The weight-12
+  unknowns stays a consistency equation for every class.  The weight-12
   cusp-form correction enters at arity 11 and is detected by fitting
   against the discriminant-form coefficients and replaced by its Hodge
   realization u^11 + v^11.
@@ -133,6 +137,7 @@ def conf_trace(lam: tuple) -> UVPoly:
     return divide_diagonal_exact(acc, UVPoly.uv_power(3) - UVPoly.uv_power(1))
 
 
+@lru_cache(maxsize=None)
 def genus0_smooth(trunc: int) -> SymSeries:
     coeffs = {}
     for n in range(3, trunc + 1):
@@ -239,32 +244,30 @@ def load_rooted_inverse() -> SymSeries:
 
 
 def elliptic_trace_histogram(p: int) -> dict:
-    """Count Weierstrass pairs (a, b) over F_p by Frobenius trace."""
-    sqs = {(x * x) % p for x in range(p)}
-    chi = [0] * p
-    for t in range(1, p):
-        chi[t] = 1 if t in sqs else -1
+    """Count Weierstrass pairs (a, b) over F_p by Frobenius trace.
+
+    (x, y) -> (l^2 x, l^3 y) is an isomorphism from y^2 = x^3 + a x + b onto
+    the curve of (l^4 a, l^6 b), so the trace is constant on each orbit of
+    that action of F_p^*; it is computed once per orbit, as minus the sum of
+    the quadratic character of x^3 + a x + b over x, and counted with the
+    orbit's size (below (p - 1)/2 at j = 0 and j = 1728, where a or b is 0).
+    """
+    sqs = {(x * x) % p for x in range(1, p)}
+    chi = [0] + [1 if v in sqs else -1 for v in range(1, p)]
+    scales = {(l**4 % p, l**6 % p) for l in range(1, p)}
     hist: dict = {}
+    seen: set = set()
     for a in range(p):
-        vals = [(x * x * x + a * x) % p for x in range(p)]
-        counts = [0] * p
-        for v in vals:
-            counts[v] += 1
         for b in range(p):
-            if (4 * a * a * a + 27 * b * b) % p == 0:
+            if (a, b) in seen or (4 * a * a * a + 27 * b * b) % p == 0:
                 continue
-            s = 0
-            for v in range(p):
-                cv = counts[v]
-                if cv:
-                    s += cv * chi[(v + b) % p]
-            n_points = p + 1 + s
-            t = p + 1 - n_points
-            hist[t] = hist.get(t, 0) + 1
+            orbit = {(s4 * a % p, s6 * b % p) for s4, s6 in scales}
+            seen |= orbit
+            t = -sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
+            hist[t] = hist.get(t, 0) + len(orbit)
     return hist
 
 
-@lru_cache(maxsize=None)
 def frobenius_orbit_counts(t: int, p: int) -> tuple:
     """Frobenius orbits of exact period l on a curve over F_p with trace t.
 
@@ -284,25 +287,25 @@ def frobenius_orbit_counts(t: int, p: int) -> tuple:
     return tuple(orbits)
 
 
-def twisted_marked_count(lam: tuple, t: int, p: int) -> int:
+def twisted_marked_count(cycles, orbits: tuple, n1: int) -> int:
     """Twisted count of marked-point configurations on one curve, divided by
     the order of its translation group.
 
-    Cycles of length l consume whole exact-period-l Frobenius orbits; cycles
-    of equal length need distinct orbits and each orbit admits l phases.  The
-    rational translations act freely on configurations, and a genus-1 curve
-    with no distinguished origin has them as extra automorphisms, so the raw
-    count is divided by the rational point count.
+    `cycles` holds the (length l, multiplicity c) pairs of a permutation
+    type, `orbits` the curve's `frobenius_orbit_counts` and `n1` its number
+    of rational points.  Cycles of length l consume whole exact-period-l
+    Frobenius orbits; cycles of equal length need distinct orbits and each
+    orbit admits l phases.  The rational translations act freely on
+    configurations, and a genus-1 curve with no distinguished origin has
+    them as extra automorphisms, so the raw count is divided by n1.
     """
-    orbits = frobenius_orbit_counts(t, p)
     total = 1
-    for l, c in multiplicities(lam).items():
+    for l, c in cycles:
         for i in range(c):
             total *= orbits[l] - i
         if total == 0:
             return 0
         total *= l**c
-    n1 = p + 1 - t
     assert total % n1 == 0, "translation action must be free on configurations"
     return total // n1
 
@@ -394,15 +397,21 @@ def phase_genus1():
 
     log(f"fitting twisted traces through arity {trunc} (+ numeric {numeric_trunc})")
     arities = sorted(set(range(1, trunc + 1)) | {numeric_trunc})
+    # one row (pair count, Frobenius orbit counts, rational points) per trace
+    curves = {
+        p: [(cnt, frobenius_orbit_counts(t, p), p + 1 - t) for t, cnt in hists[p].items()]
+        for p in PRIMES
+    }
     trace_polys: dict = {}
     numeric_coeffs = [UVPoly.zero()] * (numeric_trunc + 1)
     for n in arities:
         lams = [lam for lam in gen_partitions(n) if n <= trunc or lam == (1,) * n]
         columns = []
         for lam in lams:
+            cycles = multiplicities(lam).items()
             col = []
             for p in PRIMES:
-                acc = sum(cnt * twisted_marked_count(lam, t, p) for t, cnt in hists[p].items())
+                acc = sum(cnt * twisted_marked_count(cycles, o, n1) for cnt, o, n1 in curves[p])
                 col.append(Fraction(acc, p - 1))
             columns.append(col)
         use_tau = n >= 11
