@@ -13,10 +13,9 @@ apply the coefficient Adams operation.
 
 from math import comb
 
-from .partitions import multiplicities, union, z_of
+from .partitions import multiplicities, union
 from .powerseries import FormalPS2
 from .symseries import SymSeries, _Series
-from .uvpoly import UVPoly
 
 
 class BiSymSeries(_Series):
@@ -62,10 +61,6 @@ class BiSymSeries(_Series):
         for (lam, mu), c in self.coeffs.items():
             groups.setdefault((sum(lam), sum(mu)), {})[lam, mu] = c
         return {mn: BiSymSeries(terms, self.trunc) for mn, terms in groups.items()}
-
-    def arity_component(self, m: int, n: int) -> "BiSymSeries":
-        """Terms with |lam| = m and |mu| = n."""
-        return self.arity_components().get((m, n)) or BiSymSeries.zero(self.trunc)
 
     def swap_factors(self) -> "BiSymSeries":
         return BiSymSeries(
@@ -119,13 +114,6 @@ class BiSymSeries(_Series):
         """Inverse of to_schur_pairs."""
         return BiSymSeries.from_schur(schur_coeffs, trunc)
 
-    def trace_from_ch(self, m: int, n: int, lam: tuple, mu: tuple) -> UVPoly:
-        """Character value of the class (lam, mu): z_lam z_mu * [p_lam p_mu] self."""
-        lam, mu = tuple(lam), tuple(mu)
-        if sum(lam) != m or sum(mu) != n:
-            raise ValueError("class type sizes must equal the arities")
-        return self[(lam, mu)] * (z_of(lam) * z_of(mu))
-
     def set_factor2_to_zero(self) -> SymSeries:
         """Keep only terms with empty factor 2, as a symmetric series."""
         return SymSeries(
@@ -143,12 +131,13 @@ def coproduct(f: SymSeries) -> BiSymSeries:
     """The algebra map p_i -> p_i^{(1)} + p_i^{(2)} applied to a SymSeries.
 
     For p_lambda with multiplicities m_i the image is the product over i of
-    sum_j C(m_i, j) p_i^{j (1)} p_i^{(m_i - j) (2)}, expanded directly.
+    sum_j C(m_i, j) p_i^{j (1)} p_i^{(m_i - j) (2)}, expanded directly.  Taken in
+    decreasing i, each pair is built canonical, and once: it fixes lam and j.
     """
     out: dict = {}
     for lam, c in f.coeffs.items():
         pieces = [((), (), 1)]
-        for i, m in sorted(multiplicities(lam).items()):
+        for i, m in multiplicities(lam).items():
             nxt = []
             for j in range(m + 1):
                 w = comb(m, j)
@@ -156,11 +145,8 @@ def coproduct(f: SymSeries) -> BiSymSeries:
                     nxt.append((l1 + (i,) * j, l2 + (i,) * (m - j), mult * w))
             pieces = nxt
         for l1, l2, mult in pieces:
-            key = (tuple(sorted(l1, reverse=True)), tuple(sorted(l2, reverse=True)))
-            term = c * mult
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-    return BiSymSeries(out, f.trunc)
+            out[l1, l2] = c * mult
+    return BiSymSeries._built(out, f.trunc)
 
 
 def exp2_of_p1(trunc: int) -> BiSymSeries:

@@ -140,12 +140,14 @@ def oracle_open_ch(
         if arity > fixture.trunc:
             raise ValueError(f"fixture truncation {fixture.trunc} lacks arity {arity}")
     trunc = m + n
+    if not stability_ok(g, m, n):
+        return BiSymSeries.zero(trunc)
     out: dict = {}
     for lam in gen_partitions(m):
         for mu in gen_partitions(n):
             tau = representative_of_type(mu)
             if n == 0:
-                trace = fixture.data.trace_from_ch(m, lam) if stability_ok(g, m, 0) else UVPoly.zero()
+                trace = fixture.data.trace_from_ch(lam)
             else:
                 trace = UVPoly.zero()
                 for j in range(1, n + 1):
@@ -154,16 +156,11 @@ def oracle_open_ch(
                         joint = tuple(
                             sorted(lam + cycle_type(pi), reverse=True)
                         )
-                        tr = fixture.data.trace_from_ch(m + j, joint)
+                        tr = fixture.data.trace_from_ch(joint)
                         acc = acc + tr * cnt
                     trace = trace + acc * Fraction(1, factorial(j))
-            if not trace.is_zero():
-                coeff = trace * Fraction(1, z_of(lam) * z_of(mu))
-                out[(lam, mu)] = coeff
-    series = BiSymSeries(out, trunc)
-    if not stability_ok(g, m, n):
-        return BiSymSeries.zero(trunc)
-    return series
+            out[(lam, mu)] = trace * Fraction(1, z_of(lam) * z_of(mu))
+    return BiSymSeries(out, trunc)
 
 
 def oracle_compare(

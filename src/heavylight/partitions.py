@@ -130,8 +130,3 @@ def mn_character(lam: tuple, mu: tuple) -> int:
     for sign, smaller in _strip_border_strips(lam, head):
         total += sign * mn_character(smaller, rest)
     return total
-
-
-def specht_dimension(lam: tuple) -> int:
-    """Dimension of the irreducible indexed by lam (character at 1^n)."""
-    return mn_character(lam, (1,) * sum(lam))

@@ -24,7 +24,7 @@ Binary operations truncate to the minimum of the two operand orders.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter, mul
 
 from .partitions import (
@@ -32,7 +32,6 @@ from .partitions import (
     gen_partitions,
     is_partition,
     mn_character,
-    multiplicities,
     union,
     z_of,
 )
@@ -71,6 +70,14 @@ def _slot(acc: dict, key, den: int) -> tuple:
             nums[m] *= s
         entry[1] = d = d * s
     return nums, d // den
+
+
+def _add_scaled(acc: dict, key, nums: dict, den: int, w):
+    """acc[key] += w * nums / den, for an int or Fraction weight w."""
+    total, s = _slot(acc, key, den * w.denominator)
+    s *= w.numerator
+    for m, x in nums.items():
+        total[m] = total.get(m, 0) + x * s
 
 
 def _reduced(acc: dict):
@@ -120,7 +127,9 @@ class _Series:
     Subclasses set `_UNIT`, the key of the constant term, and
     `_POWER_TAGS`, the printed name of each factor's power sums, and define
     `_arity(key)`, `_key_mul(a, b)`, `_factors(key)` (one partition per
-    tensor factor) and its inverse `_from_factors(parts)`.
+    tensor factor) and its inverse `_from_factors(parts)`.  The public
+    constructor checks every key; results the kernel builds from keys already
+    checked leave through one trusted exit, `_built`, which checks nothing.
     """
 
     __slots__ = ("coeffs", "trunc")
@@ -140,6 +149,13 @@ class _Series:
                 clean[key] = c
         self.coeffs = clean
         self.trunc = trunc
+
+    @classmethod
+    def _built(cls, coeffs: dict, trunc: int):
+        """`coeffs` as given: canonical keys of arity <= trunc to nonzero, reduced UVPolys."""
+        self = object.__new__(cls)
+        self.coeffs, self.trunc = coeffs, trunc
+        return self
 
     @classmethod
     def zero(cls, trunc: int):
@@ -225,11 +241,11 @@ class _Series:
         """Truncated product, or the multiple by a scalar coefficient."""
         if isinstance(other, (int, Fraction, UVPoly)):
             c = as_poly(other)
-            return type(self)({k: v * c for k, v in self.coeffs.items()}, self.trunc)
+            return self._built({k: v * c for k, v in self.coeffs.items() if c}, self.trunc)
         n = min(self.trunc, other.trunc)
         acc: dict = {}
         self._add_products(acc, self.coeffs, other.coeffs, n)
-        return type(self)(dict(_reduced(acc)), n)
+        return self._built(dict(_reduced(acc)), n)
 
     def _add_products(self, acc: dict, left: dict, right: dict, n: int):
         """acc[a * b] += left[a] * right[b] over the pairs of arity <= n,
@@ -251,16 +267,13 @@ class _Series:
 
     @classmethod
     def _linear(cls, terms, n: int):
-        """The linear combination sum w * f over the (w, f) of `terms`, with
-        int or Fraction weights, summed in one accumulator and reduced once."""
+        """The linear combination sum w * f over the (w, f) of `terms`, int or Fraction
+        w and f truncated at n, summed in one accumulator and reduced once."""
         acc: dict = {}
         for w, f in terms:
             for key, c in f.coeffs.items():
-                total, s = _slot(acc, key, c.den * w.denominator)
-                s *= w.numerator
-                for m, x in c.nums.items():
-                    total[m] = total.get(m, 0) + x * s
-        return cls(dict(_reduced(acc)), n)
+                _add_scaled(acc, key, c.nums, c.den, w)
+        return cls._built(dict(_reduced(acc)), n)
 
     # -- plethystic operations ----------------------------------------------
 
@@ -272,7 +285,7 @@ class _Series:
         if k == 1:
             return self
         factors, join = self._factors, self._from_factors
-        return type(self)(
+        return self._built(
             {
                 join(tuple(tuple(p * k for p in lam) for lam in factors(key))): c.adams(k)
                 for key, c in self.coeffs.items()
@@ -304,7 +317,7 @@ class _Series:
         acc: dict = {}
         for part, left in groups.items():
             self._add_products(acc, left, prods[part].coeffs, n)
-        return type(self)(dict(_reduced(acc)), n)
+        return self._built(dict(_reduced(acc)), n)
 
     def _exp(self):
         """Exp: the sum over n >= 1 of h_n o self (zero constant term required).
@@ -334,6 +347,13 @@ class _Series:
         terms = ((Fraction(mobius(d), d), log1p.adams(d)) for d in range(1, n + 1) if mobius(d))
         return self._linear(terms, n)
 
+    def trace_from_ch(self, key) -> UVPoly:
+        """The character value on the class of `key`, one cycle type per factor:
+        z_lam [p_lam] self for a partition lam, z_lam z_mu [p_lam p_mu] self for a pair."""
+        if self._arity(key) > self.trunc:
+            raise ValueError("arity exceeds truncation")
+        return self[key] * prod(map(z_of, self._factors(key)))
+
     def _schur(self) -> dict:
         """Schur expansion: [s_lam] self = sum_mu prod_f chi^{lam_f}(mu_f) [p_mu] self."""
         return self._change_basis(self.coeffs, _schur_column)
@@ -343,7 +363,7 @@ class _Series:
         """Inverse of the Schur expansion: [p_mu] = sum_lam a_lam prod_f
         chi^{lam_f}(mu_f) / z_{mu_f}.  Schur keys are checked as series keys are."""
         schur = cls(schur_coeffs, trunc).coeffs
-        return cls(cls._change_basis(schur, _power_column), trunc)
+        return cls._built(cls._change_basis(schur, _power_column), trunc)
 
     @classmethod
     def _change_basis(cls, coeffs: dict, column) -> dict:
@@ -357,10 +377,7 @@ class _Series:
             for parts, (nums, den) in terms.items():
                 head, tail = parts[:f], parts[f + 1:]
                 for new, w in column(parts[f]):
-                    total, s = _slot(acc, head + (new,) + tail, den * w.denominator)
-                    s *= w.numerator
-                    for m, x in nums.items():
-                        total[m] = total.get(m, 0) + x * s
+                    _add_scaled(acc, head + (new,) + tail, nums, den, w)
             terms = acc
         return {cls._from_factors(parts): c for parts, c in _reduced(terms)}
 
@@ -452,21 +469,16 @@ class SymSeries(_Series):
                 self._add_products(acc, {(): g[lam]}, prods[lam].coeffs, n)
             top = {k: acc.pop(k) for k in [k for k in acc if sum(k) == d]}
             g.update((k, -c) for k, c in _reduced(top))
-        return SymSeries(g, n)
+        return SymSeries._built(g, n)
 
     def d_dpk(self, k: int) -> "SymSeries":
-        """Formal partial derivative with respect to p_k."""
+        """d/dp_k: p_lam -> m_k(lam) p_{lam minus one k}, a distinct key for each lam."""
         out: dict = {}
         for lam, c in self.coeffs.items():
-            m = multiplicities(lam).get(k, 0)
-            if not m:
-                continue
-            rest = list(lam)
-            rest.remove(k)
-            key = tuple(rest)
-            term = c * m
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
+            m = lam.count(k)
+            if m:
+                i = lam.index(k)
+                out[lam[:i] + lam[i + 1:]] = c * m
         return SymSeries(out, self.trunc)
 
     def d_dp1(self) -> "SymSeries":
@@ -478,15 +490,6 @@ class SymSeries(_Series):
         a_lam = sum_mu chi^lam(mu) * [p_mu] self.
         """
         return self._schur()
-
-    def trace_from_ch(self, n: int, lam: tuple) -> UVPoly:
-        """Character value on the class of type lam: z_lam * [p_lam] self."""
-        lam = tuple(lam)
-        if sum(lam) != n:
-            raise ValueError("class type size must equal the arity")
-        if n > self.trunc:
-            raise ValueError("arity exceeds truncation")
-        return self[lam] * z_of(lam)
 
     def rank1(self, var: str = "x") -> FormalPS1:
         """Rank specialization p_1 -> var, p_k -> 0 for k >= 2: var^n takes the

@@ -127,7 +127,7 @@ def compare_row_to_golden(component: BiSymSeries, row: GoldenRow) -> list:
 
 def numeric_value(component: BiSymSeries, m: int, n: int) -> UVPoly:
     """Dimension specialization of an arity-(m,n) component (trace at identity)."""
-    return component.trace_from_ch(m, n, (1,) * m, (1,) * n)
+    return component.trace_from_ch(((1,) * m, (1,) * n))
 
 
 # -- rendering -------------------------------------------------------------------

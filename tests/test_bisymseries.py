@@ -72,7 +72,7 @@ def test_exp2():
     for n in range(1, T + 1):
         assert r[(0, n)] == UVPoly.const(Fraction(1, factorial(n)))
     assert BiSymSeries.zero(T).exp2() == BiSymSeries.zero(T)
-    comp = P(1, 2).exp2().arity_component(0, 2)
+    comp = P(1, 2).exp2().arity_components()[0, 2]
     assert comp == BiSymSeries.inject(SymSeries.homogeneous_h(2, T), 2)
 
 

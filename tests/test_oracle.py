@@ -58,6 +58,13 @@ def test_oracle_matches_pipeline_genus1():
     assert rows and all(ok for _, _, ok in rows)
 
 
+def test_oracle_matches_pipeline_genus0():
+    # 11 of the 20 (m, n) pairs are unstable in genus 0: m + min(n, 1) <= 2.
+    smooth0 = load_fixture("genus0_smooth")
+    rows = oracle_compare(0, smooth0, open_series(smooth0, trunc=5), 5)
+    assert len(rows) == 20 and all(ok for _, _, ok in rows)
+
+
 def test_oracle_matches_pipeline_genus2_weight0():
     w0 = load_fixture("genus2_smooth_weight0")
     res = open_series(w0, trunc=5)

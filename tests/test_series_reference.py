@@ -5,10 +5,12 @@ tensor factor, shares no code with the package and follows the definitions
 (Macdonald, Symmetric Functions and Hall Polynomials, I.7-I.8): a double
 loop over keys joining parts as multisets; p_lam o g as the product of the
 psi^{lam_i}(g), one part at a time; Exp as the sum of h_n o f; the coproduct
-as p_lam o (p_1^(1) + p_1^(2)).  The coefficients are non-integral, on the
-off-diagonal monomials u and v^2, as in the `offdiag` benchmark workload.
-Every coefficient the kernel returns is also checked to be in lowest terms,
-so that a missing reduction cannot pass as an equal value.
+as p_lam o (p_1^(1) + p_1^(2)); d/dp_k as m_k(lam) p_{lam minus one k}, summed
+per key.  The coefficients are non-integral, on the off-diagonal monomials u
+and v^2, as in the `offdiag` benchmark workload.  Every coefficient the
+kernel returns is also checked to be in lowest terms, so that a missing
+reduction cannot pass as an equal value, and every series the kernel builds
+past the public constructor's checks is checked to pass them unchanged.
 
 `pleth_inverse` is also compared with an arity-by-arity reference built on
 the package's plethysm: it solves f o g = p_1 with one truncated plethysm
@@ -71,6 +73,19 @@ def pleth(f, g, factor):
         for k in key[factor]:
             term = mul(term, adams(g, k), {})
         mul(term, {((),) * len(key): {(0, 0): 1}}, out)
+    return out
+
+
+def d_dpk(f, k):
+    """The derivative by p_k of a one-factor series, term by term."""
+    out = {}
+    for (lam,), c in f.items():
+        if k in lam:
+            rest = list(lam)
+            rest.remove(k)
+            total = out.setdefault((tuple(rest),), Counter())
+            for m, x in c.items():
+                total[m] += x * lam.count(k)
     return out
 
 
@@ -139,12 +154,30 @@ def test_exp_and_its_inverse_match_the_reference(f, a):
 
 
 @SETTINGS
-@given(SYM, SYM0, BISYM, BISYM0)
-def test_kernel_outputs_are_in_lowest_terms(f, g, a, b):
-    for s in (f * g, f.plethysm(g), g.exp_series(), g.log_series(), SymSeries.from_schur(f.coeffs, ARITY)):
+@given(SYM)
+def test_d_dpk_matches_the_reference(f):
+    for k in (1, 2, 3):
+        assert ref(f.d_dpk(k)) == ref(d_dpk(ref(f), k))
+
+
+def passes_the_public_checks(s):
+    """The public constructor keeps every key and coefficient of s and its trunc."""
+    t = type(s)(s.coeffs, s.trunc)
+    return (t.coeffs, t.trunc) == (s.coeffs, s.trunc)
+
+
+@SETTINGS
+@given(SYM, SYM0, BISYM, BISYM0, INVERTIBLE)
+def test_kernel_outputs_are_in_lowest_terms(f, g, a, b, h):
+    sym = (f * g, f * Fraction(-3, 5), f * 0, f.plethysm(g), g.exp_series(), g.log_series(),
+           SymSeries.from_schur(f.coeffs, ARITY), h.pleth_inverse(), f.adams(2), f.adams(3))
+    for s in sym:
         assert in_lowest_terms(s.coeffs) and in_lowest_terms(s.to_schur())
-    for s in (a * b, a.pleth2(b), b.exp2(), b.log2(), BiSymSeries.from_schur_pairs(a.coeffs, ARITY)):
+    bisym = (a * b, a * Fraction(-3, 5), a * 0, a.pleth2(b), b.exp2(), b.log2(),
+             BiSymSeries.from_schur_pairs(a.coeffs, ARITY), a.adams(2), a.adams(3), coproduct(f))
+    for s in bisym:
         assert in_lowest_terms(s.coeffs) and in_lowest_terms(s.to_schur_pairs())
+    assert all(map(passes_the_public_checks, sym + bisym))
 
 
 @SETTINGS

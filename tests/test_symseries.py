@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heavylight.bisymseries import BiSymSeries
-from heavylight.partitions import gen_partitions, specht_dimension, z_of
+from heavylight.partitions import gen_partitions, mn_character, z_of
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 
@@ -144,9 +144,15 @@ def signature(lam):
 
 
 def test_trace_from_ch():
-    assert h(2).trace_from_ch(2, (2,)) == UVPoly.one()
-    assert h(2).trace_from_ch(2, (1, 1)) == UVPoly.one()
-    assert (p(1) * p(1)).trace_from_ch(2, (1, 1)) == UVPoly.const(2)
+    assert h(2).trace_from_ch((2,)) == UVPoly.one()
+    assert h(2).trace_from_ch((1, 1)) == UVPoly.one()
+    assert (p(1) * p(1)).trace_from_ch((1, 1)) == UVPoly.const(2)
+    pair = BiSymSeries({((1,), (2, 1)): Fraction(1, 2)}, T)
+    assert pair.trace_from_ch(((1,), (2, 1))) == UVPoly.one()
+    with pytest.raises(ValueError, match="arity exceeds truncation"):
+        h(2).trace_from_ch((1,) * (T + 1))
+    with pytest.raises(ValueError, match="arity exceeds truncation"):
+        pair.trace_from_ch(((1,), (1,) * T))
 
 
 def test_rank1():
@@ -154,7 +160,7 @@ def test_rank1():
     assert p(2).rank1() == SymSeries.zero(T).rank1()
     s21 = SymSeries.schur((2, 1), T)
     assert s21.rank1()[3] == UVPoly.const(Fraction(1, 3))
-    assert specht_dimension((2, 1)) == 2
+    assert mn_character((2, 1), (1, 1, 1)) == 2
 
 
 def test_plethysm_associativity_random():

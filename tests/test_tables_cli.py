@@ -10,7 +10,7 @@ import pytest
 from heavylight.bisymseries import BiSymSeries
 from heavylight.cli import FIXTURES, _fixture, main
 from heavylight.fixtures import default_fixture_dir, load_fixture
-from heavylight.partitions import specht_dimension
+from heavylight.partitions import mn_character
 from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
     GOLDEN_DIR,
@@ -166,7 +166,7 @@ def test_numeric_value_weight0_example():
 def numeric_pair_value(pairs: dict) -> Fraction:
     """Dimension-weighted sum of a golden row's Schur-pair data at u = v = 1."""
     return sum(
-        c.eval(1, 1) * specht_dimension(lam) * specht_dimension(mu)
+        c.eval(1, 1) * mn_character(lam, (1,) * sum(lam)) * mn_character(mu, (1,) * sum(mu))
         for (lam, mu), c in pairs.items()
     )
 
