@@ -48,9 +48,9 @@ class BiSymSeries(_Series):
     def inject(f: SymSeries, factor: int) -> "BiSymSeries":
         """Include a symmetric series into the chosen tensor factor."""
         if factor == 1:
-            return BiSymSeries({(lam, ()): c for lam, c in f.coeffs.items()}, f.trunc)
+            return BiSymSeries._built({(lam, ()): c for lam, c in f.coeffs.items()}, f.trunc)
         if factor == 2:
-            return BiSymSeries({((), lam): c for lam, c in f.coeffs.items()}, f.trunc)
+            return BiSymSeries._built({((), lam): c for lam, c in f.coeffs.items()}, f.trunc)
         raise ValueError("factor must be 1 or 2")
 
     # -- structure --------------------------------------------------------
@@ -60,10 +60,10 @@ class BiSymSeries(_Series):
         groups: dict = {}
         for (lam, mu), c in self.coeffs.items():
             groups.setdefault((sum(lam), sum(mu)), {})[lam, mu] = c
-        return {mn: BiSymSeries(terms, self.trunc) for mn, terms in groups.items()}
+        return {mn: BiSymSeries._built(terms, self.trunc) for mn, terms in groups.items()}
 
     def swap_factors(self) -> "BiSymSeries":
-        return BiSymSeries(
+        return BiSymSeries._built(
             {(mu, lam): c for (lam, mu), c in self.coeffs.items()}, self.trunc
         )
 
@@ -116,7 +116,7 @@ class BiSymSeries(_Series):
 
     def set_factor2_to_zero(self) -> SymSeries:
         """Keep only terms with empty factor 2, as a symmetric series."""
-        return SymSeries(
+        return SymSeries._built(
             {lam: c for (lam, mu), c in self.coeffs.items() if not mu}, self.trunc
         )
 

@@ -58,7 +58,7 @@ class HeavyLightResult:
 
 def _mask_stability(g: int, series: BiSymSeries) -> BiSymSeries:
     """Zero all components outside the stability range."""
-    return BiSymSeries(
+    return BiSymSeries._built(
         {
             (lam, mu): c
             for (lam, mu), c in series.coeffs.items()

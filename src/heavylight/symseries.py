@@ -3,9 +3,9 @@
 `_Series` is the graded series ring written once for both series types: a
 finitely supported map {key -> UVPoly} with a bound `trunc` on the arity of
 its keys.  It holds the ring arithmetic, the Adams maps, the plethysm kernel,
-the Exp/Log pair and the one change of basis between power sums and Schur
-functions, in the formalism of Bergeron-Labelle-Leroux (Combinatorial
-Species and Tree-like Structures) and Getzler-Kapranov (Modular operads).
+Exp/Log (one running sum per key, one arity at a time) and the one change of
+basis to and from Schur functions, in the formalism of Bergeron-Labelle-Leroux
+(Combinatorial Species and Tree-like Structures) and Getzler-Kapranov (Modular operads).
 A subclass supplies only its key algebra: the arity of a key, the product of
 two keys and the split of a key into one partition per tensor factor.
 SymSeries (one factor, here) and BiSymSeries (two factors, bisymseries.py)
@@ -23,9 +23,8 @@ Binary operations truncate to the minimum of the two operand orders.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
 from math import gcd, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .partitions import (
     format_partition,
@@ -56,10 +55,11 @@ def mobius(n: int) -> int:
     return result
 
 
-def _slot(acc: dict, key, den: int) -> tuple:
+def _slot(acc: dict, key, den: int, w=1) -> tuple:
     """The numerators of the running sum acc[key] = [nums, lcm of the denominators
-    added so far] and the factor that puts a term over `den` on that lcm; the
-    numerators are rescaled when `den` raises it."""
+    added so far] and the factor that puts w / den, for an int or Fraction w, on
+    that lcm; the numerators are rescaled when the new denominator raises it."""
+    den *= w.denominator
     entry = acc.get(key)
     if entry is None:
         acc[key] = entry = [{}, den]
@@ -69,13 +69,12 @@ def _slot(acc: dict, key, den: int) -> tuple:
         for m in nums:
             nums[m] *= s
         entry[1] = d = d * s
-    return nums, d // den
+    return nums, d // den * w.numerator
 
 
 def _add_scaled(acc: dict, key, nums: dict, den: int, w):
     """acc[key] += w * nums / den, for an int or Fraction weight w."""
-    total, s = _slot(acc, key, den * w.denominator)
-    s *= w.numerator
+    total, s = _slot(acc, key, den, w)
     for m, x in nums.items():
         total[m] = total.get(m, 0) + x * s
 
@@ -181,7 +180,9 @@ class _Series:
         return self[self._UNIT]
 
     def truncate(self, trunc: int):
-        return type(self)(self.coeffs, min(self.trunc, trunc))
+        out = self.zero(min(self.trunc, trunc))  # checks the order
+        out.coeffs = {k: c for k, c in self.coeffs.items() if self._arity(k) <= out.trunc}
+        return out
 
     def weight_zero(self):
         """Specialize every coefficient at u = v = 0."""
@@ -230,7 +231,7 @@ class _Series:
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.coeffs.items()}, self.trunc)
+        return self._built({k: -c for k, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, UVPoly)):
@@ -247,9 +248,9 @@ class _Series:
         self._add_products(acc, self.coeffs, other.coeffs, n)
         return self._built(dict(_reduced(acc)), n)
 
-    def _add_products(self, acc: dict, left: dict, right: dict, n: int):
-        """acc[a * b] += left[a] * right[b] over the pairs of arity <= n,
-        convolving the integer numerators into the running sums of `acc`."""
+    def _add_products(self, acc: dict, left: dict, right: dict, n: int, w=1):
+        """acc[a * b] += w * left[a] * right[b] over the pairs of arity <= n (int or
+        Fraction w), convolving the integer numerators into the running sums of `acc`."""
         arity, key_mul = self._arity, self._key_mul
         right = sorted(((arity(k), k, c.nums, c.den) for k, c in right.items()), key=itemgetter(0))
         for k1, c1 in left.items():
@@ -257,7 +258,7 @@ class _Series:
             for s2, k2, nums2, den2 in right:
                 if s1 + s2 > n:
                     break
-                total, s = _slot(acc, key_mul(k1, k2), den1 * den2)
+                total, s = _slot(acc, key_mul(k1, k2), den1 * den2, w)
                 get = total.get
                 for (a1, b1), x in nums1.items():
                     x *= s
@@ -319,33 +320,47 @@ class _Series:
             self._add_products(acc, left, prods[part].coeffs, n)
         return self._built(dict(_reduced(acc)), n)
 
+    def _graded(self) -> list:
+        """Entry d is the {key: c} of self over the keys of arity d, for d <= trunc."""
+        parts = [{} for _ in range(self.trunc + 1)]
+        for key, c in self.coeffs.items():
+            parts[self._arity(key)][key] = c
+        return parts
+
     def _exp(self):
         """Exp: the sum over n >= 1 of h_n o self (zero constant term required).
 
-        Uses the Newton recurrence n*(h_n o f) = sum_k (p_k o f)(h_{n-k} o f).
+        Exp(f) = exp(G) - 1, G = sum_k adams_k(f) / k, by DE = (DG) E (Knuth, TAOCP
+        Vol. 2, 4.7), D the derivation d * (arity-d part): d E_d = sum_{j=1..d} j G_j E_{d-j}.
         """
         if not self.constant_term().is_zero():
             raise ValueError("Exp requires zero constant term")
-        n = self.trunc
-        h_of = [self.one(n)]
-        p_of = {k: self.adams(k) for k in range(1, n + 1)}
-        for m in range(1, n + 1):
-            terms = ((Fraction(1, m), p_of[k] * h_of[m - k]) for k in range(1, m + 1))
-            h_of.append(self._linear(terms, n))
-        return self._linear(((1, h) for h in h_of[1:]), n)
+        n, e = self.trunc, [{self._UNIT: UVPoly.one()}]
+        g = self._linear(((Fraction(1, k), self.adams(k)) for k in range(1, n + 1)), n)._graded()
+        for d in range(1, n + 1):
+            acc: dict = {}
+            for j in range(1, d + 1):
+                self._add_products(acc, g[j], e[d - j], n, Fraction(j, d))
+            e.append(dict(_reduced(acc)))
+        return self._built({k: c for part in e[1:] for k, c in part.items()}, n)
 
     def _log(self):
         """Log, the inverse of Exp: the f with Exp(f) = self.
 
-        Computed by the Moebius formula f = sum_d mu(d)/d * adams_d(log(1+self)).
+        L = log(1 + F), F = self, by the same rule read as D F = (D L)(1 + F):
+        d L_d = d F_d - sum_{j<d} j L_j F_{d-j}.  Then f = sum_d mu(d)/d * adams_d(L).
         """
         if not self.constant_term().is_zero():
             raise ValueError("Log requires zero constant term")
-        n = self.trunc
-        powers = enumerate(accumulate(repeat(self, n), mul), 1)  # (m, self^m)
-        log1p = self._linear(((Fraction((-1) ** (m - 1), m), f) for m, f in powers), n)
-        terms = ((Fraction(mobius(d), d), log1p.adams(d)) for d in range(1, n + 1) if mobius(d))
-        return self._linear(terms, n)
+        n, f, log1p = self.trunc, self._graded(), [{}]
+        for d in range(1, n + 1):
+            acc = {key: [dict(c.nums), c.den] for key, c in f[d].items()}
+            for j in range(1, d):
+                self._add_products(acc, log1p[j], f[d - j], n, Fraction(-j, d))
+            log1p.append(dict(_reduced(acc)))
+        log1p = self._built({k: c for part in log1p for k, c in part.items()}, n)
+        mus = ((d, mobius(d)) for d in range(1, n + 1))
+        return self._linear(((Fraction(mu, d), log1p.adams(d)) for d, mu in mus if mu), n)
 
     def trace_from_ch(self, key) -> UVPoly:
         """The character value on the class of `key`, one cycle type per factor:
@@ -427,7 +442,7 @@ class SymSeries(_Series):
     # -- structure ----------------------------------------------------------
 
     def arity_part(self, n: int) -> "SymSeries":
-        return SymSeries(
+        return SymSeries._built(
             {lam: c for lam, c in self.coeffs.items() if sum(lam) == n}, self.trunc
         )
 
@@ -479,7 +494,7 @@ class SymSeries(_Series):
             if m:
                 i = lam.index(k)
                 out[lam[:i] + lam[i + 1:]] = c * m
-        return SymSeries(out, self.trunc)
+        return SymSeries._built(out, self.trunc)
 
     def d_dp1(self) -> "SymSeries":
         return self.d_dpk(1)

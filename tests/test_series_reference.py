@@ -15,18 +15,22 @@ past the public constructor's checks is checked to pass them unchanged.
 `pleth_inverse` is also compared with an arity-by-arity reference built on
 the package's plethysm: it solves f o g = p_1 with one truncated plethysm
 per arity, keeping its top arity, while the kernel solves g o f = p_1 in
-one pass.  The two inverses must agree coefficient for coefficient.
+one pass.  The two inverses must agree coefficient for coefficient.  So must
+Exp and Log at arity 8 with two routes built on the package's series
+products: Exp by the Newton recurrence, Log from the powers of the series.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavylight.bisymseries import BiSymSeries, coproduct
 from heavylight.fixtures import load_fixture
-from heavylight.symseries import SymSeries
+from heavylight.pipeline import _mask_stability
+from heavylight.symseries import SymSeries, mobius
 from heavylight.uvpoly import UVPoly
 
 ARITY = 6
@@ -119,6 +123,9 @@ BISYM, BISYM0 = series(BiSymSeries, PAIRS), series(BiSymSeries, PAIRS[1:])
 INVERTIBLE = series(SymSeries, PARTITIONS[2:]).map(lambda f: f + SymSeries.power_sum(1, ARITY))
 DEEP_KEYS = [lam for n in range(2, 9) for lam in partitions(n)]
 INVERTIBLE_8 = series(SymSeries, DEEP_KEYS, 8).map(lambda f: f + SymSeries.power_sum(1, 8))
+LOW_KEYS = [lam for lam in PARTITIONS if 0 < sum(lam) <= 3]  # so that products reach arity 8
+LOW_PAIRS = [(lam, mu) for lam, mu in PAIRS if 0 < sum(lam) + sum(mu) <= 3]
+SYM0_8, BISYM0_8 = series(SymSeries, LOW_KEYS, 8), series(BiSymSeries, LOW_PAIRS, 8)
 
 
 def in_lowest_terms(coeffs):
@@ -151,6 +158,15 @@ def test_exp_and_its_inverse_match_the_reference(f, a):
     assert ref(f.exp_series()) == ref(exp(ref(f), 1))
     assert ref(a.exp2()) == ref(exp(ref(a), 2))
     assert ref(exp(ref(f.log_series()), 1)) == ref(f)
+    assert ref(exp(ref(a.log2()), 2)) == ref(a)
+
+
+def test_exp_and_log_refuse_a_nonzero_constant_term():
+    f = SymSeries({(): Fraction(1, 3), (1,): 1}, 4)
+    a = BiSymSeries({((), ()): UVPoly({(1, 0): 1}), ((), (1,)): 1}, 4)
+    for op in (f.exp_series, f.log_series, a.exp2, a.log2):
+        with pytest.raises(ValueError, match="zero constant term"):
+            op()
 
 
 @SETTINGS
@@ -173,8 +189,11 @@ def test_kernel_outputs_are_in_lowest_terms(f, g, a, b, h):
            SymSeries.from_schur(f.coeffs, ARITY), h.pleth_inverse(), f.adams(2), f.adams(3))
     for s in sym:
         assert in_lowest_terms(s.coeffs) and in_lowest_terms(s.to_schur())
+    sym += (f.truncate(3), -f, f.arity_part(2), f.d_dpk(1), a.set_factor2_to_zero())
     bisym = (a * b, a * Fraction(-3, 5), a * 0, a.pleth2(b), b.exp2(), b.log2(),
              BiSymSeries.from_schur_pairs(a.coeffs, ARITY), a.adams(2), a.adams(3), coproduct(f))
+    bisym += (a.truncate(3), -a, a.swap_factors(), _mask_stability(1, a),
+              BiSymSeries.inject(f, 1), BiSymSeries.inject(f, 2), *a.arity_components().values())
     for s in bisym:
         assert in_lowest_terms(s.coeffs) and in_lowest_terms(s.to_schur_pairs())
     assert all(map(passes_the_public_checks, sym + bisym))
@@ -223,3 +242,33 @@ def test_rooted_tree_inverse_equals_the_arity_by_arity_reference():
     smooth = load_fixture("genus0_smooth").data
     f = SymSeries.power_sum(1, 10) - smooth.d_dp1().truncate(10)
     assert same_numerators(f.pleth_inverse(), reference_pleth_inverse(f))
+
+
+def reference_exp_newton(f):
+    """Exp by the Newton recurrence m (h_m o f) = sum_k (p_k o f)(h_{m-k} o f),
+    one truncated series product per term."""
+    n = f.trunc
+    h_of, p_of = [f.one(n)], {k: f.adams(k) for k in range(1, n + 1)}
+    for m in range(1, n + 1):
+        h_of.append(sum((p_of[k] * h_of[m - k] for k in range(1, m + 1)), f.zero(n)) * Fraction(1, m))
+    return sum(h_of[1:], f.zero(n))
+
+
+def reference_log_powers(f):
+    """Log as sum_d mu(d)/d * adams_d(L), with L = log(1 + f) summed from the
+    powers f^m as sum_m (-1)^(m-1) f^m / m."""
+    n = f.trunc
+    log1p, power = f.zero(n), f.one(n)
+    for m in range(1, n + 1):
+        power = power * f
+        log1p = log1p + power * Fraction((-1) ** (m - 1), m)
+    return sum((log1p.adams(d) * Fraction(mobius(d), d) for d in range(1, n + 1)), f.zero(n))
+
+
+@SETTINGS
+@given(SYM0_8, BISYM0_8)
+def test_exp_and_log_equal_the_old_routes_at_arity_8(f, a):
+    assert same_numerators(f.exp_series(), reference_exp_newton(f))
+    assert same_numerators(f.log_series(), reference_log_powers(f))
+    assert same_numerators(a.exp2(), reference_exp_newton(a))
+    assert same_numerators(a.log2(), reference_log_powers(a))
