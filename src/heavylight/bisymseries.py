@@ -150,6 +150,5 @@ def coproduct(f: SymSeries) -> BiSymSeries:
 
 
 def exp2_of_p1(trunc: int) -> BiSymSeries:
-    """Sum over n >= 1 of h_n^{(2)}: the light-markings exponential series."""
-    terms = ((1, SymSeries.homogeneous_h(n, trunc)) for n in range(1, trunc + 1))
-    return BiSymSeries.inject(SymSeries._linear(terms, trunc), 2)
+    """Exp(p_1^{(2)}) = sum over n >= 1 of h_n^{(2)}: the light-markings series."""
+    return BiSymSeries.power_sum(1, 2, trunc).exp2()

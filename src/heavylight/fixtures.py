@@ -76,7 +76,7 @@ def parse_fixture(text: str) -> SeriesFixture:
     """Parse fixture text; raises FixtureError with a line position."""
     name = genus = variant = trunc = None
     terms = {}
-    data = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,6 +85,10 @@ def parse_fixture(text: str) -> SeriesFixture:
             key, rest = line.split(None, 1)
         except ValueError:
             raise FixtureError(lineno, f"malformed line: {raw!r}")
+        if key != "term":
+            if key in seen:
+                raise FixtureError(lineno, f"repeated header {key!r}")
+            seen.add(key)
         if key == "series":
             name = rest.strip()
         elif key == "genus":

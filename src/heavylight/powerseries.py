@@ -137,10 +137,6 @@ class FormalPS1(_TruncatedPS):
         return self.vars[0]
 
     @staticmethod
-    def zero(var: str, order: int) -> "FormalPS1":
-        return FormalPS1(var, [], order)
-
-    @staticmethod
     def identity(var: str, order: int) -> "FormalPS1":
         """The series `var` itself."""
         return FormalPS1(var, [UVPoly.zero(), UVPoly.one()], order)

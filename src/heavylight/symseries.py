@@ -434,11 +434,6 @@ class SymSeries(_Series):
             trunc,
         )
 
-    @staticmethod
-    def schur(lam: tuple, trunc: int) -> "SymSeries":
-        """s_lambda expanded in power sums."""
-        return SymSeries.from_schur({tuple(lam): 1}, trunc)
-
     # -- structure ----------------------------------------------------------
 
     def arity_part(self, n: int) -> "SymSeries":

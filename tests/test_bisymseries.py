@@ -66,6 +66,8 @@ def test_pleth2_axioms():
 def test_exp2():
     E = exp2_of_p1(T)
     assert P(1, 2).exp2() == E
+    h_sum = sum((SymSeries.homogeneous_h(n, T) for n in range(1, T + 1)), SymSeries.zero(T))
+    assert E == BiSymSeries.inject(h_sum, 2)
     r = E.rank2()
     from math import factorial
 

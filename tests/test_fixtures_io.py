@@ -35,6 +35,18 @@ def test_duplicate_keys_error():
     assert "duplicate" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "header", ["series other", "genus 1", "variant closed", "truncation 2"]
+)
+def test_repeated_header_error(header):
+    # A second header line must not silently replace the first: with
+    # "truncation 2" after the arity-3 term, the term would be dropped.
+    text = MINIMAL + header + "\n"
+    key = header.split()[0]
+    with pytest.raises(FixtureError, match=f"line 6: repeated header '{key}'"):
+        parse_fixture(text)
+
+
 def test_term_arity_exceeding_truncation():
     text = MINIMAL + "term n=5 lambda=[5] poly=1*u^0*v^0\n"
     with pytest.raises(FixtureError) as err:

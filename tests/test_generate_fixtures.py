@@ -1,8 +1,9 @@
-"""The genus-1 fit of tools/generate_fixtures.py.
+"""The point counts and the genus-1 fit of tools/generate_fixtures.py.
 
 The generator is the independent route that produces every shipped
 fixture.  These tests check its orbit-reduced elliptic histograms, its
-exact batched solver and its Frobenius orbit table against brute-force,
+exact batched solver, its Frobenius orbit table and its twisted counts on
+elliptic curves and on the projective line against brute-force,
 per-column and per-call references written here.  The module is loaded by
 path, the way `python tools/generate_fixtures.py` runs it.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from heavylight.partitions import gen_partitions, multiplicities
+from heavylight.partitions import gen_partitions, multiplicities, z_of
 from heavylight.symseries import mobius
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,6 +191,28 @@ def test_twisted_marked_count_matches_the_per_call_reference(histograms):
             for lam in lams:
                 got = gen.twisted_marked_count(multiplicities(lam).items(), orbits, p + 1 - t)
                 assert got == reference_marked_count(lam, t, p)
+
+
+def reference_line_count(lam: tuple, p: int) -> int:
+    """Twisted count of configurations of type lam on the projective line
+    over F_p, from scratch: its exact-period-l Frobenius orbits number
+    (1/l) sum_{d | l} mu(l/d) (p^d + 1)."""
+    total = 1
+    for l, c in multiplicities(lam).items():
+        divisors = [d for d in range(1, l + 1) if l % d == 0]
+        exact = sum(mobius(l // d) * (p**d + 1) for d in divisors) // l
+        for i in range(c):
+            total *= exact - i
+        total *= l**c
+    return total
+
+
+def test_genus0_smooth_matches_the_line_count():
+    smooth = gen.genus0_smooth(8)
+    for lam in (lam for n in range(3, 9) for lam in gen_partitions(n)):
+        poly = smooth[lam] * z_of(lam)
+        for p in gen.PRIMES:
+            assert poly.eval(p, 1) * (p**3 - p) == reference_line_count(lam, p), (lam, p)
 
 
 def test_regeneration_writes_the_benchmark_digests(tmp_path):

@@ -38,7 +38,10 @@ Derivations (all exact):
   overdetermined by a factor of three, so any error in the pipeline or the
   transcription makes it inconsistent.
 
-Run `python tools/generate_fixtures.py --phase all` from the repo root.
+Run `python tools/generate_fixtures.py --phase all` from the repo root.  The
+run is one pass that hands each series on in memory; the three
+`tools/_cache/*.hlf` files are intermediate series written for the record
+and the benchmark's digests, and nothing reads them back.
 """
 
 import argparse
@@ -46,14 +49,13 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from heavylight.fixtures import SeriesFixture, parse_fixture, save_fixture, write_fixture  # noqa: E402
+from heavylight.fixtures import SeriesFixture, save_fixture, write_fixture  # noqa: E402
 from heavylight.partitions import gen_partitions, multiplicities, z_of  # noqa: E402
 from heavylight.pipeline import (  # noqa: E402
     GENUS1_PURE_ARITY,
@@ -115,34 +117,36 @@ def divisors(n: int):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def projective_line_orbit_poly(l: int) -> UVPoly:
-    """Number of exact-period-l Frobenius orbits on the projective line, as a
-    polynomial in q (rational coefficients)."""
-    acc = UVPoly.zero()
-    for d in divisors(l):
-        acc = acc + (UVPoly.uv_power(d) + 1) * mobius(l // d)
-    return acc / l
-
-
-def conf_trace(lam: tuple) -> UVPoly:
-    """Trace of a permutation of type lam on the configuration-space classes
-    of the projective line, divided exactly by q^3 - q."""
-    acc = UVPoly.one()
-    for l, c in multiplicities(lam).items():
-        orbits = projective_line_orbit_poly(l)
+def marked_count(cycles, orbits, total=1):
+    """Twisted count of marked-point configurations on one curve: `total` times
+    the product over the (length l, multiplicity c) pairs of `cycles` of
+    l^c O_l (O_l - 1) ... (O_l - c + 1), with O_l = orbits[l] the number of
+    exact-period-l Frobenius orbits, ints or polynomials in q.  Cycles of
+    length l consume whole exact-period-l orbits; cycles of equal length
+    need distinct orbits and each orbit admits l phases.
+    """
+    for l, c in cycles:
         for i in range(c):
-            acc = acc * (orbits - UVPoly.const(i))
-        acc = acc * (l**c)
-    return divide_diagonal_exact(acc, UVPoly.uv_power(3) - UVPoly.uv_power(1))
+            total *= orbits[l] - i
+        if not total:
+            return total
+        total *= l**c
+    return total
 
 
-@lru_cache(maxsize=None)
 def genus0_smooth(trunc: int) -> SymSeries:
+    """Per conjugacy class, the twisted configuration count of the
+    projective line divided exactly by q^3 - q.  Its exact-period-l
+    Frobenius orbits number (1/l) sum_{d | l} mu(l/d) (q^d + 1)."""
+    orbits = [UVPoly.zero()] + [
+        sum((UVPoly.uv_power(d) + 1) * mobius(l // d) for d in divisors(l)) / l
+        for l in range(1, trunc + 1)
+    ]
+    aut = UVPoly.uv_power(3) - UVPoly.uv_power(1)
     coeffs = {}
     for n in range(3, trunc + 1):
         for lam in gen_partitions(n):
-            tr = conf_trace(lam)
+            tr = divide_diagonal_exact(marked_count(multiplicities(lam).items(), orbits), aut)
             if not tr.is_zero():
                 coeffs[lam] = tr * Fraction(1, z_of(lam))
     return SymSeries(coeffs, trunc)
@@ -154,9 +158,7 @@ def genus0_smooth_plethysm_route(trunc: int) -> SymSeries:
     tuple series composed with the inverse of the nonempty-sets series."""
     e_line = UVPoly.one() + UVPoly.uv_power(1)
     tuples = SymSeries.one(trunc) + (SymSeries.power_sum(1, trunc) * e_line).exp_series()
-    exp_p1 = SymSeries.zero(trunc)
-    for n in range(1, trunc + 1):
-        exp_p1 = exp_p1 + SymSeries.homogeneous_h(n, trunc)
+    exp_p1 = SymSeries.power_sum(1, trunc).exp_series()  # sum_n h_n
     conf = tuples.plethysm(exp_p1.pleth_inverse())
     coeffs = {}
     for n in range(3, trunc + 1):
@@ -231,11 +233,7 @@ def phase_genus0():
     cache_fx = SeriesFixture("_cache_rooted_inverse", 0, "open", t_rooted, pd)
     (CACHE_DIR / "rooted_inverse.hlf").write_text(write_fixture(cache_fx))
     log("genus-0 fixtures written")
-
-
-def load_rooted_inverse() -> SymSeries:
-    fx = parse_fixture((CACHE_DIR / "rooted_inverse.hlf").read_text())
-    return fx.data
+    return smooth, pd
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +286,16 @@ def frobenius_orbit_counts(t: int, p: int) -> tuple:
 
 
 def twisted_marked_count(cycles, orbits: tuple, n1: int) -> int:
-    """Twisted count of marked-point configurations on one curve, divided by
-    the order of its translation group.
+    """`marked_count` on one elliptic curve, divided by the order of its
+    translation group.
 
     `cycles` holds the (length l, multiplicity c) pairs of a permutation
     type, `orbits` the curve's `frobenius_orbit_counts` and `n1` its number
-    of rational points.  Cycles of length l consume whole exact-period-l
-    Frobenius orbits; cycles of equal length need distinct orbits and each
-    orbit admits l phases.  The rational translations act freely on
+    of rational points.  The rational translations act freely on
     configurations, and a genus-1 curve with no distinguished origin has
     them as extra automorphisms, so the raw count is divided by n1.
     """
-    total = 1
-    for l, c in cycles:
-        for i in range(c):
-            total *= orbits[l] - i
-        if total == 0:
-            return 0
-        total *= l**c
+    total = marked_count(cycles, orbits)
     assert total % n1 == 0, "translation action must be free on configurations"
     return total // n1
 
@@ -403,7 +393,7 @@ def phase_genus1():
         for p in PRIMES
     }
     trace_polys: dict = {}
-    numeric_coeffs = [UVPoly.zero()] * (numeric_trunc + 1)
+    numeric_coeffs = {}
     for n in arities:
         lams = [lam for lam in gen_partitions(n) if n <= trunc or lam == (1,) * n]
         columns = []
@@ -423,7 +413,7 @@ def phase_genus1():
                 poly = poly + UVPoly({(11, 0): c_tau, (0, 11): c_tau})
             trace_polys[lam] = poly
             if lam == (1,) * n:
-                numeric_coeffs[n] = poly * Fraction(1, factorial(n))
+                numeric_coeffs[lam] = poly * Fraction(1, factorial(n))
 
     assert trace_polys[(1,)] == UVPoly.uv_power(1), "the one-marking space must be the affine line"
 
@@ -443,16 +433,8 @@ def phase_genus1():
     CACHE_DIR.mkdir(exist_ok=True)
     fx = SeriesFixture("_cache_genus1_smooth_deep", 1, "open", trunc, smooth1)
     (CACHE_DIR / "genus1_smooth_deep.hlf").write_text(write_fixture(fx))
-    numeric_fx = SeriesFixture(
-        "_cache_genus1_smooth_numeric",
-        1,
-        "open",
-        numeric_trunc,
-        SymSeries(
-            {(1,) * n: numeric_coeffs[n] for n in range(1, numeric_trunc + 1)},
-            numeric_trunc,
-        ),
-    )
+    numeric1 = SymSeries(numeric_coeffs, numeric_trunc)
+    numeric_fx = SeriesFixture("_cache_genus1_smooth_numeric", 1, "open", numeric_trunc, numeric1)
     (CACHE_DIR / "genus1_smooth_numeric.hlf").write_text(write_fixture(numeric_fx))
 
     ship = SeriesFixture(
@@ -460,6 +442,7 @@ def phase_genus1():
     )
     save_fixture(ship, DATA_DIR)
     log("genus-1 smooth fixtures written")
+    return smooth1, numeric1
 
 
 # ---------------------------------------------------------------------------
@@ -472,34 +455,23 @@ def necklace_series(vp: SymSeries, vm: SymSeries, trunc: int) -> SymSeries:
 
     Rotations contribute sum_d phi(d)/(2d) * sum_m psi_d(V+)^m / m; a
     reflection fixes a vertex with its two ends swapped (V-) and pairs the
-    remaining vertices (psi_2 of V+).
+    remaining vertices (psi_2 of V+).  The Adams maps are ring maps, so
+    psi_d(V+)^m = psi_d(V+^m), and both sums are read off the one list of
+    powers V+^m: rotations are sum_d phi(d)/(2d) psi_d(L) with
+    L = sum_{m>=1} V+^m / m, reflections are
+    (2 V- + V-^2 + psi_2 V+) psi_2(G) / 4 with G = sum_{m>=0} V+^m.
     """
     vp = vp.truncate(trunc)
     vm = vm.truncate(trunc)
+    powers = [vp]  # V+^m for m = 1, 2, ... up to the first that vanishes
+    while powers[-1].coeffs:
+        powers.append(powers[-1] * vp)
+    log_sum = sum((pw * Fraction(1, m) for m, pw in enumerate(powers, 1)), SymSeries.zero(trunc))
+    geom = sum(powers, SymSeries.one(trunc))
     rot = SymSeries.zero(trunc)
     for d in range(1, trunc + 1):
-        x = vp.adams(d)
-        if not x.coeffs:
-            continue
-        power = SymSeries.one(trunc)
-        acc = SymSeries.zero(trunc)
-        m = 1
-        while True:
-            power = power * x
-            if not power.coeffs:
-                break
-            acc = acc + power * Fraction(1, m)
-            m += 1
-        rot = rot + acc * Fraction(euler_phi(d), 2 * d)
-    psi2 = vp.adams(2)
-    geom = SymSeries.one(trunc)
-    power = SymSeries.one(trunc)
-    while True:
-        power = power * psi2
-        if not power.coeffs:
-            break
-        geom = geom + power
-    refl = (vm * 2 + vm * vm + psi2) * geom * Fraction(1, 4)
+        rot = rot + log_sum.adams(d) * Fraction(euler_phi(d), 2 * d)
+    refl = (vm * 2 + vm * vm + vp.adams(2)) * geom.adams(2) * Fraction(1, 4)
     return rot + refl
 
 
@@ -521,17 +493,11 @@ def numeric_necklace_rank(order: int):
     return log1m * Fraction(-1, 2) + (rk_vm * 2 + rk_vm * rk_vm) * Fraction(1, 4), rk_vm
 
 
-def phase_assemble():
+def phase_assemble(smooth0: SymSeries, pd: SymSeries, smooth1: SymSeries, numeric1: SymSeries):
     trunc = STABLE1_TRUNC
     numeric_trunc = NUMERIC1_TRUNC
-    smooth0 = genus0_smooth(trunc + 2)
-    pd = load_rooted_inverse()
-    assert pd.trunc >= trunc, "cached rooted inverse is too shallow; rerun --phase genus0"
     pd = pd.truncate(trunc)
-    smooth1 = parse_fixture((CACHE_DIR / "genus1_smooth_deep.hlf").read_text()).data
-    assert smooth1.trunc >= trunc, "cached genus-1 smooth series is too shallow; rerun --phase genus1"
     smooth1 = smooth1.truncate(trunc)
-    numeric1 = parse_fixture((CACHE_DIR / "genus1_smooth_numeric.hlf").read_text()).data
 
     log("vertex series with two orientation slots")
     vp = smooth0.d_dp1().d_dp1().truncate(trunc)
@@ -656,23 +622,16 @@ def phase_verify():
     log(f"{len(checks)} reference tables reproduced")
 
 
-PHASES = {
-    "genus0": phase_genus0,
-    "genus1": phase_genus1,
-    "assemble": phase_assemble,
-    "weight0": phase_weight0,
-    "verify": phase_verify,
-}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--phase", default="all", choices=list(PHASES) + ["all"])
-    args = ap.parse_args()
+    ap.add_argument("--phase", default="all", choices=["all"])
+    ap.parse_args()
     start = time.time()
-    for name, fn in PHASES.items():
-        if args.phase in (name, "all"):
-            fn()
+    smooth0, pd = phase_genus0()
+    smooth1, numeric1 = phase_genus1()
+    phase_assemble(smooth0, pd, smooth1, numeric1)
+    phase_weight0()
+    phase_verify()
     log(f"done in {time.time() - start:.1f}s")
 
 
