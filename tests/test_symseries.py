@@ -217,8 +217,6 @@ def test_non_canonical_keys_are_rejected():
         for make in (SymSeries, SymSeries.from_schur):
             with pytest.raises(ValueError, match="not canonical"):
                 make({bad: 1}, 5)
-        with pytest.raises(ValueError, match="not canonical"):
-            SymSeries.from_schur({bad: 1}, 5)
     for bad in [((1, 2), ()), ((1,),), ((), (1, 3)), ((2,), (1,), ())]:
         for make in (BiSymSeries, BiSymSeries.from_schur_pairs):
             with pytest.raises(ValueError, match="not canonical"):

@@ -78,13 +78,13 @@ CACHE_DIR = REPO / "tools" / "_cache"
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 
-SMOOTH0_INTERNAL_TRUNC = 12
+STABLE1_TRUNC = 10
+SMOOTH0_INTERNAL_TRUNC = STABLE1_TRUNC + 2  # the vertex series differentiate it twice
 SMOOTH0_SHIP_TRUNC = 11
 STABLE0_SHIP_TRUNC = 9
 ROOTED_TRUNC = 10
 SMOOTH1_TRUNC = 10
 SMOOTH1_SHIP_TRUNC = 6
-STABLE1_TRUNC = 10
 NUMERIC1_TRUNC = 11
 WEIGHT0_TRUNC = 6
 
@@ -117,14 +117,15 @@ def divisors(n: int):
 # ---------------------------------------------------------------------------
 
 
-def marked_count(cycles, orbits, total=1):
-    """Twisted count of marked-point configurations on one curve: `total` times
-    the product over the (length l, multiplicity c) pairs of `cycles` of
+def marked_count(cycles, orbits):
+    """Twisted count of marked-point configurations on one curve: the product
+    over the (length l, multiplicity c) pairs of `cycles` of
     l^c O_l (O_l - 1) ... (O_l - c + 1), with O_l = orbits[l] the number of
     exact-period-l Frobenius orbits, ints or polynomials in q.  Cycles of
     length l consume whole exact-period-l orbits; cycles of equal length
     need distinct orbits and each orbit admits l phases.
     """
+    total = 1
     for l, c in cycles:
         for i in range(c):
             total *= orbits[l] - i
