@@ -20,7 +20,7 @@ from .pipeline import (
     stability_ok,
     tropical_euler,
 )
-from .tables import BASES, FORMATS, TableSpec, numeric_value, render_table
+from .tables import BASES, FORMATS, delimited_lines, numeric_value, render_table
 from .verify import SUITES, run_suite
 
 # The shipped fixture serving each (variant, genus).  Genus 2 ships only the
@@ -74,9 +74,7 @@ def cmd_closed_table(args) -> int:
             raise Refused("the numeric form takes neither --basis power nor --format latex")
         numeric = _fixture("numeric", 1, args.max_arity)
         table = closed_series_numeric(numeric.data.rank1("x"), args.max_arity)
-        sep = "," if args.format == "csv" else " | "
-        if args.format == "csv":
-            print("m,n,poly")
+        rows = []
         for total in range(args.max_arity + 1):
             for m in range(total + 1):
                 n = total - m
@@ -84,13 +82,14 @@ def cmd_closed_table(args) -> int:
                     continue
                 poly = table[(m, n)] * (factorial(m) * factorial(n))
                 if not poly.is_zero():
-                    print(f"{m}{sep}{n}{sep}{poly}")
+                    rows.append((m, n, poly))
+        for line in delimited_lines(args.format, ("m", "n", "poly"), rows):
+            print(line)
         return 0
     stable1 = _fixture("closed", 1, args.max_arity)
     smooth0 = _fixture("open", 0, args.max_arity + 1)  # the corrector needs one arity more
-    spec = TableSpec(basis=args.basis, form=args.form, max_arity=args.max_arity, fmt=args.format)
     res = closed_series(stable1, smooth0, trunc=args.max_arity)
-    sys.stdout.write(render_table(spec, res))
+    sys.stdout.write(render_table(res, args.basis, args.form, args.max_arity, args.format))
     return 0
 
 
@@ -99,9 +98,8 @@ def cmd_open_table(args) -> int:
     if args.weight0 and fx.variant != "weight0":
         raise Refused("weight-zero open tables are shipped for genus 2 only")
     form = "weight0" if fx.variant == "weight0" else args.form
-    spec = TableSpec(basis=args.basis, form=form, max_arity=args.max_arity, fmt=args.format)
     res = open_series(fx, trunc=args.max_arity)
-    sys.stdout.write(render_table(spec, res))
+    sys.stdout.write(render_table(res, args.basis, form, args.max_arity, args.format))
     return 0
 
 

@@ -67,9 +67,12 @@ def default_fixture_dir() -> Path:
 
 def _header_int(lineno: int, key: str, rest: str) -> int:
     try:
-        return int(rest)
+        value = int(rest)
     except ValueError:
         raise FixtureError(lineno, f"{key} must be an integer, got {rest.strip()!r}") from None
+    if value < 0:
+        raise FixtureError(lineno, f"{key} must be nonnegative, got {value}")
+    return value
 
 
 def parse_fixture(text: str) -> SeriesFixture:
@@ -99,8 +102,6 @@ def parse_fixture(text: str) -> SeriesFixture:
                 raise FixtureError(lineno, f"unknown variant {variant!r}")
         elif key == "truncation":
             trunc = _header_int(lineno, key, rest)
-            if trunc < 0:
-                raise FixtureError(lineno, f"truncation must be nonnegative, got {trunc}")
         elif key == "term":
             fields = {}
             for chunk in rest.split(None, 2):
@@ -128,8 +129,9 @@ def parse_fixture(text: str) -> SeriesFixture:
             terms[lam] = poly
         else:
             raise FixtureError(lineno, f"unknown directive {key!r}")
-    if name is None or genus is None or variant is None or trunc is None:
-        raise FixtureError(0, "missing one of: series, genus, variant, truncation")
+    missing = [key for key in ("series", "genus", "variant", "truncation") if key not in seen]
+    if missing:
+        raise FixtureError(0, f"missing header: {', '.join(missing)}")
     data = SymSeries(terms, trunc)
     return SeriesFixture(name=name, genus=genus, variant=variant, trunc=trunc, data=data)
 
@@ -142,7 +144,7 @@ def write_fixture(fx: SeriesFixture) -> str:
         f"variant {fx.variant}",
         f"truncation {fx.trunc}",
     ]
-    for lam in fx.data.support_keys():
+    for lam in fx.data.canonical_order(fx.data.coeffs):
         poly = fx.data[lam]
         lines.append(
             f"term n={sum(lam)} lambda={format_partition(lam)} poly={poly}"

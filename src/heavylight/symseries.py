@@ -188,13 +188,10 @@ class _Series:
         """Specialize every coefficient at u = v = 0."""
         return type(self)({k: c.weight_zero() for k, c in self.coeffs.items()}, self.trunc)
 
-    def support_keys(self):
-        """Keys in canonical order (see `_canonical_order`)."""
-        return self._canonical_order(self.coeffs)
-
-    def _canonical_order(self, keys) -> list:
-        """Ascending total arity, then the arity of each factor in turn, then
-        the lex-decreasing order of each factor's partition."""
+    def canonical_order(self, keys) -> list:
+        """`keys` (of arity <= trunc) by ascending total arity, then the arity of
+        each factor in turn, then the lex-decreasing order of each factor's
+        partition: the one order of printed series, fixtures and tables."""
         order = {lam: i for n in range(self.trunc + 1) for i, lam in enumerate(gen_partitions(n))}
 
         def rank(key):
@@ -207,7 +204,7 @@ class _Series:
         """A sum of terms (c)*tag[partition]*..., one tag per factor, in
         canonical order."""
         terms = []
-        for k in self._canonical_order(coeffs):
+        for k in self.canonical_order(coeffs):
             names = [t + format_partition(p) for t, p in zip(tags, self._factors(k))]
             terms.append("*".join([f"({coeffs[k]})"] + names))
         return " + ".join(terms) if terms else "0"
@@ -389,7 +386,8 @@ class _Series:
         terms = {cls._factors(k): [c.nums, c.den] for k, c in coeffs.items()}
         for f in range(len(cls._POWER_TAGS)):
             acc: dict = {}
-            for parts, (nums, den) in terms.items():
+            for parts in list(terms):  # each source released as it is mapped
+                nums, den = terms.pop(parts)
                 head, tail = parts[:f], parts[f + 1:]
                 for new, w in column(parts[f]):
                     _add_scaled(acc, head + (new,) + tail, nums, den, w)

@@ -1,5 +1,8 @@
 """Table rendering and golden-table storage.
 
+`render_table` makes one pass over the whole series in the series core's one
+canonical key order; `delimited_lines` writes every text and csv row.
+
 Golden files hold the reference tables as structured monomial data; they are
 compared monomial-by-monomial, never as raw strings.  A pair-table row lists
 one Schur pair per line with its coefficient in the t grammar of `uvpoly`,
@@ -9,6 +12,7 @@ they list.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 from .bisymseries import BiSymSeries
@@ -18,27 +22,8 @@ from .uvpoly import UVPoly, parse_rational, parse_tpoly, parse_uvpoly, poincare_
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
-FORMS = ("hodge", "poincare", "weight0")
 BASES = ("schur", "power")
 FORMATS = ("text", "csv", "latex")
-
-
-@dataclass(frozen=True)
-class TableSpec:
-    """Rendering request for a heavy/light table."""
-
-    basis: str = "schur"
-    form: str = "hodge"
-    max_arity: int = 5
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown form {self.form!r}")
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 # -- golden files ---------------------------------------------------------------
@@ -48,7 +33,7 @@ class TableSpec:
 class GoldenRow:
     m: int
     n: int
-    mode: str  # full | partial | inferred
+    mode: str  # full | partial (`inferred` occurs only in the numeric table)
     pairs: dict  # (lam, mu) -> UVPoly
     numeric: Fraction | None = None
 
@@ -119,7 +104,7 @@ def compare_row_to_golden(component: BiSymSeries, row: GoldenRow) -> list:
             if not got.is_diagonal():
                 problems.append(f"pair {key}: off-diagonal coefficient {got}")
                 continue
-            got = UVPoly({k: c for k, c in got.terms.items() if k in want.terms})
+            got = UVPoly({k: c for k, c in got.terms.items() if k in want.nums})
         if want != got:
             problems.append(f"pair {key}: {got} != {want}")
     return problems
@@ -145,53 +130,41 @@ def _latex_partition(lam: tuple) -> str:
     return "{" + ",".join(str(p) for p in lam) + "}"
 
 
-def render_table(spec: TableSpec, result) -> str:
-    """Render a HeavyLightResult, one line per basis monomial; deterministic across runs."""
-    if spec.form == "poincare" and not (
-        result.variant == "closed" and result.genus == 1 and spec.max_arity <= GENUS1_PURE_ARITY
+def delimited_lines(fmt: str, header: tuple, rows) -> list:
+    """One line per row: fields joined by ' | ' in text, by ',' under a header in csv."""
+    sep = "," if fmt == "csv" else " | "
+    lines = [sep.join(header)] if fmt == "csv" else []
+    return lines + [sep.join(map(str, row)) for row in rows]
+
+
+def render_table(result, basis="schur", form="hodge", max_arity=5, fmt="text") -> str:
+    """Render a HeavyLightResult up to total arity `max_arity`, one line per
+    basis monomial (one per (m, n) in latex), in the canonical order of the
+    series core; deterministic across runs."""
+    if form == "poincare" and not (
+        result.variant == "closed" and result.genus == 1 and max_arity <= GENUS1_PURE_ARITY
     ):
         raise ValueError(
             "poincare form requires the closed variant in the proven-diagonal "
             f"range (genus 1, total arity <= {GENUS1_PURE_ARITY})"
         )
-    lines = []
-    sep = "," if spec.fmt == "csv" else " | "
-    if spec.fmt == "csv":
-        lines.append("m,n,lambda,mu,coefficient")
-    for total in range(spec.max_arity + 1):
-        for m in range(total + 1):
-            n = total - m
-            comp = result.component(m, n)
-            if not comp.coeffs:
-                continue
-            entries = (
-                comp.to_schur_pairs() if spec.basis == "schur" else comp.coeffs
-            )
-            keys = sorted(
-                entries,
-                key=lambda k: (sum(k[0]), _pkey(k[0]), _pkey(k[1])),
-            )
-            if spec.fmt == "latex":
-                tag = "s" if spec.basis == "schur" else "p"
-                terms = []
-                for lam, mu in keys:
-                    c = _poly_for_form(entries[(lam, mu)], spec.form)
-                    piece = f"({c})"
-                    if lam:
-                        piece += f"{tag}_{_latex_partition(lam)}^{{(1)}}"
-                    if mu:
-                        piece += f"{tag}_{_latex_partition(mu)}^{{(2)}}"
-                    terms.append(piece)
-                lines.append(f"({m},{n}) & ${' + '.join(terms)}$ \\\\")
-            else:
-                for lam, mu in keys:
-                    c = _poly_for_form(entries[(lam, mu)], spec.form)
-                    lines.append(
-                        f"{m}{sep}{n}{sep}{format_partition(lam)}{sep}"
-                        f"{format_partition(mu)}{sep}{c}"
-                    )
+    data = result.data.truncate(max_arity)
+    entries = data.to_schur_pairs() if basis == "schur" else data.coeffs
+    keys = data.canonical_order(entries)
+    if fmt != "latex":
+        rows = ((sum(lam), sum(mu), format_partition(lam), format_partition(mu),
+                 _poly_for_form(entries[lam, mu], form)) for lam, mu in keys)
+        lines = delimited_lines(fmt, ("m", "n", "lambda", "mu", "coefficient"), rows)
+    else:
+        tag = "s" if basis == "schur" else "p"
+        lines = []
+        for (m, n), pairs in groupby(keys, key=lambda k: (sum(k[0]), sum(k[1]))):
+            terms = []
+            for lam, mu in pairs:
+                piece = f"({_poly_for_form(entries[lam, mu], form)})"
+                for i, part in enumerate((lam, mu), start=1):
+                    if part:
+                        piece += f"{tag}_{_latex_partition(part)}^{{({i})}}"
+                terms.append(piece)
+            lines.append(f"({m},{n}) & ${' + '.join(terms)}$ \\\\")
     return "\n".join(lines) + "\n"
-
-
-def _pkey(lam: tuple):
-    return tuple(-p for p in lam)

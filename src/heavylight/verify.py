@@ -274,7 +274,7 @@ def _numeric_duality(num) -> tuple:
     ok = True
     for n in range(1, num.trunc + 1):
         poly = num.data[(1,) * n] * factorial(n)
-        dual = not any(a > n or b > n for a, b in poly.terms) and poly.mirror(n) == poly
+        dual = not any(a > n or b > n for a, b in poly.nums) and poly.mirror(n) == poly
         ok &= dual and (n > GENUS1_PURE_ARITY or poly.is_palindromic(n))
     return ok, ""
 

@@ -68,6 +68,23 @@ def test_parse_error_carries_line_number():
     with pytest.raises(FixtureError) as err:
         parse_fixture(MINIMAL.replace("truncation 4", "truncation -1"))
     assert err.value.lineno == 4
+    with pytest.raises(FixtureError, match="genus must be nonnegative, got -1") as err:
+        parse_fixture(MINIMAL.replace("genus 0", "genus -1"))
+    assert err.value.lineno == 2
+
+
+@pytest.mark.parametrize(
+    "absent",
+    [["series"], ["genus"], ["variant"], ["truncation"], ["genus", "truncation"]],
+    ids="-".join,
+)
+def test_missing_headers_are_named_in_order(absent):
+    headers = MINIMAL.splitlines()[:4]  # no term, which would need the truncation
+    text = "".join(line + "\n" for line in headers if line.split()[0] not in absent)
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(text)
+    assert err.value.lineno == 0
+    assert str(err.value) == f"line 0: missing header: {', '.join(absent)}"
 
 
 def test_zero_denominator_carries_line_number():

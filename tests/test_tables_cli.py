@@ -14,7 +14,6 @@ from heavylight.partitions import mn_character
 from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
     GOLDEN_DIR,
-    TableSpec,
     compare_row_to_golden,
     numeric_value,
     parse_golden_numeric,
@@ -118,8 +117,7 @@ def test_render_poincare_row():
     smooth0 = load_fixture("genus0_smooth")
     stable1 = load_fixture("genus1_stable")
     res = closed_series(stable1, smooth0, trunc=3)
-    spec = TableSpec(basis="schur", form="poincare", max_arity=3)
-    text = render_table(spec, res)
+    text = render_table(res, basis="schur", form="poincare", max_arity=3)
     assert "0 | 3 | [] | [2,1] | t^4+t^2" in text
     assert "0 | 3 | [] | [3] | t^6+2*t^4+2*t^2+1" in text
     # rows without content are omitted: genus-1 (0,0) is unstable
@@ -130,10 +128,9 @@ def test_render_formats_are_deterministic():
     w0 = load_fixture("genus2_smooth_weight0")
     res = open_series(w0, trunc=4)
     for fmt in ("text", "csv", "latex"):
-        spec = TableSpec(form="weight0", max_arity=4, fmt=fmt)
-        assert render_table(spec, res) == render_table(spec, res)
-    spec = TableSpec(form="weight0", max_arity=4, fmt="latex")
-    text = render_table(spec, res)
+        spec = dict(form="weight0", max_arity=4, fmt=fmt)
+        assert render_table(res, **spec) == render_table(res, **spec)
+    text = render_table(res, form="weight0", max_arity=4, fmt="latex")
     assert "s_{2}^{(2)}" in text
 
 
@@ -141,8 +138,7 @@ def test_render_latex_poincare_combined_row():
     smooth0 = load_fixture("genus0_smooth")
     stable1 = load_fixture("genus1_stable")
     res = closed_series(stable1, smooth0, trunc=3)
-    spec = TableSpec(basis="schur", form="poincare", max_arity=3, fmt="latex")
-    text = render_table(spec, res)
+    text = render_table(res, basis="schur", form="poincare", max_arity=3, fmt="latex")
     # monomials follow the canonical partition order (lex-decreasing)
     assert "(0,3) & $(t^6+2*t^4+2*t^2+1)s_{3}^{(2)} + (t^4+t^2)s_{2,1}^{(2)}$" in text
 
@@ -150,10 +146,10 @@ def test_render_latex_poincare_combined_row():
 def test_poincare_form_guard():
     open2 = open_series(load_fixture("genus2_smooth_weight0"), trunc=4)
     with pytest.raises(ValueError):
-        render_table(TableSpec(form="poincare", max_arity=4), open2)
+        render_table(open2, form="poincare", max_arity=4)
     closed1 = closed_series(load_fixture("genus1_stable"), load_fixture("genus0_smooth"), trunc=3)
     with pytest.raises(ValueError):
-        render_table(TableSpec(form="poincare", max_arity=11), closed1)
+        render_table(closed1, form="poincare", max_arity=11)
 
 
 def test_numeric_value_weight0_example():
@@ -318,3 +314,102 @@ def test_closed10_stdout_matches_the_benchmark_digest():
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected["closed10_stdout_sha256"]
+
+
+# sha256 of render_table outputs, recorded before the renderer became one pass
+# over the whole series: "result basis form format" -> digest, for every basis
+# and format and each form the CLI accepts for that result.
+RENDER_DIGESTS = {
+    "closed1 schur hodge text": "75a5f9e5dc1c9f17f7b693be33e1f7c525848392d886ef5d538a931ef134c23c",
+    "closed1 schur hodge csv": "96a390984f35da56d07a6afe0567edac7d018bd06286dd0e5b67fa9d5675faba",
+    "closed1 schur hodge latex": "07f0af1ff57f62a906f0dfc80faca069a75f3035f09da8db5b2e4d11202bce26",
+    "closed1 schur poincare text": "34f8e651a84a2ef0c96120d568f918259281461697f3aad5a68132d18ffe8adc",
+    "closed1 schur poincare csv": "da9e66b13e9f5de929d5f782667e3ecc050a2d0f94fe104a1b482dfee112f494",
+    "closed1 schur poincare latex": "d5fbc973e4550399713145cb55417a5bb08b432be5fbfc880d8f49c396dbc717",
+    "closed1 power hodge text": "13981737298194be74bf4a54155d2a23dc1c03174a8dcd65f236292ab93034d1",
+    "closed1 power hodge csv": "bf5356ab75b0baad346b27403c21fcb55fba41932bd4cd87b0e3d9183f38d03e",
+    "closed1 power hodge latex": "5cc80c6b36da8a21a5f356d1c67ce0ac727bca95a61ff9c16a1e26e74955405a",
+    "closed1 power poincare text": "7052c4bab5f88e20bb568037e23d62f4da230dda68f6752fad27cdd29211da87",
+    "closed1 power poincare csv": "ac2290cf3bb735ef43d653f21915262d23e87dfad3df1cb39e841da77d32cb71",
+    "closed1 power poincare latex": "e368aa0d7e4d6c0aa6a19e860f522b5571667a27812d3bded540c7a1a0616eb6",
+    "open0 schur hodge text": "f887e426d67ccd1ca649833c70f17bd700d30cb9b13f6c92f9afcb01f6471592",
+    "open0 schur hodge csv": "ceff60c3cecbe462b5a90f37aedae2e249387284dd2d18777ce8341014520d36",
+    "open0 schur hodge latex": "f6e894e1d762e064a717222544b28a33c97d6b4c30d2a9e4187f9baa12e3ed8d",
+    "open0 schur weight0 text": "0d52c6fc1599a3d89b6e2b60c31e44f3c53f8e7c3a3e5b6d5c8377f4bd05e7c5",
+    "open0 schur weight0 csv": "4b8a5d5f5d1f40e34900bd0e065c8a061ace5b4edcab758be751c2c5d858c993",
+    "open0 schur weight0 latex": "02c96cdd97627d5108cd30865337817c00245c505038cb32818b2815d43bd0bf",
+    "open0 power hodge text": "32c68d1da2bfb88cbd0cb746834dc45ca047045e0fc3d9eef1a94c2190226ec0",
+    "open0 power hodge csv": "1563a20c3e134a577710a1a36cb0d4beb2dc0c471dec2bae4ce32573e6492267",
+    "open0 power hodge latex": "95a99c93a19172e5c17be7f1f88c8c718c4d7133a95d6a7f3c31cd2fef62d1ac",
+    "open0 power weight0 text": "b986e3e0aa42973fb673a1a3563ad00b02fe06d6517b44ded8534e4a58ae86fc",
+    "open0 power weight0 csv": "f7037fd33acc078c5c955ca8529f066aef594c4236d7d847d5a84eb90e7670d8",
+    "open0 power weight0 latex": "04383930fcbdd1f0c56d1b21aa2a316a304b9ec4e7c01d79c8dc73ee407e9824",
+    "open1 schur hodge text": "70fe4a3d00f998c3129de7a0b7424fdfd5e7589ade89faa3530a68699cabdbac",
+    "open1 schur hodge csv": "763ce2841a3be6ae791a686f96f34018b8dc80f47be63cc5b48e77b0cac23321",
+    "open1 schur hodge latex": "8a3b8b890f0122a47d1dfc25d0ab350efaf76350ae502dc82d399ba4c59f8159",
+    "open1 schur weight0 text": "c5576b2fdf477d1e550b969b20dfc5e6216daf2ca29f7ac4a5611cdd64375ad9",
+    "open1 schur weight0 csv": "7eaf642e18067e88b7d1a605f623a7498af1bc0e461e016fc1d0905461d71f4b",
+    "open1 schur weight0 latex": "d921023af771cce4c2a7887d4ea3498f5abc21acd894fbb14c362775e22a81d6",
+    "open1 power hodge text": "be42ad797565c06387c473baefc0fe581d7130340af10c796a4d40b95a6d0a7d",
+    "open1 power hodge csv": "a89ebb70e5aabe57fcfdde9e7deaf60de0b7017c44cf12fa7af07ddd07124f3f",
+    "open1 power hodge latex": "9931c93f1aa6bddd4574ce663a5baa3d98004a2ff1cc70eedd099d4909a707e0",
+    "open1 power weight0 text": "865d95a03e32b5bca03900c32cd888164b794cb741da4d6f19589395f1d56c87",
+    "open1 power weight0 csv": "ae5b46f3af6aa85c9b715454ceb803a80e23b85522e0b710ed503884b0fc3e29",
+    "open1 power weight0 latex": "b11abe5ad414bf4609c08d97dab28f78f959e9305981f008f05cbad58fbf2680",
+    "open2 schur weight0 text": "8aa6b1cbde65290503c38e92fe62741e6945621b1f7e972d857fc73114029974",
+    "open2 schur weight0 csv": "8171772f9e5b3922563a596197beb8840710ed8966dbb7fc637d685f0ea8a9dd",
+    "open2 schur weight0 latex": "7f2c4e6be848afc861f80affa873e33a7420529701cd3003414f54910ce8626c",
+    "open2 power weight0 text": "a6de08253c903951b6d0dc035e8a1b40d7a192b155fc5d8330098118f7ee0de8",
+    "open2 power weight0 csv": "1ed780366eaaef7a3b32a6fa694e4b0ac878151e63ebc2e282600691e2c295ae",
+    "open2 power weight0 latex": "d219d34158d6dded3bc02ec809b3fc3e9f4ebb75125feab4452892fc12769c5f",
+}
+# sha256 of `closed-table --form numeric` stdout: (max arity, format) -> digest;
+# at arity 0 the text table is empty (no line at all) and csv is its header.
+NUMERIC_DIGESTS = {
+    (0, 'text'): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (0, 'csv'): "2e3bf09185989e9a72d09245ed922be998bf8d9ef3436375c7a106675af26631",
+    (4, 'text'): "35e4553a99fd10ffe53fe638ba8fa5215be66564acc236d4f92c2afc15c3d45c",
+    (4, 'csv'): "3880dbc097865f9d79f70d4a87701012ae14044a8fe4cdab95bbb1e0ed719c12",
+    (11, 'text'): "deb0829a2e41fb3ef7d684ba33c384ad5760c4b054ed9906cd5f0aa1a356874f",
+    (11, 'csv'): "737ed4ea87f478e30721005a8796d80f5a3b9b0b0b6292e54cb4c0752a2799a7",
+}
+
+
+def test_rendered_tables_match_their_recorded_digests():
+    stable1, smooth0 = load_fixture("genus1_stable"), load_fixture("genus0_smooth")
+    results = {
+        "closed1": (closed_series(stable1, smooth0, trunc=6), 6),
+        "open0": (open_series(smooth0, trunc=5), 5),
+        "open1": (open_series(load_fixture("genus1_smooth"), trunc=5), 5),
+        "open2": (open_series(load_fixture("genus2_smooth_weight0"), trunc=5), 5),
+    }
+    for key, digest in RENDER_DIGESTS.items():
+        name, basis, form, fmt = key.split()
+        res, arity = results[name]
+        out = render_table(res, basis, form, arity, fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+    # a result deeper than max_arity renders as the result computed to max_arity
+    closed4 = closed_series(stable1, smooth0, trunc=4)
+    assert render_table(results["closed1"][0], max_arity=4) == render_table(closed4, max_arity=4)
+    for (arity, fmt), digest in NUMERIC_DIGESTS.items():
+        argv = ["closed-table", "--genus", "1", "--form", "numeric", "--max-arity", str(arity)]
+        code, out = run_cli(argv + ["--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (arity, fmt)
+
+
+def test_cli_reports_a_negative_genus_in_one_line(tmp_path, monkeypatch):
+    for path in default_fixture_dir().glob("*.hlf"):
+        text = path.read_text()
+        if path.stem == "genus1_smooth":
+            text = text.replace("genus 1\n", "genus -1\n")
+        (tmp_path / path.name).write_text(text)
+    monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
+    for argv in (
+        ["open-table", "--genus", "1"],
+        ["tropical", "--genus", "1", "--m", "1", "--n", "1"],
+        ["oracle-compare", "--genus", "1"],
+        ["slice-n1", "--genus", "1", "--m", "1", "--variant", "open"],
+    ):
+        code, err = run_cli_stderr(argv)
+        assert (code, err) == (1, "line 2: genus must be nonnegative, got -1\n"), argv
