@@ -6,7 +6,7 @@ File format (line-oriented, `#` starts a comment, bit-exact round trip):
     genus <int>
     variant open|closed|weight0
     truncation <int>
-    term n=<int> lambda=[k1,k2,...] poly=<uv-poly>
+    term n=<int> lambda=[k1,k2,...] poly=<uv-poly other than 0>
 
 The fixture directory defaults to the packaged data directory and can be
 overridden with the HL_FIXTURE_DIR environment variable.
@@ -118,6 +118,8 @@ def parse_fixture(text: str) -> SeriesFixture:
                 poly = parse_uvpoly(fields["poly"])
             except ValueError as exc:
                 raise FixtureError(lineno, str(exc))
+            if not poly:
+                raise FixtureError(lineno, f"zero term n={n} lambda={fields['lambda']}")
             if sum(lam) != n:
                 raise FixtureError(lineno, f"lambda {lam} does not have size {n}")
             if trunc is None:

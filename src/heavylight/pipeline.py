@@ -1,19 +1,18 @@
 """Series pipelines for heavy/light moduli of weighted stable curves.
 
-The two equivariant pipelines transform a fixed-genus series of marked-curve
-classes into the corresponding heavy/light series:
+The heavy/light series is one change of variables, written once per route;
+each pipeline supplies only its input checks, inner series and provenance.
 
-  * open_series:   coproduct, then substitute the light-markings exponential
-                   into the second factor (smooth locus).
-  * closed_series: coproduct, then substitute once the composed corrector
-                   (p_1 - dG_0/dp_1) o_2 Exp, G_0 the smooth genus-0 series:
-                   the rational-tails corrector with the exponential already
-                   substituted into it (stable compactification).
-
-Numeric shadows of both pipelines act on exponential generating functions by
-change of variables; they must agree with the rank specialization of the
-equivariant results, and small-arity outputs are independently checked by a
-brute-force stratification oracle.
+  * Equivariant (_heavy_light): coproduct, substitute an inner series into
+    the second factor, mask stability.  open_series (smooth locus) uses the
+    light-markings exponential Exp; closed_series (compactification) uses
+    the composed corrector (p_1 - dG_0/dp_1) o_2 Exp, G_0 smooth genus 0.
+  * Numeric (_numeric_heavy_light): x -> x + L(y) in an exponential
+    generating function, L = e^y - 1 (open) or the genus-0 corrector of
+    e^y - 1 (closed); checked against the rank specialization of the
+    equivariant results and, at small arity, a brute-force oracle.
+  * Euler characteristic: the stable genus-1 series is the light closed
+    form under y -> log(1 + g), g the inverse of the corrector at u = v = 1.
 """
 
 from dataclasses import dataclass, field
@@ -68,6 +67,13 @@ def _mask_stability(g: int, series: BiSymSeries) -> BiSymSeries:
     )
 
 
+def _heavy_light(fx: SeriesFixture, inner: BiSymSeries, *sources: SeriesFixture) -> HeavyLightResult:
+    """coproduct(fx) o_2 inner, stability-masked; provenance names fx and sources."""
+    res = coproduct(fx.data.truncate(inner.trunc)).pleth2(inner)
+    provenance = {f.name: f.trunc for f in (fx, *sources)}
+    return HeavyLightResult(fx.genus, fx.variant, _mask_stability(fx.genus, res), provenance)
+
+
 def open_series(fx: SeriesFixture, trunc: int | None = None) -> HeavyLightResult:
     """Heavy/light series of the smooth locus from the fixed-genus series.
 
@@ -81,14 +87,7 @@ def open_series(fx: SeriesFixture, trunc: int | None = None) -> HeavyLightResult
         raise ValueError(
             f"requested truncation {t} exceeds fixture truncation {fx.trunc}"
         )
-    res = coproduct(fx.data.truncate(t)).pleth2(exp2_of_p1(t))
-    res = _mask_stability(fx.genus, res)
-    return HeavyLightResult(
-        genus=fx.genus,
-        variant=fx.variant,
-        data=res,
-        provenance={fx.name: fx.trunc},
-    )
+    return _heavy_light(fx, exp2_of_p1(t))
 
 
 def _corrector(
@@ -133,15 +132,7 @@ def closed_series(
     factor-2 series rather than on the coproduct.
     """
     inner = _corrector(stable_fx, smooth_g0, trunc)
-    t = inner.trunc
-    res = coproduct(stable_fx.data.truncate(t)).pleth2(inner.pleth2(exp2_of_p1(t)))
-    res = _mask_stability(stable_fx.genus, res)
-    return HeavyLightResult(
-        genus=stable_fx.genus,
-        variant="closed",
-        data=res,
-        provenance={stable_fx.name: stable_fx.trunc, smooth_g0.name: smooth_g0.trunc},
-    )
+    return _heavy_light(stable_fx, inner.pleth2(exp2_of_p1(inner.trunc)), smooth_g0)
 
 
 # -- genus-0 closed forms -----------------------------------------------------
@@ -199,13 +190,17 @@ def _expm1_ps2(order: int) -> FormalPS2:
     return FormalPS2(("x", "y"), coeffs, order)
 
 
+def _numeric_heavy_light(b: FormalPS1, order: int | None, light) -> FormalPS2:
+    """b(x + L(y)) to the requested order n, L = light(n) built after the check."""
+    n = b.order if order is None else order
+    if n > b.order:
+        raise ValueError("requested order exceeds the input series order")
+    return compose_ps1_into_ps2(b.truncate(n), FormalPS2.variable(("x", "y"), 1, n) + light(n))
+
+
 def open_series_numeric(b_numeric: FormalPS1, order: int | None = None) -> FormalPS2:
     """Numeric heavy/light smooth series: substitute x -> x + e^y - 1."""
-    n = b_numeric.order if order is None else order
-    if n > b_numeric.order:
-        raise ValueError("requested order exceeds the input series order")
-    w = FormalPS2.variable(("x", "y"), 1, n) + _expm1_ps2(n)
-    return compose_ps1_into_ps2(b_numeric.truncate(n), w)
+    return _numeric_heavy_light(b_numeric, order, _expm1_ps2)
 
 
 def closed_series_numeric(bbar_numeric: FormalPS1, order: int | None = None) -> FormalPS2:
@@ -214,14 +209,10 @@ def closed_series_numeric(bbar_numeric: FormalPS1, order: int | None = None) -> 
     z = x + (genus-0 corrector composed with e^y - 1); expanding the closed
     form reproduces x + e^y + (e^{uv y} - uv e^y + uv - 1)/(uv - u^2v^2) - 1.
     """
-    n = bbar_numeric.order if order is None else order
-    if n > bbar_numeric.order:
-        raise ValueError("requested order exceeds the input series order")
-    corr = genus0_numeric_closed_form(max(n, 1))
-    zsub = FormalPS2.variable(("x", "y"), 1, n) + compose_ps1_into_ps2(
-        corr.truncate(n), _expm1_ps2(n)
-    )
-    return compose_ps1_into_ps2(bbar_numeric.truncate(n), zsub)
+    def light(n):
+        return compose_ps1_into_ps2(genus0_numeric_closed_form(max(n, 1)).truncate(n), _expm1_ps2(n))
+
+    return _numeric_heavy_light(bbar_numeric, order, light)
 
 
 # -- genus-1 Euler-characteristic closed forms --------------------------------
@@ -264,21 +255,15 @@ def _exp_minus_one(order: int) -> FormalPS1:
 def genus1_stable_chi_egf(order: int) -> FormalPS1:
     """EGF of Euler characteristics of the genus-1 fully-marked stable spaces.
 
-    Obtained from the light closed form by composing with the compositional
-    inverse g of the u=v=1 specialization of the genus-0 corrector:
-    -log(1+g)/12 - log(1 - log(1+g))/2 + eps(g).
+    The light closed form under y -> log(1 + g), g the compositional inverse
+    of the u=v=1 specialization of the genus-0 corrector.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     corr = genus0_numeric_closed_form(order)
     at_one = FormalPS1(
         "y", [UVPoly.const(corr[n].eval(1, 1)) for n in range(order + 1)], order
     )
     g = at_one.reversion()
-    one = UVPoly.one()
-    log1pg = (g + one).log()
-    inner = (FormalPS1("y", [one], order) - log1pg).log()
-    return log1pg * Fraction(-1, 12) - inner * Fraction(1, 2) + _eps_poly(order).compose(g)
+    return genus1_light_chi_egf(order).compose((g + UVPoly.one()).log())
 
 
 # -- derivative slice and tropical identities ----------------------------------

@@ -237,6 +237,8 @@ def parse_uvpoly(text: str) -> UVPoly:
         if len(pieces) != 3 or not pieces[1].startswith("u^") or not pieces[2].startswith("v^"):
             raise ValueError(f"malformed uv-poly term: {raw!r}")
         c = parse_rational(pieces[0])
+        if not c:
+            raise ValueError(f"zero coefficient in uv-poly term: {raw!r}")
         a = int(pieces[1][2:])
         b = int(pieces[2][2:])
         if (a, b) in terms:
@@ -254,10 +256,15 @@ def parse_tpoly(text: str) -> UVPoly:
         term = term.strip()
         if not term:
             raise ValueError(f"empty term in t-poly {text!r}")
-        sign = -1 if term.startswith("-") else 1
-        coeff_s, _, exp_s = term.lstrip("-").partition("t^")
-        coeff = parse_rational(coeff_s.removesuffix("*") or "1") if exp_s else parse_rational(coeff_s)
-        e = int(exp_s or 0)
+        sign, body = (-1, term[1:]) if term.startswith("-") else (1, term)
+        head, star, power = body.rpartition("*")
+        try:  # tterm := urat | (urat '*')? 't^' int
+            if power.startswith("t^"):
+                coeff, e = parse_rational(head if star else "1"), int(power[2:])
+            else:
+                coeff, e = parse_rational(body), 0
+        except ValueError as exc:
+            raise ValueError(f"malformed t-poly term {term!r}: {exc}") from None
         if e % 2:
             raise ValueError("odd power of t cannot be a uv-polynomial")
         if (e // 2, e // 2) in terms:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from heavylight.fixtures import (
@@ -92,6 +94,20 @@ def test_zero_denominator_carries_line_number():
     with pytest.raises(FixtureError, match="zero denominator") as err:
         parse_fixture(bad)
     assert err.value.lineno == 5
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ("term n=4 lambda=[4] poly=0", "zero term n=4 lambda=[4]"),
+        ("term n=4 lambda=[2,2] poly=0*u^1*v^1", "zero coefficient in uv-poly term: '0*u^1*v^1'"),
+        ("term n=4 lambda=[4] poly=1*u^1*v^1+0*u^2*v^2", "zero coefficient in uv-poly term: '0*u^2*v^2'"),
+    ],
+)
+def test_zero_term_is_refused_not_dropped(term, message):
+    # a zero term would be dropped on parsing and missing from the written file
+    with pytest.raises(FixtureError, match=re.escape(f"line 6: {message}")):
+        parse_fixture(MINIMAL + term + "\n")
 
 
 def test_size_mismatch_error():

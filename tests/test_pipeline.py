@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -223,3 +224,49 @@ def test_stability_mask():
             n = total - m
             if not stability_ok(0, m, n):
                 assert res.component(m, n).coeffs == {}
+
+
+# sha256 of str() of the change-of-variables outputs, recorded before the
+# pipelines shared one substitution per route
+PINNED_SHA256 = {
+    ("light", 1): "ae5e73f51910d3636bffaade6de6b742ec394e38df11fbc20eb9f131fa87bbf0",
+    ("stable", 1): "ae5e73f51910d3636bffaade6de6b742ec394e38df11fbc20eb9f131fa87bbf0",
+    ("light", 2): "518d78603dc5ca17870f7bf8d1232b025f37c4f927d20c1d3603c1b91c8e2f9e",
+    ("stable", 2): "518d78603dc5ca17870f7bf8d1232b025f37c4f927d20c1d3603c1b91c8e2f9e",
+    ("light", 5): "8e76e8517787fcbdcd82ac6df8b685e435411faeee2100beec48cfa1e36b5855",
+    ("stable", 5): "b016c5ec86dc2de5fbd96207837947decf248a3ecb73bb037de8ae083356a28b",
+    ("light", 11): "12c832e0508c2f20974edb483832d273a8b698aedf8a90ab9fa17d911ac5cb91",
+    ("stable", 11): "c616a6f12ff89f2f6b4b3872a137efa06e592a7e85131d01c893d836b9375bd7",
+    ("light", 15): "abac60eb450085fe886433202e0b47943d0b48d86e86c02bf3016ec08cbd8939",
+    ("stable", 15): "c2978fdb0f8456d365bbc68354fdca52bee13a69985137f1ab42979916bd6c56",
+    "open numeric": "5bf36482d801a110f06a97a3c8d321be7fd0aeb349a9bddb3f9618319a6c6145",
+    "closed numeric": "f033c0318e611d15b5961596bd656b8493393961ffa8835ef4afa1a105a30a00",
+    "closed stable": "b54ae9622e571ec2e016dfe06f89ae492a1186226431de6cd5c2039182bd5c1c",
+}
+
+
+def test_change_of_variables_outputs_are_pinned():
+    chi = {"light": genus1_light_chi_egf, "stable": genus1_stable_chi_egf}
+    outputs = {(kind, n): f(n) for kind, f in chi.items() for n in (1, 2, 5, 11, 15)}
+    outputs["open numeric"] = open_series_numeric(load_fixture("genus1_smooth").data.rank1("x"))
+    numeric = load_fixture("genus1_stable_numeric").data.rank1("x")
+    outputs["closed numeric"] = closed_series_numeric(numeric, 11)
+    stable1 = load_fixture("genus1_stable")
+    outputs["closed stable"] = closed_series_numeric(stable1.data.rank1("x"), 6)
+    for key, out in outputs.items():
+        assert hashlib.sha256(str(out).encode()).hexdigest() == PINNED_SHA256[key], key
+
+
+def test_equivariant_results_carry_their_provenance():
+    smooth0 = load_fixture("genus0_smooth")
+    smooth1 = load_fixture("genus1_smooth")
+    stable1 = load_fixture("genus1_stable")
+    w0 = load_fixture("genus2_smooth_weight0")
+    cases = [
+        (open_series(smooth1), 1, "open", {"genus1_smooth": 6}),
+        (open_series(w0, trunc=3), 2, "weight0", {"genus2_smooth_weight0": 6}),
+        (closed_series(stable1, smooth0, trunc=4), 1, "closed",
+         {"genus1_stable": 10, "genus0_smooth": 11}),
+    ]
+    for res, genus, variant, provenance in cases:
+        assert (res.genus, res.variant, res.provenance) == (genus, variant, provenance)

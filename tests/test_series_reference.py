@@ -18,6 +18,8 @@ per arity, keeping its top arity, while the kernel solves g o f = p_1 in
 one pass.  The two inverses must agree coefficient for coefficient.  So must
 Exp and Log at arity 8 with two routes built on the package's series
 products: Exp by the Newton recurrence, Log from the powers of the series.
+Their rank specializations must also equal exp and log of the truncated
+power series in powerseries.py, the independent route.
 """
 
 from collections import Counter
@@ -272,3 +274,12 @@ def test_exp_and_log_equal_the_old_routes_at_arity_8(f, a):
     assert same_numerators(f.log_series(), reference_log_powers(f))
     assert same_numerators(a.exp2(), reference_exp_newton(a))
     assert same_numerators(a.log2(), reference_log_powers(a))
+
+
+@SETTINGS
+@given(SYM0_8)
+def test_exp_and_log_match_the_power_series_route_at_arity_8(f):
+    # rank1 sends every p_k with k >= 2 to 0, so Exp becomes exp - 1 and Log log(1 + .)
+    y = f.rank1("y")
+    assert f.exp_series().rank1("y") == y.exp() - 1
+    assert f.log_series().rank1("y") == (y + 1).log()

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +57,11 @@ def test_parse_tpoly():
 def test_parse_tpoly_rejects_empty_and_repeated_terms(tmp_path):
     for bad in ("", "+", " ", "t^2+", "-", "t^2+t^2", "3+1", "t^4-2*t^4"):
         with pytest.raises(ValueError):
+            parse_tpoly(bad)
+    # outside tterm := urat | (urat '*')? 't^' int, and named by the error
+    for bad, term in (("2t^2", "2t^2"), ("1/2t^2", "1/2t^2"), ("*t^2", "*t^2"),
+                      ("t^", "t^"), ("t^2-", "-"), ("-", "-")):
+        with pytest.raises(ValueError, match=re.escape(f"term {term!r}")):
             parse_tpoly(bad)
     # a golden pair line with no coefficient is refused, not read as 0
     path = tmp_path / "golden.txt"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,10 @@ def test_grammar_round_trip():
         parse_uvpoly("1*u^1*v^1+2*u^1*v^1")
     for bad in ("1/0*u^0*v^0", "1*u^1*v^1+2/0*u^0*v^0"):
         with pytest.raises(ValueError, match="zero denominator"):
+            parse_uvpoly(bad)
+    # the zero polynomial is written 0, never as a zero monomial
+    for bad, term in (("0*u^1*v^1", "0*u^1*v^1"), ("1*u^1*v^1+0*u^2*v^2", "0*u^2*v^2")):
+        with pytest.raises(ValueError, match=re.escape(f"zero coefficient in uv-poly term: {term!r}")):
             parse_uvpoly(bad)
 
 
