@@ -21,6 +21,7 @@ from .pipeline import (
     tropical_euler,
 )
 from .tables import BASES, FORMATS, delimited_lines, numeric_value, render_table
+from .uvpoly import parse_int
 from .verify import SUITES, run_suite
 
 # The shipped fixture serving each (variant, genus).  Genus 2 ships only the
@@ -39,12 +40,12 @@ class Refused(Exception):
     """A request the shipped data cannot serve; `main` prints it and returns 1."""
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than `minimum`."""
+def _integer(minimum=None):
+    """An argparse type: an integer literal of the `uvpoly` grammar, no smaller than `minimum`."""
 
     def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as a usage error
-        if value < minimum:
+        value = parse_int(text, "value")  # argparse reports a ValueError as a usage error
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
 
@@ -167,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--genus", type=int, required=True)
-    table.add_argument("--max-arity", type=_at_least(0), default=5)
+    table.add_argument("--genus", type=_integer(), required=True)
+    table.add_argument("--max-arity", type=_integer(0), default=5)
     table.add_argument("--basis", choices=BASES, default="schur")
     table.add_argument("--format", choices=FORMATS, default="text")
 
@@ -184,20 +185,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_open_table)
 
     p = sub.add_parser("euler-genfun", help="Euler characteristics of the all-light spaces")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--order", type=_at_least(1), default=10)
+    p.add_argument("--genus", type=_integer(), required=True)
+    p.add_argument("--order", type=_integer(1), default=10)
     p.set_defaults(fn=cmd_euler_genfun)
 
     p = sub.add_parser("slice-n1", help="single-light-marking slice from the derivative formula")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--m", type=_at_least(0), required=True)
+    p.add_argument("--genus", type=_integer(), required=True)
+    p.add_argument("--m", type=_integer(0), required=True)
     p.add_argument("--variant", choices=("open", "closed"), default="closed")
     p.set_defaults(fn=cmd_slice_n1)
 
     p = sub.add_parser("tropical", help="tropical equivariant Euler characteristic")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--m", type=_at_least(0), required=True)
-    p.add_argument("--n", type=_at_least(0), required=True)
+    p.add_argument("--genus", type=_integer(), required=True)
+    p.add_argument("--m", type=_integer(0), required=True)
+    p.add_argument("--n", type=_integer(0), required=True)
     p.set_defaults(fn=cmd_tropical)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -205,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle-compare", help="brute-force oracle vs the open pipeline")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-arity", type=_at_least(0), default=5)
+    p.add_argument("--genus", type=_integer(), required=True)
+    p.add_argument("--max-arity", type=_integer(0), default=5)
     p.set_defaults(fn=cmd_oracle_compare)
     return ap
 

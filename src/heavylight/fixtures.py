@@ -8,19 +8,22 @@ File format (line-oriented, `#` starts a comment, bit-exact round trip):
     truncation <int>
     term n=<int> lambda=[k1,k2,...] poly=<uv-poly other than 0>
 
-The fixture directory defaults to the packaged data directory and can be
-overridden with the HL_FIXTURE_DIR environment variable.
+Each header appears once.  <int> is ASCII [0-9]+ as in the `uvpoly` grammar, with
+no '_', '.', exponent or inner space.  HL_FIXTURE_DIR, when set, overrides the
+default fixture directory, the packaged data directory.
 """
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .partitions import format_partition, parse_partition
 from .symseries import SymSeries
-from .uvpoly import parse_uvpoly
+from .uvpoly import parse_int, parse_uvpoly
 
 VARIANTS = ("open", "closed", "weight0")
+_TERM_FIELDS = re.compile(r"n=(\S*)\s+lambda=(\S*)\s+poly=(\S*)")
 
 # shipped fixture names -> file stem
 SHIPPED = {
@@ -65,77 +68,61 @@ def default_fixture_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def _header_int(lineno: int, key: str, rest: str) -> int:
-    try:
-        value = int(rest)
-    except ValueError:
-        raise FixtureError(lineno, f"{key} must be an integer, got {rest.strip()!r}") from None
-    if value < 0:
-        raise FixtureError(lineno, f"{key} must be nonnegative, got {value}")
-    return value
+def read_lines(text: str, parse_line, error) -> None:
+    """Call parse_line on each nonblank line of `text`, `#` comment and outer space
+    stripped; a ValueError it raises is raised again as error(lineno, message)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                parse_line(line)
+            except ValueError as exc:
+                raise error(lineno, str(exc)) from None
 
 
 def parse_fixture(text: str) -> SeriesFixture:
     """Parse fixture text; raises FixtureError with a line position."""
-    name = genus = variant = trunc = None
-    terms = {}
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            key, rest = line.split(None, 1)
-        except ValueError:
-            raise FixtureError(lineno, f"malformed line: {raw!r}")
-        if key != "term":
-            if key in seen:
-                raise FixtureError(lineno, f"repeated header {key!r}")
-            seen.add(key)
-        if key == "series":
-            name = rest.strip()
-        elif key == "genus":
-            genus = _header_int(lineno, key, rest)
-        elif key == "variant":
-            variant = rest.strip()
-            if variant not in VARIANTS:
-                raise FixtureError(lineno, f"unknown variant {variant!r}")
-        elif key == "truncation":
-            trunc = _header_int(lineno, key, rest)
-        elif key == "term":
-            fields = {}
-            for chunk in rest.split(None, 2):
-                if "=" not in chunk:
-                    raise FixtureError(lineno, f"malformed term field {chunk!r}")
-                k, v = chunk.split("=", 1)
-                fields[k] = v
-            missing = {"n", "lambda", "poly"} - set(fields)
-            if missing:
-                raise FixtureError(lineno, f"term missing fields {sorted(missing)}")
-            try:
-                n = int(fields["n"])
-                lam = parse_partition(fields["lambda"])
-                poly = parse_uvpoly(fields["poly"])
-            except ValueError as exc:
-                raise FixtureError(lineno, str(exc))
-            if not poly:
-                raise FixtureError(lineno, f"zero term n={n} lambda={fields['lambda']}")
-            if sum(lam) != n:
-                raise FixtureError(lineno, f"lambda {lam} does not have size {n}")
-            if trunc is None:
-                raise FixtureError(lineno, "term before truncation header")
-            if n > trunc:
-                raise FixtureError(lineno, f"term arity {n} exceeds truncation {trunc}")
-            if lam in terms:
-                raise FixtureError(lineno, f"duplicate term key n={n} lambda={lam}")
-            terms[lam] = poly
+    headers, terms = {}, {}
+
+    def parse_line(line):
+        fields = line.split(None, 1)
+        if len(fields) != 2:
+            raise ValueError(f"malformed line: {line!r}")
+        key, rest = fields
+        if key in headers:
+            raise ValueError(f"repeated header {key!r}")
+        if key in ("genus", "truncation"):
+            headers[key] = parse_int(rest, key)
+            if headers[key] < 0:
+                raise ValueError(f"{key} must be nonnegative, got {headers[key]}")
+        elif key == "variant" and rest not in VARIANTS:
+            raise ValueError(f"unknown variant {rest!r}")
+        elif key in ("series", "variant"):
+            headers[key] = rest
+        elif key != "term":
+            raise ValueError(f"unknown directive {key!r}")
+        elif not (m := _TERM_FIELDS.fullmatch(rest)):
+            raise ValueError(f"malformed term {rest!r}")
         else:
-            raise FixtureError(lineno, f"unknown directive {key!r}")
-    missing = [key for key in ("series", "genus", "variant", "truncation") if key not in seen]
+            n, lam, poly = parse_int(m[1], "n"), parse_partition(m[2]), parse_uvpoly(m[3])
+            if not poly:
+                raise ValueError(f"zero term n={n} lambda={m[2]}")
+            if sum(lam) != n:
+                raise ValueError(f"lambda {lam} does not have size {n}")
+            if "truncation" not in headers:
+                raise ValueError("term before truncation header")
+            if n > headers["truncation"]:
+                raise ValueError(f"term arity {n} exceeds truncation {headers['truncation']}")
+            if lam in terms:
+                raise ValueError(f"duplicate term key n={n} lambda={lam}")
+            terms[lam] = poly
+
+    read_lines(text, parse_line, FixtureError)
+    missing = [key for key in ("series", "genus", "variant", "truncation") if key not in headers]
     if missing:
         raise FixtureError(0, f"missing header: {', '.join(missing)}")
-    data = SymSeries(terms, trunc)
-    return SeriesFixture(name=name, genus=genus, variant=variant, trunc=trunc, data=data)
+    return SeriesFixture(headers["series"], headers["genus"], headers["variant"],
+                         headers["truncation"], SymSeries(terms, headers["truncation"]))
 
 
 def write_fixture(fx: SeriesFixture) -> str:
@@ -160,8 +147,7 @@ def load_fixture(name: str, directory: Path | None = None) -> SeriesFixture:
     path = directory / f"{stem}.hlf"
     if not path.exists():
         raise FileNotFoundError(f"fixture {name!r} not found at {path}")
-    fx = parse_fixture(path.read_text())
-    return fx
+    return parse_fixture(path.read_text())
 
 
 def save_fixture(fx: SeriesFixture, directory: Path | None = None) -> Path:

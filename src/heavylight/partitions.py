@@ -9,6 +9,8 @@ derives from it.
 from functools import lru_cache
 from math import factorial
 
+from .uvpoly import PARTITION
+
 
 def is_partition(parts) -> bool:
     """True if `parts` is a weakly decreasing tuple of positive integers."""
@@ -21,8 +23,8 @@ def is_partition(parts) -> bool:
 
 
 def partition(parts) -> tuple:
-    """Normalize an iterable into a partition tuple, validating it."""
-    t = tuple(int(p) for p in parts)
+    """An iterable of ints as a partition tuple, validating it."""
+    t = tuple(parts)
     if not is_partition(t):
         raise ValueError(f"not a partition: {t!r}")
     return t
@@ -81,14 +83,11 @@ def format_partition(lam: tuple) -> str:
 
 
 def parse_partition(text: str) -> tuple:
-    """Inverse of format_partition."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
+    """Inverse of format_partition: the partition literal of the `uvpoly` grammar."""
+    m = PARTITION.fullmatch(text)
+    if not m:
         raise ValueError(f"malformed partition literal: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return partition(int(tok) for tok in inner.split(","))
+    return partition(map(int, m[1].split(","))) if m[1] else ()
 
 
 def _strip_border_strips(lam: tuple, length: int):

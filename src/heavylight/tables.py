@@ -16,9 +16,10 @@ from itertools import groupby
 from pathlib import Path
 
 from .bisymseries import BiSymSeries
+from .fixtures import read_lines
 from .partitions import format_partition, parse_partition
 from .pipeline import GENUS1_PURE_ARITY
-from .uvpoly import UVPoly, parse_rational, parse_tpoly, parse_uvpoly, poincare_str
+from .uvpoly import UVPoly, parse_int, parse_rational, parse_tpoly, parse_uvpoly, poincare_str
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -38,16 +39,12 @@ class GoldenRow:
     numeric: Fraction | None = None
 
 
-def _parse_lines(path: Path, parse_line):
-    """Call parse_line on each line with its comment stripped, skipping blank
-    lines; a ValueError from a line is raised again as "<file>:<line>: ..."."""
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            try:
-                parse_line(line)
-            except ValueError as exc:
-                raise ValueError(f"{path.name}:{lineno}: {exc}") from None
+def _row_header(words: list, size: int, mode: str) -> tuple:
+    """The `size` ints and the mode (full, the default, or `mode`) of a golden row header."""
+    *values, word = words[1:] if len(words) > size + 1 else [*words[1:], "full"]
+    if words[:1] != ["row"] or len(values) != size or word not in ("full", mode):
+        raise ValueError(f"malformed row header {' '.join(words)!r}")
+    return *(parse_int(v, "a row value") for v in values), word
 
 
 def parse_golden_pairs(path: Path) -> list:
@@ -57,8 +54,7 @@ def parse_golden_pairs(path: Path) -> list:
     def parse_line(line):
         directive, *fields = line.split()
         if directive == "row":
-            m, n, *mode = fields
-            rows.append(GoldenRow(m=int(m), n=int(n), mode=mode[0] if mode else "full", pairs={}))
+            rows.append(GoldenRow(*_row_header(line.split(), 2, "partial"), pairs={}))
         elif directive not in ("pair", "numeric"):
             raise ValueError(f"unknown golden directive {line!r}")
         elif not rows:
@@ -66,14 +62,17 @@ def parse_golden_pairs(path: Path) -> list:
         elif directive == "pair":
             head, poly_s = line.split(":", 1)
             _, lam_s, mu_s = head.split()
-            rows[-1].pairs[(parse_partition(lam_s), parse_partition(mu_s))] = parse_tpoly(
-                poly_s.strip()
-            )
+            key = parse_partition(lam_s), parse_partition(mu_s)
+            if key in rows[-1].pairs:
+                raise ValueError(f"repeated pair {lam_s} {mu_s}")
+            rows[-1].pairs[key] = parse_tpoly(poly_s.strip())
+        elif rows[-1].numeric is not None:
+            raise ValueError("repeated numeric line")
         else:
             (value,) = fields
             rows[-1].numeric = parse_rational(value)
 
-    _parse_lines(path, parse_line)
+    read_lines(path.read_text(), parse_line, lambda i, msg: ValueError(f"{path.name}:{i}: {msg}"))
     return rows
 
 
@@ -82,13 +81,13 @@ def parse_golden_numeric(path: Path) -> dict:
     out: dict = {}
 
     def parse_line(line):
-        if not line.startswith("row"):
-            raise ValueError(f"unknown directive {line!r}")
         head, poly_s = line.split(":", 1)
-        _, n, *mode = head.split()
-        out[int(n)] = (parse_uvpoly(poly_s.strip()), mode[0] if mode else "full")
+        n, mode = _row_header(head.split(), 1, "inferred")
+        if n in out:
+            raise ValueError(f"repeated row {n}")
+        out[n] = (parse_uvpoly(poly_s.strip()), mode)
 
-    _parse_lines(path, parse_line)
+    read_lines(path.read_text(), parse_line, lambda i, msg: ValueError(f"{path.name}:{i}: {msg}"))
     return out
 
 

@@ -16,18 +16,29 @@ t^2 = uv, used by golden tables and the poincare table form.
 
     poly  := '0' | term ('+' term)*
     term  := rat '*u^' int '*v^' int
-    tpoly := '-'? tterm (('+' | '-') tterm)*
+    tpoly := '0' | '-'? tterm (('+' | '-') tterm)*
     tterm := urat | (urat '*')? 't^' int
     rat   := '-'? urat
     urat  := int ('/' int)?
+    int   := [0-9]+  (ASCII digits; no '_', '.', exponent or inner space)
+    part  := '[' (int (',' int)*)? ']'
 
 The uv form orders terms by (u-exponent, v-exponent) descending.  The t form
 orders them by t-exponent descending and has even exponents only; it writes
 t^e for a coefficient of 1, and a constant term without t^0.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
+
+INT = "[0-9]+"  # int() also takes 1_0 and other scripts' digits, and \d matches those
+_URAT = f"{INT}(?:/{INT})?"
+_SIGNED_INT = re.compile(f"-?{INT}")
+_RAT = re.compile(f"(-?{INT})(?:/({INT}))?")
+_TERM = re.compile(rf"(-?{_URAT})\*u\^({INT})\*v\^({INT})")
+_TTERM = re.compile(rf"(-?)(?:({_URAT})|(?:({_URAT})\*)?t\^({INT}))")
+PARTITION = re.compile(rf"\[((?:{INT},)*{INT})?\]")
 
 
 class NotDiagonalError(ValueError):
@@ -217,30 +228,36 @@ def as_poly(c) -> UVPoly:
     return c if isinstance(c, UVPoly) else UVPoly.const(c)
 
 
+def parse_int(text: str, name: str) -> int:
+    """An integer literal '-'? int; the caller checks its sign."""
+    if not _SIGNED_INT.fullmatch(text):
+        raise ValueError(f"{name} must be an integer, got {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """A coefficient literal; a zero denominator is a ValueError like any other bad literal."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in coefficient {text!r}") from None
+    """A coefficient literal rat; a zero denominator is a ValueError like any other bad literal."""
+    m = _RAT.fullmatch(text)
+    if not m:
+        raise ValueError(f"malformed coefficient {text!r}")
+    num, den = int(m[1]), int(m[2] or 1)
+    if not den:
+        raise ValueError(f"zero denominator in coefficient {text!r}")
+    return Fraction(num, den)
 
 
 def parse_uvpoly(text: str) -> UVPoly:
-    """Parse the canonical UVPoly grammar."""
-    text = text.strip()
+    """Parse the uv grammar; a zero term or a repeated exponent pair is refused."""
     if text == "0":
         return UVPoly()
     terms = {}
     for raw in text.split("+"):
-        raw = raw.strip()
-        pieces = raw.split("*")
-        if len(pieces) != 3 or not pieces[1].startswith("u^") or not pieces[2].startswith("v^"):
+        m = _TERM.fullmatch(raw)
+        if not m:
             raise ValueError(f"malformed uv-poly term: {raw!r}")
-        c = parse_rational(pieces[0])
+        c, a, b = parse_rational(m[1]), int(m[2]), int(m[3])
         if not c:
             raise ValueError(f"zero coefficient in uv-poly term: {raw!r}")
-        a = int(pieces[1][2:])
-        b = int(pieces[2][2:])
         if (a, b) in terms:
             raise ValueError(f"duplicate exponent pair in uv-poly: ({a},{b})")
         terms[(a, b)] = c
@@ -248,28 +265,23 @@ def parse_uvpoly(text: str) -> UVPoly:
 
 
 def parse_tpoly(text: str) -> UVPoly:
-    """Parse the t grammar, reading t^{2k} as (uv)^k; odd powers of t, empty
-    terms and a repeated exponent are rejected."""
-    text = text.strip()
+    """Parse the t grammar, t^{2k} read as (uv)^k; refuses bad or zero terms, odd powers, repeats."""
+    if text == "0":
+        return UVPoly()
     terms = {}
     for term in (text[:1] + text[1:].replace("-", "+-")).split("+"):
-        term = term.strip()
-        if not term:
-            raise ValueError(f"empty term in t-poly {text!r}")
-        sign, body = (-1, term[1:]) if term.startswith("-") else (1, term)
-        head, star, power = body.rpartition("*")
-        try:  # tterm := urat | (urat '*')? 't^' int
-            if power.startswith("t^"):
-                coeff, e = parse_rational(head if star else "1"), int(power[2:])
-            else:
-                coeff, e = parse_rational(body), 0
-        except ValueError as exc:
-            raise ValueError(f"malformed t-poly term {term!r}: {exc}") from None
+        m = _TTERM.fullmatch(term)
+        if not m:
+            raise ValueError(f"malformed t-poly term {term!r}")
+        sign, const, coeff, e = m.groups()
+        c, e = parse_rational(sign + (const or coeff or "1")), int(e or 0)
+        if not c:
+            raise ValueError(f"zero coefficient in t-poly term {term!r}")
         if e % 2:
             raise ValueError("odd power of t cannot be a uv-polynomial")
         if (e // 2, e // 2) in terms:
             raise ValueError(f"duplicate exponent in t-poly: t^{e}")
-        terms[e // 2, e // 2] = sign * coeff
+        terms[e // 2, e // 2] = c
     return UVPoly(terms)
 
 

@@ -76,6 +76,25 @@ def test_parse_error_carries_line_number():
 
 
 @pytest.mark.parametrize(
+    "old, new, lineno, message",
+    [
+        ("truncation 4", "truncation 1_0", 4, "truncation must be an integer, got '1_0'"),
+        ("genus 0", "genus \u0663", 2, "genus must be an integer, got '\u0663'"),
+        ("n=3", "n=1_0", 5, "n must be an integer, got '1_0'"),
+        ("n=3", "n=\u0663", 5, "n must be an integer, got '\u0663'"),
+        ("lambda=[3]", "lambda=[+3]", 5, "malformed partition literal: '[+3]'"),
+        ("lambda=[3]", "lambda=[ 3]", 5, "malformed term 'n=3 lambda=[ 3] poly=1*u^0*v^0'"),
+        ("poly=1*u^0*v^0", "poly=1.0*u^0*v^0", 5, "malformed uv-poly term: '1.0*u^0*v^0'"),
+    ],
+)
+def test_numbers_outside_the_ascii_grammar_carry_line_number(old, new, lineno, message):
+    # int() would read 1_0 as 10 and the Arabic-Indic digit as 3
+    with pytest.raises(FixtureError, match=re.escape(f"line {lineno}: {message}")) as err:
+        parse_fixture(MINIMAL.replace(old, new))
+    assert err.value.lineno == lineno
+
+
+@pytest.mark.parametrize(
     "absent",
     [["series"], ["genus"], ["variant"], ["truncation"], ["genus", "truncation"]],
     ids="-".join,

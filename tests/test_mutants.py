@@ -1,0 +1,17 @@
+"""The mutation table of tools/mutants.py matches the tree: every `old` occurs
+exactly once in its file and differs from its `new`, so a change that rewrites
+a guarded line must carry its mutant forward.  Running the mutants is left to
+`python tools/mutants.py`."""
+
+import importlib.util
+from pathlib import Path
+
+RUNNER = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
+
+
+def test_every_mutant_applies_to_the_tree_exactly_once():
+    spec = importlib.util.spec_from_file_location("mutants", RUNNER)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    assert mutants.table_problems() == []

@@ -106,9 +106,25 @@ def test_compare_row_to_golden_failure_paths(tmp_path):
         (parse_golden_pairs, "row 0 2 full\nnumeric 1/0"),
         (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow : 1*u^0*v^0"),
         (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow 2 1*u^0*v^0"),
+        (parse_golden_pairs, "row 1_0 2"),
+        (parse_golden_pairs, "row 0 \u0662"),
+        (parse_golden_pairs, "row 0 2 parital"),
+        (parse_golden_pairs, "row 0 2 parital extra"),
+        (parse_golden_pairs, "row 0 2 full extra"),
+        (parse_golden_pairs, "row 0 2 inferred"),
+        (parse_golden_numeric, "row 1_0 : 1*u^0*v^0"),
+        (parse_golden_numeric, "row 1 partial : 1*u^0*v^0"),
+        (parse_golden_numeric, "row 1 inferred extra : 1*u^0*v^0"),
+        (parse_golden_pairs, "row 0 2 full\npair [] [2] : t^2\npair [] [2] : t^4"),
+        (parse_golden_pairs, "row 0 2 full\nnumeric -1\nnumeric -2"),
+        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow 1 : 2*u^0*v^0"),
     ],
     ids=["row-no-n", "row-bad-n", "pair-two-fields", "numeric-no-value", "pair-before-row",
-         "numeric-zero-denominator", "numeric-row-no-n", "numeric-row-no-colon"],
+         "numeric-zero-denominator", "numeric-row-no-n", "numeric-row-no-colon",
+         "row-underscore-m", "row-non-ascii-n", "row-unknown-mode", "row-mode-and-extra-field",
+         "row-extra-field", "row-numeric-table-mode", "numeric-row-underscore-n",
+         "numeric-row-pair-table-mode", "numeric-row-extra-field", "pair-repeated",
+         "numeric-repeated", "numeric-row-repeated"],
 )
 def test_golden_parse_errors_carry_position(tmp_path, parse, text):
     path = tmp_path / "golden.txt"
@@ -280,10 +296,22 @@ def test_cli_usage_error_exit_code():
         ["no-such-command"],
         ["euler-genfun", "--genus", "1", "--order", "0"],
         ["closed-table", "--genus", "1", "--max-arity", "-1"],
+        ["closed-table", "--genus", "\u0661", "--max-arity", "1_0"],
+        ["closed-table", "--genus", "\u0661"],
+        ["closed-table", "--genus", "1", "--max-arity", "1_0"],
+        ["euler-genfun", "--genus", "1", "--order", "+3"],
+        ["slice-n1", "--genus", "1", "--m", "1.0"],
+        ["tropical", "--genus", "1", "--m", "1", "--n", "1e1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_cli_negative_genus_is_a_refusal_not_a_usage_error():
+    # the integer type takes a sign: the shipped data, not the parser, refuses genus -1
+    code, err = run_cli_stderr(["closed-table", "--genus", "-1"])
+    assert (code, err) == (1, "closed tables are shipped for genus 1 only\n")
 
 
 def test_cli_failure_exit_code():

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from heavylight.fixtures import load_fixture
+from heavylight.partitions import parse_partition
 from heavylight.pipeline import closed_series
 from heavylight.uvpoly import (
     NotDiagonalError,
     UVPoly,
     divide_diagonal_exact,
+    parse_int,
+    parse_rational,
     parse_tpoly,
     parse_uvpoly,
     poincare_str,
@@ -110,6 +113,50 @@ def test_grammar_round_trip():
     for bad, term in (("0*u^1*v^1", "0*u^1*v^1"), ("1*u^1*v^1+0*u^2*v^2", "0*u^2*v^2")):
         with pytest.raises(ValueError, match=re.escape(f"zero coefficient in uv-poly term: {term!r}")):
             parse_uvpoly(bad)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        # int() and Fraction() read each of these as another number
+        (parse_tpoly, "t^1_0"),
+        (parse_tpoly, "1_0*t^2"),
+        (parse_tpoly, "\u0663*t^2"),  # ARABIC-INDIC DIGIT THREE
+        (parse_uvpoly, "1_2*u^0*v^0"),
+        (parse_partition, "[1_0]"),
+        (parse_uvpoly, "1.5*u^0*v^0"),
+        (parse_uvpoly, "1e2*u^0*v^0"),
+        (parse_uvpoly, "1*u^\u0661*v^1"),
+        (parse_rational, "1_0"),
+        (parse_rational, " 3"),
+        (parse_rational, "+3"),
+        (parse_partition, "[+2,1]"),
+        (parse_partition, "[ 2 , 1 ]"),
+        (parse_partition, " [2,1]"),
+        # whitespace inside a polynomial
+        (parse_tpoly, "t^4 + 1"),
+        (parse_tpoly, "t^ 2"),
+        (parse_uvpoly, "1*u^1*v^1 +1*u^0*v^0"),
+        (parse_uvpoly, " 0"),
+    ],
+)
+def test_literals_outside_the_ascii_grammar_are_refused(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
+def test_integer_literals_are_ascii():
+    assert parse_int("-12", "x") == -12 and parse_int("007", "x") == 7
+    for bad in ("1_0", "\u0663", "+1", "1.0", "1e2", " 1", ""):
+        with pytest.raises(ValueError, match=re.escape(f"x must be an integer, got {bad!r}")):
+            parse_int(bad, "x")
+
+
+def test_tpoly_zero_terms_are_refused():
+    assert parse_tpoly("0") == UVPoly.zero()  # what poincare_str writes for zero
+    for bad, term in (("0*t^2", "0*t^2"), ("t^2+0", "0"), ("t^4-0/3*t^2", "-0/3*t^2")):
+        with pytest.raises(ValueError, match=re.escape(f"term {term!r}")):
+            parse_tpoly(bad)
 
 
 def test_mirror_and_palindromy():
