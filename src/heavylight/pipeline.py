@@ -6,25 +6,26 @@ each pipeline supplies only its input checks, inner series and provenance.
   * Equivariant (_heavy_light): coproduct, substitute an inner series into
     the second factor, mask stability.  open_series (smooth locus) uses the
     light-markings exponential Exp; closed_series (compactification) uses
-    the composed corrector (p_1 - dG_0/dp_1) o_2 Exp, G_0 smooth genus 0.
+    the composed corrector K o_2 Exp, K = genus0_corrector = p_1 - dG_0/dp_1.
   * Numeric (_numeric_heavy_light): x -> x + L(y) in an exponential
     generating function, L = e^y - 1 (open) or the genus-0 corrector of
-    e^y - 1 (closed); checked against the rank specialization of the
-    equivariant results and, at small arity, a brute-force oracle.
+    e^y - 1 (closed), whose numeric form, a running product in uv, is the
+    rank of K; checked against the rank specialization of the equivariant
+    results and, at small arity, a brute-force oracle.
   * Euler characteristic: the stable genus-1 series is the light closed
     form under y -> log(1 + g), g the inverse of the corrector at u = v = 1.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial
 
 from .bisymseries import BiSymSeries, coproduct, exp2_of_p1
 from .fixtures import SeriesFixture
 from .powerseries import FormalPS1, FormalPS2, compose_ps1_into_ps2
 from .symseries import SymSeries
-from .uvpoly import UVPoly, divide_diagonal_exact
+from .uvpoly import UVPoly
 
 # Genus-1 outputs are pure (diagonal, palindromic, nonnegative in the Schur
 # basis) up to this total arity; the weight-12 cusp form enters at arity 11.
@@ -93,8 +94,8 @@ def open_series(fx: SeriesFixture, trunc: int | None = None) -> HeavyLightResult
 def _corrector(
     stable_fx: SeriesFixture, smooth_g0: SeriesFixture, trunc: int | None
 ) -> BiSymSeries:
-    """The factor-2 rational-tails corrector p_1 - d(smooth genus 0)/dp_1,
-    truncated at the requested arity, after checking both fixtures."""
+    """genus0_corrector in factor 2, truncated at the requested arity, after
+    checking both fixtures."""
     if stable_fx.variant != "closed":
         raise ValueError("the stable series must be a closed fixture")
     if smooth_g0.variant != "open" or smooth_g0.genus != 0:
@@ -103,8 +104,7 @@ def _corrector(
     t = t_max if trunc is None else trunc
     if t > t_max:
         raise ValueError(f"requested truncation {t} exceeds available {t_max}")
-    deriv = smooth_g0.data.d_dp1().truncate(t)
-    return BiSymSeries.power_sum(1, 2, t) - BiSymSeries.inject(deriv, 2)
+    return BiSymSeries.inject(genus0_corrector(smooth_g0.data, t), 2)
 
 
 def tail_free_series(
@@ -138,37 +138,34 @@ def closed_series(
 # -- genus-0 closed forms -----------------------------------------------------
 
 
-def _falling_binomial_poly(k: int) -> UVPoly:
-    """The polynomial binom(uv, k) = uv(uv-1)...(uv-k+1)/k!."""
-    acc = UVPoly.one()
-    for i in range(k):
-        acc = acc * (UVPoly.uv_power(1) - UVPoly.const(i))
-    return acc / Fraction(factorial(k))
+def genus0_corrector(smooth: SymSeries, trunc: int) -> SymSeries:
+    """The rational-tails corrector p_1 - d(smooth)/dp_1 of the smooth genus-0
+    series, truncated; one side of the genus-0 Legendre pair."""
+    return SymSeries.power_sum(1, trunc) - smooth.d_dp1().truncate(trunc)
 
 
-@lru_cache(maxsize=None)
 def genus0_numeric_closed_form(order: int) -> FormalPS1:
-    """Numeric genus-0 corrector series in y with UVPoly coefficients.
+    """Numeric genus-0 corrector series in y with UVPoly coefficients: the rank
+    of genus0_corrector(G_0, order), G_0 the smooth genus-0 series.
 
-    The y^n/n! coefficient for n >= 2 equals minus the numeric series value
-    of the smooth genus-0 space with n+1 markings; the series equals
-    y + ((y+1)^{uv} - uv*y - 1) / (uv - u^2 v^2), with the division performed
-    exactly on each coefficient (the numerator is always divisible; failure
-    signals an internal invariant violation).
+    The series is y + ((y+1)^{uv} - uv*y - 1) / (uv - u^2 v^2).  Since
+    binom(uv, k) / (uv - u^2 v^2) = -(uv - 2)...(uv - k + 1)/k!, its
+    coefficients are the running product c_0 = 0, c_1 = 1, c_2 = -1/2 and
+    c_{k+1} = c_k (uv - k)/(k + 1); for k >= 2, k! c_k is minus the numeric
+    series value of the smooth genus-0 space with k + 1 markings.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [UVPoly.zero(), UVPoly.one()]
-    divisor = UVPoly.uv_power(1) - UVPoly.uv_power(2)
-    for k in range(2, order + 1):
-        coeffs.append(divide_diagonal_exact(_falling_binomial_poly(k), divisor))
-    return FormalPS1("y", coeffs, order)
+    coeffs = [UVPoly.zero(), UVPoly.one(), UVPoly.const(Fraction(-1, 2))]
+    for k in range(2, order):
+        coeffs.append(coeffs[k] * (UVPoly.uv_power(1) - k) / (k + 1))
+    return FormalPS1("y", coeffs[: order + 1], order)
 
 
 def legendre_check(smooth_fx: SeriesFixture, stable_fx: SeriesFixture, trunc: int | None = None) -> bool:
     """Verify the genus-0 smooth/stable derivative series are inverse.
 
-    Checks (p_1 - d(smooth)/dp_1) o (p_1 + d(stable)/dp_1) = p_1 to the
+    Checks genus0_corrector(smooth) o (p_1 + d(stable)/dp_1) = p_1 to the
     common truncation.
     """
     if smooth_fx.genus != 0 or stable_fx.genus != 0:
@@ -176,9 +173,8 @@ def legendre_check(smooth_fx: SeriesFixture, stable_fx: SeriesFixture, trunc: in
     t_max = min(smooth_fx.trunc, stable_fx.trunc) - 1
     t = t_max if trunc is None else min(trunc, t_max)
     p1 = SymSeries.power_sum(1, t)
-    lhs = p1 - smooth_fx.data.d_dp1().truncate(t)
     rhs = p1 + stable_fx.data.d_dp1().truncate(t)
-    return lhs.plethysm(rhs) == p1
+    return genus0_corrector(smooth_fx.data, t).plethysm(rhs) == p1
 
 
 # -- numeric change-of-variables pipelines ------------------------------------
@@ -286,10 +282,12 @@ def tropical_euler(result: HeavyLightResult, m: int, n: int) -> BiSymSeries:
     """Equivariant Euler characteristic of the tropical heavy/light link.
 
     s_m^{(1)} s_n^{(2)} minus the weight-zero specialization of the open
-    component; defined only where the tropical space is connected
-    (genus >= 1, or genus 0 with m + n > 4).
+    component; defined only where the space is stable and the tropical space
+    is connected (genus >= 1, or genus 0 with m + n > 4).
     """
     g = result.genus
+    if not stability_ok(g, m, n):
+        raise ValueError(f"genus {g}, ({m},{n}) is not stable")
     if not (g >= 1 or (g == 0 and m + n > 4)):
         raise ValueError(
             f"tropical space for genus {g}, ({m},{n}) is not covered by the identity"

@@ -10,6 +10,7 @@ read into a UVPoly; rows marked `partial` are compared only on the monomials
 they list.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -19,7 +20,7 @@ from .bisymseries import BiSymSeries
 from .fixtures import read_lines
 from .partitions import format_partition, parse_partition
 from .pipeline import GENUS1_PURE_ARITY
-from .uvpoly import UVPoly, parse_int, parse_rational, parse_tpoly, parse_uvpoly, poincare_str
+from .uvpoly import INT, UVPoly, parse_rational, parse_tpoly, parse_uvpoly, poincare_str
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -39,12 +40,18 @@ class GoldenRow:
     numeric: Fraction | None = None
 
 
-def _row_header(words: list, size: int, mode: str) -> tuple:
-    """The `size` ints and the mode (full, the default, or `mode`) of a golden row header."""
-    *values, word = words[1:] if len(words) > size + 1 else [*words[1:], "full"]
-    if words[:1] != ["row"] or len(values) != size or word not in ("full", mode):
-        raise ValueError(f"malformed row header {' '.join(words)!r}")
-    return *(parse_int(v, "a row value") for v in values), word
+# One pattern per golden line kind; each parser names the line's shape.
+_PAIR_ROW = re.compile(rf"row\s+({INT})\s+({INT})(?:\s+(full|partial))?")
+_PAIR = re.compile(r"pair\s+(\S+)\s+(\S+)\s*:\s*(\S+)")
+_NUMERIC = re.compile(r"numeric\s+(\S+)")
+_NUMERIC_ROW = re.compile(rf"row\s+({INT})(?:\s+(full|inferred))?\s*:\s*(\S+)")
+
+
+def _fields(pattern: re.Pattern, line: str, shape: str) -> tuple:
+    """The groups of `line` matched by `pattern`; a ValueError names the expected shape."""
+    if not (m := pattern.fullmatch(line)):
+        raise ValueError(f"malformed line {line!r}, expected {shape!r}")
+    return m.groups()
 
 
 def parse_golden_pairs(path: Path) -> list:
@@ -52,24 +59,24 @@ def parse_golden_pairs(path: Path) -> list:
     rows: list = []
 
     def parse_line(line):
-        directive, *fields = line.split()
+        directive = line.split()[0]
         if directive == "row":
-            rows.append(GoldenRow(*_row_header(line.split(), 2, "partial"), pairs={}))
+            m, n, mode = _fields(_PAIR_ROW, line, "row <m> <n> [full|partial]")
+            rows.append(GoldenRow(int(m), int(n), mode or "full", pairs={}))
         elif directive not in ("pair", "numeric"):
             raise ValueError(f"unknown golden directive {line!r}")
         elif not rows:
             raise ValueError(f"{directive} line before any row")
         elif directive == "pair":
-            head, poly_s = line.split(":", 1)
-            _, lam_s, mu_s = head.split()
+            lam_s, mu_s, poly_s = _fields(_PAIR, line, "pair <lam> <mu> : <t-poly>")
             key = parse_partition(lam_s), parse_partition(mu_s)
             if key in rows[-1].pairs:
                 raise ValueError(f"repeated pair {lam_s} {mu_s}")
-            rows[-1].pairs[key] = parse_tpoly(poly_s.strip())
+            rows[-1].pairs[key] = parse_tpoly(poly_s)
         elif rows[-1].numeric is not None:
             raise ValueError("repeated numeric line")
         else:
-            (value,) = fields
+            (value,) = _fields(_NUMERIC, line, "numeric <rat>")
             rows[-1].numeric = parse_rational(value)
 
     read_lines(path.read_text(), parse_line, lambda i, msg: ValueError(f"{path.name}:{i}: {msg}"))
@@ -81,11 +88,10 @@ def parse_golden_numeric(path: Path) -> dict:
     out: dict = {}
 
     def parse_line(line):
-        head, poly_s = line.split(":", 1)
-        n, mode = _row_header(head.split(), 1, "inferred")
-        if n in out:
+        n_s, mode, poly_s = _fields(_NUMERIC_ROW, line, "row <n> [full|inferred] : <uv-poly>")
+        if (n := int(n_s)) in out:
             raise ValueError(f"repeated row {n}")
-        out[n] = (parse_uvpoly(poly_s.strip()), mode)
+        out[n] = (parse_uvpoly(poly_s), mode or "full")
 
     read_lines(path.read_text(), parse_line, lambda i, msg: ValueError(f"{path.name}:{i}: {msg}"))
     return out

@@ -15,3 +15,13 @@ def test_every_mutant_applies_to_the_tree_exactly_once():
     spec.loader.exec_module(mutants)
     assert mutants.MUTANTS
     assert mutants.table_problems() == []
+
+
+def test_a_dangling_test_id_is_a_table_problem(monkeypatch):
+    spec = importlib.util.spec_from_file_location("mutants", RUNNER)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    mid, path, old, new, _ = mutants.MUTANTS[0]
+    dangling = "tests/test_uvpoly.py::test_renamed_away[case]"
+    monkeypatch.setattr(mutants, "MUTANTS", ((mid, path, old, new, (dangling,)),))
+    assert mutants.table_problems() == [f"{mid}: no test {dangling}"]

@@ -9,6 +9,7 @@ from heavylight.fixtures import SeriesFixture, load_fixture
 from heavylight.pipeline import (
     closed_series,
     closed_series_numeric,
+    genus0_corrector,
     genus0_numeric_closed_form,
     genus1_light_chi_egf,
     genus1_stable_chi_egf,
@@ -20,9 +21,9 @@ from heavylight.pipeline import (
     tail_free_series,
     tropical_euler,
 )
-from heavylight.powerseries import FormalPS1
+from heavylight.powerseries import FormalPS1, FormalPS2
 from heavylight.symseries import SymSeries
-from heavylight.uvpoly import UVPoly
+from heavylight.uvpoly import UVPoly, divide_diagonal_exact
 
 
 def uvq(k, c=1):
@@ -83,6 +84,32 @@ def test_genus0_closed_form_values():
         assert UVPoly.const(s[k].eval(1, 1)) == expected[k]
 
 
+def _closed_form_by_division(order):
+    """The reference route: binom(uv, k) divided exactly by uv - u^2 v^2 for k >= 2."""
+    coeffs = [UVPoly.zero(), UVPoly.one()]
+    for k in range(2, order + 1):
+        binom = UVPoly.one()
+        for i in range(k):
+            binom = binom * (uvq(1) - i)
+        coeffs.append(divide_diagonal_exact(binom / factorial(k), uvq(1) - uvq(2)))
+    return FormalPS1("y", coeffs, order)
+
+
+def test_genus0_closed_form_is_the_exact_division():
+    for order in range(1, 20):
+        want = _closed_form_by_division(order)
+        got = genus0_numeric_closed_form(order)
+        assert got == want and str(got) == str(want), order
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        genus0_numeric_closed_form(0)
+
+
+def test_genus0_closed_form_is_the_rank_of_the_corrector():
+    smooth0 = load_fixture("genus0_smooth").data
+    for t in range(1, 11):
+        assert genus0_corrector(smooth0, t).rank1("y") == genus0_numeric_closed_form(t), t
+
+
 def test_legendre_check():
     smooth0 = load_fixture("genus0_smooth")
     stable0 = load_fixture("genus0_stable")
@@ -102,6 +129,13 @@ def test_numeric_pipeline_examples():
     b = numeric.data.rank1("x")
     for m in range(7):
         assert table[(m, 0)] == b[m]
+
+
+def test_numeric_pipelines_at_order_zero_keep_the_constant_term():
+    b = FormalPS1("x", [UVPoly.const(3), UVPoly.one()], 1)
+    constant = FormalPS2(("x", "y"), {(0, 0): UVPoly.const(3)}, 0)
+    assert closed_series_numeric(b, 0) == constant
+    assert open_series_numeric(b, 0) == constant
 
 
 def test_open_numeric_stirling_property():
@@ -196,6 +230,17 @@ def test_tropical_euler():
         chi_m = tropical_euler(res1, m, 0)
         val = chi_m.trace_from_ch(((1,) * m, ())).constant_term()
         assert val == 1 - Fraction((-1) ** m * factorial(m - 1), 2)
+
+
+def test_tropical_euler_refuses_unstable_components():
+    res1 = open_series(load_fixture("genus1_smooth"))
+    assert not stability_ok(1, 0, 0) and res1.component(0, 0).coeffs == {}
+    with pytest.raises(ValueError, match=r"^genus 1, \(0,0\) is not stable$"):
+        tropical_euler(res1, 0, 0)
+    assert tropical_euler(res1, 0, 1).coeffs  # the smallest stable genus-1 component
+    res0 = open_series(load_fixture("genus0_smooth"), trunc=6)
+    with pytest.raises(ValueError, match=r"^genus 0, \(0,5\) is not stable$"):
+        tropical_euler(res0, 0, 5)  # connected by the m + n > 4 rule, but unstable
 
 
 def test_tail_free_series_consistency():

@@ -96,41 +96,46 @@ def test_compare_row_to_golden_failure_paths(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "parse, text",
+    "parse, text, shape",
     [
-        (parse_golden_pairs, "row 1"),
-        (parse_golden_pairs, "row 1 x"),
-        (parse_golden_pairs, "row 0 2 full\npair [] : t^2"),
-        (parse_golden_pairs, "row 0 2 full\nnumeric"),
-        (parse_golden_pairs, "pair [] [2] : t^2"),
-        (parse_golden_pairs, "row 0 2 full\nnumeric 1/0"),
-        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow : 1*u^0*v^0"),
-        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow 2 1*u^0*v^0"),
-        (parse_golden_pairs, "row 1_0 2"),
-        (parse_golden_pairs, "row 0 \u0662"),
-        (parse_golden_pairs, "row 0 2 parital"),
-        (parse_golden_pairs, "row 0 2 parital extra"),
-        (parse_golden_pairs, "row 0 2 full extra"),
-        (parse_golden_pairs, "row 0 2 inferred"),
-        (parse_golden_numeric, "row 1_0 : 1*u^0*v^0"),
-        (parse_golden_numeric, "row 1 partial : 1*u^0*v^0"),
-        (parse_golden_numeric, "row 1 inferred extra : 1*u^0*v^0"),
-        (parse_golden_pairs, "row 0 2 full\npair [] [2] : t^2\npair [] [2] : t^4"),
-        (parse_golden_pairs, "row 0 2 full\nnumeric -1\nnumeric -2"),
-        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow 1 : 2*u^0*v^0"),
+        (parse_golden_pairs, "row 1", ""),
+        (parse_golden_pairs, "row 1 x", ""),
+        (parse_golden_pairs, "row 0 2 full\npair [] : t^2", ""),
+        (parse_golden_pairs, "row 0 2 full\nnumeric", ""),
+        (parse_golden_pairs, "pair [] [2] : t^2", ""),
+        (parse_golden_pairs, "row 0 2 full\nnumeric 1/0", ""),
+        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow : 1*u^0*v^0", ""),
+        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow 2 1*u^0*v^0", ""),
+        (parse_golden_pairs, "row 1_0 2", ""),
+        (parse_golden_pairs, "row 0 \u0662", ""),
+        (parse_golden_pairs, "row 0 2 parital", ""),
+        (parse_golden_pairs, "row 0 2 parital extra", ""),
+        (parse_golden_pairs, "row 0 2 full extra", ""),
+        (parse_golden_pairs, "row 0 2 inferred", ""),
+        (parse_golden_numeric, "row 1_0 : 1*u^0*v^0", ""),
+        (parse_golden_numeric, "row 1 partial : 1*u^0*v^0", ""),
+        (parse_golden_numeric, "row 1 inferred extra : 1*u^0*v^0", ""),
+        (parse_golden_pairs, "row 0 2 full\npair [] [2] : t^2\npair [] [2] : t^4", ""),
+        (parse_golden_pairs, "row 0 2 full\nnumeric -1\nnumeric -2", ""),
+        (parse_golden_numeric, "row 1 : 1*u^0*v^0\nrow 1 : 2*u^0*v^0", ""),
+        (parse_golden_pairs, "row 0 2\npair [] [2] t^2", "pair <lam> <mu> : <t-poly>"),
+        (parse_golden_pairs, "row 0 2\npair [] : t^2", "pair <lam> <mu> : <t-poly>"),
+        (parse_golden_numeric, "row 1 1*u^0*v^0", "row <n> [full|inferred] : <uv-poly>"),
+        (parse_golden_pairs, "row 0 2\nnumeric", "numeric <rat>"),
     ],
     ids=["row-no-n", "row-bad-n", "pair-two-fields", "numeric-no-value", "pair-before-row",
          "numeric-zero-denominator", "numeric-row-no-n", "numeric-row-no-colon",
          "row-underscore-m", "row-non-ascii-n", "row-unknown-mode", "row-mode-and-extra-field",
          "row-extra-field", "row-numeric-table-mode", "numeric-row-underscore-n",
          "numeric-row-pair-table-mode", "numeric-row-extra-field", "pair-repeated",
-         "numeric-repeated", "numeric-row-repeated"],
+         "numeric-repeated", "numeric-row-repeated", "pair-no-colon", "pair-one-partition",
+         "numeric-row-alone-no-colon", "numeric-bare"],
 )
-def test_golden_parse_errors_carry_position(tmp_path, parse, text):
+def test_golden_parse_errors_carry_position(tmp_path, parse, text, shape):
     path = tmp_path / "golden.txt"
     path.write_text("# header\n" + text + "\n")
     line = text.count("\n") + 2
-    with pytest.raises(ValueError, match=f"^golden.txt:{line}: ") as err:
+    with pytest.raises(ValueError, match=f"^golden.txt:{line}: .*{re.escape(shape)}") as err:
         parse(path)
     assert type(err.value) is ValueError
 
@@ -230,6 +235,11 @@ def test_cli_slice_and_tropical():
     code, out = run_cli(["tropical", "--genus", "2", "--m", "3", "--n", "2"])
     assert code == 0
     assert "numeric: -7" in out
+
+
+def test_cli_tropical_refuses_an_unstable_component_in_one_line():
+    code, err = run_cli_stderr(["tropical", "--genus", "1", "--m", "0", "--n", "0"])
+    assert (code, err) == (1, "genus 1, (0,0) is not stable\n")
 
 
 def test_cli_verify_tables_suite():

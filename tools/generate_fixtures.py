@@ -59,6 +59,7 @@ from heavylight.fixtures import SeriesFixture, save_fixture, write_fixture  # no
 from heavylight.partitions import gen_partitions, multiplicities, z_of  # noqa: E402
 from heavylight.pipeline import (  # noqa: E402
     GENUS1_PURE_ARITY,
+    genus0_corrector,
     genus0_numeric_closed_form,
     genus1_stable_chi_egf,
     legendre_check,
@@ -174,18 +175,13 @@ def phase_genus0():
 
     assert smooth.arity_part(3) == SymSeries.homogeneous_h(3, t_int), "arity 3 must be a point"
 
-    log("cross-check rank derivative against the numeric closed form")
+    log("cross-check the corrector's rank against the numeric closed form")
     closed = genus0_numeric_closed_form(t_int - 1)
-    deriv_rank = smooth.d_dp1().rank1("y")
-    for k in range(2, t_int):
-        want = -closed[k] * factorial(k)  # closed form stores minus the values
-        got = deriv_rank[k] * factorial(k)
-        assert got == want, f"rank mismatch at arity {k}: {got} vs {want}"
+    assert genus0_corrector(smooth, t_int - 1).rank1("y") == closed, "corrector rank mismatch"
 
     log(f"rooted-tree inverse series, truncation {t_rooted}")
-    p1 = SymSeries.power_sum(1, t_rooted)
-    pd = (p1 - smooth.d_dp1().truncate(t_rooted)).pleth_inverse()
-    rooted = pd - p1
+    pd = genus0_corrector(smooth, t_rooted).pleth_inverse()
+    rooted = pd - SymSeries.power_sum(1, t_rooted)
 
     log(f"stable genus-0 by dissymmetry, truncation {t_stable}")
     # marked-vertex sum minus the edge correction; the edge term is the
@@ -465,14 +461,11 @@ def numeric_necklace_rank(order: int):
     closed = genus0_numeric_closed_form(order + 2)
     rk_d = (FormalPS1.identity("y", order + 2) - closed).truncate(order + 1)
     rk_vp = rk_d.derivative().truncate(order)
-    # ends-swapped trace series: closed form prod_{i=0}^{k-2} (q - i)
-    coeffs = [UVPoly.zero()]
-    for k in range(1, order + 1):
-        acc = UVPoly.one()
-        for i in range(k - 1):
-            acc = acc * (UVPoly.uv_power(1) - UVPoly.const(i))
-        coeffs.append(acc * Fraction(1, factorial(k)))
-    rk_vm = FormalPS1("y", coeffs, order)
+    # ends-swapped trace series: prod_{i=0}^{k-2} (q - i) / k!, a running product
+    coeffs = [UVPoly.zero(), UVPoly.one()]
+    for k in range(1, order):
+        coeffs.append(coeffs[k] * (UVPoly.uv_power(1) - (k - 1)) / (k + 1))
+    rk_vm = FormalPS1("y", coeffs[: order + 1], order)
     one = FormalPS1("y", [UVPoly.one()], order)
     log1m = (one - rk_vp).log()
     return log1m * Fraction(-1, 2) + (rk_vm * 2 + rk_vm * rk_vm) * Fraction(1, 4), rk_vm

@@ -2,9 +2,10 @@
 
     python tools/mutants.py
 
-The runner copies src/, tools/, tests/, perfbench/ and pyproject.toml into one
-temporary directory; the checkout is only read.  It first runs every named
-test on the unmutated copy, which must pass.  Then, one mutant at a time, it
+The runner copies src/, tools/, tests/, perfbench/, pyproject.toml and
+BENCHMARK.json (perfbench/tracing.py reads it) into one temporary directory;
+the checkout is only read.  It first runs every named test on the unmutated
+copy, which must pass.  Then, one mutant at a time, it
 replaces `old` by `new` in the mutant's file, runs
 `python -m pytest -x -q -p no:cacheprovider <tests>` with a timeout and
 restores the file.  It prints one line per mutant, killed, survived, timeout
@@ -12,12 +13,14 @@ or error (pytest could not run the tests), and a last line "N of M killed".
 
 Exit status 1 when any mutant is not killed (a timeout is not a kill), or
 when the table does not match the tree: an `old` missing from its file or
-occurring more than once, an `old` equal to its `new`, a repeated id or a
-named test file that does not exist.  A change that rewrites a guarded line
-therefore carries its mutant forward; tests/test_mutants.py checks the table
-on every test run.
+occurring more than once, an `old` equal to its `new`, a repeated id, or a
+named test `path::name[...]` whose file does not exist or has no
+module-level `def name` (read with ast; nothing is imported).  A change that
+rewrites a guarded line therefore carries its mutant forward;
+tests/test_mutants.py checks the table on every test run.
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -26,17 +29,29 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tools", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tools", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json")
 TIMEOUT_S = 120
 
 UVPOLY = "src/heavylight/uvpoly.py"
+SYMSERIES = "src/heavylight/symseries.py"
+BISYMSERIES = "src/heavylight/bisymseries.py"
+PIPELINE = "src/heavylight/pipeline.py"
 FIXTURES = "src/heavylight/fixtures.py"
 TABLES = "src/heavylight/tables.py"
+GENERATOR = "tools/generate_fixtures.py"
 T_UVPOLY = "tests/test_uvpoly.py"
+T_UVPOLY_REF = "tests/test_uvpoly_reference.py"
+T_SYMSERIES = "tests/test_symseries.py"
+T_SERIES_REF = "tests/test_series_reference.py"
+T_BISYMSERIES = "tests/test_bisymseries.py"
+T_PIPELINE = "tests/test_pipeline.py"
 T_FIXTURES = "tests/test_fixtures_io.py"
 T_TABLES = "tests/test_tables_cli.py"
+T_GENERATOR = "tests/test_generate_fixtures.py"
 GOLDEN_ERRORS = f"{T_TABLES}::test_golden_parse_errors_carry_position"
 RENDER_DIGESTS = f"{T_TABLES}::test_rendered_tables_match_their_recorded_digests"
+REGEN = f"{T_GENERATOR}::test_regeneration_writes_the_benchmark_digests"
+CLOSED_FORM = f"{T_PIPELINE}::test_genus0_closed_form_is_the_exact_division"
 
 # (id, path, old, new, tests): `old` occurs exactly once in `path`, and the
 # pytest node ids in `tests` are expected to fail once it is replaced by `new`.
@@ -57,6 +72,8 @@ MUTANTS = (
     ("tpoly-odd-power-kept", UVPOLY,
      'raise ValueError("odd power of t cannot be a uv-polynomial")', "pass",
      (f"{T_TABLES}::test_parse_tpoly",)),
+    ("tpoly-bare-power-coefficient", UVPOLY, '(const or coeff or "1")', '(const or coeff or "2")',
+     (f"{T_TABLES}::test_parse_tpoly",)),
     ("comment-not-stripped", FIXTURES, 'line = raw.split("#", 1)[0].strip()',
      "line = raw.strip()",
      (f"{T_FIXTURES}::test_comments_and_blank_lines", f"{GOLDEN_ERRORS}[pair-repeated]")),
@@ -73,8 +90,12 @@ MUTANTS = (
      (f"{GOLDEN_ERRORS}[numeric-repeated]",)),
     ("golden-repeated-row-kept", TABLES, 'raise ValueError(f"repeated row {n}")', "pass",
      (f"{GOLDEN_ERRORS}[numeric-row-repeated]",)),
-    ("golden-mode-unchecked", TABLES, ' or word not in ("full", mode)', "",
-     (f"{GOLDEN_ERRORS}[row-unknown-mode]", f"{GOLDEN_ERRORS}[numeric-row-pair-table-mode]")),
+    ("golden-mode-unchecked", TABLES, "(full|partial)", r"(\S+)",
+     (f"{GOLDEN_ERRORS}[row-unknown-mode]",)),
+    ("golden-numeric-mode-unchecked", TABLES, "(full|inferred)", r"(\S+)",
+     (f"{GOLDEN_ERRORS}[numeric-row-pair-table-mode]",)),
+    ("golden-pair-colon-optional", TABLES, r"pair\s+(\S+)\s+(\S+)\s*:\s*",
+     r"pair\s+(\S+)\s+(\S+)\s*:?\s*", (f"{GOLDEN_ERRORS}[pair-no-colon]",)),
     ("csv-without-header", TABLES, 'lines = [sep.join(header)] if fmt == "csv" else []',
      "lines = []", (RENDER_DIGESTS,)),
     ("latex-factor-tags-from-2", TABLES, "enumerate((lam, mu), start=1)",
@@ -83,21 +104,103 @@ MUTANTS = (
      "data = result.data", (RENDER_DIGESTS,)),
     ("cli-int-builtin", "src/heavylight/cli.py", 'value = parse_int(text, "value")',
      "value = int(text)", (f"{T_TABLES}::test_cli_usage_error_exit_code",)),
+    ("lowest-without-gcd", UVPOLY, "g = gcd(den, *nums.values())", "g = 1",
+     (f"{T_UVPOLY_REF}::test_equal_values_are_equal_and_hash_alike",)),
+    ("add-scales-one-operand", UVPOLY, "nums = {k: n * s1 for k, n in self.nums.items()}",
+     "nums = dict(self.nums)", (f"{T_UVPOLY_REF}::test_ring_operations_match_the_reference",)),
+    ("adams-scales-only-u", UVPOLY, "{(a * k, b * k): n", "{(a * k, b): n",
+     (f"{T_UVPOLY}::test_adams",)),
+    ("slot-without-rescale", SYMSERIES, "nums[m] *= s", "nums[m] *= 1",
+     (f"{T_SYMSERIES}::test_exp_log_round_trip",)),
+    ("slot-without-weight-numerator", SYMSERIES, "d // den * w.numerator", "d // den",
+     (f"{T_SERIES_REF}::test_exp_and_its_inverse_match_the_reference",)),
+    ("products-stop-one-arity-early", SYMSERIES, "if s1 + s2 > n:", "if s1 + s2 >= n:",
+     (f"{T_SYMSERIES}::test_exp_series",)),
+    ("reduced-keeps-zeros", SYMSERIES, "nums = {m: x for m, x in nums.items() if x}", "pass",
+     (f"{T_SERIES_REF}::test_kernel_outputs_are_in_lowest_terms",)),
+    ("adams-products-skip-a-part", SYMSERIES, "prods[part[i + 1:]]", "prods[part[i + 2:]]",
+     (f"{T_SYMSERIES}::test_plethysm_examples",)),
+    ("exp-weight-off-by-one", SYMSERIES, "Fraction(j, d))", "Fraction(j, d + 1))",
+     (f"{T_SYMSERIES}::test_exp_series",)),
+    ("log-weight-sign", SYMSERIES, "Fraction(-j, d)", "Fraction(j, d)",
+     (f"{T_SYMSERIES}::test_exp_log_round_trip",)),
+    ("log-mobius-unsigned", SYMSERIES, "Fraction(mu, d)", "Fraction(abs(mu), d)",
+     (f"{T_SYMSERIES}::test_exp_log_round_trip",)),
+    ("pleth-inverse-sign", SYMSERIES, "g.update((k, -c)", "g.update((k, c)",
+     (f"{T_SYMSERIES}::test_pleth_inverse",)),
+    ("canonical-order-factors-reversed", SYMSERIES, "tuple(map(sum, parts))",
+     "tuple(map(sum, parts[::-1]))", (RENDER_DIGESTS,)),
+    ("bisym-key-mul-factors-swapped", BISYMSERIES,
+     "(union(a[0], b[0]), union(a[1], b[1]))", "(union(a[1], b[1]), union(a[0], b[0]))",
+     (f"{T_BISYMSERIES}::test_inject_is_ring_map",)),
+    ("coproduct-binomial-off-by-one", BISYMSERIES, "comb(m, j)", "comb(m + 1, j)",
+     (f"{T_BISYMSERIES}::test_coproduct",)),
+    ("numeric-substitutes-into-y", PIPELINE, '("x", "y"), 1, n)', '("x", "y"), 2, n)',
+     (f"{T_PIPELINE}::test_numeric_pipeline_examples",)),
+    ("stable-chi-without-log", PIPELINE, "(g + UVPoly.one()).log()", "(g + UVPoly.one())",
+     (f"{T_PIPELINE}::test_chi_generating_functions",)),
+    ("heavy-light-unmasked", PIPELINE, "_mask_stability(fx.genus, res)", "res",
+     (f"{T_PIPELINE}::test_stability_mask",)),
+    ("closed-light-order-zero", PIPELINE, "genus0_numeric_closed_form(max(n, 1))",
+     "genus0_numeric_closed_form(n)",
+     (f"{T_PIPELINE}::test_numeric_pipelines_at_order_zero_keep_the_constant_term",)),
+    ("closed-form-factor-off-by-one", PIPELINE, "(UVPoly.uv_power(1) - k)",
+     "(UVPoly.uv_power(1) - k - 1)", (CLOSED_FORM,)),
+    ("closed-form-c2-sign", PIPELINE, "UVPoly.const(Fraction(-1, 2))",
+     "UVPoly.const(Fraction(1, 2))", (CLOSED_FORM,)),
+    ("corrector-adds-the-derivative", PIPELINE, "SymSeries.power_sum(1, trunc) - smooth",
+     "SymSeries.power_sum(1, trunc) + smooth",
+     (f"{T_PIPELINE}::test_genus0_closed_form_is_the_rank_of_the_corrector",)),
+    ("tropical-unstable-kept", PIPELINE, "if not stability_ok(g, m, n):", "if False:",
+     (f"{T_PIPELINE}::test_tropical_euler_refuses_unstable_components",
+      f"{T_TABLES}::test_cli_tropical_refuses_an_unstable_component_in_one_line")),
+    ("oracle-joins-at-most-4-blocks", "src/heavylight/oracle.py", "for _ in range(blocks):",
+     "for _ in range(min(blocks, 4)):", ("tests/test_oracle.py::test_stirling2",)),
+    ("bareiss-divides-by-the-pivot", GENERATOR, "// prev for x, y", "// p for x, y",
+     (f"{T_GENERATOR}::test_batched_solve_equals_one_solve_per_column",)),
+    ("bareiss-without-row-swap", GENERATOR, "m[r], m[piv] = m[piv], m[r]", "pass",
+     (f"{T_GENERATOR}::test_zero_first_pivot_forces_a_row_swap",)),
+    ("bareiss-consistency-unchecked", GENERATOR,
+     'raise ValueError("inconsistent linear system")', "pass",
+     (f"{T_GENERATOR}::test_one_inconsistent_column_raises",)),
+    ("histogram-orbit-weight-one", GENERATOR, "hist.get(t, 0) + len(orbit)", "hist.get(t, 0) + 1",
+     (f"{T_GENERATOR}::test_orbit_reduced_histogram_matches_the_brute_force_count",)),
+    ("histogram-seen-not-updated", GENERATOR, "seen |= orbit", "pass",
+     (f"{T_GENERATOR}::test_orbit_reduced_histogram_matches_the_brute_force_count",)),
+    ("marked-count-orbit-off-by-one", GENERATOR, "total *= orbits[l] - i",
+     "total *= orbits[l] - i - 1", (f"{T_GENERATOR}::test_genus0_smooth_matches_the_line_count",)),
+    ("euler-phi-mobius-of-divisor", GENERATOR, "mobius(n // d) * d", "mobius(d) * d", (REGEN,)),
+    ("necklace-rotation-weight", GENERATOR, "Fraction(euler_phi(d), 2 * d)",
+     "Fraction(euler_phi(d), d)", (REGEN,)),
 )
+
+
+def module_functions(path: Path) -> set:
+    """The module-level function names of a test file, read with ast, not imported."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
 
 
 def table_problems(root: Path = ROOT) -> list:
     """Each way MUTANTS does not match the tree at `root`, as one line of text."""
     ids = [mutant[0] for mutant in MUTANTS]
     problems = [f"{i}: repeated id" for i in sorted(set(ids)) if ids.count(i) > 1]
+    names: dict = {}
     for mid, path, old, new, tests in MUTANTS:
         count = (root / path).read_text().count(old)
         if count != 1:
             problems.append(f"{mid}: `old` occurs {count} times in {path}")
         if old == new:
             problems.append(f"{mid}: `old` equals `new`")
-        problems += [f"{mid}: no test file {t}" for t in tests
-                     if not (root / t.split("::")[0]).is_file()]
+        for test in tests:
+            file, _, name = test.partition("::")
+            if not (root / file).is_file():
+                problems.append(f"{mid}: no test file {file}")
+                continue
+            if file not in names:
+                names[file] = module_functions(root / file)
+            if name and name.split("[")[0] not in names[file]:
+                problems.append(f"{mid}: no test {test}")
     return problems
 
 
