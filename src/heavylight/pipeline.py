@@ -19,7 +19,6 @@ each pipeline supplies only its input checks, inner series and provenance.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
 
 from .bisymseries import BiSymSeries, coproduct, exp2_of_p1
 from .fixtures import SeriesFixture
@@ -68,6 +67,16 @@ def _mask_stability(g: int, series: BiSymSeries) -> BiSymSeries:
     )
 
 
+def _requested(trunc: int | None, available: int) -> int:
+    """`trunc`, or `available` when it is None; a truncation beyond what the
+    inputs carry is refused, never clamped."""
+    if trunc is None:
+        return available
+    if trunc > available:
+        raise ValueError(f"requested truncation {trunc} exceeds available {available}")
+    return trunc
+
+
 def _heavy_light(fx: SeriesFixture, inner: BiSymSeries, *sources: SeriesFixture) -> HeavyLightResult:
     """coproduct(fx) o_2 inner, stability-masked; provenance names fx and sources."""
     res = coproduct(fx.data.truncate(inner.trunc)).pleth2(inner)
@@ -83,12 +92,7 @@ def open_series(fx: SeriesFixture, trunc: int | None = None) -> HeavyLightResult
     """
     if fx.variant not in ("open", "weight0"):
         raise ValueError("open_series expects an open or weight0 fixture")
-    t = fx.trunc if trunc is None else trunc
-    if t > fx.trunc:
-        raise ValueError(
-            f"requested truncation {t} exceeds fixture truncation {fx.trunc}"
-        )
-    return _heavy_light(fx, exp2_of_p1(t))
+    return _heavy_light(fx, exp2_of_p1(_requested(trunc, fx.trunc)))
 
 
 def _corrector(
@@ -100,10 +104,7 @@ def _corrector(
         raise ValueError("the stable series must be a closed fixture")
     if smooth_g0.variant != "open" or smooth_g0.genus != 0:
         raise ValueError("the corrector fixture must be the genus-0 open series")
-    t_max = min(stable_fx.trunc, smooth_g0.trunc - 1)
-    t = t_max if trunc is None else trunc
-    if t > t_max:
-        raise ValueError(f"requested truncation {t} exceeds available {t_max}")
+    t = _requested(trunc, min(stable_fx.trunc, smooth_g0.trunc - 1))
     return BiSymSeries.inject(genus0_corrector(smooth_g0.data, t), 2)
 
 
@@ -166,12 +167,11 @@ def legendre_check(smooth_fx: SeriesFixture, stable_fx: SeriesFixture, trunc: in
     """Verify the genus-0 smooth/stable derivative series are inverse.
 
     Checks genus0_corrector(smooth) o (p_1 + d(stable)/dp_1) = p_1 to the
-    common truncation.
+    common truncation, or to `trunc`, which may not exceed it.
     """
     if smooth_fx.genus != 0 or stable_fx.genus != 0:
         raise ValueError("legendre_check expects genus-0 fixtures")
-    t_max = min(smooth_fx.trunc, stable_fx.trunc) - 1
-    t = t_max if trunc is None else min(trunc, t_max)
+    t = _requested(trunc, min(smooth_fx.trunc, stable_fx.trunc) - 1)
     p1 = SymSeries.power_sum(1, t)
     rhs = p1 + stable_fx.data.d_dp1().truncate(t)
     return genus0_corrector(smooth_fx.data, t).plethysm(rhs) == p1
@@ -182,15 +182,13 @@ def legendre_check(smooth_fx: SeriesFixture, stable_fx: SeriesFixture, trunc: in
 
 def _expm1_ps2(order: int) -> FormalPS2:
     """e^y - 1 as a bivariate series in (x, y)."""
-    coeffs = {(0, j): c for j, c in _exp_minus_one(order).coeffs.items()}
+    coeffs = {(0, j): c for j, c in (FormalPS1.identity("y", order).exp() - 1).coeffs.items()}
     return FormalPS2(("x", "y"), coeffs, order)
 
 
 def _numeric_heavy_light(b: FormalPS1, order: int | None, light) -> FormalPS2:
     """b(x + L(y)) to the requested order n, L = light(n) built after the check."""
-    n = b.order if order is None else order
-    if n > b.order:
-        raise ValueError("requested order exceeds the input series order")
+    n = _requested(order, b.order)
     return compose_ps1_into_ps2(b.truncate(n), FormalPS2.variable(("x", "y"), 1, n) + light(n))
 
 
@@ -236,16 +234,8 @@ def genus1_light_chi_egf(order: int) -> FormalPS1:
         raise ValueError("order must be >= 1")
     y = FormalPS1.identity("y", order)
     one_minus_y = FormalPS1("y", [UVPoly.one(), UVPoly.const(-1)], order)
-    expm1 = _exp_minus_one(order)
     f = y * Fraction(-1, 12) - one_minus_y.log() * Fraction(1, 2)
-    return f + _eps_poly(order).compose(expm1)
-
-
-def _exp_minus_one(order: int) -> FormalPS1:
-    coeffs = [UVPoly.zero()] + [
-        UVPoly.const(Fraction(1, factorial(j))) for j in range(1, order + 1)
-    ]
-    return FormalPS1("y", coeffs, order)
+    return f + _eps_poly(order).compose(y.exp() - 1)
 
 
 def genus1_stable_chi_egf(order: int) -> FormalPS1:

@@ -138,8 +138,8 @@ class FormalPS1(_TruncatedPS):
 
     @staticmethod
     def identity(var: str, order: int) -> "FormalPS1":
-        """The series `var` itself."""
-        return FormalPS1(var, [UVPoly.zero(), UVPoly.one()], order)
+        """The series `var` itself (zero at order 0)."""
+        return FormalPS1(var, [UVPoly.zero(), UVPoly.one()][: order + 1], order)
 
     def _monomial(self, e: int) -> str:
         return f"{self.var}^{e}"

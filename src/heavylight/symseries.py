@@ -231,8 +231,6 @@ class _Series:
         return self._built({k: -c for k, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UVPoly)):
-            return self + (-as_poly(other))
         return self + (-other)
 
     def _mul(self, other):

@@ -17,12 +17,13 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from heavylight.partitions import gen_partitions, multiplicities, z_of
+from heavylight.pipeline import genus0_numeric_closed_form
 from heavylight.symseries import mobius
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -213,6 +214,26 @@ def test_genus0_smooth_matches_the_line_count():
         poly = smooth[lam] * z_of(lam)
         for p in gen.PRIMES:
             assert poly.eval(p, 1) * (p**3 - p) == reference_line_count(lam, p), (lam, p)
+
+
+def test_numeric_necklace_rank_at_order_11_truncates_to_order_10():
+    # The generator builds the necklace rank and the ends-swapped rank once,
+    # at order 11, and reads the order-10 truncation of the second.
+    big = gen.numeric_necklace_rank(genus0_numeric_closed_form(12))
+    small = gen.numeric_necklace_rank(genus0_numeric_closed_form(11))
+    assert [part.order for part in big + small] == [11, 11, 10, 10]
+    for b, s in zip(big, small):
+        assert b.truncate(10) == s and str(b.truncate(10)) == str(s)
+
+
+def test_ends_swapped_rank_is_the_falling_product():
+    # k! [y^k] of the ends-swapped rank is q (q - 1) ... (q - k + 2) for k >= 1
+    _, rk_vm = gen.numeric_necklace_rank(genus0_numeric_closed_form(9))
+    for k in range(1, 9):
+        want = 1
+        for i in range(k - 1):
+            want *= 5 - i
+        assert rk_vm[k].eval(5, 1) * factorial(k) == want, k
 
 
 def test_regeneration_writes_the_benchmark_digests(tmp_path):

@@ -120,6 +120,26 @@ def test_legendre_check():
     assert legendre_check(smooth0, stable0, trunc=1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s0, st0, st1: legendre_check(s0, st0, trunc=st0.trunc),
+        lambda s0, st0, st1: legendre_check(s0, st0, trunc=20),
+        lambda s0, st0, st1: open_series(s0, trunc=s0.trunc + 1),
+        lambda s0, st0, st1: closed_series(st1, s0, trunc=st1.trunc + 1),
+        lambda s0, st0, st1: open_series_numeric(st1.data.rank1("x"), st1.trunc + 1),
+        lambda s0, st0, st1: closed_series_numeric(st1.data.rank1("x"), st1.trunc + 1),
+    ],
+    ids=["legendre-by-one", "legendre-20", "open", "closed", "open-numeric", "closed-numeric"],
+)
+def test_a_truncation_beyond_the_inputs_is_refused(call):
+    # legendre_check compares derivatives, so it reaches one arity below its
+    # inputs; it refuses a deeper truncation instead of checking less
+    fixtures = map(load_fixture, ("genus0_smooth", "genus0_stable", "genus1_stable"))
+    with pytest.raises(ValueError, match="exceeds available"):
+        call(*fixtures)
+
+
 def test_numeric_pipeline_examples():
     numeric = load_fixture("genus1_stable_numeric")
     table = closed_series_numeric(numeric.data.rank1("x"), 6)
@@ -172,6 +192,14 @@ def test_chi_generating_functions():
     assert [inv[n].constant_term() * factorial(n) for n in range(2, 6)] == [1, 2, 7, 34]
     assert at_one.compose(inv) == FormalPS1.identity("y", 6)
     assert inv.compose(at_one) == FormalPS1.identity("y", 6)
+
+
+def test_stable_chi_at_order_11_truncates_to_order_10():
+    # the fixture generator checks the stable genus-1 Euler characteristics
+    # once, at order 11, for both of its orders
+    small, big = genus1_stable_chi_egf(10), genus1_stable_chi_egf(11)
+    assert big.truncate(10) == small and str(big.truncate(10)) == str(small)
+    assert small.order == 10
 
 
 def test_chi_ratio_growth():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -15,6 +16,15 @@ def test_exp_small():
     y = FormalPS1.identity("y", 3)
     e = y.exp()
     assert e == const_series([1, 1, Fraction(1, 2), Fraction(1, 6)])
+
+
+def test_exp_of_the_identity_is_the_factorial_series():
+    # e^y - 1 at every order, order 0 included, where the identity is zero
+    for order in range(16):
+        coeffs = [0] + [Fraction(1, factorial(j)) for j in range(1, order + 1)]
+        want = FormalPS1("y", coeffs, order)
+        got = FormalPS1.identity("y", order).exp() - 1
+        assert got == want and str(got) == str(want) and got.order == order
 
 
 def test_log_small():

@@ -151,6 +151,13 @@ MUTANTS = (
     ("corrector-adds-the-derivative", PIPELINE, "SymSeries.power_sum(1, trunc) - smooth",
      "SymSeries.power_sum(1, trunc) + smooth",
      (f"{T_PIPELINE}::test_genus0_closed_form_is_the_rank_of_the_corrector",)),
+    ("requested-truncation-clamped", PIPELINE,
+     'raise ValueError(f"requested truncation {trunc} exceeds available {available}")',
+     "return available", (f"{T_PIPELINE}::test_a_truncation_beyond_the_inputs_is_refused",)),
+    ("expm1-keeps-its-constant", PIPELINE, 'identity("y", order).exp() - 1',
+     'identity("y", order).exp()', (f"{T_PIPELINE}::test_numeric_pipeline_examples",)),
+    ("light-chi-expm1-keeps-its-constant", PIPELINE, "compose(y.exp() - 1)", "compose(y.exp())",
+     (f"{T_PIPELINE}::test_chi_generating_functions",)),
     ("tropical-unstable-kept", PIPELINE, "if not stability_ok(g, m, n):", "if False:",
      (f"{T_PIPELINE}::test_tropical_euler_refuses_unstable_components",
       f"{T_TABLES}::test_cli_tropical_refuses_an_unstable_component_in_one_line")),
@@ -170,6 +177,9 @@ MUTANTS = (
     ("marked-count-orbit-off-by-one", GENERATOR, "total *= orbits[l] - i",
      "total *= orbits[l] - i - 1", (f"{T_GENERATOR}::test_genus0_smooth_matches_the_line_count",)),
     ("euler-phi-mobius-of-divisor", GENERATOR, "mobius(n // d) * d", "mobius(d) * d", (REGEN,)),
+    ("ends-swapped-product-off-by-one", GENERATOR, "(UVPoly.uv_power(1) - (k - 1))",
+     "(UVPoly.uv_power(1) - k)",
+     (f"{T_GENERATOR}::test_ends_swapped_rank_is_the_falling_product", REGEN)),
     ("necklace-rotation-weight", GENERATOR, "Fraction(euler_phi(d), 2 * d)",
      "Fraction(euler_phi(d), d)", (REGEN,)),
 )
