@@ -72,13 +72,6 @@ def _slot(acc: dict, key, den: int, w=1) -> tuple:
     return nums, d // den * w.numerator
 
 
-def _add_scaled(acc: dict, key, nums: dict, den: int, w):
-    """acc[key] += w * nums / den, for an int or Fraction weight w."""
-    total, s = _slot(acc, key, den, w)
-    for m, x in nums.items():
-        total[m] = total.get(m, 0) + x * s
-
-
 def _reduced(acc: dict):
     """The nonzero running sums of `acc` as (key, UVPoly) pairs in lowest terms,
     each key released from `acc` as it is reduced."""
@@ -88,6 +81,82 @@ def _reduced(acc: dict):
             nums = {m: x for m, x in nums.items() if x}
         if nums:
             yield key, _lowest(nums, den)
+
+
+class _PackedSums:
+    """The running sums of one arity block, each [numerators packed in one int, lcm of the
+    denominators added so far, bound on every |slot|] (Kronecker's substitution).
+
+    u^a v^b sits in slot a*E + (b - a - lo), the block's b - a ranging over lo .. lo + E - 1,
+    so diagonal data is univariate (E = 1, lo = 0).  Slots are W bits wide and signed, read
+    back balanced: a slot of 2^(W-1) or more borrows one from the next.  W starts at twice
+    the width of the block's largest numerator, plus 8; before a multiply could take a
+    bound to 2^(W-1), every live sum of the block is widened in place to 2W."""
+
+    def __init__(self, terms: dict):
+        shifts = {b - a for a, b in set().union(*(c.nums for c in terms.values()))}
+        self.lo, self.E = min(shifts), max(shifts) - min(shifts) + 1
+        self.sums = {parts: [c.nums, c.den, max(map(abs, c.nums.values()))]
+                     for parts, c in terms.items()}
+        self.W = 2 * max(entry[2] for entry in self.sums.values()).bit_length() + 8
+        for entry in self.sums.values():
+            entry[0] = self.pack(entry[0], self.W)
+
+    def pack(self, nums: dict, W: int) -> int:
+        packed, E, lo = 0, self.E, self.lo
+        for (a, b), x in nums.items():
+            packed += x << W * (a * E + b - a - lo)
+        return packed
+
+    def unpack(self, packed: int, W: int) -> dict:
+        nums, E, lo, mask, half = {}, self.E, self.lo, (1 << W) - 1, 1 << (W - 1)
+        i = ((packed & -packed).bit_length() - 1) // W if packed else 0  # first nonzero slot
+        packed >>= W * i
+        while packed:
+            x = packed & mask
+            if x >= half:
+                x -= 1 << W
+            if x:
+                nums[i // E, i // E + i % E + lo] = x
+            packed = (packed - x) >> W  # a negative slot borrows one from the next
+            i += 1
+        return nums
+
+    def _fit(self, bound: int):
+        """Widen until `bound` fits a slot."""
+        while bound >> (self.W - 1):
+            for entry in (entry for sums in self.live for entry in sums.values()):
+                entry[0] = self.pack(self.unpack(entry[0], self.W), 2 * self.W)
+            self.W *= 2
+
+    def map_factor(self, f: int, column):
+        """Map tensor factor f of every sum through column(part) -> ((new_part, weight), ...).
+        Each weighted add puts w / den on its sum's lcm by `_slot`'s rule, written out
+        here: a call per add costs 3-8% of the change of basis."""
+        sources, acc, half = self.sums, {}, 1 << (self.W - 1)
+        self.live, self.sums = (sources, acc), acc
+        for parts in list(sources):
+            src = sources[parts]
+            head, tail, den, top = parts[:f], parts[f + 1:], src[1], src[2]
+            for new, w in column(parts[f]):
+                d = den * w.denominator
+                key = head + (new,) + tail
+                entry = acc.get(key)
+                if entry is None:
+                    acc[key] = entry = [0, d, 0]
+                elif entry[1] % d:  # raise the lcm to take d: sum, lcm and bound scale by r
+                    r = d // gcd(entry[1], d)
+                    self._fit(entry[2] * r)
+                    entry[:] = [x * r for x in entry]
+                    half = 1 << (self.W - 1)
+                s = entry[1] // d * w.numerator
+                bound = entry[2] + top * abs(s)
+                if bound >= half:
+                    self._fit(bound)
+                    half = 1 << (self.W - 1)
+                entry[0] += src[0] * s
+                entry[2] = bound
+            del sources[parts]  # each source released once mapped
 
 
 def _adams_products(g, parts, prods: dict) -> dict:
@@ -102,6 +171,12 @@ def _adams_products(g, parts, prods: dict) -> dict:
             if part[i:] not in prods:
                 prods[part[i:]] = prods[(k,)] * prods[part[i + 1:]]
     return prods
+
+
+@lru_cache(maxsize=None)
+def _partition_order(trunc: int) -> dict:
+    """{lam: rank} over the partitions of size <= trunc, lex-decreasing within each size."""
+    return {lam: i for n in range(trunc + 1) for i, lam in enumerate(gen_partitions(n))}
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +267,7 @@ class _Series:
         """`keys` (of arity <= trunc) by ascending total arity, then the arity of
         each factor in turn, then the lex-decreasing order of each factor's
         partition: the one order of printed series, fixtures and tables."""
-        order = {lam: i for n in range(self.trunc + 1) for i, lam in enumerate(gen_partitions(n))}
+        order = _partition_order(self.trunc)
 
         def rank(key):
             parts = self._factors(key)
@@ -219,6 +294,8 @@ class _Series:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, UVPoly)):
             other = type(self)({self._UNIT: as_poly(other)}, self.trunc)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
         n = min(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -238,6 +315,8 @@ class _Series:
         if isinstance(other, (int, Fraction, UVPoly)):
             c = as_poly(other)
             return self._built({k: v * c for k, v in self.coeffs.items() if c}, self.trunc)
+        if not isinstance(other, type(self)):
+            return NotImplemented
         n = min(self.trunc, other.trunc)
         acc: dict = {}
         self._add_products(acc, self.coeffs, other.coeffs, n)
@@ -268,7 +347,9 @@ class _Series:
         acc: dict = {}
         for w, f in terms:
             for key, c in f.coeffs.items():
-                _add_scaled(acc, key, c.nums, c.den, w)
+                total, s = _slot(acc, key, c.den, w)
+                for m, x in c.nums.items():
+                    total[m] = total.get(m, 0) + x * s
         return cls._built(dict(_reduced(acc)), n)
 
     # -- plethystic operations ----------------------------------------------
@@ -299,6 +380,8 @@ class _Series:
         suffix of the partition, and the terms of self that share that
         partition are multiplied by it together.
         """
+        if not isinstance(g, type(self)):
+            raise TypeError(f"cannot substitute a {type(g).__name__} into a {type(self).__name__}")
         if not g.constant_term().is_zero():
             raise ValueError("plethysm requires zero constant term in the inner series")
         n = min(self.trunc, g.trunc)
@@ -364,33 +447,38 @@ class _Series:
             raise ValueError("arity exceeds truncation")
         return self[key] * prod(map(z_of, self._factors(key)))
 
-    def _schur(self) -> dict:
-        """Schur expansion: [s_lam] self = sum_mu prod_f chi^{lam_f}(mu_f) [p_mu] self."""
+    def schur_blocks(self):
+        """Schur expansion, [s_lam] self = sum_mu prod_f chi^{lam_f}(mu_f) [p_mu] self, one
+        arity block {key: UVPoly} at a time in canonical order, each made when asked for."""
         return self._change_basis(self.coeffs, _schur_column)
+
+    def _schur(self) -> dict:
+        return {k: c for block in self.schur_blocks() for k, c in block.items()}
 
     @classmethod
     def from_schur(cls, schur_coeffs: dict, trunc: int):
         """Inverse of the Schur expansion: [p_mu] = sum_lam a_lam prod_f
         chi^{lam_f}(mu_f) / z_{mu_f}.  Schur keys are checked as series keys are."""
         schur = cls(schur_coeffs, trunc).coeffs
-        return cls._built(cls._change_basis(schur, _power_column), trunc)
+        blocks = cls._change_basis(schur, _power_column)
+        return cls._built({k: c for block in blocks for k, c in block.items()}, trunc)
 
     @classmethod
-    def _change_basis(cls, coeffs: dict, column) -> dict:
-        """Map each tensor factor in turn through column(part) -> ((new_part, weight), ...),
-        the other factors held fixed.  Each output key keeps one running sum
-        of the contributions (numerators times the weight numerator, over the
-        lcm of their denominators); each final coefficient is reduced once."""
-        terms = {cls._factors(k): [c.nums, c.den] for k, c in coeffs.items()}
-        for f in range(len(cls._POWER_TAGS)):
-            acc: dict = {}
-            for parts in list(terms):  # each source released as it is mapped
-                nums, den = terms.pop(parts)
-                head, tail = parts[:f], parts[f + 1:]
-                for new, w in column(parts[f]):
-                    _add_scaled(acc, head + (new,) + tail, nums, den, w)
-            terms = acc
-        return {cls._from_factors(parts): c for parts, c in _reduced(terms)}
+    def _change_basis(cls, coeffs: dict, column):
+        """Yield the image of `coeffs` one arity block (the arity of each factor) at a time,
+        in canonical order, as {key: UVPoly} in lowest terms: each tensor factor in turn is
+        mapped through column(part) -> ((new_part, weight), ...), the others held fixed,
+        into one packed running sum per output key (`_PackedSums`)."""
+        blocks: dict = {}
+        for key, c in coeffs.items():
+            parts = cls._factors(key)
+            blocks.setdefault(tuple(map(sum, parts)), {})[parts] = c
+        for block in sorted(blocks, key=lambda b: (sum(b), b)):
+            sums = _PackedSums(blocks.pop(block))
+            for f in range(len(cls._POWER_TAGS)):
+                sums.map_factor(f, column)
+            yield {cls._from_factors(parts): _lowest(sums.unpack(packed, sums.W), den)
+                   for parts, (packed, den, _) in sums.sums.items() if packed}
 
 
 class SymSeries(_Series):

@@ -154,19 +154,19 @@ def render_table(result, basis="schur", form="hodge", max_arity=5, fmt="text") -
             f"range (genus 1, total arity <= {GENUS1_PURE_ARITY})"
         )
     data = result.data.truncate(max_arity)
-    entries = data.to_schur_pairs() if basis == "schur" else data.coeffs
-    keys = data.canonical_order(entries)
+    blocks = data.schur_blocks() if basis == "schur" else (data.coeffs,)
+    entries = ((key, block[key]) for block in blocks for key in data.canonical_order(block))
     if fmt != "latex":
         rows = ((sum(lam), sum(mu), format_partition(lam), format_partition(mu),
-                 _poly_for_form(entries[lam, mu], form)) for lam, mu in keys)
+                 _poly_for_form(c, form)) for (lam, mu), c in entries)
         lines = delimited_lines(fmt, ("m", "n", "lambda", "mu", "coefficient"), rows)
     else:
         tag = "s" if basis == "schur" else "p"
         lines = []
-        for (m, n), pairs in groupby(keys, key=lambda k: (sum(k[0]), sum(k[1]))):
+        for (m, n), pairs in groupby(entries, key=lambda e: (sum(e[0][0]), sum(e[0][1]))):
             terms = []
-            for lam, mu in pairs:
-                piece = f"({_poly_for_form(entries[lam, mu], form)})"
+            for (lam, mu), c in pairs:
+                piece = f"({_poly_for_form(c, form)})"
                 for i, part in enumerate((lam, mu), start=1):
                     if part:
                         piece += f"{tag}_{_latex_partition(part)}^{{({i})}}"

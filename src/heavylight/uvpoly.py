@@ -76,9 +76,11 @@ class UVPoly:
 
     def __init__(self, terms=None):
         terms = {k: _coerce(c) for k, c in (terms or {}).items()}
-        for a, b in terms:
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent in term ({a},{b})")
+        for k in terms:
+            if not (type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int):
+                raise ValueError(f"exponent pair {k!r} is not two ints")
+            if min(k) < 0:
+                raise ValueError(f"negative exponent in term ({k[0]},{k[1]})")
         # Each Fraction is in lowest terms, so over the lcm of their
         # denominators the numerators have no common factor with it.
         self.den = lcm(*(c.denominator for c in terms.values()))
@@ -158,6 +160,8 @@ class UVPoly:
             p = other.numerator
             nums = {k: n * p for k, n in self.nums.items()} if p else {}
             return _lowest(nums, self.den * other.denominator)
+        if not isinstance(other, UVPoly):
+            return NotImplemented
         nums: dict = {}
         get = nums.get
         for (a1, b1), n1 in self.nums.items():

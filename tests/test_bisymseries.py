@@ -190,3 +190,19 @@ def test_exp1():
         f = random_bi(rng, 6)
         assert f.exp2().log2() == f
         assert f.swap_factors().exp2() == f.exp2().swap_factors()
+
+
+def test_operands_of_another_type_are_refused_at_the_boundary():
+    # these used to fail inside the kernel, with AttributeError or
+    # "unsupported operand type(s) for +: 'int' and 'tuple'"
+    s, b = SymSeries.power_sum(1, T), P(1, 2)
+    for x, y, op in [(s, 0.5, "*"), (b, 0.5, "*"), (s, 0.5, "+"), (0.5, b, "+"),
+                     (s, b, "*"), (b, s, "*"), (s, b, "+"), (b, s, "+")]:
+        pair = f"'{type(x).__name__}' and '{type(y).__name__}'"
+        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{op}: {pair}"):
+            x * y if op == "*" else x + y
+    with pytest.raises(TypeError, match="cannot substitute a BiSymSeries into a SymSeries"):
+        s.plethysm(b)
+    with pytest.raises(TypeError, match="cannot substitute a SymSeries into a BiSymSeries"):
+        b.pleth2(s)
+    assert UVPoly.monomial(1, 0) * s == s * UVPoly.monomial(1, 0)

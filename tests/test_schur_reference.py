@@ -16,10 +16,11 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavylight.bisymseries import BiSymSeries
-from heavylight.partitions import gen_partitions, mn_character
+from heavylight.partitions import gen_partitions, mn_character, z_of
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 
@@ -61,3 +62,105 @@ def test_to_schur_pairs_is_the_direct_sum_and_from_schur_pairs_inverts_it(terms,
     assert b.to_schur_pairs() == direct_schur(b.coeffs)
     assert BiSymSeries.from_schur_pairs(b.to_schur_pairs(), ARITY) == b
     assert BiSymSeries.from_schur_pairs(schur, ARITY).to_schur_pairs() == BiSymSeries(schur, ARITY).coeffs
+
+
+# -- exactness of the packed running sums ---------------------------------------
+#
+# The change of basis packs each coefficient's numerators into one int, W bits
+# a slot, W chosen from the block's largest numerator, and widens the block
+# when a sum could outgrow its slots.  These inputs push numerators past the
+# machine word and make the lcm of the denominators jump inside one block.
+
+MERSENNE = (2**61 - 1, 2**89 - 1, 2**107 - 1)  # primes: each new one raises the lcm
+
+
+def direct_power(coeffs: dict) -> dict:
+    """sum_lam a_lam prod_f chi^{lam_f}(mu_f) / z_{mu_f}, keyed by tuples of partitions."""
+    out: dict = {}
+    for lams, c in coeffs.items():
+        for mus in product(*(gen_partitions(sum(lam)) for lam in lams)):
+            w = prod(Fraction(mn_character(lam, mu), z_of(mu)) for lam, mu in zip(lams, mus))
+            out[mus] = out.get(mus, UVPoly.zero()) + c * w
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("bits", [62, 63, 64, 200])
+def test_numerators_near_and_past_the_machine_word(bits):
+    big = 2**bits
+    terms = {
+        (3, 1): UVPoly({(0, 0): big - 1, (2, 2): -big}),
+        (2, 1, 1): UVPoly({(1, 1): big + 1, (0, 0): 1 - big}),
+        (4,): UVPoly({(2, 2): Fraction(big - 3, 7)}),
+        (2, 2): UVPoly({(0, 0): -big, (1, 1): big // 3}),
+    }
+    f = SymSeries(terms, 4)
+    assert f.to_schur() == {lams[0]: c for lams, c in direct_schur({(k,): c for k, c in terms.items()}).items()}
+    assert SymSeries.from_schur(f.to_schur(), 4) == f
+    pairs = {(lam, mu): c for lam, c in terms.items() for mu in ((), (1,), (2,), (1, 1))}
+    b = BiSymSeries(pairs, 6)
+    assert b.to_schur_pairs() == direct_schur(pairs)
+    assert BiSymSeries.from_schur_pairs(b.to_schur_pairs(), 6) == b
+
+
+def test_a_large_denominator_first_makes_every_later_add_widen():
+    # Block 3 meets the den-p source first, so each later integral source
+    # is added times p, far past the slots sized for its small numerators.
+    p = MERSENNE[0]
+    terms = {(3,): Fraction(1, p), (2, 1): 5, (1, 1, 1): -3}
+    f = SymSeries(terms, 3)
+    want = direct_schur({(k,): UVPoly.const(c) for k, c in terms.items()})
+    assert f.to_schur() == {lams[0]: c for lams, c in want.items()}
+
+
+def test_a_negative_slot_borrows_from_the_slot_above():
+    # 1 - uv packs as 2^W - 1: its low slot reads 2^W - 1 until it borrows one from
+    # the slot above, which then reads 0 + 1.
+    for c in (UVPoly({(0, 0): -1, (1, 1): 1}), UVPoly({(0, 0): -3, (2, 0): 2**64})):
+        assert SymSeries({(1,): c}, 1).to_schur() == {(1,): c}
+
+
+def test_sums_that_cancel_yield_no_key():
+    # p_11 - p_2 = 2 s_11 and p_11 + p_2 = 2 s_2, at a numerator past 2^63.
+    c = UVPoly.uv_power(2, 2**70 + 1)
+    assert SymSeries({(1, 1): c, (2,): -c}, 2).to_schur() == {(1, 1): c * 2}
+    assert SymSeries({(1, 1): c, (2,): c}, 2).to_schur() == {(2,): c * 2}
+    # factor 1 cancels outright on (1, 1), and that zero sum is then mapped
+    # through factor 2 without leaving a key
+    b = BiSymSeries({((1, 1), (2,)): c, ((2,), (2,)): c, ((1, 1), (1,)): -c}, 4)
+    assert b.to_schur_pairs() == direct_schur(b.coeffs)
+    assert b.to_schur_pairs() == {
+        ((2,), (2,)): c * 2, ((2,), (1, 1)): c * -2, ((2,), (1,)): -c, ((1, 1), (1,)): -c,
+    }
+
+
+def test_shifts_of_both_signs_share_one_block():
+    # b - a runs from -3 (u^3) to +2 (v^2) within the arity-3 block, and u next to
+    # v^2 is the pair of monomials whose slots a layout one column short would merge.
+    terms = {
+        (3,): UVPoly({(3, 0): 1, (0, 2): -2, (1, 1): Fraction(1, 3)}),
+        (2, 1): UVPoly({(1, 0): 4, (0, 2): 5}),
+        (1, 1, 1): UVPoly({(2, 4): -1, (4, 1): 3}),
+    }
+    f = SymSeries(terms, 3)
+    assert f.to_schur() == {lams[0]: c for lams, c in direct_schur({(k,): c for k, c in terms.items()}).items()}
+    assert SymSeries.from_schur(f.to_schur(), 3) == f
+
+
+@pytest.mark.parametrize("big", [1, 2**62 - 1, 2**200 + 3])
+def test_from_schur_over_a_large_lcm(big):
+    # Schur coefficients over distinct large primes: each weight chi / z_mu meets
+    # a running sum over another prime, so the lcm, and with it every slot, jumps.
+    schur = {
+        (4,): UVPoly({(0, 0): Fraction(big, MERSENNE[0]), (1, 1): -1}),
+        (3, 1): UVPoly({(1, 1): Fraction(-big, MERSENNE[1])}),
+        (2, 2): UVPoly({(0, 0): 3, (1, 2): Fraction(big, MERSENNE[2])}),
+        (2, 1, 1): UVPoly({(2, 1): Fraction(1, MERSENNE[1]), (0, 0): big}),
+        (1, 1, 1, 1): UVPoly({(1, 1): Fraction(7, MERSENNE[2] * MERSENNE[0])}),
+    }
+    f = SymSeries.from_schur(schur, 4)
+    assert f.coeffs == {mus[0]: c for mus, c in direct_power({(k,): c for k, c in schur.items()}).items()}
+    assert f.to_schur() == schur
+    pairs = {(lam, mu): c for lam, c in schur.items() for mu in ((1,), (2,))}
+    b = BiSymSeries.from_schur_pairs(pairs, 6)
+    assert b.coeffs == direct_power(pairs)
+    assert b.to_schur_pairs() == pairs

@@ -184,6 +184,14 @@ def passes_the_public_checks(s):
     return (t.coeffs, t.trunc) == (s.coeffs, s.trunc)
 
 
+
+def test_a_monomial_that_cancels_leaves_no_zero_numerator():
+    # (1 + u)(1 - u) = 1 - u^2: the running sum of u is 0 and must not be kept
+    f = SymSeries({(1,): UVPoly({(0, 0): 1, (1, 0): 1})}, 2)
+    g = SymSeries({(1,): UVPoly({(0, 0): 1, (1, 0): -1})}, 2)
+    assert (f * g).coeffs == {(1, 1): UVPoly({(0, 0): 1, (2, 0): -1})}
+    assert in_lowest_terms((f * g).coeffs)
+
 @SETTINGS
 @given(SYM, SYM0, BISYM, BISYM0, INVERTIBLE)
 def test_kernel_outputs_are_in_lowest_terms(f, g, a, b, h):

@@ -192,3 +192,21 @@ def test_integral_polynomials_read_back_as_fractions():
     res = closed_series(load_fixture("genus1_stable"), load_fixture("genus0_smooth"), trunc=6)
     coeffs = [c for poly in res.data.coeffs.values() for c in poly.terms.values()]
     assert coeffs and all(exact(c) for c in coeffs)
+
+
+
+@pytest.mark.parametrize("key", [(1.5, 0), (True, 0), (0, 2.0), (1,), (1, 0, 0), ("1", "0"), 3])
+def test_exponents_are_pairs_of_ints(key):
+    # a float exponent would put floating point in the core (u^1.5 squared prints
+    # u^3.0), and a bool would print as u^True
+    with pytest.raises(ValueError, match=re.escape(f"exponent pair {key!r} is not two ints")):
+        UVPoly({key: 1})
+
+
+def test_a_foreign_operand_is_refused_naming_both_types():
+    for other in (0.5, None):
+        name = type(other).__name__
+        with pytest.raises(TypeError, match=f"'UVPoly' and '{name}'"):
+            UVPoly.one() * other
+        with pytest.raises(TypeError, match=f"'{name}' and 'UVPoly'"):
+            other * UVPoly.one()
