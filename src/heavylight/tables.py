@@ -1,7 +1,8 @@
 """Table rendering and golden-table storage.
 
 `render_table` makes one pass over the whole series in the series core's one
-canonical key order; `delimited_lines` writes every text and csv row.
+canonical key order, taking the Schur coefficients one arity block at a time as
+the change of basis yields them; `delimited_lines` writes every text and csv row.
 
 Golden files hold the reference tables as structured monomial data; they are
 compared monomial-by-monomial, never as raw strings.  A pair-table row lists
