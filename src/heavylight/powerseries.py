@@ -65,6 +65,8 @@ class _TruncatedPS:
     def __add__(self, other):
         if isinstance(other, _SCALARS):
             other = self._like({self._ONE: other}, self.order)
+        elif type(other) is not type(self):
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = self[e] + c
@@ -76,12 +78,16 @@ class _TruncatedPS:
         return self._like({e: -c for e, c in self.coeffs.items()}, self.order)
 
     def __sub__(self, other):
+        if not isinstance(other, (*_SCALARS, type(self))):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             c = as_poly(other)
             return self._like({e: v * c for e, v in self.coeffs.items()}, self.order)
+        if type(other) is not type(self):
+            return NotImplemented
         n = min(self.order, other.order)
         degree, key_add = self._degree, self._key_add
         right = [(e, degree(e), c) for e, c in other.coeffs.items()]

@@ -23,7 +23,7 @@ Binary operations truncate to the minimum of the two operand orders.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import itemgetter
 
 from .partitions import (
@@ -83,80 +83,21 @@ def _reduced(acc: dict):
             yield key, _lowest(nums, den)
 
 
-class _PackedSums:
-    """The running sums of one arity block, each [numerators packed in one int, lcm of the
-    denominators added so far, bound on every |slot|] (Kronecker's substitution).
-
-    u^a v^b sits in slot a*E + (b - a - lo), the block's b - a ranging over lo .. lo + E - 1,
-    so diagonal data is univariate (E = 1, lo = 0).  Slots are W bits wide and signed, read
-    back balanced: a slot of 2^(W-1) or more borrows one from the next.  W starts at twice
-    the width of the block's largest numerator, plus 8; before a multiply could take a
-    bound to 2^(W-1), every live sum of the block is widened in place to 2W."""
-
-    def __init__(self, terms: dict):
-        shifts = {b - a for a, b in set().union(*(c.nums for c in terms.values()))}
-        self.lo, self.E = min(shifts), max(shifts) - min(shifts) + 1
-        self.sums = {parts: [c.nums, c.den, max(map(abs, c.nums.values()))]
-                     for parts, c in terms.items()}
-        self.W = 2 * max(entry[2] for entry in self.sums.values()).bit_length() + 8
-        for entry in self.sums.values():
-            entry[0] = self.pack(entry[0], self.W)
-
-    def pack(self, nums: dict, W: int) -> int:
-        packed, E, lo = 0, self.E, self.lo
-        for (a, b), x in nums.items():
-            packed += x << W * (a * E + b - a - lo)
-        return packed
-
-    def unpack(self, packed: int, W: int) -> dict:
-        nums, E, lo, mask, half = {}, self.E, self.lo, (1 << W) - 1, 1 << (W - 1)
-        i = ((packed & -packed).bit_length() - 1) // W if packed else 0  # first nonzero slot
-        packed >>= W * i
-        while packed:
-            x = packed & mask
-            if x >= half:
-                x -= 1 << W
-            if x:
-                nums[i // E, i // E + i % E + lo] = x
-            packed = (packed - x) >> W  # a negative slot borrows one from the next
-            i += 1
-        return nums
-
-    def _fit(self, bound: int):
-        """Widen until `bound` fits a slot."""
-        while bound >> (self.W - 1):
-            for entry in (entry for sums in self.live for entry in sums.values()):
-                entry[0] = self.pack(self.unpack(entry[0], self.W), 2 * self.W)
-            self.W *= 2
-
-    def map_factor(self, f: int, column):
-        """Map tensor factor f of every sum through column(part) -> ((new_part, weight), ...).
-        Each weighted add puts w / den on its sum's lcm by `_slot`'s rule, written out
-        here: a call per add costs 3-8% of the change of basis."""
-        sources, acc, half = self.sums, {}, 1 << (self.W - 1)
-        self.live, self.sums = (sources, acc), acc
-        for parts in list(sources):
-            src = sources[parts]
-            head, tail, den, top = parts[:f], parts[f + 1:], src[1], src[2]
-            for new, w in column(parts[f]):
-                d = den * w.denominator
-                key = head + (new,) + tail
-                entry = acc.get(key)
-                if entry is None:
-                    acc[key] = entry = [0, d, 0]
-                elif entry[1] % d:  # raise the lcm to take d: sum, lcm and bound scale by r
-                    r = d // gcd(entry[1], d)
-                    self._fit(entry[2] * r)
-                    entry[:] = [x * r for x in entry]
-                    half = 1 << (self.W - 1)
-                s = entry[1] // d * w.numerator
-                bound = entry[2] + top * abs(s)
-                if bound >= half:
-                    self._fit(bound)
-                    half = 1 << (self.W - 1)
-                entry[0] += src[0] * s
-                entry[2] = bound
-            del sources[parts]  # each source released once mapped
+def _unpack(packed: int, W: int, E: int, lo: int) -> dict:
+    """The numerators packed W bits a slot, u^a v^b in slot a*E + (b - a - lo), each
+    slot signed and read back balanced: a slot of 2^(W-1) or more borrows one from the next."""
+    nums, mask, half = {}, (1 << W) - 1, 1 << (W - 1)
+    i = ((packed & -packed).bit_length() - 1) // W  # first nonzero slot
+    packed >>= W * i
+    while packed:
+        x = packed & mask
+        if x >= half:
+            x -= 1 << W
+        if x:
+            nums[i // E, i // E + i % E + lo] = x
+        packed = (packed - x) >> W  # a negative slot borrows one from the next
+        i += 1
+    return nums
 
 
 def _adams_products(g, parts, prods: dict) -> dict:
@@ -179,7 +120,6 @@ def _partition_order(trunc: int) -> dict:
     return {lam: i for n in range(trunc + 1) for i, lam in enumerate(gen_partitions(n))}
 
 
-@lru_cache(maxsize=None)
 def _schur_column(mu: tuple) -> tuple:
     """The nonzero (lam, chi^lam(mu)) over the partitions lam of |mu|: the
     Schur expansion p_mu = sum_lam chi^lam(mu) s_lam."""
@@ -187,12 +127,23 @@ def _schur_column(mu: tuple) -> tuple:
     return tuple((lam, chi) for lam, chi in chis if chi)
 
 
-@lru_cache(maxsize=None)
 def _power_column(lam: tuple) -> tuple:
     """The nonzero (mu, chi^lam(mu) / z_mu) over the partitions mu of |lam|:
     the power-sum expansion s_lam = sum_mu chi^lam(mu) / z_mu p_mu."""
     chis = ((mu, mn_character(lam, mu)) for mu in gen_partitions(sum(lam)))
     return tuple((mu, Fraction(chi, z_of(mu))) for mu, chi in chis if chi)
+
+
+@lru_cache(maxsize=None)
+def _integer_column(column, n: int) -> tuple:
+    """`column` over the partitions of n on integer weights: (z, {part: ((new, z * w), ...)},
+    gain), z the lcm of the weights' denominators (1 for Schur columns) and gain = p(n) *
+    max |z * w|: one source per partition of n, at most, adds into one output key."""
+    cols = {part: column(part) for part in gen_partitions(n)}
+    z = lcm(*(w.denominator for col in cols.values() for _, w in col))
+    cols = {part: tuple((new, w.numerator * (z // w.denominator)) for new, w in col)
+            for part, col in cols.items()}
+    return z, cols, len(cols) * max(abs(w) for col in cols.values() for _, w in col)
 
 
 class _Series:
@@ -308,6 +259,8 @@ class _Series:
         return self._built({k: -c for k, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
+        if not isinstance(other, (int, Fraction, UVPoly, type(self))):
+            return NotImplemented
         return self + (-other)
 
     def _mul(self, other):
@@ -467,18 +420,39 @@ class _Series:
     def _change_basis(cls, coeffs: dict, column):
         """Yield the image of `coeffs` one arity block (the arity of each factor) at a time,
         in canonical order, as {key: UVPoly} in lowest terms: each tensor factor in turn is
-        mapped through column(part) -> ((new_part, weight), ...), the others held fixed,
-        into one packed running sum per output key (`_PackedSums`)."""
+        mapped through column(part) -> ((new_part, weight), ...), the others held fixed.
+
+        Everything is fixed before the first add.  The block's sources go over one lcm of
+        their denominators, the weights over one lcm z per factor (`_integer_column`), so
+        every add is one integer multiply-add and the block's denominator is that lcm times
+        each z.  Each sum is packed in one int (Kronecker's substitution): u^a v^b in slot
+        a*E + (b - a - lo), the block's b - a ranging over lo .. lo + E - 1, so diagonal
+        data is univariate.  The largest scaled numerator times each factor's gain bounds
+        every slot, and one bit more makes the slots W bits wide and signed."""
         blocks: dict = {}
         for key, c in coeffs.items():
             parts = cls._factors(key)
             blocks.setdefault(tuple(map(sum, parts)), {})[parts] = c
         for block in sorted(blocks, key=lambda b: (sum(b), b)):
-            sums = _PackedSums(blocks.pop(block))
-            for f in range(len(cls._POWER_TAGS)):
-                sums.map_factor(f, column)
-            yield {cls._from_factors(parts): _lowest(sums.unpack(packed, sums.W), den)
-                   for parts, (packed, den, _) in sums.sums.items() if packed}
+            terms = blocks.pop(block)
+            shifts = {b - a for c in terms.values() for a, b in c.nums}
+            lo, E = min(shifts), max(shifts) - min(shifts) + 1
+            den = lcm(*(c.den for c in terms.values()))
+            cols = [_integer_column(column, n) for n in block]
+            top = max(max(map(abs, c.nums.values())) * (den // c.den) for c in terms.values())
+            W = (top * prod(gain for *_, gain in cols)).bit_length() + 1
+            sums = {parts: sum(x * (den // c.den) << W * (a * E + b - a - lo)
+                               for (a, b), x in c.nums.items())
+                    for parts, c in terms.items()}
+            for f, (z, col, _) in enumerate(cols):
+                sources, sums, den = sums, {}, den * z
+                for parts, packed in sources.items():
+                    head, tail = parts[:f], parts[f + 1:]
+                    for new, w in col[parts[f]]:
+                        key = head + (new,) + tail
+                        sums[key] = sums.get(key, 0) + packed * w
+            yield {cls._from_factors(parts): _lowest(_unpack(packed, W, E, lo), den)
+                   for parts, packed in sums.items() if packed}
 
 
 class SymSeries(_Series):

@@ -53,6 +53,12 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
 
 
+def _ratio(n: int, d: int) -> str:
+    """The rational n / d, d > 0, written in lowest terms as the rat grammar does: n or n/d."""
+    g = gcd(n, d)
+    return f"{n // g}" if d == g else f"{n // g}/{d // g}"
+
+
 def _lowest(nums: dict, den: int) -> "UVPoly":
     """The UVPoly nums / den, reduced to lowest terms; `nums` holds no zero, den > 0."""
     if den != 1:
@@ -131,8 +137,10 @@ class UVPoly:
         return hash((self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
-        if not isinstance(other, UVPoly):
+        if isinstance(other, (int, Fraction)):
             other = UVPoly.const(other)
+        elif not isinstance(other, UVPoly):
+            return NotImplemented
         g = gcd(self.den, other.den)  # both go over the lcm of the two
         s1, s2 = other.den // g, self.den // g
         nums = {k: n * s1 for k, n in self.nums.items()}
@@ -150,9 +158,13 @@ class UVPoly:
         return _lowest({k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
+        if not isinstance(other, (int, Fraction, UVPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -221,8 +233,8 @@ class UVPoly:
     # -- text form --------------------------------------------------------
 
     def __str__(self):
-        terms = self.terms
-        return "+".join(f"{terms[a, b]}*u^{a}*v^{b}" for a, b in sorted(terms, reverse=True)) or "0"
+        terms = sorted(self.nums.items(), reverse=True)
+        return "+".join(f"{_ratio(n, self.den)}*u^{a}*v^{b}" for (a, b), n in terms) or "0"
 
     __repr__ = __str__
 
@@ -293,14 +305,14 @@ def poincare_str(poly: UVPoly) -> str:
     """Render a diagonal polynomial in the t grammar; NotDiagonalError otherwise."""
     if not poly.is_diagonal():
         raise NotDiagonalError(f"off-diagonal term in {poly}")
-    parts, terms = [], poly.terms
-    for a, _ in sorted(terms, reverse=True):
-        c, e = terms[(a, a)], 2 * a
+    parts = []
+    for (a, _), n in sorted(poly.nums.items(), reverse=True):
+        c, e = _ratio(n, poly.den), 2 * a
         if e == 0:
-            parts.append(f"{c}")
-        elif c == 1:
+            parts.append(c)
+        elif c == "1":
             parts.append(f"t^{e}")
-        elif c == -1:
+        elif c == "-1":
             parts.append(f"-t^{e}")
         else:
             parts.append(f"{c}*t^{e}")

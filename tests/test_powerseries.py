@@ -138,3 +138,15 @@ def test_embedding_into_ps2_commutes_with_the_ring():
         assert matches(f * g, embed(f) * embed(g))
         assert matches(f.truncate(k), embed(f).truncate(k))
         assert matches(f.compose(inner), compose_ps1_into_ps2(f, embed(inner)))
+
+
+def test_a_foreign_operand_is_refused_naming_the_operator():
+    # these used to fail inside the ring with AttributeError ('coeffs', 'order')
+    # or, for a difference, name `+`
+    f, big = FormalPS1.identity("y", 3), FormalPS2.variable(("x", "y"), 1, 3)
+    for x, y, op in [(f, 0.5, "+"), (f, 0.5, "*"), (f, 0.5, "-"), (0.5, f, "+"), (0.5, f, "*"),
+                     (0.5, f, "-"), (f, big, "+"), (f, big, "*"), (big, f, "-"), (f, None, "*")]:
+        pair = f"'{type(x).__name__}' and '{type(y).__name__}'"
+        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{op}: {pair}"):
+            eval(f"x {op} y", {"x": x, "y": y})
+    assert UVPoly.one() + f == f + UVPoly.one()

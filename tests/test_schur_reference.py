@@ -67,9 +67,11 @@ def test_to_schur_pairs_is_the_direct_sum_and_from_schur_pairs_inverts_it(terms,
 # -- exactness of the packed running sums ---------------------------------------
 #
 # The change of basis packs each coefficient's numerators into one int, W bits
-# a slot, W chosen from the block's largest numerator, and widens the block
-# when a sum could outgrow its slots.  These inputs push numerators past the
-# machine word and make the lcm of the denominators jump inside one block.
+# a slot, with W fixed before the first add from a bound on every slot: the
+# block's largest numerator over the lcm of its denominators, times p(n) and
+# the largest integer weight for each factor, plus a sign bit.  These inputs
+# push numerators past the machine word, put many denominators in one block,
+# and sit right at that bound.
 
 MERSENNE = (2**61 - 1, 2**89 - 1, 2**107 - 1)  # primes: each new one raises the lcm
 
@@ -164,3 +166,55 @@ def test_from_schur_over_a_large_lcm(big):
     b = BiSymSeries.from_schur_pairs(pairs, 6)
     assert b.coeffs == direct_power(pairs)
     assert b.to_schur_pairs() == pairs
+
+
+@pytest.mark.parametrize("big", [2**62, 2**63, -(2**63)])
+def test_a_lone_numerator_at_the_sign_bit(big):
+    # One source of arity 0 or 1 has weight 1, so the bound is the numerator
+    # itself, and only the sign bit keeps 2^62 and 2^63 from reading negative.
+    for key in ((), (1,)):
+        c = UVPoly.const(big)
+        assert SymSeries({key: c}, 1).to_schur() == {key: c}
+        assert SymSeries.from_schur({key: c}, 1).coeffs == {key: c}
+        assert BiSymSeries({(key, key): c}, 2).to_schur_pairs() == {(key, key): c}
+    # Three slots at the bound: a slot read as negative would also shift the next one.
+    c = UVPoly({(0, 0): big, (1, 1): -big, (2, 0): big})
+    assert SymSeries({(1,): c}, 1).to_schur() == {(1,): c}
+
+
+def test_two_sources_add_into_one_slot():
+    # p_2 and p_11 both add into s_2 with weight 1: the sum is twice the largest
+    # numerator, which only the factor p(2) in the bound leaves room for.
+    c = UVPoly.const(2**62)
+    assert SymSeries({(2,): c, (1, 1): c}, 2).to_schur() == {(2,): c * 2}
+
+
+def test_one_source_spreads_over_the_largest_character():
+    # p_1^8 = sum_lam chi^lam(1^8) s_lam, and the largest dimension, 90, is more
+    # than p(8) = 22 times over: the bound needs the weights, not only the count.
+    c = UVPoly({(0, 0): 2**62, (1, 1): -(2**62)})
+    f = SymSeries({(1,) * 8: c}, 8)
+    assert f.to_schur() == {lams[0]: c for lams, c in direct_schur({((1,) * 8,): c}).items()}
+    assert max(abs(c.nums[0, 0]) for c in f.to_schur().values()) == 90 * 2**62
+
+
+TEN = gen_partitions(10)
+
+
+@pytest.mark.parametrize("big", [2**62 - 1, 2**62, 2**62 + 1])
+def test_every_partition_of_ten_adds_into_one_schur_key(big):
+    # chi^(10) = 1, so all p(10) = 42 sources add into s_(10) with weight 1.
+    c = UVPoly({(0, 0): big, (1, 1): -big})
+    f = SymSeries({mu: c for mu in TEN}, 10)
+    want = {lams[0]: c for lams, c in direct_schur({(mu,): c for mu in TEN}).items()}
+    assert want[(10,)] == c * 42
+    assert f.to_schur() == want
+
+
+@pytest.mark.parametrize("big", [2**62 - 1, 2**62, 2**62 + 1])
+def test_every_partition_of_ten_adds_into_one_power_key(big):
+    # The power direction: 42 Schur keys over the weights chi^lam(mu) / z_mu, whose
+    # denominators go over one lcm, 10!, before the first add.
+    c = UVPoly({(0, 0): big, (1, 1): -big})
+    f = SymSeries.from_schur({lam: c for lam in TEN}, 10)
+    assert f.coeffs == {mus[0]: c for mus, c in direct_power({(lam,): c for lam in TEN}).items()}

@@ -223,3 +223,21 @@ def test_non_canonical_keys_are_rejected():
                 make({bad: 1}, 5)
     assert SymSeries({(2, 1): 1}, 5) == p(2, 5) * p(1, 5)
     assert str(BiSymSeries({((2, 1), (1,)): 1}, 5)) == "(1*u^0*v^0)*p1[2,1]*p2[1]"
+
+
+def test_a_foreign_operand_of_a_difference_is_refused_naming_minus():
+    # `-` was `self + (-other)`, so a float operand was reported as one of `+`
+    s, b = p(1, 3), BiSymSeries.inject(p(1, 3), 1)
+    for x, y in [(s, 0.5), (0.5, s), (s, b), (b, s), (s, None)]:
+        pair = f"'{type(x).__name__}' and '{type(y).__name__}'"
+        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for -: {pair}"):
+            x - y
+
+
+def test_a_coefficient_on_the_left_of_a_series_sum():
+    # UVPoly + series used to be refused as "coefficient must be int or Fraction"
+    # while UVPoly * series and series + UVPoly worked
+    c = UVPoly.monomial(1, 0, Fraction(1, 2))
+    assert c + p(1, 3) == p(1, 3) + c == SymSeries({(): c, (1,): 1}, 3)
+    b = BiSymSeries.inject(p(1, 3), 2)
+    assert c + b == b + c

@@ -210,3 +210,14 @@ def test_a_foreign_operand_is_refused_naming_both_types():
             UVPoly.one() * other
         with pytest.raises(TypeError, match=f"'{name}' and 'UVPoly'"):
             other * UVPoly.one()
+
+
+@pytest.mark.parametrize("op", ["+", "-"])
+def test_a_foreign_summand_is_refused_naming_the_operator(op):
+    # `+` used to coerce anything through UVPoly.const, and `-` is a sum of the negation
+    for other in (0.5, None):
+        name = type(other).__name__
+        with pytest.raises(TypeError, match=f"for \\{op}: 'UVPoly' and '{name}'"):
+            eval(f"x {op} y", {"x": UVPoly.one(), "y": other})
+        with pytest.raises(TypeError, match=f"for \\{op}: '{name}' and 'UVPoly'"):
+            eval(f"x {op} y", {"x": other, "y": UVPoly.one()})

@@ -115,10 +115,16 @@ MUTANTS = (
      (f"{T_SYMSERIES}::test_exp_log_round_trip",)),
     ("slot-without-weight-numerator", SYMSERIES, "d // den * w.numerator", "d // den",
      (f"{T_SERIES_REF}::test_exp_and_its_inverse_match_the_reference",)),
-    ("packed-rescale-unchecked", SYMSERIES, "self._fit(entry[2] * r)", "pass",
-     (f"{T_SCHUR_REF}::test_from_schur_over_a_large_lcm",)),
-    ("packed-add-unchecked", SYMSERIES, "if bound >= half:", "if False:",
+    ("packed-bound-without-partition-count", SYMSERIES, "len(cols) * max(abs(w)", "max(abs(w)",
+     (f"{T_SCHUR_REF}::test_two_sources_add_into_one_slot",)),
+    ("packed-bound-without-weights", SYMSERIES,
+     "len(cols) * max(abs(w) for col in cols.values() for _, w in col)", "len(cols)",
+     (f"{T_SCHUR_REF}::test_one_source_spreads_over_the_largest_character",)),
+    ("packed-bound-without-lcm-scaling", SYMSERIES, "c.nums.values())) * (den // c.den)",
+     "c.nums.values()))",
      (f"{T_SCHUR_REF}::test_a_large_denominator_first_makes_every_later_add_widen",)),
+    ("packed-slots-without-sign-bit", SYMSERIES, ".bit_length() + 1", ".bit_length()",
+     (f"{T_SCHUR_REF}::test_a_lone_numerator_at_the_sign_bit",)),
     ("packed-read-back-without-borrow", SYMSERIES, "x -= 1 << W", "pass",
      (f"{T_SCHUR_REF}::test_a_negative_slot_borrows_from_the_slot_above",)),
     ("packed-layout-one-column-short", SYMSERIES, "max(shifts) - min(shifts) + 1",
