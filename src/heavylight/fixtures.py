@@ -121,8 +121,9 @@ def parse_fixture(text: str) -> SeriesFixture:
     missing = [key for key in ("series", "genus", "variant", "truncation") if key not in headers]
     if missing:
         raise FixtureError(0, f"missing header: {', '.join(missing)}")
+    # each term line has checked its key, its size, its arity and that it is nonzero
     return SeriesFixture(headers["series"], headers["genus"], headers["variant"],
-                         headers["truncation"], SymSeries(terms, headers["truncation"]))
+                         headers["truncation"], SymSeries._built(terms, headers["truncation"]))
 
 
 def write_fixture(fx: SeriesFixture) -> str:

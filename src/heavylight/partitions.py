@@ -90,42 +90,31 @@ def parse_partition(text: str) -> tuple:
     return partition(map(int, m[1].split(","))) if m[1] else ()
 
 
-def _strip_border_strips(lam: tuple, length: int):
-    """Yield (sign, smaller_partition) for each border strip of the given
-    length that can be removed from lam.
-
-    A border strip of length r removed from row i corresponds to lowering
-    the beta-number lam[i] + (k - 1 - i) by r; the result must again be a
-    strictly decreasing set of beta-numbers.  The sign is (-1)^height.
-    """
-    k = len(lam)
-    beta = [lam[i] + (k - 1 - i) for i in range(k)]
-    beta_set = set(beta)
-    for i in range(k):
-        b = beta[i] - length
-        if b < 0 or b in beta_set:
-            continue
-        new_beta = sorted(beta_set - {beta[i]} | {b}, reverse=True)
-        mu = tuple(new_beta[j] - (k - 1 - j) for j in range(k))
-        mu = tuple(p for p in mu if p > 0)
-        # height = number of rows the strip spans minus one
-        height = sum(1 for c in beta if b < c < beta[i])
-        yield (-1) ** height, mu
-
-
 @lru_cache(maxsize=None)
 def mn_character(lam: tuple, mu: tuple) -> int:
-    """Irreducible character chi^lam evaluated on the class of type mu.
+    """Irreducible character chi^lam evaluated on the class of type mu, |lam| == |mu|.
 
-    Computed by recursive border-strip removal (Murnaghan-Nakayama),
-    memoized on the (lam, mu) pair.  Both arguments must have equal size.
+    Murnaghan-Nakayama on beta-numbers (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.7): row i of lam is a bead on bit lam[i] + len(lam) - 1 - i of one int.  A border strip
+    of length mu[0] moves a bead down to a free bit, signed by the parity of the beads passed.
     """
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
     if not mu:
         return 1
-    head, rest = mu[0], mu[1:]
+    r, rest, k = mu[0], mu[1:], len(lam)
+    tops = [p + k - 1 - i for i, p in enumerate(lam)]
+    mask = sum(1 << top for top in tops)
     total = 0
-    for sign, smaller in _strip_border_strips(lam, head):
-        total += sign * mn_character(smaller, rest)
+    for top in tops:
+        b = top - r
+        if b >= 0 and not (mask >> b) & 1:  # bit b is free for the bead on bit top
+            smaller, free = [], 0
+            for bit in bin(mask ^ (1 << top) ^ (1 << b))[:1:-1]:  # from bit 0 up
+                if bit == "0":
+                    free += 1
+                elif free:  # a bead's part is the number of free bits below it
+                    smaller.append(free)
+            x = mn_character(tuple(reversed(smaller)), rest)
+            total += -x if (mask & ((1 << top) - (2 << b))).bit_count() & 1 else x
     return total

@@ -87,10 +87,8 @@ class UVPoly:
                 raise ValueError(f"exponent pair {k!r} is not two ints")
             if min(k) < 0:
                 raise ValueError(f"negative exponent in term ({k[0]},{k[1]})")
-        # Each Fraction is in lowest terms, so over the lcm of their
-        # denominators the numerators have no common factor with it.
-        self.den = lcm(*(c.denominator for c in terms.values()))
-        self.nums = {k: c.numerator * (self.den // c.denominator) for k, c in terms.items() if c}
+        p = _from_ratios({k: (c.numerator, c.denominator) for k, c in terms.items() if c})
+        self.nums, self.den = p.nums, p.den
 
     @property
     def terms(self) -> dict:
@@ -251,15 +249,26 @@ def parse_int(text: str, name: str) -> int:
     return int(text)
 
 
-def parse_rational(text: str) -> Fraction:
-    """A coefficient literal rat; a zero denominator is a ValueError like any other bad literal."""
+def _int_ratio(text: str) -> tuple:
+    """A coefficient literal rat as (numerator, denominator > 0), not reduced."""
     m = _RAT.fullmatch(text)
     if not m:
         raise ValueError(f"malformed coefficient {text!r}")
     num, den = int(m[1]), int(m[2] or 1)
     if not den:
         raise ValueError(f"zero denominator in coefficient {text!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """A coefficient literal rat; a zero denominator is a ValueError like any other bad literal."""
+    return Fraction(*_int_ratio(text))
+
+
+def _from_ratios(terms: dict) -> UVPoly:
+    """The UVPoly with coefficient n/d at each (a, b) -> (n, d) of `terms`, n != 0 and d > 0."""
+    den = lcm(*(d for _, d in terms.values()))
+    return _lowest({k: n * (den // d) for k, (n, d) in terms.items()}, den)
 
 
 def parse_uvpoly(text: str) -> UVPoly:
@@ -271,13 +280,13 @@ def parse_uvpoly(text: str) -> UVPoly:
         m = _TERM.fullmatch(raw)
         if not m:
             raise ValueError(f"malformed uv-poly term: {raw!r}")
-        c, a, b = parse_rational(m[1]), int(m[2]), int(m[3])
-        if not c:
+        (num, den), a, b = _int_ratio(m[1]), int(m[2]), int(m[3])
+        if not num:
             raise ValueError(f"zero coefficient in uv-poly term: {raw!r}")
         if (a, b) in terms:
             raise ValueError(f"duplicate exponent pair in uv-poly: ({a},{b})")
-        terms[(a, b)] = c
-    return UVPoly(terms)
+        terms[a, b] = num, den
+    return _from_ratios(terms)
 
 
 def parse_tpoly(text: str) -> UVPoly:
@@ -290,15 +299,15 @@ def parse_tpoly(text: str) -> UVPoly:
         if not m:
             raise ValueError(f"malformed t-poly term {term!r}")
         sign, const, coeff, e = m.groups()
-        c, e = parse_rational(sign + (const or coeff or "1")), int(e or 0)
-        if not c:
+        (num, den), e = _int_ratio(sign + (const or coeff or "1")), int(e or 0)
+        if not num:
             raise ValueError(f"zero coefficient in t-poly term {term!r}")
         if e % 2:
             raise ValueError("odd power of t cannot be a uv-polynomial")
         if (e // 2, e // 2) in terms:
             raise ValueError(f"duplicate exponent in t-poly: t^{e}")
-        terms[e // 2, e // 2] = c
-    return UVPoly(terms)
+        terms[e // 2, e // 2] = num, den
+    return _from_ratios(terms)
 
 
 def poincare_str(poly: UVPoly) -> str:

@@ -157,6 +157,15 @@ def test_shipped_fixtures_validate():
     assert not failures, failures
 
 
+def test_shipped_fixtures_equal_the_checked_constructor():
+    # parse_fixture builds its series past SymSeries' own checks; the checked
+    # constructor, given the same terms, must keep every one of them unchanged.
+    for name in SHIPPED:
+        data = load_fixture(name).data
+        checked = SymSeries(data.coeffs, data.trunc)
+        assert (checked.coeffs, checked.trunc) == (data.coeffs, data.trunc), name
+
+
 def test_numeric_duality_fails_on_a_term_above_the_dimension(tmp_path, monkeypatch):
     from heavylight.fixtures import default_fixture_dir
     from heavylight.verify import fixture_suite

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -49,6 +50,39 @@ def count_syt(shape):
     return rec(0)
 
 
+def border_strips(lam, length):
+    """Independent reference: yield (sign, smaller_partition) for each border
+    strip of the given length that can be removed from lam.
+
+    A border strip of length r removed from row i corresponds to lowering
+    the beta-number lam[i] + (k - 1 - i) by r; the result must again be a
+    strictly decreasing set of beta-numbers.  The sign is (-1)^height.
+    """
+    k = len(lam)
+    beta = [lam[i] + (k - 1 - i) for i in range(k)]
+    beta_set = set(beta)
+    for i in range(k):
+        b = beta[i] - length
+        if b < 0 or b in beta_set:
+            continue
+        new_beta = sorted(beta_set - {beta[i]} | {b}, reverse=True)
+        mu = tuple(new_beta[j] - (k - 1 - j) for j in range(k))
+        mu = tuple(p for p in mu if p > 0)
+        # height = number of rows the strip spans minus one
+        height = sum(1 for c in beta if b < c < beta[i])
+        yield (-1) ** height, mu
+
+
+@lru_cache(maxsize=None)
+def reference_character(lam, mu):
+    """Independent reference: Murnaghan-Nakayama by border-strip removal on
+    sorted sets of beta-numbers, sharing no code with mn_character."""
+    if not mu:
+        return 1
+    return sum(sign * reference_character(smaller, mu[1:])
+               for sign, smaller in border_strips(lam, mu[0]))
+
+
 def test_gen_partitions_base_cases():
     assert gen_partitions(0) == ((),)
     assert gen_partitions(1) == ((1,),)
@@ -85,6 +119,14 @@ def test_mn_character_dimension_from_syt():
     for n in range(1, 7):
         for lam in gen_partitions(n):
             assert mn_character(lam, (1,) * sum(lam)) == count_syt(lam)
+
+
+def test_mn_character_matches_the_border_strip_reference():
+    for n in range(11):
+        parts = gen_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                assert mn_character(lam, mu) == reference_character(lam, mu), (lam, mu)
 
 
 def test_mn_character_size_mismatch():

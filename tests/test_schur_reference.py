@@ -104,9 +104,10 @@ def test_numerators_near_and_past_the_machine_word(bits):
     assert BiSymSeries.from_schur_pairs(b.to_schur_pairs(), 6) == b
 
 
-def test_a_large_denominator_first_makes_every_later_add_widen():
-    # Block 3 meets the den-p source first, so each later integral source
-    # is added times p, far past the slots sized for its small numerators.
+def test_the_slot_bound_scales_each_numerator_to_the_block_lcm():
+    # Block 3's sources go over the lcm p of their denominators, so each
+    # integral source is packed times p: the slot bound must count its
+    # numerators after that scaling, not the small ones it was given with.
     p = MERSENNE[0]
     terms = {(3,): Fraction(1, p), (2, 1): 5, (1, 1, 1): -3}
     f = SymSeries(terms, 3)

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -113,6 +114,32 @@ def test_grammar_round_trip():
     for bad, term in (("0*u^1*v^1", "0*u^1*v^1"), ("1*u^1*v^1+0*u^2*v^2", "0*u^2*v^2")):
         with pytest.raises(ValueError, match=re.escape(f"zero coefficient in uv-poly term: {term!r}")):
             parse_uvpoly(bad)
+
+
+def test_parsing_on_integers_equals_the_fraction_route():
+    # Each coefficient as a Fraction, in lowest terms, then all of them over
+    # the lcm of their denominators: the stored form is unique, so the
+    # integer parse must give the same numerators and denominator.
+    def fraction_route(terms):
+        den = lcm(*(c.denominator for c in terms.values()))
+        return {k: int(c * den) for k, c in terms.items()}, den
+
+    F = Fraction
+    cases = [
+        ("2/4*u^1*v^1", "2/4*t^2", {(1, 1): F(1, 2)}),
+        ("6/3*u^0*v^0", "6/3", {(0, 0): F(2)}),
+        ("-3/6*u^2*v^2", "-3/6*t^4", {(2, 2): F(-1, 2)}),
+        ("1/2*u^2*v^2+-2/3*u^1*v^1+5/6*u^0*v^0", "1/2*t^4-2/3*t^2+5/6",
+         {(2, 2): F(1, 2), (1, 1): F(-2, 3), (0, 0): F(5, 6)}),
+        ("4/6*u^1*v^1+10/15*u^0*v^0", "4/6*t^2+10/15", {(1, 1): F(2, 3), (0, 0): F(2, 3)}),
+        ("2/4*u^3*v^0+-7*u^0*v^2", None, {(3, 0): F(1, 2), (0, 2): F(-7)}),
+    ]
+    for uv, t, terms in cases:
+        want = fraction_route(terms)
+        for parse, text in ((parse_uvpoly, uv), (parse_tpoly, t)):
+            if text is not None:
+                got = parse(text)
+                assert (got.nums, got.den) == want, text
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,14 @@ the checkout is only read.  It first runs every named test on the unmutated
 copy, which must pass.  Then, one mutant at a time, it
 replaces `old` by `new` in the mutant's file, runs
 `python -m pytest -x -q -p no:cacheprovider <tests>` with a timeout and
-restores the file.  It prints one line per mutant, killed, survived, timeout
-or error (pytest could not run the tests), and a last line "N of M killed".
+restores the file.  Each pytest child may map at most MEMORY_LIMIT bytes
+(RLIMIT_AS, set in that child only), so a mutant that makes a test grow
+without bound ends in a MemoryError, not in a host out of memory.  It
+prints one line per mutant, killed, survived, timeout, memout (pytest's
+output shows a MemoryError) or error (pytest could not run the tests), and a
+last line "N of M killed".
 
-Exit status 1 when any mutant is not killed (a timeout is not a kill), or
+Exit status 1 when any mutant is not killed (a timeout or memout is not a kill), or
 when the table does not match the tree: an `old` missing from its file or
 occurring more than once, an `old` equal to its `new`, a repeated id, or a
 named test `path::name[...]` whose file does not exist or has no
@@ -22,6 +26,7 @@ tests/test_mutants.py checks the table on every test run.
 
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -31,11 +36,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tools", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json")
 TIMEOUT_S = 120
+MEMORY_LIMIT = 2 << 30
 
 UVPOLY = "src/heavylight/uvpoly.py"
 SYMSERIES = "src/heavylight/symseries.py"
 BISYMSERIES = "src/heavylight/bisymseries.py"
 PIPELINE = "src/heavylight/pipeline.py"
+PARTITIONS = "src/heavylight/partitions.py"
 FIXTURES = "src/heavylight/fixtures.py"
 TABLES = "src/heavylight/tables.py"
 GENERATOR = "tools/generate_fixtures.py"
@@ -46,6 +53,7 @@ T_SERIES_REF = "tests/test_series_reference.py"
 T_SCHUR_REF = "tests/test_schur_reference.py"
 T_BISYMSERIES = "tests/test_bisymseries.py"
 T_PIPELINE = "tests/test_pipeline.py"
+T_PARTITIONS = "tests/test_partitions.py"
 T_FIXTURES = "tests/test_fixtures_io.py"
 T_TABLES = "tests/test_tables_cli.py"
 T_GENERATOR = "tests/test_generate_fixtures.py"
@@ -53,6 +61,7 @@ GOLDEN_ERRORS = f"{T_TABLES}::test_golden_parse_errors_carry_position"
 RENDER_DIGESTS = f"{T_TABLES}::test_rendered_tables_match_their_recorded_digests"
 REGEN = f"{T_GENERATOR}::test_regeneration_writes_the_benchmark_digests"
 CLOSED_FORM = f"{T_PIPELINE}::test_genus0_closed_form_is_the_exact_division"
+MN_REFERENCE = f"{T_PARTITIONS}::test_mn_character_matches_the_border_strip_reference"
 
 # (id, path, old, new, tests): `old` occurs exactly once in `path`, and the
 # pytest node ids in `tests` are expected to fail once it is replaced by `new`.
@@ -111,6 +120,10 @@ MUTANTS = (
      "nums = dict(self.nums)", (f"{T_UVPOLY_REF}::test_ring_operations_match_the_reference",)),
     ("adams-scales-only-u", UVPOLY, "{(a * k, b * k): n", "{(a * k, b): n",
      (f"{T_UVPOLY}::test_adams",)),
+    ("mn-sign-parity-counts-the-moved-bead", PARTITIONS, "(1 << top) - (2 << b)",
+     "(2 << top) - (2 << b)", (MN_REFERENCE,)),
+    ("mn-bead-moved-onto-a-bead", PARTITIONS, "b >= 0 and not (mask >> b) & 1", "b >= 0",
+     (MN_REFERENCE,)),
     ("slot-without-rescale", SYMSERIES, "nums[m] *= s", "nums[m] *= 1",
      (f"{T_SYMSERIES}::test_exp_log_round_trip",)),
     ("slot-without-weight-numerator", SYMSERIES, "d // den * w.numerator", "d // den",
@@ -122,7 +135,7 @@ MUTANTS = (
      (f"{T_SCHUR_REF}::test_one_source_spreads_over_the_largest_character",)),
     ("packed-bound-without-lcm-scaling", SYMSERIES, "c.nums.values())) * (den // c.den)",
      "c.nums.values()))",
-     (f"{T_SCHUR_REF}::test_a_large_denominator_first_makes_every_later_add_widen",)),
+     (f"{T_SCHUR_REF}::test_the_slot_bound_scales_each_numerator_to_the_block_lcm",)),
     ("packed-slots-without-sign-bit", SYMSERIES, ".bit_length() + 1", ".bit_length()",
      (f"{T_SCHUR_REF}::test_a_lone_numerator_at_the_sign_bit",)),
     ("packed-read-back-without-borrow", SYMSERIES, "x -= 1 << W", "pass",
@@ -232,18 +245,26 @@ def table_problems(root: Path = ROOT) -> list:
     return problems
 
 
-def run_pytest(work: Path, tests) -> int | None:
-    """pytest's exit status on `tests` in `work`, or None when it times out."""
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_pytest(work: Path, tests) -> str:
+    """The verdict on `tests` in `work`, as on a mutant: survived when they all pass,
+    killed when one fails, timeout, memout when the output shows a MemoryError, or error."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     # no bytecode: a mutant of the same size restored within a second could
     # otherwise be served from a stale cache
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        done = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+        done = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, timeout=TIMEOUT_S,
+                              preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
-        return None
-    return done.returncode
+        return "timeout"
+    if b"MemoryError" in done.stdout:
+        return "memout"
+    return {1: "killed", 0: "survived"}.get(done.returncode, "error")
 
 
 def main() -> int:
@@ -260,7 +281,7 @@ def main() -> int:
             else:
                 shutil.copy2(ROOT / name, work / name)
         named = sorted({test for *_, tests in MUTANTS for test in tests})
-        if run_pytest(work, named) != 0:
+        if run_pytest(work, named) != "survived":
             print("the named tests do not all pass on the unmutated tree")
             return 1
         killed = 0
@@ -269,10 +290,9 @@ def main() -> int:
             original = target.read_text()
             target.write_text(original.replace(old, new))
             try:
-                status = run_pytest(work, tests)
+                verdict = run_pytest(work, tests)
             finally:
                 target.write_text(original)
-            verdict = {1: "killed", 0: "survived", None: "timeout"}.get(status, "error")
             killed += verdict == "killed"
             print(f"{verdict:<8}  {mid}", flush=True)
     print(f"{killed} of {len(MUTANTS)} killed")
