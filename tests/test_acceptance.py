@@ -151,8 +151,8 @@ def test_criterion_8_asymptotic_behaviour():
     # The stated windows are asserted exactly as specified.  On the verified
     # series data the monotonicity clauses hold, but the numeric windows do
     # not open until n >= 10 (first clause) and n >= 12 (per-step factor),
-    # so this criterion is red by a spec miscalibration; see the decisions
-    # ledger for the measured values.
+    # so this criterion is red by a spec miscalibration; ROADMAP.md, "Baseline
+    # at this re-anchor", records the values at n = 8..11 and at n = 12..16.
     light = genus1_light_chi_egf(11)
     stable = genus1_stable_chi_egf(11)
     ok = True

@@ -9,27 +9,13 @@ from heavylight.partitions import gen_partitions, mn_character
 from heavylight.powerseries import FormalPS2
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
+from heavylight.verify import _cases, _coproduct_case, _rank_composition_case, random_bi
 
 T = 6
 
 
 def P(k, factor, t=T):
     return BiSymSeries.power_sum(k, factor, t)
-
-
-def random_bi(rng, trunc, zero_constant=True):
-    coeffs = {}
-    for _ in range(rng.randint(1, 3)):
-        total = rng.randint(1 if zero_constant else 0, trunc)
-        m = rng.randint(0, total)
-        lam_choices = gen_partitions(m)
-        mu_choices = gen_partitions(total - m)
-        key = (
-            lam_choices[rng.randrange(len(lam_choices))],
-            mu_choices[rng.randrange(len(mu_choices))],
-        )
-        coeffs[key] = UVPoly.const(Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2])))
-    return BiSymSeries(coeffs, trunc)
 
 
 def test_inject():
@@ -130,21 +116,8 @@ def test_pleth2_associativity_random():
 
 
 def test_rank2_carries_pleth2_to_composition():
-    rng = random.Random(14)
-    for _ in range(20):
-        f, g = random_bi(rng, 6), random_bi(rng, 6)
-        lhs = f.pleth2(g).rank2()
-        rf, rg = f.rank2(), g.rank2()
-        acc = FormalPS2.zero(("x", "y"), 6)
-        xv = FormalPS2.variable(("x", "y"), 1, 6)
-        for (i, j), c in rf.coeffs.items():
-            term = FormalPS2(("x", "y"), {(0, 0): c}, 6)
-            for _k in range(i):
-                term = term * xv
-            for _k in range(j):
-                term = term * rg
-            acc = acc + term
-        assert acc == lhs
+    # the property suite's case, on twice its 10 cases
+    assert _cases(random.Random(14), 20, _rank_composition_case) == (True, "20 cases")
 
 
 def test_coproduct():
@@ -161,21 +134,8 @@ def test_coproduct():
 
 
 def test_coproduct_properties():
-    rng = random.Random(15)
-    for _ in range(20):
-        f = SymSeries({gen_partitions(rng.randint(0, 4))[0]: rng.randint(1, 3)}, T)
-        g = SymSeries({gen_partitions(rng.randint(0, 4))[-1]: rng.randint(1, 3)}, T)
-        assert coproduct(f * g) == coproduct(f) * coproduct(g)
-        cf = coproduct(f)
-        assert cf.swap_factors() == cf
-        assert cf.set_factor2_to_zero() == f
-
-
-def test_exp2_log2_round_trip():
-    rng = random.Random(16)
-    for _ in range(10):
-        f = random_bi(rng, 8)
-        assert f.exp2().log2() == f
+    # the property suite's case, on twice its 10 cases
+    assert _cases(random.Random(15), 20, _coproduct_case) == (True, "20 cases")
 
 
 def test_exp1():

@@ -26,7 +26,9 @@ PAIRS = [(lam, mu) for lam in PARTITIONS for mu in PARTITIONS if sum(lam) + sum(
 NONCONSTANT = [key for key in PAIRS if key != ((), ())]
 FACTOR2 = [((), mu) for mu in PARTITIONS if mu]
 # u and v^2 with numerators +-1..4 over 5, 7 or 11: never integral.
-NON_INTEGRAL = st.builds(Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.sampled_from((5, 7, 11)))
+NON_INTEGRAL = st.builds(
+    Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.sampled_from((5, 7, 11))
+)
 COEFF = st.builds(lambda a, b: UVPoly({(1, 0): a, (0, 2): b}), NON_INTEGRAL, NON_INTEGRAL)
 SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 

@@ -120,7 +120,8 @@ def test_zero_denominator_carries_line_number():
     [
         ("term n=4 lambda=[4] poly=0", "zero term n=4 lambda=[4]"),
         ("term n=4 lambda=[2,2] poly=0*u^1*v^1", "zero coefficient in uv-poly term: '0*u^1*v^1'"),
-        ("term n=4 lambda=[4] poly=1*u^1*v^1+0*u^2*v^2", "zero coefficient in uv-poly term: '0*u^2*v^2'"),
+        ("term n=4 lambda=[4] poly=1*u^1*v^1+0*u^2*v^2",
+         "zero coefficient in uv-poly term: '0*u^2*v^2'"),
     ],
 )
 def test_zero_term_is_refused_not_dropped(term, message):

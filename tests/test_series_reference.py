@@ -111,7 +111,9 @@ def ref(x):
 
 PARTITIONS = [lam for n in range(ARITY + 1) for lam in partitions(n)]
 PAIRS = [(lam, mu) for lam in PARTITIONS for mu in PARTITIONS if sum(lam) + sum(mu) <= ARITY]
-NON_INTEGRAL = st.builds(Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.sampled_from((5, 7, 11)))
+NON_INTEGRAL = st.builds(
+    Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.sampled_from((5, 7, 11))
+)
 COEFF = st.builds(lambda a, b: UVPoly({(1, 0): a, (0, 2): b}), NON_INTEGRAL, NON_INTEGRAL)
 SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 

@@ -7,6 +7,7 @@ from heavylight.bisymseries import BiSymSeries
 from heavylight.partitions import gen_partitions, mn_character, z_of
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
+from heavylight.verify import random_sparse
 
 T = 6
 
@@ -17,20 +18,6 @@ def p(k, t=T):
 
 def h(n, t=T):
     return SymSeries.homogeneous_h(n, t)
-
-
-def random_sparse(rng, trunc, zero_constant=True):
-    coeffs = {}
-    for _ in range(rng.randint(1, 3)):
-        n = rng.randint(1 if zero_constant else 0, trunc)
-        parts = gen_partitions(n)
-        lam = parts[rng.randrange(len(parts))]
-        c = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
-        if rng.random() < 0.5:
-            coeffs[lam] = UVPoly.monomial(rng.randint(0, 1), rng.randint(0, 1), c)
-        else:
-            coeffs[lam] = UVPoly.const(c)
-    return SymSeries(coeffs, trunc)
 
 
 def test_multiplication():
@@ -163,23 +150,6 @@ def test_rank1():
     assert mn_character((2, 1), (1, 1, 1)) == 2
 
 
-def test_plethysm_associativity_random():
-    rng = random.Random(1)
-    for _ in range(50):
-        f, g, k = (random_sparse(rng, 6) for _ in range(3))
-        assert f.plethysm(g).plethysm(k) == f.plethysm(g.plethysm(k))
-
-
-def test_plethysm_ring_maps_random():
-    rng = random.Random(2)
-    for _ in range(50):
-        f1, f2, g = (random_sparse(rng, 6) for _ in range(3))
-        assert (f1 * f2).plethysm(g) == f1.plethysm(g) * f2.plethysm(g)
-        k = rng.randint(1, 4)
-        pk = SymSeries.power_sum(k, 6)
-        assert pk.plethysm(f1 * f2) == pk.plethysm(f1) * pk.plethysm(f2)
-
-
 def test_rank_takes_plethysm_to_composition():
     rng = random.Random(4)
     for _ in range(20):
@@ -188,25 +158,6 @@ def test_rank_takes_plethysm_to_composition():
         lhs = f.plethysm(g).rank1("x")
         rhs = f.rank1("x").compose(g.rank1("x"))
         assert lhs == rhs
-
-
-def test_pleth_inverse_round_trip_random():
-    rng = random.Random(6)
-    p1 = p(1, 8)
-    for _ in range(10):
-        f = p1 + higher_terms(rng)
-        g = f.pleth_inverse()
-        assert f.plethysm(g) == p1
-        assert g.plethysm(f) == p1
-
-
-def higher_terms(rng):
-    coeffs = {}
-    for _ in range(rng.randint(1, 3)):
-        n = rng.randint(2, 8)
-        parts = gen_partitions(n)
-        coeffs[parts[rng.randrange(len(parts))]] = UVPoly.const(rng.choice([-2, -1, 1, 2]))
-    return SymSeries(coeffs, 8)
 
 
 def test_non_canonical_keys_are_rejected():

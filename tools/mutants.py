@@ -57,6 +57,7 @@ T_PARTITIONS = "tests/test_partitions.py"
 T_FIXTURES = "tests/test_fixtures_io.py"
 T_TABLES = "tests/test_tables_cli.py"
 T_GENERATOR = "tests/test_generate_fixtures.py"
+T_ACCEPTANCE = "tests/test_acceptance.py"
 GOLDEN_ERRORS = f"{T_TABLES}::test_golden_parse_errors_carry_position"
 RENDER_DIGESTS = f"{T_TABLES}::test_rendered_tables_match_their_recorded_digests"
 REGEN = f"{T_GENERATOR}::test_regeneration_writes_the_benchmark_digests"
@@ -149,6 +150,8 @@ MUTANTS = (
      (f"{T_SYMSERIES}::test_exp_series",)),
     ("reduced-keeps-zeros", SYMSERIES, "nums = {m: x for m, x in nums.items() if x}", "pass",
      (f"{T_SERIES_REF}::test_a_monomial_that_cancels_leaves_no_zero_numerator",)),
+    ("series-adams-keeps-coefficients", SYMSERIES, "): c.adams(k)", "): c",
+     (f"{T_ACCEPTANCE}::test_criterion_7_property_suites",)),
     ("adams-products-skip-a-part", SYMSERIES, "prods[part[i + 1:]]", "prods[part[i + 2:]]",
      (f"{T_SYMSERIES}::test_plethysm_examples",)),
     ("exp-weight-off-by-one", SYMSERIES, "Fraction(j, d))", "Fraction(j, d + 1))",
