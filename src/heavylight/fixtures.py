@@ -46,13 +46,16 @@ class FixtureError(ValueError):
 
 @dataclass(frozen=True)
 class SeriesFixture:
-    """A named truncated series with genus/variant metadata."""
+    """A named truncated series with genus/variant metadata; its truncation is the series'."""
 
     name: str
     genus: int
     variant: str
-    trunc: int
     data: SymSeries
+
+    @property
+    def trunc(self) -> int:
+        return self.data.trunc
 
     def stability_bound_ok(self) -> bool:
         """Check arity-n terms appear only where 2g - 2 + n > 0."""
@@ -123,7 +126,7 @@ def parse_fixture(text: str) -> SeriesFixture:
         raise FixtureError(0, f"missing header: {', '.join(missing)}")
     # each term line has checked its key, its size, its arity and that it is nonzero
     return SeriesFixture(headers["series"], headers["genus"], headers["variant"],
-                         headers["truncation"], SymSeries._built(terms, headers["truncation"]))
+                         SymSeries._built(terms, headers["truncation"]))
 
 
 def write_fixture(fx: SeriesFixture) -> str:

@@ -120,8 +120,10 @@ def _ring_map_case(rng) -> bool:
     g = random_sparse(rng, 6)
     if (f1 * f2).plethysm(g) != f1.plethysm(g) * f2.plethysm(g):
         return False
-    pk = SymSeries.power_sum(rng.randint(1, 4), 6)
-    return pk.plethysm(f1 * f2) == pk.plethysm(f1) * pk.plethysm(f2)
+    k = rng.randint(1, 4)
+    pk, u = SymSeries.power_sum(k, 6), UVPoly.monomial(1, 0)
+    pk_f1 = pk.plethysm(f1)
+    return pk.plethysm(f1 * f2) == pk_f1 * pk.plethysm(f2) and pk.plethysm(f1 * u) == pk_f1 * u.adams(k)
 
 
 def _inverse_case(rng) -> bool:
@@ -224,7 +226,7 @@ def _weight_zero_commutes(smooth1) -> tuple:
     """Weight-zero specialization commutes with the open pipeline."""
     t = 5
     data = smooth1.data.truncate(t).weight_zero()
-    spec_first = open_series(replace(smooth1, variant="weight0", trunc=t, data=data))
+    spec_first = open_series(replace(smooth1, variant="weight0", data=data))
     spec_last = open_series(smooth1, trunc=t)
     return spec_first.data == spec_last.data.weight_zero(), f"arity {t}"
 
@@ -324,7 +326,7 @@ def fixture_suite() -> list:
     for name in SHIPPED:
         try:
             fx = fixtures[name] = load_fixture(name)
-            ok, detail = fx.data.trunc == fx.trunc and fx.stability_bound_ok(), f"trunc {fx.trunc}"
+            ok, detail = fx.stability_bound_ok(), f"trunc {fx.trunc}"
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             ok, detail = False, str(exc)
         rows.append((f"fixture {name} parses and satisfies bounds", ok, detail))
@@ -416,8 +418,8 @@ def corb_suite() -> list:
     ))
 
 
-# Suite name -> the suites it runs, in order.  They are named rather than held,
-# so that a call goes through the module attribute, which a profiler may wrap.
+# Suite name -> the suites it runs, in order.  They are named rather than held, so that
+# a call goes through the module attribute, which a profiler or a test may wrap.
 SUITES = {
     "all": ("fixture_suite", "table_suite", "property_suite", "corb_suite", "oracle_suite"),
     "fixtures": ("fixture_suite",),

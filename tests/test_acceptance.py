@@ -1,7 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-status lines.
+Criteria 2 to 7, except the golden rows that criterion 4 reads itself, are
+checks of `hl verify`: they report the rows of the one `hl verify --suite all`
+run that the session shares (the `verify_all` fixture in conftest.py)
+instead of computing them again.  Run with
+`pytest tests/test_acceptance.py -s` to see the per-criterion status lines.
 """
 
 import io
@@ -11,30 +14,27 @@ from fractions import Fraction
 from math import factorial
 
 from heavylight.cli import main
-from heavylight.fixtures import load_fixture
-from heavylight.pipeline import (
-    closed_series,
-    closed_series_numeric,
-    genus1_light_chi_egf,
-    genus1_stable_chi_egf,
-    open_series,
-    open_series_numeric,
-)
-from heavylight.oracle import oracle_compare
-from heavylight.tables import (
-    GOLDEN_DIR,
-    compare_row_to_golden,
-    numeric_value,
-    parse_golden_numeric,
-    parse_golden_pairs,
-)
+from heavylight.pipeline import genus1_light_chi_egf, genus1_stable_chi_egf
+from heavylight.tables import GOLDEN_DIR, parse_golden_numeric
 from heavylight.uvpoly import parse_uvpoly
-from heavylight.verify import property_suite
 
 
 def report(num, ok, label):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {label}")
     assert ok, label
+
+
+def verify_rows(verify_all, suite, name=None):
+    """The rows of one suite of the shared `hl verify --suite all` run, or its row `name`."""
+    return [row for row in verify_all.rows[suite] if name in (None, row[0])]
+
+
+def report_rows(num, rows, label, ok=True):
+    """Report criterion `num` from verify rows: it holds when there are some, each
+    passed, and `ok`.  A failing row is listed with its detail."""
+    failures = [f"{name} [{detail}]" for name, passed, detail in rows if not passed]
+    label += f"; {len(rows) - len(failures)}/{len(rows)} verify rows pass"
+    report(num, ok and bool(rows) and not failures, label + (f": {failures}" if failures else ""))
 
 
 def test_criterion_1_numeric_table_reproduction():
@@ -62,89 +62,40 @@ def test_criterion_1_numeric_table_reproduction():
     report(1, ok, f"all-light numeric polynomials n=1..10, {elapsed:.1f}s")
 
 
-def test_criterion_2_equivariant_table_reproduction():
-    smooth0 = load_fixture("genus0_smooth")
-    stable1 = load_fixture("genus1_stable")
-    res = closed_series(stable1, smooth0, trunc=5)
-    problems = []
-    for row in parse_golden_pairs(GOLDEN_DIR / "genus1_poincare_table.txt"):
-        problems += compare_row_to_golden(res.component(row.m, row.n), row)
-    report(2, not problems, f"equivariant genus-1 table, {len(problems)} mismatches")
+def test_criterion_2_equivariant_table_reproduction(verify_all):
+    rows = verify_rows(verify_all, "table_suite", "genus-1 equivariant table")
+    report_rows(2, rows, "equivariant genus-1 table")
 
 
-def test_criterion_3_weight0_table_reproduction():
-    w0 = load_fixture("genus2_smooth_weight0")
-    res = open_series(w0)
-    problems = []
-    for row in parse_golden_pairs(GOLDEN_DIR / "genus2_weight0_table.txt"):
-        problems += compare_row_to_golden(res.component(row.m, row.n), row)
-        num = numeric_value(res.component(row.m, row.n), row.m, row.n).constant_term()
-        if num != row.numeric:
-            problems.append(f"numeric ({row.m},{row.n})")
-    report(3, not problems, f"weight-zero genus-2 table, {len(problems)} mismatches")
+def test_criterion_3_weight0_table_reproduction(verify_all):
+    rows = verify_rows(verify_all, "table_suite", "genus-2 weight-zero table")
+    report_rows(3, rows, "weight-zero genus-2 table, numeric values included")
 
 
-def test_criterion_4_chi_closed_form_cross_check():
-    chi = genus1_light_chi_egf(11)
-    numeric = load_fixture("genus1_stable_numeric")
-    table = closed_series_numeric(numeric.data.rank1("x"))
-    golden = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")
-    ok = True
-    # hard gate: pipeline row sums at u = v = 1 for n <= 10
-    for n in range(1, 11):
-        want = (table[(0, n)] * factorial(n)).eval(1, 1)
-        got = chi[n].constant_term() * factorial(n)
-        if got != want:
-            ok = False
+def test_criterion_4_chi_closed_form_cross_check(verify_all):
+    # the pipeline's row sums at u = v = 1 against the closed form, n <= 11
+    name = "all-light Euler characteristics match the closed form"
+    rows = verify_rows(verify_all, "fixture_suite", name)
     # duality-completed final row
-    poly11, mode = golden[11]
+    poly11, mode = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")[11]
     assert mode == "inferred"
-    if chi[11].constant_term() * factorial(11) != poly11.eval(1, 1):
-        ok = False
-    report(4, ok, "closed-form Euler characteristics match row sums n=1..11")
+    ok = genus1_light_chi_egf(11)[11].constant_term() * factorial(11) == poly11.eval(1, 1)
+    report_rows(4, rows, "closed-form Euler characteristics match row sums n=1..11", ok)
 
 
-def test_criterion_5_oracle_equivalence():
-    start = time.time()
-    smooth1 = load_fixture("genus1_smooth")
-    res1 = open_series(smooth1, trunc=5)
-    rows = oracle_compare(1, smooth1, res1, 5)
-    w0 = load_fixture("genus2_smooth_weight0")
-    res2 = open_series(w0, trunc=5)
-    rows += oracle_compare(2, w0, res2, 5)
-    elapsed = time.time() - start
-    ok = all(okc for _, _, okc in rows) and elapsed < 120
-    report(5, ok, f"stratification oracle equals the pipeline, {elapsed:.1f}s")
+def test_criterion_5_oracle_equivalence(verify_all):
+    # the time bound covers the whole verify run, whose last suite is the oracle's
+    label = f"stratification oracle equals the pipeline, verify run {verify_all.elapsed:.1f}s"
+    report_rows(5, verify_rows(verify_all, "oracle_suite"), label, verify_all.elapsed < 120)
 
 
-def test_criterion_6_numeric_consistency():
-    smooth0 = load_fixture("genus0_smooth")
-    smooth1 = load_fixture("genus1_smooth")
-    stable1 = load_fixture("genus1_stable")
-    ok = True
-
-    res = open_series(smooth1, trunc=6)
-    direct = open_series_numeric(smooth1.data.rank1("x"), 6)
-    ok = ok and res.data.rank2() == direct
-
-    resc = closed_series(stable1, smooth0, trunc=6)
-    directc = closed_series_numeric(stable1.data.rank1("x"), 6)
-    from heavylight.pipeline import stability_ok
-    from heavylight.powerseries import FormalPS2
-
-    masked = FormalPS2(
-        ("x", "y"),
-        {k: c for k, c in directc.coeffs.items() if stability_ok(1, k[0], k[1])},
-        directc.order,
-    )
-    ok = ok and resc.data.rank2() == masked
-    report(6, ok, "change-of-variables pipelines match equivariant ranks to degree 6")
+def test_criterion_6_numeric_consistency(verify_all):
+    label = "change-of-variables pipelines match equivariant ranks to degree 6"
+    report_rows(6, verify_rows(verify_all, "corb_suite"), label)
 
 
-def test_criterion_7_property_suites():
-    checks = property_suite()
-    failures = [name for name, okc, _ in checks if not okc]
-    report(7, not failures, f"property suites ({len(checks)} checks): {failures}")
+def test_criterion_7_property_suites(verify_all):
+    report_rows(7, verify_rows(verify_all, "property_suite"), "property suites")
 
 
 def test_criterion_8_asymptotic_behaviour():

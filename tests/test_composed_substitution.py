@@ -10,27 +10,19 @@ off-diagonal, built as the `offdiag` benchmark workload builds them, and the
 pipeline is checked against the two-step route on the shipped fixtures.
 """
 
-from fractions import Fraction
-
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from heavylight.bisymseries import BiSymSeries, exp2_of_p1
 from heavylight.fixtures import load_fixture
-from heavylight.partitions import gen_partitions
 from heavylight.pipeline import _mask_stability, closed_series, tail_free_series
-from heavylight.uvpoly import UVPoly
+
+from strategies import COEFF, examples, key_lists
 
 ARITY = 5
-PARTITIONS = [lam for n in range(ARITY + 1) for lam in gen_partitions(n)]
-PAIRS = [(lam, mu) for lam in PARTITIONS for mu in PARTITIONS if sum(lam) + sum(mu) <= ARITY]
+PARTITIONS, PAIRS = key_lists(ARITY)
 NONCONSTANT = [key for key in PAIRS if key != ((), ())]
 FACTOR2 = [((), mu) for mu in PARTITIONS if mu]
-# u and v^2 with numerators +-1..4 over 5, 7 or 11: never integral.
-NON_INTEGRAL = st.builds(
-    Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.sampled_from((5, 7, 11))
-)
-COEFF = st.builds(lambda a, b: UVPoly({(1, 0): a, (0, 2): b}), NON_INTEGRAL, NON_INTEGRAL)
-SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+SETTINGS = examples(30)
 
 
 def series(keys):

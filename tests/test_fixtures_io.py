@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from heavylight.fixtures import (
     parse_fixture,
     write_fixture,
 )
+from heavylight.pipeline import open_series
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 
@@ -150,12 +152,13 @@ def test_round_trip_byte_stability():
         assert write_fixture(again) == text
 
 
-def test_shipped_fixtures_validate():
-    from heavylight.verify import fixture_suite
-
-    checks = fixture_suite()
-    failures = [name for name, ok, detail in checks if not ok]
-    assert not failures, failures
+def test_a_fixture_truncation_is_the_truncation_of_its_series():
+    smooth1 = load_fixture("genus1_smooth")
+    fx = replace(smooth1, data=smooth1.data.truncate(4))
+    assert fx.trunc == 4
+    assert parse_fixture(write_fixture(fx)) == fx
+    with pytest.raises(ValueError, match="requested truncation 6 exceeds available 4"):
+        open_series(fx, trunc=6)
 
 
 def test_shipped_fixtures_equal_the_checked_constructor():

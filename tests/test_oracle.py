@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -14,7 +15,6 @@ from heavylight.oracle import (
     stirling2_recurrence,
 )
 from heavylight.pipeline import open_series, open_series_numeric
-from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 
 
@@ -51,13 +51,6 @@ def test_oracle_heavy_only_is_injection():
         assert got == want
 
 
-def test_oracle_matches_pipeline_genus1():
-    smooth1 = load_fixture("genus1_smooth")
-    res = open_series(smooth1, trunc=5)
-    rows = oracle_compare(1, smooth1, res, 5)
-    assert rows and all(ok for _, _, ok in rows)
-
-
 def test_oracle_matches_pipeline_genus0():
     # 11 of the 20 (m, n) pairs are unstable in genus 0: m + min(n, 1) <= 2.
     smooth0 = load_fixture("genus0_smooth")
@@ -66,11 +59,8 @@ def test_oracle_matches_pipeline_genus0():
 
 
 def test_oracle_matches_pipeline_genus2_weight0():
-    w0 = load_fixture("genus2_smooth_weight0")
-    res = open_series(w0, trunc=5)
-    rows = oracle_compare(2, w0, res, 5)
-    assert rows and all(ok for _, _, ok in rows)
-    got = oracle_open_ch(2, 0, 2, w0)
+    # the oracle's agreement up to arity 5 is a row of `hl verify`; here, one known entry
+    got = oracle_open_ch(2, 0, 2, load_fixture("genus2_smooth_weight0"))
     assert got.to_schur_pairs() == {((), (2,)): UVPoly.const(-1)}
 
 
@@ -117,21 +107,11 @@ def test_stirling_rank_check():
             assert stirling_rank_check(1, m, n, table, numeric_smooth)
 
 
-
-
 def test_oracle_input_agnostic_identity():
     # the stratification identity is linear in the input series: it holds
     # for the stable genus-1 fixture fed through the open pipeline as well
     stable1 = load_fixture("genus1_stable")
-    res = open_series(
-        type(stable1)(
-            name=stable1.name,
-            genus=1,
-            variant="open",
-            trunc=5,
-            data=stable1.data.truncate(5),
-        )
-    )
+    res = open_series(replace(stable1, variant="open", data=stable1.data.truncate(5)))
     for m in range(3):
         for n in range(3 - m):
             got = oracle_open_ch(1, m, n, stable1)

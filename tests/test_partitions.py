@@ -1,5 +1,4 @@
 from functools import lru_cache
-from math import factorial
 
 import pytest
 
@@ -132,22 +131,6 @@ def test_mn_character_matches_the_border_strip_reference():
 def test_mn_character_size_mismatch():
     with pytest.raises(ValueError):
         mn_character((2,), (1, 1, 1))
-
-
-def test_column_orthogonality_up_to_seven():
-    for n in range(8):
-        parts = gen_partitions(n)
-        for mu in parts:
-            for nu in parts:
-                s = sum(mn_character(lam, mu) * mn_character(lam, nu) for lam in parts)
-                assert s == (z_of(mu) if mu == nu else 0)
-
-
-def test_dimension_positivity_and_sum_of_squares():
-    for n in range(8):
-        dims = [mn_character(lam, (1,) * n) for lam in gen_partitions(n)]
-        assert all(d > 0 for d in dims)
-        assert sum(d * d for d in dims) == factorial(n)
 
 
 def test_union_and_serialization():

@@ -18,7 +18,6 @@ from heavylight.pipeline import (
     open_series_numeric,
     slice_n1,
     stability_ok,
-    tail_free_series,
     tropical_euler,
 )
 from heavylight.powerseries import FormalPS1, FormalPS2
@@ -112,9 +111,8 @@ def test_genus0_closed_form_is_the_rank_of_the_corrector():
 
 def test_legendre_check():
     smooth0 = load_fixture("genus0_smooth")
-    stable0 = load_fixture("genus0_stable")
-    assert legendre_check(smooth0, stable0, trunc=8)
-    zero = SeriesFixture("zero", 0, "closed", stable0.trunc, SymSeries.zero(stable0.trunc))
+    stable0 = load_fixture("genus0_stable")  # the pair at arity 8 is a row of `hl verify`
+    zero = SeriesFixture("zero", 0, "closed", SymSeries.zero(stable0.trunc))
     assert not legendre_check(smooth0, zero, trunc=8)
     assert legendre_check(smooth0, zero, trunc=1)  # arity-1 parts are both p_1
     assert legendre_check(smooth0, stable0, trunc=1)
@@ -219,20 +217,13 @@ def test_chi_ratio_growth():
 
 
 def test_slice_n1():
+    # the slices for m <= 4 equal the pipelines' components: a row of `hl verify`
     stable1 = load_fixture("genus1_stable")
-    smooth0 = load_fixture("genus0_smooth")
     # m = 0: the one-light-marking stable space is the projective line
     comp = slice_n1(stable1, 0)
     assert comp == BiSymSeries(
         {((), (1,)): UVPoly.one() + uvq(1)}, comp.trunc
     )
-    res = closed_series(stable1, smooth0, trunc=6)
-    for m in range(5):
-        assert slice_n1(stable1, m) == res.component(m, 1)
-    smooth1 = load_fixture("genus1_smooth")
-    res_open = open_series(smooth1)
-    for m in range(4):
-        assert slice_n1(smooth1, m) == res_open.component(m, 1)
     # below the stability bound the component is empty
     stable0 = load_fixture("genus0_stable")
     assert not stability_ok(0, 1, 1)
@@ -271,32 +262,13 @@ def test_tropical_euler_refuses_unstable_components():
         tropical_euler(res0, 0, 5)  # connected by the m + n > 4 rule, but unstable
 
 
-def test_tail_free_series_consistency():
-    from heavylight.bisymseries import coproduct
-
-    smooth0 = load_fixture("genus0_smooth")
-    stable0 = load_fixture("genus0_stable")
-    stable1 = load_fixture("genus1_stable")
-    t = 6
-    core = tail_free_series(stable1, smooth0, trunc=t)
-    inner = BiSymSeries.power_sum(1, 2, t) + BiSymSeries.inject(
-        stable0.data.d_dp1().truncate(t), 2
-    )
-    assert core.pleth2(inner) == coproduct(stable1.data.truncate(t))
-
-
 def test_stability_mask():
     # the raw genus-0 composition has artifacts outside stability, the
-    # pipeline result must not
+    # pipeline result must not; the whole support is a row of `hl verify`
     smooth0 = load_fixture("genus0_smooth")
     res = open_series(smooth0, trunc=5)
     assert res.component(1, 2).coeffs == {}
     assert res.component(2, 1).coeffs != {}
-    for total in range(6):
-        for m in range(total + 1):
-            n = total - m
-            if not stability_ok(0, m, n):
-                assert res.component(m, n).coeffs == {}
 
 
 # sha256 of str() of the change-of-variables outputs, recorded before the

@@ -17,24 +17,22 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from heavylight.bisymseries import BiSymSeries
 from heavylight.partitions import gen_partitions, mn_character, z_of
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 
+from strategies import NON_INTEGRAL, examples, key_lists
+
 ARITY = 6
-PARTITIONS = [lam for n in range(ARITY + 1) for lam in gen_partitions(n)]
-PAIRS = [(lam, mu) for lam in PARTITIONS for mu in PARTITIONS if sum(lam) + sum(mu) <= ARITY]
+PARTITIONS, PAIRS = key_lists(ARITY)
 OFF_DIAGONAL = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda ab: ab[0] != ab[1])
-NON_INTEGRAL = st.builds(
-    Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.sampled_from((5, 7, 11))
-)
 COEFF = st.dictionaries(OFF_DIAGONAL, NON_INTEGRAL, min_size=1, max_size=2).map(UVPoly)
 SYM = st.dictionaries(st.sampled_from(PARTITIONS), COEFF, max_size=8)
 BISYM = st.dictionaries(st.sampled_from(PAIRS), COEFF, max_size=8)
-SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+SETTINGS = examples(30)
 
 
 def direct_schur(coeffs: dict) -> dict:

@@ -27,13 +27,15 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from heavylight.bisymseries import BiSymSeries, coproduct
 from heavylight.fixtures import load_fixture
 from heavylight.pipeline import _mask_stability
 from heavylight.symseries import SymSeries, mobius
 from heavylight.uvpoly import UVPoly
+
+from strategies import COEFF, examples, key_lists
 
 ARITY = 6
 
@@ -109,13 +111,8 @@ def ref(x):
     return {key: c for key, c in terms.items() if c}
 
 
-PARTITIONS = [lam for n in range(ARITY + 1) for lam in partitions(n)]
-PAIRS = [(lam, mu) for lam in PARTITIONS for mu in PARTITIONS if sum(lam) + sum(mu) <= ARITY]
-NON_INTEGRAL = st.builds(
-    Fraction, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.sampled_from((5, 7, 11))
-)
-COEFF = st.builds(lambda a, b: UVPoly({(1, 0): a, (0, 2): b}), NON_INTEGRAL, NON_INTEGRAL)
-SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+PARTITIONS, PAIRS = key_lists(ARITY, partitions)
+SETTINGS = examples(25)
 
 
 def series(cls, keys, trunc=ARITY):

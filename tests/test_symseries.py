@@ -7,7 +7,7 @@ from heavylight.bisymseries import BiSymSeries
 from heavylight.partitions import gen_partitions, mn_character, z_of
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
-from heavylight.verify import random_sparse
+from heavylight.verify import _cases, _ring_map_case, random_sparse
 
 T = 6
 
@@ -44,6 +44,11 @@ def test_plethysm_examples():
     )
     with pytest.raises(ValueError):
         p(2).plethysm(SymSeries.one(T))
+
+
+def test_power_sum_plethysm_is_a_ring_map_that_maps_coefficients_by_adams():
+    # the property suite's case, on other draws
+    assert _cases(random.Random(16), 20, _ring_map_case) == (True, "20 cases")
 
 
 def test_plethysm_degenerate_zero():

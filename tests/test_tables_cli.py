@@ -248,13 +248,12 @@ def test_cli_verify_tables_suite():
     assert "3/3 checks passed" in out
 
 
-def test_cli_verify_all_suite():
-    code, out = run_cli(["verify", "--suite", "all"])
-    assert code == 0
-    assert out.endswith("\n72/72 checks passed\n")
+def test_cli_verify_all_suite(verify_all):
+    assert verify_all.code == 0
+    assert verify_all.stdout.endswith("\n72/72 checks passed\n")
     # the whole report, byte for byte: names, order, details and column widths
     digest = "97a958ab2d53f44207cd96a85893fccb97d5bce8b0404558d718df0fe873b619"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(verify_all.stdout.encode()).hexdigest() == digest
 
 
 def test_cli_verify_reports_an_unreadable_fixture(tmp_path, monkeypatch):

@@ -8,9 +8,11 @@ no shared denominator, so a slip in UVPoly's common-denominator bookkeeping
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from heavylight.uvpoly import UVPoly, parse_uvpoly
+
+from strategies import examples
 
 
 class Ref:
@@ -62,7 +64,7 @@ EXPONENT = st.integers(0, 4)
 COEFF = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 TERMS = st.dictionaries(st.tuples(EXPONENT, EXPONENT), COEFF, max_size=6)
 SCALAR = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
-SETTINGS = settings(derandomize=True, database=None, max_examples=75, deadline=None)
+SETTINGS = examples(75)
 
 
 def agrees(p: UVPoly, ref: Ref) -> bool:

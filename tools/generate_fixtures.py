@@ -209,16 +209,14 @@ def phase_genus0():
     deriv_stable = stable.d_dp1().truncate(t_stable - 1)
     assert deriv_stable == rooted.truncate(t_stable - 1), "dissymmetry derivative mismatch"
 
-    smooth_fx = SeriesFixture(
-        "genus0_smooth", 0, "open", SMOOTH0_SHIP_TRUNC, smooth.truncate(SMOOTH0_SHIP_TRUNC)
-    )
-    stable_fx = SeriesFixture("genus0_stable", 0, "closed", t_stable, stable)
+    smooth_fx = SeriesFixture("genus0_smooth", 0, "open", smooth.truncate(SMOOTH0_SHIP_TRUNC))
+    stable_fx = SeriesFixture("genus0_stable", 0, "closed", stable)
     assert legendre_check(smooth_fx, stable_fx), "genus-0 inverse check failed"
     save_fixture(smooth_fx, DATA_DIR)
     save_fixture(stable_fx, DATA_DIR)
 
     CACHE_DIR.mkdir(exist_ok=True)
-    cache_fx = SeriesFixture("_cache_rooted_inverse", 0, "open", t_rooted, pd)
+    cache_fx = SeriesFixture("_cache_rooted_inverse", 0, "open", pd)
     (CACHE_DIR / "rooted_inverse.hlf").write_text(write_fixture(cache_fx))
     log("genus-0 fixtures written")
     return smooth, pd
@@ -419,15 +417,13 @@ def phase_genus1():
     smooth1 = SymSeries(coeffs, trunc)
 
     CACHE_DIR.mkdir(exist_ok=True)
-    fx = SeriesFixture("_cache_genus1_smooth_deep", 1, "open", trunc, smooth1)
+    fx = SeriesFixture("_cache_genus1_smooth_deep", 1, "open", smooth1)
     (CACHE_DIR / "genus1_smooth_deep.hlf").write_text(write_fixture(fx))
     numeric1 = SymSeries(numeric_coeffs, numeric_trunc)
-    numeric_fx = SeriesFixture("_cache_genus1_smooth_numeric", 1, "open", numeric_trunc, numeric1)
+    numeric_fx = SeriesFixture("_cache_genus1_smooth_numeric", 1, "open", numeric1)
     (CACHE_DIR / "genus1_smooth_numeric.hlf").write_text(write_fixture(numeric_fx))
 
-    ship = SeriesFixture(
-        "genus1_smooth", 1, "open", SMOOTH1_SHIP_TRUNC, smooth1.truncate(SMOOTH1_SHIP_TRUNC)
-    )
+    ship = SeriesFixture("genus1_smooth", 1, "open", smooth1.truncate(SMOOTH1_SHIP_TRUNC))
     save_fixture(ship, DATA_DIR)
     log("genus-1 smooth fixtures written")
     return smooth1, numeric1
@@ -517,15 +513,13 @@ def phase_assemble(smooth0: SymSeries, pd: SymSeries, smooth1: SymSeries, numeri
         "equivariant rank disagrees with the numeric assembly"
     )
 
-    stable_fx = SeriesFixture("genus1_stable", 1, "closed", trunc, stable1)
+    stable_fx = SeriesFixture("genus1_stable", 1, "closed", stable1)
     save_fixture(stable_fx, DATA_DIR)
     numeric_data = SymSeries(
         {(1,) * n: stable1_numeric[n] for n in range(1, numeric_trunc + 1)},
         numeric_trunc,
     )
-    numeric_fx = SeriesFixture(
-        "genus1_stable_numeric", 1, "closed", numeric_trunc, numeric_data
-    )
+    numeric_fx = SeriesFixture("genus1_stable_numeric", 1, "closed", numeric_data)
     save_fixture(numeric_fx, DATA_DIR)
     log("genus-1 stable fixtures written")
 
@@ -542,7 +536,7 @@ def phase_weight0():
     columns = []
     for nu in unknowns:
         basis = SymSeries({nu: UVPoly.one()}, WEIGHT0_TRUNC)
-        columns.append(open_series(SeriesFixture("basis", 2, "weight0", WEIGHT0_TRUNC, basis)))
+        columns.append(open_series(SeriesFixture("basis", 2, "weight0", basis)))
 
     rows, rhs = [], []
     for row in golden:
@@ -558,7 +552,7 @@ def phase_weight0():
     (sol,) = linsolve_exact(rows, [rhs])
 
     data = SymSeries({nu: UVPoly.const(x) for nu, x in zip(unknowns, sol)}, WEIGHT0_TRUNC)
-    fx = SeriesFixture("genus2_smooth_weight0", 2, "weight0", WEIGHT0_TRUNC, data)
+    fx = SeriesFixture("genus2_smooth_weight0", 2, "weight0", data)
     save_fixture(fx, DATA_DIR)
     log("genus-2 weight-zero fixture written")
 
