@@ -57,12 +57,6 @@ class SeriesFixture:
     def trunc(self) -> int:
         return self.data.trunc
 
-    def stability_bound_ok(self) -> bool:
-        """Check arity-n terms appear only where 2g - 2 + n > 0."""
-        return all(
-            2 * self.genus - 2 + sum(lam) > 0 for lam in self.data.coeffs
-        )
-
 
 def default_fixture_dir() -> Path:
     env = os.environ.get("HL_FIXTURE_DIR")

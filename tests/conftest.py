@@ -1,13 +1,15 @@
-"""The one `hl verify --suite all` run on the shipped fixtures that the tests read."""
+"""Pytest fixtures shared by the test files: the one `hl verify --suite all` run on
+the shipped fixtures that the tests read, and edited copies of those fixtures."""
 
-import io
 import time
-from contextlib import redirect_stdout
 from types import SimpleNamespace
 
 import pytest
 
-from heavylight import cli, verify
+from heavylight import verify
+from heavylight.fixtures import default_fixture_dir
+
+from helpers import run_cli
 
 
 @pytest.fixture(scope="session")
@@ -21,9 +23,24 @@ def verify_all():
         for name in verify.SUITES["all"]:
             suite = getattr(verify, name)
             mp.setattr(verify, name, lambda name=name, suite=suite: rows.setdefault(name, suite()))
-        out = io.StringIO()
         start = time.perf_counter()
-        with redirect_stdout(out):
-            code = cli.main(["verify", "--suite", "all"])
+        code, stdout, _ = run_cli(["verify", "--suite", "all"])
         elapsed = time.perf_counter() - start
-    return SimpleNamespace(code=code, stdout=out.getvalue(), elapsed=elapsed, rows=rows)
+    return SimpleNamespace(code=code, stdout=stdout, elapsed=elapsed, rows=rows)
+
+
+@pytest.fixture
+def edited_fixtures(tmp_path, monkeypatch):
+    """A function `edit(name, old, new)`: it copies the shipped fixtures into
+    `tmp_path` with `old` replaced by `new` in fixture `name`, points
+    HL_FIXTURE_DIR at the copy and returns its directory."""
+    def edit(name, old, new):
+        for path in default_fixture_dir().glob("*.hlf"):
+            text = path.read_text()
+            if path.stem == name:
+                assert old in text, (name, old)
+                text = text.replace(old, new)
+            (tmp_path / path.name).write_text(text)
+        monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
+        return tmp_path
+    return edit

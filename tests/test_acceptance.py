@@ -1,22 +1,17 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Criteria 2 to 7, except the golden rows that criterion 4 reads itself, are
-checks of `hl verify`: they report the rows of the one `hl verify --suite all`
-run that the session shares (the `verify_all` fixture in conftest.py)
-instead of computing them again.  Run with
-`pytest tests/test_acceptance.py -s` to see the per-criterion status lines.
+Criteria 1 to 7 are checks of `hl verify`: they report the rows of the one
+`hl verify --suite all` run that the session shares (the `verify_all`
+fixture in conftest.py) instead of computing them again.  Criteria 1 and 4
+also read one golden row each.  Run with `pytest tests/test_acceptance.py -s`
+to see the per-criterion status lines.
 """
 
-import io
-import time
-from contextlib import redirect_stdout
 from fractions import Fraction
 from math import factorial
 
-from heavylight.cli import main
 from heavylight.pipeline import genus1_light_chi_egf, genus1_stable_chi_egf
 from heavylight.tables import GOLDEN_DIR, parse_golden_numeric
-from heavylight.uvpoly import parse_uvpoly
 
 
 def report(num, ok, label):
@@ -37,29 +32,11 @@ def report_rows(num, rows, label, ok=True):
     report(num, ok and bool(rows) and not failures, label + (f": {failures}" if failures else ""))
 
 
-def test_criterion_1_numeric_table_reproduction():
-    start = time.time()
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(["closed-table", "--genus", "1", "--max-arity", "11", "--form", "numeric"])
-    out = buf.getvalue()
-    assert code == 0
-    golden = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")
-    rows = {}
-    for line in out.splitlines():
-        fields = [f.strip() for f in line.split("|")]
-        if len(fields) == 3 and fields[0] == "0":
-            rows[int(fields[1])] = parse_uvpoly(fields[2])
-    ok = True
-    for n in range(1, 11):
-        want, _ = golden[n]
-        if rows.get(n) != want:
-            ok = False
+def test_criterion_1_numeric_table_reproduction(verify_all):
+    rows = verify_rows(verify_all, "table_suite", "genus-1 numeric table")
     # coefficient sum at n = 10 equals the total cohomology dimension
-    ok = ok and rows[10].eval(1, 1) == 232076
-    elapsed = time.time() - start
-    ok = ok and elapsed < 300
-    report(1, ok, f"all-light numeric polynomials n=1..10, {elapsed:.1f}s")
+    poly10, _ = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")[10]
+    report_rows(1, rows, "all-light numeric polynomials n=1..11", poly10.eval(1, 1) == 232076)
 
 
 def test_criterion_2_equivariant_table_reproduction(verify_all):

@@ -1,11 +1,10 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from heavylight.bisymseries import BiSymSeries, coproduct, exp2_of_p1
-from heavylight.partitions import gen_partitions, mn_character
+from heavylight.partitions import gen_partitions
 from heavylight.powerseries import FormalPS2
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
@@ -78,34 +77,6 @@ def test_to_schur_pairs():
     assert h2.to_schur_pairs() == {((), (2,)): UVPoly.one()}
     sq = (P(1, 2) * P(1, 2)).to_schur_pairs()
     assert sq == {((), (2,)): UVPoly.one(), ((), (1, 1)): UVPoly.one()}
-    # reference: the direct sum of chi^slam(plam) chi^smu(pmu) c over each block
-    rng = random.Random(22)
-    coeffs = {}
-    for total in range(6):
-        for m in range(total + 1):
-            for key in itertools.product(gen_partitions(m), gen_partitions(total - m)):
-                if rng.random() < 0.6:
-                    mono = (rng.randint(0, 2), rng.randint(0, 2))
-                    coeffs[key] = UVPoly({mono: Fraction(rng.randint(-5, 5), rng.randint(1, 4))})
-    f = BiSymSeries(coeffs, 5)
-    want = {}
-    for total in range(6):
-        for m in range(total + 1):
-            for slam, smu in itertools.product(gen_partitions(m), gen_partitions(total - m)):
-                acc = UVPoly.zero()
-                for (plam, pmu), c in f.coeffs.items():
-                    if sum(plam) == m and sum(pmu) == total - m:
-                        acc = acc + c * (mn_character(slam, plam) * mn_character(smu, pmu))
-                if not acc.is_zero():
-                    want[(slam, smu)] = acc
-    assert f.to_schur_pairs() == want
-
-
-def test_from_schur_pairs_round_trip():
-    rng = random.Random(21)
-    for _ in range(10):
-        f = random_bi(rng, 5, zero_constant=False)
-        assert BiSymSeries.from_schur_pairs(f.to_schur_pairs(), 5) == f
 
 
 def test_pleth2_associativity_random():

@@ -9,7 +9,6 @@ path, the way `python tools/generate_fixtures.py` runs it.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import random
@@ -26,18 +25,11 @@ from heavylight.partitions import gen_partitions, multiplicities, z_of
 from heavylight.pipeline import genus0_numeric_closed_form
 from heavylight.symseries import mobius
 
+from helpers import load_path
+
 ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "tools" / "generate_fixtures.py"
-
-
-def _load():
-    spec = importlib.util.spec_from_file_location("generate_fixtures", GENERATOR)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _load()
+gen = load_path("generate_fixtures", GENERATOR)
 
 
 @pytest.fixture(scope="module")

@@ -4,24 +4,19 @@ a guarded line must carry its mutant forward.  Running the mutants is left to
 `python tools/mutants.py`; one pytest child checks that a run out of memory is
 told apart from a kill."""
 
-import importlib.util
 from pathlib import Path
 
-RUNNER = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
+from helpers import load_path
+
+mutants = load_path("mutants", Path(__file__).resolve().parents[1] / "tools" / "mutants.py")
 
 
 def test_every_mutant_applies_to_the_tree_exactly_once():
-    spec = importlib.util.spec_from_file_location("mutants", RUNNER)
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
     assert mutants.MUTANTS
     assert mutants.table_problems() == []
 
 
 def test_a_dangling_test_id_is_a_table_problem(monkeypatch):
-    spec = importlib.util.spec_from_file_location("mutants", RUNNER)
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
     mid, path, old, new, _ = mutants.MUTANTS[0]
     dangling = "tests/test_uvpoly.py::test_renamed_away[case]"
     monkeypatch.setattr(mutants, "MUTANTS", ((mid, path, old, new, (dangling,)),))
@@ -29,9 +24,6 @@ def test_a_dangling_test_id_is_a_table_problem(monkeypatch):
 
 
 def test_a_child_past_its_memory_limit_is_a_memout(tmp_path):
-    spec = importlib.util.spec_from_file_location("mutants", RUNNER)
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
     # The child asks for more than its whole address-space limit, and for
     # nothing unless it runs under the runner's limit, so a missing limit
     # fails as a kill.

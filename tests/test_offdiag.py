@@ -7,23 +7,17 @@ operation by a round trip or by the rank specialisation.  The module is
 loaded by path, the way the benchmark loads it, and only read.
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+from helpers import load_path
+
 OFFDIAG = Path(__file__).resolve().parents[1] / "perfbench" / "offdiag.py"
-
-
-def _load():
-    spec = importlib.util.spec_from_file_location("perfbench_offdiag", OFFDIAG)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_offdiag_identities_hold(seed):
-    offdiag = _load()
+    offdiag = load_path("perfbench_offdiag", OFFDIAG)
     checks = offdiag.run(offdiag.make_inputs(seed))
     assert checks and [name for name, ok in checks if not ok] == []

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from math import factorial
 
 import pytest
 
@@ -14,7 +13,7 @@ from heavylight.oracle import (
     stirling2,
     stirling2_recurrence,
 )
-from heavylight.pipeline import open_series, open_series_numeric
+from heavylight.pipeline import open_series
 from heavylight.uvpoly import UVPoly
 
 
@@ -68,43 +67,6 @@ def test_oracle_cap():
     smooth1 = load_fixture("genus1_smooth")
     with pytest.raises(ValueError):
         oracle_open_ch(1, 4, 4, smooth1)
-
-
-def stirling_rank_check(
-    g: int, m: int, n: int, numeric_open, numeric_smooth: dict
-) -> bool:
-    """Check the multiset-of-markings class identity at the numeric level.
-
-    `numeric_open` is the bivariate numeric open series; `numeric_smooth`
-    maps arity k to the numeric polynomial of the smooth space with k
-    markings.  Verifies that the (m,n) value equals
-    sum_k S(n,k) * numeric_smooth[m+k].
-    """
-    val = numeric_open[(m, n)] * (factorial(m) * factorial(n))
-    if n == 0:
-        expected = numeric_smooth.get(m, UVPoly.zero())
-    else:
-        expected = UVPoly.zero()
-        for k in range(1, n + 1):
-            s = stirling2(n, k)
-            if s and (m + k) in numeric_smooth:
-                expected = expected + numeric_smooth[m + k] * s
-    return val == expected
-
-
-def test_stirling_rank_check():
-    smooth1 = load_fixture("genus1_smooth")
-    b = smooth1.data.rank1("x")
-    numeric_smooth = {k: b[k] * factorial(k) for k in range(1, smooth1.trunc + 1)}
-    table = open_series_numeric(b, smooth1.trunc)
-    # n = 1 reduces to the next smooth value
-    assert stirling_rank_check(1, 2, 1, table, numeric_smooth)
-    assert table[(2, 1)] * (factorial(2) * factorial(1)) == numeric_smooth[3]
-    # weight-zero genus-1 instance with several blocks
-    assert stirling_rank_check(1, 1, 3, table, numeric_smooth)
-    for m in range(4):
-        for n in range(0, 5 - m):
-            assert stirling_rank_check(1, m, n, table, numeric_smooth)
 
 
 def test_oracle_input_agnostic_identity():

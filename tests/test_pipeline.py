@@ -163,12 +163,13 @@ def test_open_numeric_stirling_property():
     b = smooth1.data.rank1("x")
     table = open_series_numeric(b, smooth1.trunc)
     numeric_smooth = {k: b[k] * factorial(k) for k in range(1, smooth1.trunc + 1)}
-    for m in range(smooth1.trunc):
-        for n in range(1, smooth1.trunc - m + 1):
+    # (m, n) is sum_k S(n, k) times the smooth value at m + k; S(0, 0) = 1 gives n = 0
+    for m in range(smooth1.trunc + 1):
+        for n in range(smooth1.trunc - m + 1):
             val = table[(m, n)] * (factorial(m) * factorial(n))
             expected = UVPoly.zero()
-            for k in range(1, n + 1):
-                if m + k <= smooth1.trunc:
+            for k in range(n + 1):
+                if m + k in numeric_smooth:
                     expected = expected + numeric_smooth[m + k] * stirling2(n, k)
             assert val == expected, (m, n)
 

@@ -12,12 +12,6 @@ def const_series(values, var="y"):
     return FormalPS1(var, [UVPoly.const(Fraction(v)) for v in values], len(values) - 1)
 
 
-def test_exp_small():
-    y = FormalPS1.identity("y", 3)
-    e = y.exp()
-    assert e == const_series([1, 1, Fraction(1, 2), Fraction(1, 6)])
-
-
 def test_exp_of_the_identity_is_the_factorial_series():
     # e^y - 1 at every order, order 0 included, where the identity is zero
     for order in range(16):
@@ -30,13 +24,6 @@ def test_exp_of_the_identity_is_the_factorial_series():
 def test_log_small():
     one_minus_y = const_series([1, -1, 0, 0])
     assert one_minus_y.log() == const_series([0, -1, Fraction(-1, 2), Fraction(-1, 3)])
-
-
-def test_log_coefficient_example():
-    # y^2 coefficient of -log(1-y)/2 is 1/4
-    one_minus_y = const_series([1, -1, 0, 0])
-    f = one_minus_y.log() * Fraction(-1, 2)
-    assert f[2] == UVPoly.const(Fraction(1, 4))
 
 
 def test_compose():

@@ -155,16 +155,6 @@ def test_rank1():
     assert mn_character((2, 1), (1, 1, 1)) == 2
 
 
-def test_rank_takes_plethysm_to_composition():
-    rng = random.Random(4)
-    for _ in range(20):
-        f = random_sparse(rng, 6)
-        g = random_sparse(rng, 6)
-        lhs = f.plethysm(g).rank1("x")
-        rhs = f.rank1("x").compose(g.rank1("x"))
-        assert lhs == rhs
-
-
 def test_non_canonical_keys_are_rejected():
     # (1, 2) and (2, 1) name the same p_1 p_2; accepting both would make
     # equal series compare unequal and break the canonical order.  A Schur

@@ -1,8 +1,6 @@
 import hashlib
-import io
 import json
 import re
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +8,7 @@ import pytest
 
 from heavylight.bisymseries import BiSymSeries
 from heavylight.cli import FIXTURES, _fixture, main
-from heavylight.fixtures import default_fixture_dir, load_fixture
+from heavylight.fixtures import load_fixture
 from heavylight.partitions import mn_character
 from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
@@ -23,21 +21,9 @@ from heavylight.tables import (
 )
 from heavylight.uvpoly import UVPoly, parse_tpoly
 
+from helpers import run_cli
+
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
-
-
-def run_cli(args):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(args)
-    return code, buf.getvalue()
-
-
-def run_cli_stderr(args):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(args)
-    return code, err.getvalue()
 
 
 def test_parse_tpoly():
@@ -151,16 +137,6 @@ def test_render_poincare_row():
     assert "0 | 0" not in text
 
 
-def test_render_formats_are_deterministic():
-    w0 = load_fixture("genus2_smooth_weight0")
-    res = open_series(w0, trunc=4)
-    for fmt in ("text", "csv", "latex"):
-        spec = dict(form="weight0", max_arity=4, fmt=fmt)
-        assert render_table(res, **spec) == render_table(res, **spec)
-    text = render_table(res, form="weight0", max_arity=4, fmt="latex")
-    assert "s_{2}^{(2)}" in text
-
-
 def test_render_latex_poincare_combined_row():
     smooth0 = load_fixture("genus0_smooth")
     stable1 = load_fixture("genus1_stable")
@@ -200,14 +176,8 @@ def test_golden_numeric_pair_sums():
         assert numeric_pair_value(row.pairs) == row.numeric
 
 
-def test_cli_closed_table_numeric():
-    code, out = run_cli(["closed-table", "--genus", "1", "--max-arity", "4", "--form", "numeric"])
-    assert code == 0
-    assert "0 | 4 | 1*u^4*v^4+7*u^3*v^3+13*u^2*v^2+7*u^1*v^1+1*u^0*v^0" in out
-
-
 def test_cli_closed_table_poincare():
-    code, out = run_cli(
+    code, out, _ = run_cli(
         ["closed-table", "--genus", "1", "--max-arity", "2", "--form", "poincare"]
     )
     assert code == 0
@@ -215,7 +185,7 @@ def test_cli_closed_table_poincare():
 
 
 def test_cli_open_table_weight0():
-    code, out = run_cli(
+    code, out, _ = run_cli(
         ["open-table", "--genus", "2", "--weight0", "--max-arity", "3", "--format", "csv"]
     )
     assert code == 0
@@ -223,27 +193,27 @@ def test_cli_open_table_weight0():
 
 
 def test_cli_euler_genfun():
-    code, out = run_cli(["euler-genfun", "--genus", "1", "--order", "4"])
+    code, out, _ = run_cli(["euler-genfun", "--genus", "1", "--order", "4"])
     assert code == 0
     assert "n=4 chi=29" in out
 
 
 def test_cli_slice_and_tropical():
-    code, out = run_cli(["slice-n1", "--genus", "1", "--m", "0", "--variant", "closed"])
+    code, out, _ = run_cli(["slice-n1", "--genus", "1", "--m", "0", "--variant", "closed"])
     assert code == 0
     assert "s1[]" in out and "s2[1]" in out
-    code, out = run_cli(["tropical", "--genus", "2", "--m", "3", "--n", "2"])
+    code, out, _ = run_cli(["tropical", "--genus", "2", "--m", "3", "--n", "2"])
     assert code == 0
     assert "numeric: -7" in out
 
 
 def test_cli_tropical_refuses_an_unstable_component_in_one_line():
-    code, err = run_cli_stderr(["tropical", "--genus", "1", "--m", "0", "--n", "0"])
+    code, _, err = run_cli(["tropical", "--genus", "1", "--m", "0", "--n", "0"])
     assert (code, err) == (1, "genus 1, (0,0) is not stable\n")
 
 
 def test_cli_verify_tables_suite():
-    code, out = run_cli(["verify", "--suite", "tables"])
+    code, out, _ = run_cli(["verify", "--suite", "tables"])
     assert code == 0
     assert "3/3 checks passed" in out
 
@@ -256,14 +226,9 @@ def test_cli_verify_all_suite(verify_all):
     assert hashlib.sha256(verify_all.stdout.encode()).hexdigest() == digest
 
 
-def test_cli_verify_reports_an_unreadable_fixture(tmp_path, monkeypatch):
-    for path in default_fixture_dir().glob("*.hlf"):
-        text = path.read_text()
-        if path.stem == "genus0_stable":
-            text = text.replace("truncation 9\n", "truncation nine\n")
-        (tmp_path / path.name).write_text(text)
-    monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
-    code, out = run_cli(["verify", "--suite", "all"])
+def test_cli_verify_reports_an_unreadable_fixture(edited_fixtures):
+    edited_fixtures("genus0_stable", "truncation 9\n", "truncation nine\n")
+    code, out, _ = run_cli(["verify", "--suite", "all"])
     assert code == 1
     error = "[line 4: truncation must be an integer, got 'nine']"
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
@@ -275,26 +240,21 @@ def test_cli_verify_reports_an_unreadable_fixture(tmp_path, monkeypatch):
     assert out.endswith("\n50/52 checks passed\n")
 
 
-def test_cli_reports_an_unreadable_fixture_in_one_line(tmp_path, monkeypatch):
-    for path in default_fixture_dir().glob("*.hlf"):
-        text = path.read_text()
-        if path.stem == "genus0_stable":
-            text = text.replace("truncation 9\n", "truncation nine\n")
-        if path.stem != "genus1_smooth":
-            (tmp_path / path.name).write_text(text)
-    monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
-    code, err = run_cli_stderr(["slice-n1", "--genus", "0", "--m", "3"])
+def test_cli_reports_an_unreadable_fixture_in_one_line(edited_fixtures):
+    copy = edited_fixtures("genus0_stable", "truncation 9\n", "truncation nine\n")
+    (copy / "genus1_smooth.hlf").unlink()
+    code, _, err = run_cli(["slice-n1", "--genus", "0", "--m", "3"])
     assert (code, err) == (1, "line 4: truncation must be an integer, got 'nine'\n")
-    code, err = run_cli_stderr(["open-table", "--genus", "1"])
+    code, _, err = run_cli(["open-table", "--genus", "1"])
     assert code == 1
     assert err.startswith("fixture 'genus1_smooth' not found at ") and err.count("\n") == 1
 
 
 def test_cli_oracle_compare():
-    code, out = run_cli(["oracle-compare", "--genus", "2", "--max-arity", "3"])
+    code, out, _ = run_cli(["oracle-compare", "--genus", "2", "--max-arity", "3"])
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
-    code, out = run_cli(["oracle-compare", "--genus", "0"])
+    code, out, _ = run_cli(["oracle-compare", "--genus", "0"])
     assert code == 0
     assert "20/20 checks passed" in out
 
@@ -319,7 +279,7 @@ def test_cli_usage_error_exit_code():
 
 def test_cli_negative_genus_is_a_refusal_not_a_usage_error():
     # the integer type takes a sign: the shipped data, not the parser, refuses genus -1
-    code, err = run_cli_stderr(["closed-table", "--genus", "-1"])
+    code, _, err = run_cli(["closed-table", "--genus", "-1"])
     assert (code, err) == (1, "closed tables are shipped for genus 1 only\n")
 
 
@@ -334,7 +294,7 @@ def test_cli_failure_exit_code():
         ["closed-table", "--genus", "1", "--form", "numeric", "--format", "latex"],
         ["closed-table", "--genus", "1", "--form", "numeric", "--basis", "power"],
     ):
-        code, err = run_cli_stderr(argv)
+        code, _, err = run_cli(argv)
         assert code == 1, argv
         assert err.count("\n") == 1, (argv, err)
 
@@ -351,7 +311,7 @@ def test_cli_fixture_table_matches_the_fixture_headers():
 def test_closed10_stdout_matches_the_benchmark_digest():
     # perfbench/expected.json is read only; it is the benchmark's record.
     expected = json.loads(EXPECTED.read_text())
-    code, out = run_cli(
+    code, out, _ = run_cli(
         ["closed-table", "--genus", "1", "--max-arity", "10", "--basis", "schur"]
         + ["--form", "poincare", "--format", "text"]
     )
@@ -436,23 +396,18 @@ def test_rendered_tables_match_their_recorded_digests():
     assert render_table(results["closed1"][0], max_arity=4) == render_table(closed4, max_arity=4)
     for (arity, fmt), digest in NUMERIC_DIGESTS.items():
         argv = ["closed-table", "--genus", "1", "--form", "numeric", "--max-arity", str(arity)]
-        code, out = run_cli(argv + ["--format", fmt])
+        code, out, _ = run_cli(argv + ["--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (arity, fmt)
 
 
-def test_cli_reports_a_negative_genus_in_one_line(tmp_path, monkeypatch):
-    for path in default_fixture_dir().glob("*.hlf"):
-        text = path.read_text()
-        if path.stem == "genus1_smooth":
-            text = text.replace("genus 1\n", "genus -1\n")
-        (tmp_path / path.name).write_text(text)
-    monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
+def test_cli_reports_a_negative_genus_in_one_line(edited_fixtures):
+    edited_fixtures("genus1_smooth", "genus 1\n", "genus -1\n")
     for argv in (
         ["open-table", "--genus", "1"],
         ["tropical", "--genus", "1", "--m", "1", "--n", "1"],
         ["oracle-compare", "--genus", "1"],
         ["slice-n1", "--genus", "1", "--m", "1", "--variant", "open"],
     ):
-        code, err = run_cli_stderr(argv)
+        code, _, err = run_cli(argv)
         assert (code, err) == (1, "line 2: genus must be nonnegative, got -1\n"), argv

@@ -94,6 +94,9 @@ MUTANTS = (
     ("fixture-header-sign-unchecked", FIXTURES,
      'raise ValueError(f"{key} must be nonnegative, got {headers[key]}")', "pass",
      (f"{T_FIXTURES}::test_parse_error_carries_line_number",)),
+    ("fixture-stability-unchecked", "src/heavylight/verify.py",
+     "all(stability_ok(fx.genus, sum(lam), 0) for lam in fx.data.coeffs)", "True",
+     (f"{T_FIXTURES}::test_a_term_outside_the_stable_range_fails_its_fixture_row",)),
     ("golden-repeated-pair-kept", TABLES,
      'raise ValueError(f"repeated pair {lam_s} {mu_s}")', "pass",
      (f"{GOLDEN_ERRORS}[pair-repeated]",)),
