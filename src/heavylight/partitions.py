@@ -73,7 +73,9 @@ def z_of(lam: tuple) -> int:
 
 
 def union(lam: tuple, mu: tuple) -> tuple:
-    """Multiset union of parts, re-sorted into a partition."""
+    """Multiset union of parts, re-sorted into a partition; an empty side returns the other."""
+    if not (lam and mu):
+        return lam or mu
     return tuple(sorted(lam + mu, reverse=True))
 
 

@@ -2,10 +2,11 @@
 
 Every check is a module-level function that returns (ok, detail).  A
 randomized check is a `case(rng) -> bool`, run by `_cases` until its first
-failure.  Each suite loads the fixtures and computes the results its checks
-share once, then runs one ordered table of (name, check) rows through
-`_run`, which turns it into (name, ok, detail) rows.  Only `property_suite`
-draws, from one fixed seed in table order.  Its generators `random_sparse`,
+failure.  One `run_suite` call shares the fixtures and the pipeline results
+its suites need through one `RunInputs`, which loads or computes each of them
+once.  Each suite runs one ordered table of (name, check) rows through `_run`,
+which turns it into (name, ok, detail) rows.  Only `property_suite` draws,
+from one fixed seed in table order.  Its generators `random_sparse`,
 `random_sparse_min2` and `random_bi` are public, for the tests.  A changed
 draw keeps the digest (details read "N cases") if every check still passes.
 """
@@ -100,6 +101,41 @@ def _run(table) -> list:
     return [(name, *check()) for name, check in table]
 
 
+class RunInputs:
+    """The inputs that the suites of one run share, each loaded or computed at most
+    once: the shipped fixtures, `open_series` results, the genus-0 gates and the
+    genus-1 numeric table.  A run creates one and passes it to each of its suites, so
+    nothing outlives the run.  A load that raised is not kept: the next suite that
+    needs the fixture reads it again and reports the same error."""
+
+    def __init__(self):
+        self._done = {}
+
+    def _once(self, key, compute):
+        if key not in self._done:
+            self._done[key] = compute()
+        return self._done[key]
+
+    def fixture(self, name: str) -> SeriesFixture:
+        return self._once(("fixture", name), lambda: load_fixture(name))
+
+    def open_series(self, fx: SeriesFixture, trunc: int | None = None):
+        """`open_series(fx, trunc)`.  It is keyed by the fixture object, not by its
+        name, which a modified copy keeps; the object is kept with the result, so
+        that its id is not reused within the run."""
+        key = ("open_series", id(fx), trunc)
+        return self._once(key, lambda: (fx, open_series(fx, trunc=trunc)))[1]
+
+    def genus0_gates(self) -> tuple:
+        smooth0, stable0 = self.fixture("genus0_smooth"), self.fixture("genus0_stable")
+        return self._once(("genus-0 gates",), lambda: _genus0_gates(smooth0, stable0))
+
+    def numeric_table(self):
+        """The closed genus-1 numeric table of the numeric stable fixture."""
+        num = self.fixture("genus1_stable_numeric")
+        return self._once(("numeric table",), lambda: closed_series_numeric(num.data.rank1("x")))
+
+
 def _genus0_gates(smooth0: SeriesFixture, stable0: SeriesFixture) -> tuple:
     """Genus-0 inverse pair at arity 8; rank of the corrector against its closed form."""
     t = smooth0.trunc - 1
@@ -189,9 +225,9 @@ def _purity(res) -> tuple:
     return True, ""
 
 
-def _stability_vanishing(res, res_open1, smooth0) -> tuple:
-    w0 = open_series(load_fixture("genus2_smooth_weight0"))
-    results = ((1, res), (2, w0), (1, res_open1), (0, open_series(smooth0, trunc=6)))
+def _stability_vanishing(run, res, res_open1, smooth0) -> tuple:
+    w0 = run.open_series(run.fixture("genus2_smooth_weight0"))
+    results = ((1, res), (2, w0), (1, res_open1), (0, run.open_series(smooth0, trunc=6)))
     return all(
         stability_ok(g, m, total - m) or not result.component(m, total - m).coeffs
         for g, result in results
@@ -222,12 +258,12 @@ def _tail_free_factorization(stable1, smooth0, stable0) -> tuple:
     return core.pleth2(inner) == coproduct(stable1.data.truncate(t)), f"arity {t}"
 
 
-def _weight_zero_commutes(smooth1) -> tuple:
+def _weight_zero_commutes(run, smooth1) -> tuple:
     """Weight-zero specialization commutes with the open pipeline."""
     t = 5
     data = smooth1.data.truncate(t).weight_zero()
-    spec_first = open_series(replace(smooth1, variant="weight0", data=data))
-    spec_last = open_series(smooth1, trunc=t)
+    spec_first = run.open_series(replace(smooth1, variant="weight0", data=data))
+    spec_last = run.open_series(smooth1, trunc=t)
     return spec_first.data == spec_last.data.weight_zero(), f"arity {t}"
 
 
@@ -236,14 +272,14 @@ def _stirling_recurrence() -> tuple:
     return all(stirling2(n, k) == stirling2_recurrence(n, k) for n, k in pairs), ""
 
 
-def property_suite() -> list:
+def property_suite(run: RunInputs) -> list:
     rng = random.Random(SEED)
     smooth0, stable0, stable1, smooth1 = map(
-        load_fixture, ("genus0_smooth", "genus0_stable", "genus1_stable", "genus1_smooth")
+        run.fixture, ("genus0_smooth", "genus0_stable", "genus1_stable", "genus1_smooth")
     )
-    pair_ok, rank_ok = _genus0_gates(smooth0, stable0)
+    pair_ok, rank_ok = run.genus0_gates()
     res = closed_series(stable1, smooth0)
-    res_open1 = open_series(smooth1)
+    res_open1 = run.open_series(smooth1)
     purity = f"purity and palindromy of genus-1 closed outputs (m+n <= {GENUS1_PURE_ARITY})"
     return _run((
         ("plethysm associativity (random sparse, arity <= 6)",
@@ -256,13 +292,13 @@ def property_suite() -> list:
          lambda: (pair_ok, f"truncations {smooth0.trunc}/{stable0.trunc}")),
         ("genus-0 fixture rank matches the closed form", lambda: (rank_ok, "")),
         (purity, lambda: _purity(res)),
-        ("stability support vanishing", lambda: _stability_vanishing(res, res_open1, smooth0)),
+        ("stability support vanishing", lambda: _stability_vanishing(run, res, res_open1, smooth0)),
         ("single-light-marking slice matches the pipeline",
          lambda: _slice_matches(((stable1, res), (smooth1, res_open1)))),
         ("tail-free factorization of the stable coproduct",
          lambda: _tail_free_factorization(stable1, smooth0, stable0)),
         ("weight-zero specialization commutes with the pipeline",
-         lambda: _weight_zero_commutes(smooth1)),
+         lambda: _weight_zero_commutes(run, smooth1)),
         ("rank carries plethysm into composition", lambda: _cases(rng, 10, _rank_composition_case)),
         ("coproduct ring map, cocommutativity, counit", lambda: _cases(rng, 10, _coproduct_case)),
         ("set-partition counts match the recurrence", _stirling_recurrence),
@@ -283,9 +319,8 @@ def _numeric_duality(num) -> tuple:
     return ok, ""
 
 
-def _light_euler(num) -> tuple:
+def _light_euler(num, table) -> tuple:
     chi = genus1_light_chi_egf(num.trunc)
-    table = closed_series_numeric(num.data.rank1("x"))
     return all(
         (table[(0, n)] * factorial(n)).eval(1, 1) == chi[n].constant_term() * factorial(n)
         for n in range(1, num.trunc + 1)
@@ -321,11 +356,11 @@ def _schur_integrality(fixtures, num) -> tuple:
     return not bad, bad[-1] if bad else ""
 
 
-def fixture_suite() -> list:
+def fixture_suite(run: RunInputs) -> list:
     rows, fixtures = [], {}
     for name in SHIPPED:
         try:
-            fx = fixtures[name] = load_fixture(name)
+            fx = fixtures[name] = run.fixture(name)
             ok = all(stability_ok(fx.genus, sum(lam), 0) for lam in fx.data.coeffs)
             detail = f"trunc {fx.trunc}"
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
@@ -334,14 +369,15 @@ def fixture_suite() -> list:
     if len(fixtures) < len(SHIPPED):
         return rows
     num = fixtures["genus1_stable_numeric"]
-    pair_ok, rank_ok = _genus0_gates(fixtures["genus0_smooth"], fixtures["genus0_stable"])
+    pair_ok, rank_ok = run.genus0_gates()
     return rows + _run((
         ("genus-0 inverse pair on shipped fixtures", lambda: (pair_ok, "arity 8")),
         ("genus-0 smooth rank gate", lambda: (rank_ok, "")),
         ("genus-1 equivariant rank equals the numeric fixture",
          lambda: _numeric_rank(fixtures["genus1_stable"], num)),
         ("genus-1 numeric fixture duality symmetry", lambda: _numeric_duality(num)),
-        ("all-light Euler characteristics match the closed form", lambda: _light_euler(num)),
+        ("all-light Euler characteristics match the closed form",
+         lambda: _light_euler(num, run.numeric_table())),
         ("Schur multiplicities are integral (and nonnegative where proper)",
          lambda: _schur_integrality(fixtures, num)),
     ))
@@ -360,42 +396,41 @@ def _golden_pairs(result, filename, numeric=False) -> tuple:
     return not problems, "; ".join(problems[:3])
 
 
-def _golden_numeric(numeric) -> tuple:
-    table = closed_series_numeric(numeric.data.rank1("x"))
+def _golden_numeric(table) -> tuple:
     golden = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")
     problems = [f"n={n}" for n, (poly, _) in golden.items() if table[(0, n)] * factorial(n) != poly]
     return not problems, "; ".join(problems)
 
 
-def table_suite() -> list:
-    smooth0, stable1 = map(load_fixture, ("genus0_smooth", "genus1_stable"))
+def table_suite(run: RunInputs) -> list:
+    smooth0, stable1 = map(run.fixture, ("genus0_smooth", "genus1_stable"))
     return _run((
         ("genus-1 equivariant table", lambda: _golden_pairs(
             closed_series(stable1, smooth0, trunc=5), "genus1_poincare_table.txt")),
-        ("genus-1 numeric table", lambda: _golden_numeric(load_fixture("genus1_stable_numeric"))),
+        ("genus-1 numeric table", lambda: _golden_numeric(run.numeric_table())),
         ("genus-2 weight-zero table", lambda: _golden_pairs(
-            open_series(load_fixture("genus2_smooth_weight0")), "genus2_weight0_table.txt",
+            run.open_series(run.fixture("genus2_smooth_weight0")), "genus2_weight0_table.txt",
             numeric=True)),
     ))
 
 
-def oracle_suite() -> list:
+def oracle_suite(run: RunInputs) -> list:
     rows = []
     for genus, name, label in (
         (1, "genus1_smooth", "genus 1"),
         (2, "genus2_smooth_weight0", "genus 2 weight-zero"),
     ):
-        fx = load_fixture(name)
-        res = open_series(fx, trunc=ORACLE_ARITY)
+        fx = run.fixture(name)
+        res = run.open_series(fx, trunc=ORACLE_ARITY)
         for m, n, ok in oracle_compare(genus, fx, res, ORACLE_ARITY):
             rows.append((f"oracle {label} ({m},{n})", ok, ""))
     return rows
 
 
-def _corb_open(smooth1) -> tuple:
+def _corb_open(run, smooth1) -> tuple:
     t = min(CORB_ARITY, smooth1.trunc)
     direct = open_series_numeric(smooth1.data.rank1("x"), t)
-    return open_series(smooth1, trunc=t).data.rank2() == direct, f"arity {t}"
+    return run.open_series(smooth1, trunc=t).data.rank2() == direct, f"arity {t}"
 
 
 def _corb_closed(stable1, smooth0) -> tuple:
@@ -407,13 +442,12 @@ def _corb_closed(stable1, smooth0) -> tuple:
     return resc.data.rank2() == FormalPS2(("x", "y"), masked, directc.order), f"arity {t}"
 
 
-def corb_suite() -> list:
+def corb_suite(run: RunInputs) -> list:
     """Numeric change-of-variables against the rank of the equivariant pipeline."""
-    smooth0 = load_fixture("genus0_smooth")
-    smooth1 = load_fixture("genus1_smooth")
-    stable1 = load_fixture("genus1_stable")
+    smooth0, smooth1, stable1 = map(run.fixture, ("genus0_smooth", "genus1_smooth", "genus1_stable"))
     return _run((
-        ("numeric open pipeline equals equivariant rank (genus 1)", lambda: _corb_open(smooth1)),
+        ("numeric open pipeline equals equivariant rank (genus 1)",
+         lambda: _corb_open(run, smooth1)),
         ("numeric closed pipeline equals equivariant rank (genus 1)",
          lambda: _corb_closed(stable1, smooth0)),
     ))
@@ -430,12 +464,13 @@ SUITES = {
 
 
 def run_suite(name: str) -> list:
-    """Every row of the named suites.  A suite that cannot read its inputs
-    (an unreadable or malformed fixture) gives one FAIL row naming it."""
-    rows = []
+    """Every row of the named suites, which share one `RunInputs`.  A suite that
+    cannot read its inputs (an unreadable or malformed fixture) gives one FAIL row
+    naming it."""
+    rows, run = [], RunInputs()
     for suite in SUITES[name]:
         try:
-            rows += globals()[suite]()
+            rows += globals()[suite](run)
         except (OSError, ValueError) as exc:
             rows.append((f"{suite} runs", False, str(exc)))
     return rows

@@ -2,12 +2,13 @@
 the shipped fixtures that the tests read, and edited copies of those fixtures."""
 
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from heavylight import verify
-from heavylight.fixtures import default_fixture_dir
+from heavylight.fixtures import default_fixture_dir, load_fixture
 
 from helpers import run_cli
 
@@ -15,18 +16,26 @@ from helpers import run_cli
 @pytest.fixture(scope="session")
 def verify_all():
     """`hl verify --suite all`, run once: its exit code, its stdout, its wall time
-    in seconds and the rows of each suite by name.  The rows are recorded by
-    wrapping the suites that `run_suite` looks up by name; a suite that raised
-    has none."""
-    rows = {}
+    in seconds, the rows of each suite by name and the number of times each
+    fixture was loaded.  The suites of the run share one `verify.RunInputs`, which
+    loads each fixture once.  The rows are recorded by wrapping the suites that
+    `run_suite` looks up by name; a suite that raised has none."""
+    rows, loads = {}, Counter()
+
+    def load(name):
+        loads[name] += 1
+        return load_fixture(name)
+
     with pytest.MonkeyPatch.context() as mp:
         for name in verify.SUITES["all"]:
             suite = getattr(verify, name)
-            mp.setattr(verify, name, lambda name=name, suite=suite: rows.setdefault(name, suite()))
+            mp.setattr(verify, name,
+                       lambda run, name=name, suite=suite: rows.setdefault(name, suite(run)))
+        mp.setattr(verify, "load_fixture", load)
         start = time.perf_counter()
         code, stdout, _ = run_cli(["verify", "--suite", "all"])
         elapsed = time.perf_counter() - start
-    return SimpleNamespace(code=code, stdout=stdout, elapsed=elapsed, rows=rows)
+    return SimpleNamespace(code=code, stdout=stdout, elapsed=elapsed, rows=rows, loads=loads)
 
 
 @pytest.fixture

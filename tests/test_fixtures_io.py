@@ -13,7 +13,7 @@ from heavylight.fixtures import (
 from heavylight.pipeline import open_series
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
-from heavylight.verify import fixture_suite
+from heavylight.verify import RunInputs, fixture_suite
 
 MINIMAL = """\
 series demo
@@ -173,7 +173,7 @@ def test_shipped_fixtures_equal_the_checked_constructor():
 
 def test_numeric_duality_fails_on_a_term_above_the_dimension(edited_fixtures):
     edited_fixtures("genus1_stable_numeric", "lambda=[1,1] poly=", "lambda=[1,1] poly=1*u^3*v^3+")
-    checks = {name: ok for name, ok, _ in fixture_suite()}
+    checks = {name: ok for name, ok, _ in fixture_suite(RunInputs())}
     assert checks["genus-1 numeric fixture duality symmetry"] is False
 
 
@@ -181,7 +181,7 @@ def test_a_term_outside_the_stable_range_fails_its_fixture_row(edited_fixtures):
     # genus 0 is stable from arity 3 on: 2g - 2 + n > 0
     term = "term n=2 lambda=[2] poly=1*u^0*v^0\n"
     edited_fixtures("genus0_smooth", "truncation 11\n", "truncation 11\n" + term)
-    checks = {name: ok for name, ok, _ in fixture_suite()}
+    checks = {name: ok for name, ok, _ in fixture_suite(RunInputs())}
     assert checks["fixture genus0_smooth parses and satisfies bounds"] is False
     assert checks["fixture genus0_stable parses and satisfies bounds"] is True
 

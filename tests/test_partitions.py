@@ -135,6 +135,7 @@ def test_mn_character_size_mismatch():
 
 def test_union_and_serialization():
     assert union((2, 1), (3,)) == (3, 2, 1)
+    assert union((), (3, 1)) == (3, 1) and union((2, 1), ()) == (2, 1) and union((), ()) == ()
     assert format_partition((2, 1, 1)) == "[2,1,1]"
     assert format_partition(()) == "[]"
     assert parse_partition("[2,1,1]") == (2, 1, 1)

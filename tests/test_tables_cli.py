@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from heavylight.bisymseries import BiSymSeries
 from heavylight.cli import FIXTURES, _fixture, main
-from heavylight.fixtures import load_fixture
+from heavylight.fixtures import SHIPPED, load_fixture
 from heavylight.partitions import mn_character
 from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
@@ -20,6 +21,7 @@ from heavylight.tables import (
     render_table,
 )
 from heavylight.uvpoly import UVPoly, parse_tpoly
+from heavylight.verify import run_suite
 
 from helpers import run_cli
 
@@ -224,6 +226,18 @@ def test_cli_verify_all_suite(verify_all):
     # the whole report, byte for byte: names, order, details and column widths
     digest = "97a958ab2d53f44207cd96a85893fccb97d5bce8b0404558d718df0fe873b619"
     assert hashlib.sha256(verify_all.stdout.encode()).hexdigest() == digest
+
+
+def test_one_verify_run_loads_each_shipped_fixture_once(verify_all):
+    assert verify_all.loads == Counter(list(SHIPPED))
+
+
+def test_a_later_verify_run_reads_an_edited_fixture(verify_all, edited_fixtures):
+    # the shared run above keeps nothing: a fixture edited after it is read anew
+    term = "term n=2 lambda=[2] poly=1*u^0*v^0\n"  # outside the genus-0 stable range
+    edited_fixtures("genus0_smooth", "truncation 11\n", "truncation 11\n" + term)
+    failed = [name for name, ok, _ in run_suite("fixtures") if not ok]
+    assert failed == ["fixture genus0_smooth parses and satisfies bounds"]
 
 
 def test_cli_verify_reports_an_unreadable_fixture(edited_fixtures):

@@ -1,4 +1,3 @@
-import random
 import re
 from fractions import Fraction
 from math import lcm
@@ -71,29 +70,6 @@ def test_tpoly_round_trip_on_golden_pairs():
                 assert poincare_str(parse_tpoly(text)) == text, (name, line)
                 count += 1
     assert count == 97
-
-
-def test_adams_composition_property():
-    rng = random.Random(7)
-    for _ in range(25):
-        f = UVPoly(
-            {
-                (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-4, 4))
-                for _ in range(3)
-            }
-        )
-        k, l = rng.randint(1, 3), rng.randint(1, 3)
-        assert f.adams(k).adams(l) == f.adams(k * l)
-
-
-def test_eval_is_ring_map():
-    rng = random.Random(11)
-    for _ in range(25):
-        f = UVPoly({(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-4, 4))})
-        g = UVPoly({(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-4, 4))})
-        u0, v0 = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))
-        assert (f * g).eval(u0, v0) == f.eval(u0, v0) * g.eval(u0, v0)
-        assert (f + g).eval(u0, v0) == f.eval(u0, v0) + g.eval(u0, v0)
 
 
 def test_grammar_round_trip():

@@ -94,12 +94,16 @@ def test_scalar_operations_match_the_reference(s, c, k):
 
 
 @SETTINGS
-@given(TERMS, st.integers(1, 4), COEFF, COEFF)
-def test_adams_mirror_eval_match_the_reference(s, k, u0, v0):
-    p, rp = UVPoly(s), Ref(s)
+@given(TERMS, TERMS, st.integers(1, 4), st.integers(1, 4), COEFF, COEFF)
+def test_adams_mirror_eval_match_the_reference(s, t, k, l, u0, v0):
+    p, q, rp = UVPoly(s), UVPoly(t), Ref(s)
     assert agrees(p.adams(k), rp.adams(k))
     assert agrees(p.mirror(4), rp.mirror(4))
     assert p.eval(u0, v0) == rp.eval(u0, v0)
+    # Adams operations compose, and evaluation is a ring map
+    assert p.adams(k).adams(l) == p.adams(k * l)
+    pv, qv = p.eval(u0, v0), q.eval(u0, v0)
+    assert (p * q).eval(u0, v0) == pv * qv and (p + q).eval(u0, v0) == pv + qv
 
 
 @SETTINGS

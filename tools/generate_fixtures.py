@@ -563,11 +563,11 @@ def phase_weight0():
 
 
 def phase_verify():
-    from heavylight.verify import table_suite
+    from heavylight.verify import RunInputs, table_suite
 
     log("final gate: reference tables through the pipelines")
     os.environ["HL_FIXTURE_DIR"] = str(DATA_DIR)  # table_suite loads the fixtures just written
-    checks = table_suite()
+    checks = table_suite(RunInputs())
     failed = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
     assert not failed, "reference table mismatches:\n" + "\n".join(failed)
     log(f"{len(checks)} reference tables reproduced")

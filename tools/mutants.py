@@ -44,6 +44,7 @@ BISYMSERIES = "src/heavylight/bisymseries.py"
 PIPELINE = "src/heavylight/pipeline.py"
 PARTITIONS = "src/heavylight/partitions.py"
 FIXTURES = "src/heavylight/fixtures.py"
+VERIFY = "src/heavylight/verify.py"
 TABLES = "src/heavylight/tables.py"
 GENERATOR = "tools/generate_fixtures.py"
 T_UVPOLY = "tests/test_uvpoly.py"
@@ -94,9 +95,11 @@ MUTANTS = (
     ("fixture-header-sign-unchecked", FIXTURES,
      'raise ValueError(f"{key} must be nonnegative, got {headers[key]}")', "pass",
      (f"{T_FIXTURES}::test_parse_error_carries_line_number",)),
-    ("fixture-stability-unchecked", "src/heavylight/verify.py",
+    ("fixture-stability-unchecked", VERIFY,
      "all(stability_ok(fx.genus, sum(lam), 0) for lam in fx.data.coeffs)", "True",
      (f"{T_FIXTURES}::test_a_term_outside_the_stable_range_fails_its_fixture_row",)),
+    ("shared-open-series-keyed-by-name", VERIFY, "id(fx), trunc)", "fx.name, trunc)",
+     (f"{T_TABLES}::test_cli_verify_all_suite", f"{T_ACCEPTANCE}::test_criterion_7_property_suites")),
     ("golden-repeated-pair-kept", TABLES,
      'raise ValueError(f"repeated pair {lam_s} {mu_s}")', "pass",
      (f"{GOLDEN_ERRORS}[pair-repeated]",)),
@@ -128,6 +131,8 @@ MUTANTS = (
      "(2 << top) - (2 << b)", (MN_REFERENCE,)),
     ("mn-bead-moved-onto-a-bead", PARTITIONS, "b >= 0 and not (mask >> b) & 1", "b >= 0",
      (MN_REFERENCE,)),
+    ("union-with-an-empty-left-side-drops-the-right", PARTITIONS, "return lam or mu", "return lam",
+     (f"{T_PARTITIONS}::test_union_and_serialization",)),
     ("slot-without-rescale", SYMSERIES, "nums[m] *= s", "nums[m] *= 1",
      (f"{T_SYMSERIES}::test_exp_log_round_trip",)),
     ("slot-without-weight-numerator", SYMSERIES, "d // den * w.numerator", "d // den",
