@@ -83,18 +83,16 @@ def _reduced(acc: dict):
             yield key, _lowest(nums, den)
 
 
-def _unpack(packed: int, W: int, E: int, lo: int) -> dict:
-    """The numerators packed W bits a slot, u^a v^b in slot a*E + (b - a - lo), each
-    slot signed and read back balanced: a slot of 2^(W-1) or more borrows one from the next."""
-    nums, mask, half = {}, (1 << W) - 1, 1 << (W - 1)
-    i = ((packed & -packed).bit_length() - 1) // W  # first nonzero slot
-    packed >>= W * i
+def _unpack(packed: int, W: int, monos: list) -> dict:
+    """The numerators packed W bits a slot, monos[i] in slot i, each slot signed and
+    read back balanced: a slot of 2^(W-1) or more borrows one from the next."""
+    nums, mask, half, i = {}, (1 << W) - 1, 1 << (W - 1), 0
     while packed:
         x = packed & mask
         if x >= half:
             x -= 1 << W
         if x:
-            nums[i // E, i // E + i % E + lo] = x
+            nums[monos[i]] = x
         packed = (packed - x) >> W  # a negative slot borrows one from the next
         i += 1
     return nums
@@ -425,24 +423,23 @@ class _Series:
         Everything is fixed before the first add.  The block's sources go over one lcm of
         their denominators, the weights over one lcm z per factor (`_integer_column`), so
         every add is one integer multiply-add and the block's denominator is that lcm times
-        each z.  Each sum is packed in one int (Kronecker's substitution): u^a v^b in slot
-        a*E + (b - a - lo), the block's b - a ranging over lo .. lo + E - 1, so diagonal
-        data is univariate.  The largest scaled numerator times each factor's gain bounds
-        every slot, and one bit more makes the slots W bits wide and signed."""
+        each z.  Each sum is packed in one int, one slot per monomial that occurs in the
+        block, in sorted order; the map is linear, so no monomial moves between slots.  The
+        largest scaled numerator times each factor's gain bounds every slot, and one bit
+        more makes the slots W bits wide and signed."""
         blocks: dict = {}
         for key, c in coeffs.items():
             parts = cls._factors(key)
             blocks.setdefault(tuple(map(sum, parts)), {})[parts] = c
         for block in sorted(blocks, key=lambda b: (sum(b), b)):
             terms = blocks.pop(block)
-            shifts = {b - a for c in terms.values() for a, b in c.nums}
-            lo, E = min(shifts), max(shifts) - min(shifts) + 1
             den = lcm(*(c.den for c in terms.values()))
             cols = [_integer_column(column, n) for n in block]
             top = max(max(map(abs, c.nums.values())) * (den // c.den) for c in terms.values())
             W = (top * prod(gain for *_, gain in cols)).bit_length() + 1
-            sums = {parts: sum(x * (den // c.den) << W * (a * E + b - a - lo)
-                               for (a, b), x in c.nums.items())
+            monos = sorted({m for c in terms.values() for m in c.nums})
+            slot = {m: W * i for i, m in enumerate(monos)}
+            sums = {parts: sum(x * (den // c.den) << slot[m] for m, x in c.nums.items())
                     for parts, c in terms.items()}
             for f, (z, col, _) in enumerate(cols):
                 sources, sums, den = sums, {}, den * z
@@ -451,7 +448,7 @@ class _Series:
                     for new, w in col[parts[f]]:
                         key = head + (new,) + tail
                         sums[key] = sums.get(key, 0) + packed * w
-            yield {cls._from_factors(parts): _lowest(_unpack(packed, W, E, lo), den)
+            yield {cls._from_factors(parts): _lowest(_unpack(packed, W, monos), den)
                    for parts, packed in sums.items() if packed}
 
 

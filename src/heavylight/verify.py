@@ -6,9 +6,9 @@ failure.  One `run_suite` call shares the fixtures and the pipeline results
 its suites need through one `RunInputs`, which loads or computes each of them
 once.  Each suite runs one ordered table of (name, check) rows through `_run`,
 which turns it into (name, ok, detail) rows.  Only `property_suite` draws,
-from one fixed seed in table order.  Its generators `random_sparse`,
-`random_sparse_min2` and `random_bi` are public, for the tests.  A changed
-draw keeps the digest (details read "N cases") if every check still passes.
+from one fixed seed in table order.  Its generators `random_sparse` and
+`random_bi` are public, for the tests.  A changed draw keeps the digest
+(details read "N cases") if every check still passes.
 """
 
 import random
@@ -76,19 +76,16 @@ def _pair(rng, total) -> tuple:
     return _partition(rng, m), _partition(rng, total - m)
 
 
-def random_sparse(rng, trunc, zero_constant=True) -> SymSeries:
-    """A small random series: few partition keys, small coefficients."""
-    return SymSeries(_random_terms(rng, int(zero_constant), trunc, _partition), trunc)
+def random_sparse(rng, trunc, lowest=1) -> SymSeries:
+    """A small random series supported in arities >= lowest: few partition keys, small
+    coefficients."""
+    return SymSeries(_random_terms(rng, lowest, trunc, _partition), trunc)
 
 
-def random_sparse_min2(rng, trunc) -> SymSeries:
-    """A small random series supported in arities >= 2."""
-    return SymSeries(_random_terms(rng, 2, trunc, _partition), trunc)
-
-
-def random_bi(rng, trunc, zero_constant=True) -> BiSymSeries:
-    """A small random series in two factors: any keys (lam, mu), small coefficients."""
-    return BiSymSeries(_random_terms(rng, int(zero_constant), trunc, _pair), trunc)
+def random_bi(rng, trunc) -> BiSymSeries:
+    """A small random series in two factors: keys (lam, mu) of total arity >= 1, small
+    coefficients."""
+    return BiSymSeries(_random_terms(rng, 1, trunc, _pair), trunc)
 
 
 def _cases(rng, count, case) -> tuple:
@@ -164,7 +161,7 @@ def _ring_map_case(rng) -> bool:
 
 def _inverse_case(rng) -> bool:
     p1 = SymSeries.power_sum(1, 8)
-    f = p1 + random_sparse_min2(rng, 8)
+    f = p1 + random_sparse(rng, 8, lowest=2)
     g = f.pleth_inverse()
     return f.plethysm(g) == p1 and g.plethysm(f) == p1
 
@@ -195,8 +192,8 @@ def _rank_composition_case(rng) -> bool:
 
 def _coproduct_case(rng) -> bool:
     """The coproduct is a cocommutative ring map with counit."""
-    f = random_sparse(rng, 6, zero_constant=False)
-    g = random_sparse(rng, 6, zero_constant=False)
+    f = random_sparse(rng, 6, lowest=0)
+    g = random_sparse(rng, 6, lowest=0)
     if coproduct(f * g) != coproduct(f) * coproduct(g):
         return False
     cf = coproduct(f)

@@ -15,6 +15,7 @@ monomials u^a v^b, as the `offdiag` benchmark workload does.
 from fractions import Fraction
 from itertools import product
 from math import prod
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -139,8 +140,8 @@ def test_sums_that_cancel_yield_no_key():
 
 
 def test_shifts_of_both_signs_share_one_block():
-    # b - a runs from -3 (u^3) to +2 (v^2) within the arity-3 block, and u next to
-    # v^2 is the pair of monomials whose slots a layout one column short would merge.
+    # b - a runs from -3 (u^3) to +2 (v^2) within the arity-3 block: the block's six
+    # monomials, on both sides of the diagonal, each need a slot of their own.
     terms = {
         (3,): UVPoly({(3, 0): 1, (0, 2): -2, (1, 1): Fraction(1, 3)}),
         (2, 1): UVPoly({(1, 0): 4, (0, 2): 5}),
@@ -150,6 +151,23 @@ def test_shifts_of_both_signs_share_one_block():
     want = direct_schur({(k,): c for k, c in terms.items()})
     assert f.to_schur() == {lams[0]: c for lams, c in want.items()}
     assert SymSeries.from_schur(f.to_schur(), 3) == f
+
+
+def test_exponents_far_apart_cost_one_slot_each():
+    # Four monomials whose exponents span 2 * 10^5: each takes one slot, so the
+    # packed sums stay four slots wide whatever the span.
+    start, e = perf_counter(), 10**5
+    wide = UVPoly({(0, 0): 1, (0, e): -2, (e, 0): 3, (e, e): 5})
+    terms = {lam: wide * (i + 1) for i, lam in enumerate(gen_partitions(4))}
+    f = SymSeries(terms, 4)
+    want = direct_schur({(lam,): c for lam, c in terms.items()})
+    assert f.to_schur() == {lams[0]: c for lams, c in want.items()}
+    assert SymSeries.from_schur(f.to_schur(), 4) == f
+    pairs = {(lam, mu): c for lam, c in terms.items() for mu in ((), (1,), (2,), (1, 1))}
+    b = BiSymSeries(pairs, 6)
+    assert b.to_schur_pairs() == direct_schur(pairs)
+    assert BiSymSeries.from_schur_pairs(b.to_schur_pairs(), 6) == b
+    assert perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("big", [1, 2**62 - 1, 2**200 + 3])

@@ -114,7 +114,7 @@ def test_schur_conversion():
 def test_schur_round_trip_random():
     rng = random.Random(9)
     for _ in range(10):
-        f = random_sparse(rng, 8, zero_constant=False)
+        f = random_sparse(rng, 8, lowest=0)
         assert SymSeries.from_schur(f.to_schur(), 8) == f
     # converse direction: random Schur data survives the round trip
     for _ in range(10):

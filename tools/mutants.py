@@ -149,8 +149,8 @@ MUTANTS = (
      (f"{T_SCHUR_REF}::test_a_lone_numerator_at_the_sign_bit",)),
     ("packed-read-back-without-borrow", SYMSERIES, "x -= 1 << W", "pass",
      (f"{T_SCHUR_REF}::test_a_negative_slot_borrows_from_the_slot_above",)),
-    ("packed-layout-one-column-short", SYMSERIES, "max(shifts) - min(shifts) + 1",
-     "max(shifts) - min(shifts)", (f"{T_SCHUR_REF}::test_shifts_of_both_signs_share_one_block",)),
+    ("packed-monomials-share-a-slot", SYMSERIES, "{m: W * i for", "{m: W * (i // 2) for",
+     (f"{T_SCHUR_REF}::test_shifts_of_both_signs_share_one_block",)),
     ("change-of-basis-maps-a-factor-twice", SYMSERIES, "parts[:f], parts[f + 1:]",
      "parts[:f], parts[f:]",
      (f"{T_SCHUR_REF}::test_numerators_near_and_past_the_machine_word",)),
