@@ -159,7 +159,7 @@ def cmd_oracle_compare(args) -> int:
     if args.max_arity > ENUMERATION_CAP:
         raise Refused(f"the oracle enumerates up to total arity {ENUMERATION_CAP}")
     res = open_series(fx, trunc=args.max_arity)
-    rows = oracle_compare(args.genus, fx, res, args.max_arity)
+    rows = oracle_compare(fx, res, args.max_arity)
     return _print_checks([(f"({m},{n})", ok, "") for m, n, ok in rows])
 
 

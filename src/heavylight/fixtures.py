@@ -8,8 +8,9 @@ File format (line-oriented, `#` starts a comment, bit-exact round trip):
     truncation <int>
     term n=<int> lambda=[k1,k2,...] poly=<uv-poly other than 0>
 
-Each header appears once.  <int> is ASCII [0-9]+ as in the `uvpoly` grammar, with
-no '_', '.', exponent or inner space.  HL_FIXTURE_DIR, when set, overrides the
+Each header appears once; genus, variant and truncation come before the first term,
+and a weight0 term is a constant.  <int> is ASCII [0-9]+ as in the `uvpoly` grammar,
+with no '_', '.', exponent or inner space.  HL_FIXTURE_DIR, when set, overrides the
 default fixture directory, the packaged data directory.
 """
 
@@ -106,10 +107,12 @@ def parse_fixture(text: str) -> SeriesFixture:
                 raise ValueError(f"zero term n={n} lambda={m[2]}")
             if sum(lam) != n:
                 raise ValueError(f"lambda {lam} does not have size {n}")
-            if "truncation" not in headers:
-                raise ValueError("term before truncation header")
+            if not headers.keys() >= {"genus", "variant", "truncation"}:
+                raise ValueError("term before the genus, variant and truncation headers")
             if n > headers["truncation"]:
                 raise ValueError(f"term arity {n} exceeds truncation {headers['truncation']}")
+            if headers["variant"] == "weight0" and poly.nums.keys() != {(0, 0)}:
+                raise ValueError(f"non-constant term n={n} lambda={m[2]} in a weight0 fixture")
             if lam in terms:
                 raise ValueError(f"duplicate term key n={n} lambda={lam}")
             terms[lam] = poly
@@ -118,7 +121,7 @@ def parse_fixture(text: str) -> SeriesFixture:
     missing = [key for key in ("series", "genus", "variant", "truncation") if key not in headers]
     if missing:
         raise FixtureError(0, f"missing header: {', '.join(missing)}")
-    # each term line has checked its key, its size, its arity and that it is nonzero
+    # each term line has checked its key, its size, its arity, its variant and that it is nonzero
     return SeriesFixture(headers["series"], headers["genus"], headers["variant"],
                          SymSeries._built(terms, headers["truncation"]))
 

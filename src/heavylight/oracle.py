@@ -122,9 +122,7 @@ def _block_permutation_counts(tau: tuple, j: int) -> dict:
     return counts
 
 
-def oracle_open_ch(
-    g: int, m: int, n: int, fixture: SeriesFixture
-) -> BiSymSeries:
+def oracle_open_ch(m: int, n: int, fixture: SeriesFixture) -> BiSymSeries:
     """Arity-(m, n) open heavy/light component computed without plethysm.
 
     For each class pair (type of sigma on the heavy markings, explicit tau on
@@ -140,7 +138,7 @@ def oracle_open_ch(
         if arity > fixture.trunc:
             raise ValueError(f"fixture truncation {fixture.trunc} lacks arity {arity}")
     trunc = m + n
-    if not stability_ok(g, m, n):
+    if not stability_ok(fixture.genus, m, n):
         return BiSymSeries.zero(trunc)
     out: dict = {}
     for lam in gen_partitions(m):
@@ -163,9 +161,7 @@ def oracle_open_ch(
     return BiSymSeries(out, trunc)
 
 
-def oracle_compare(
-    g: int, fixture: SeriesFixture, open_result, max_arity: int
-) -> list:
+def oracle_compare(fixture: SeriesFixture, open_result, max_arity: int) -> list:
     """Compare oracle_open_ch against the pipeline per (m, n); returns rows
     (m, n, ok) for every pair with m + n <= max_arity."""
     rows = []
@@ -175,7 +171,7 @@ def oracle_compare(
             if m + n == 0:
                 continue
             expected = open_result.component(m, n)
-            got = oracle_open_ch(g, m, n, fixture)
+            got = oracle_open_ch(m, n, fixture)
             ok = got == expected
             rows.append((m, n, ok))
     return rows

@@ -100,10 +100,11 @@ def _run(table) -> list:
 
 class RunInputs:
     """The inputs that the suites of one run share, each loaded or computed at most
-    once: the shipped fixtures, `open_series` results, the genus-0 gates and the
-    genus-1 numeric table.  A run creates one and passes it to each of its suites, so
-    nothing outlives the run.  A load that raised is not kept: the next suite that
-    needs the fixture reads it again and reports the same error."""
+    once: the shipped fixtures by name, `open_series` results by fixture name and
+    truncation, the genus-0 gates and the genus-1 numeric table.  A run creates one
+    and passes it to each of its suites, so nothing outlives the run.  A load that
+    raised is not kept: the next suite that needs the fixture reads it again and
+    reports the same error."""
 
     def __init__(self):
         self._done = {}
@@ -116,12 +117,11 @@ class RunInputs:
     def fixture(self, name: str) -> SeriesFixture:
         return self._once(("fixture", name), lambda: load_fixture(name))
 
-    def open_series(self, fx: SeriesFixture, trunc: int | None = None):
-        """`open_series(fx, trunc)`.  It is keyed by the fixture object, not by its
-        name, which a modified copy keeps; the object is kept with the result, so
-        that its id is not reused within the run."""
-        key = ("open_series", id(fx), trunc)
-        return self._once(key, lambda: (fx, open_series(fx, trunc=trunc)))[1]
+    def open_series(self, name: str, trunc: int | None = None):
+        """`open_series` of the named fixture at `trunc`, by default its own truncation."""
+        fx = self.fixture(name)
+        t = fx.trunc if trunc is None else trunc
+        return self._once(("open_series", name, t), lambda: open_series(fx, trunc=t))
 
     def genus0_gates(self) -> tuple:
         smooth0, stable0 = self.fixture("genus0_smooth"), self.fixture("genus0_stable")
@@ -222,12 +222,11 @@ def _purity(res) -> tuple:
     return True, ""
 
 
-def _stability_vanishing(run, res, res_open1, smooth0) -> tuple:
-    w0 = run.open_series(run.fixture("genus2_smooth_weight0"))
-    results = ((1, res), (2, w0), (1, res_open1), (0, run.open_series(smooth0, trunc=6)))
+def _stability_vanishing(run, res, res_open1) -> tuple:
+    w0, open0 = run.open_series("genus2_smooth_weight0"), run.open_series("genus0_smooth", 6)
     return all(
-        stability_ok(g, m, total - m) or not result.component(m, total - m).coeffs
-        for g, result in results
+        stability_ok(result.genus, m, total - m) or not result.component(m, total - m).coeffs
+        for result in (res, w0, res_open1, open0)
         for total in range(result.data.trunc + 1)
         for m in range(total + 1)
     ), ""
@@ -255,12 +254,12 @@ def _tail_free_factorization(stable1, smooth0, stable0) -> tuple:
     return core.pleth2(inner) == coproduct(stable1.data.truncate(t)), f"arity {t}"
 
 
-def _weight_zero_commutes(run, smooth1) -> tuple:
+def _weight_zero_commutes(run) -> tuple:
     """Weight-zero specialization commutes with the open pipeline."""
-    t = 5
+    t, smooth1 = 5, run.fixture("genus1_smooth")
     data = smooth1.data.truncate(t).weight_zero()
-    spec_first = run.open_series(replace(smooth1, variant="weight0", data=data))
-    spec_last = run.open_series(smooth1, trunc=t)
+    spec_first = open_series(replace(smooth1, variant="weight0", data=data))
+    spec_last = run.open_series("genus1_smooth", trunc=t)
     return spec_first.data == spec_last.data.weight_zero(), f"arity {t}"
 
 
@@ -276,7 +275,7 @@ def property_suite(run: RunInputs) -> list:
     )
     pair_ok, rank_ok = run.genus0_gates()
     res = closed_series(stable1, smooth0)
-    res_open1 = run.open_series(smooth1)
+    res_open1 = run.open_series("genus1_smooth")
     purity = f"purity and palindromy of genus-1 closed outputs (m+n <= {GENUS1_PURE_ARITY})"
     return _run((
         ("plethysm associativity (random sparse, arity <= 6)",
@@ -289,13 +288,13 @@ def property_suite(run: RunInputs) -> list:
          lambda: (pair_ok, f"truncations {smooth0.trunc}/{stable0.trunc}")),
         ("genus-0 fixture rank matches the closed form", lambda: (rank_ok, "")),
         (purity, lambda: _purity(res)),
-        ("stability support vanishing", lambda: _stability_vanishing(run, res, res_open1, smooth0)),
+        ("stability support vanishing", lambda: _stability_vanishing(run, res, res_open1)),
         ("single-light-marking slice matches the pipeline",
          lambda: _slice_matches(((stable1, res), (smooth1, res_open1)))),
         ("tail-free factorization of the stable coproduct",
          lambda: _tail_free_factorization(stable1, smooth0, stable0)),
         ("weight-zero specialization commutes with the pipeline",
-         lambda: _weight_zero_commutes(run, smooth1)),
+         lambda: _weight_zero_commutes(run)),
         ("rank carries plethysm into composition", lambda: _cases(rng, 10, _rank_composition_case)),
         ("coproduct ring map, cocommutativity, counit", lambda: _cases(rng, 10, _coproduct_case)),
         ("set-partition counts match the recurrence", _stirling_recurrence),
@@ -406,28 +405,25 @@ def table_suite(run: RunInputs) -> list:
             closed_series(stable1, smooth0, trunc=5), "genus1_poincare_table.txt")),
         ("genus-1 numeric table", lambda: _golden_numeric(run.numeric_table())),
         ("genus-2 weight-zero table", lambda: _golden_pairs(
-            run.open_series(run.fixture("genus2_smooth_weight0")), "genus2_weight0_table.txt",
+            run.open_series("genus2_smooth_weight0"), "genus2_weight0_table.txt",
             numeric=True)),
     ))
 
 
 def oracle_suite(run: RunInputs) -> list:
     rows = []
-    for genus, name, label in (
-        (1, "genus1_smooth", "genus 1"),
-        (2, "genus2_smooth_weight0", "genus 2 weight-zero"),
-    ):
-        fx = run.fixture(name)
-        res = run.open_series(fx, trunc=ORACLE_ARITY)
-        for m, n, ok in oracle_compare(genus, fx, res, ORACLE_ARITY):
+    for name, label in (("genus1_smooth", "genus 1"), ("genus2_smooth_weight0", "genus 2 weight-zero")):
+        res = run.open_series(name, trunc=ORACLE_ARITY)
+        for m, n, ok in oracle_compare(run.fixture(name), res, ORACLE_ARITY):
             rows.append((f"oracle {label} ({m},{n})", ok, ""))
     return rows
 
 
-def _corb_open(run, smooth1) -> tuple:
+def _corb_open(run) -> tuple:
+    smooth1 = run.fixture("genus1_smooth")
     t = min(CORB_ARITY, smooth1.trunc)
     direct = open_series_numeric(smooth1.data.rank1("x"), t)
-    return run.open_series(smooth1, trunc=t).data.rank2() == direct, f"arity {t}"
+    return run.open_series("genus1_smooth", trunc=t).data.rank2() == direct, f"arity {t}"
 
 
 def _corb_closed(stable1, smooth0) -> tuple:
@@ -441,10 +437,9 @@ def _corb_closed(stable1, smooth0) -> tuple:
 
 def corb_suite(run: RunInputs) -> list:
     """Numeric change-of-variables against the rank of the equivariant pipeline."""
-    smooth0, smooth1, stable1 = map(run.fixture, ("genus0_smooth", "genus1_smooth", "genus1_stable"))
+    smooth0, stable1 = run.fixture("genus0_smooth"), run.fixture("genus1_stable")
     return _run((
-        ("numeric open pipeline equals equivariant rank (genus 1)",
-         lambda: _corb_open(run, smooth1)),
+        ("numeric open pipeline equals equivariant rank (genus 1)", lambda: _corb_open(run)),
         ("numeric closed pipeline equals equivariant rank (genus 1)",
          lambda: _corb_closed(stable1, smooth0)),
     ))

@@ -2,10 +2,12 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heavylight.fixtures import (
     FixtureError,
     SHIPPED,
+    default_fixture_dir,
     load_fixture,
     parse_fixture,
     write_fixture,
@@ -14,6 +16,8 @@ from heavylight.pipeline import open_series
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
 from heavylight.verify import RunInputs, fixture_suite
+
+from strategies import examples
 
 MINIMAL = """\
 series demo
@@ -103,7 +107,7 @@ def test_numbers_outside_the_ascii_grammar_carry_line_number(old, new, lineno, m
     ids="-".join,
 )
 def test_missing_headers_are_named_in_order(absent):
-    headers = MINIMAL.splitlines()[:4]  # no term, which would need the truncation
+    headers = MINIMAL.splitlines()[:4]  # no term, which would need genus, variant and truncation
     text = "".join(line + "\n" for line in headers if line.split()[0] not in absent)
     with pytest.raises(FixtureError) as err:
         parse_fixture(text)
@@ -184,6 +188,60 @@ def test_a_term_outside_the_stable_range_fails_its_fixture_row(edited_fixtures):
     checks = {name: ok for name, ok, _ in fixture_suite(RunInputs())}
     assert checks["fixture genus0_smooth parses and satisfies bounds"] is False
     assert checks["fixture genus0_stable parses and satisfies bounds"] is True
+
+
+@pytest.mark.parametrize("poly", ["1*u^0*v^1", "1*u^0*v^0+1*u^1*v^1"])
+def test_a_non_constant_weight0_term_is_refused_at_load(poly):
+    text = MINIMAL.replace("variant open", "variant weight0") + f"term n=4 lambda=[2,2] poly={poly}\n"
+    message = "line 6: non-constant term n=4 lambda=[2,2] in a weight0 fixture"
+    with pytest.raises(FixtureError, match=re.escape(message)):
+        parse_fixture(text)
+
+
+@pytest.mark.parametrize("header", ["genus 0", "variant open", "truncation 4"])
+def test_a_term_before_a_header_it_needs_is_refused(header):
+    text = MINIMAL.replace(header + "\n", "") + header + "\n"
+    message = "line 4: term before the genus, variant and truncation headers"
+    with pytest.raises(FixtureError, match=message):
+        parse_fixture(text)
+
+
+FUZZED = tuple((default_fixture_dir() / f"{name}.hlf").read_text()
+               for name in ("genus1_stable_numeric", "genus2_smooth_weight0"))
+# One to three edits (by line, op, position, character).  An inserted character is one of
+# the grammar's own, a space, a newline or a lookalike that the grammar refuses.
+MUTATIONS = st.lists(
+    st.tuples(st.booleans(), st.sampled_from(("delete", "insert", "duplicate")),
+              st.integers(0, 4095), st.sampled_from(tuple("0123456789-+/*^=[],#uvnx \n_.\u0663"))),
+    min_size=1, max_size=3,
+)
+
+
+def mutate(text, mutations) -> str:
+    """`text` with each (by line, op, at, char) applied in turn: the character or line
+    at position `at` (modulo its length plus one) deleted or duplicated, or `char`
+    inserted before it."""
+    for by_line, op, at, char in mutations:
+        units = text.splitlines(keepends=True) if by_line else list(text)
+        i = at % (len(units) + 1)
+        if op == "insert":
+            units.insert(i, char)
+        elif op == "duplicate" and i < len(units):
+            units.insert(i, units[i])
+        elif i < len(units):
+            del units[i]
+        text = "".join(units)
+    return text
+
+
+@examples(60)
+@given(st.sampled_from(FUZZED), MUTATIONS)
+def test_a_mutated_fixture_parses_or_names_a_line(shipped, mutations):
+    text = mutate(shipped, mutations)
+    try:
+        parse_fixture(text)
+    except FixtureError as exc:
+        assert 0 <= exc.lineno <= len(text.splitlines())
 
 
 def test_fixture_dir_env_override(tmp_path, monkeypatch):

@@ -45,7 +45,7 @@ def test_cycle_type_and_representative():
 def test_oracle_heavy_only_is_injection():
     smooth1 = load_fixture("genus1_smooth")
     for m in range(1, 5):
-        got = oracle_open_ch(1, m, 0, smooth1)
+        got = oracle_open_ch(m, 0, smooth1)
         want = BiSymSeries.inject(smooth1.data.arity_part(m), 1).truncate(m)
         assert got == want
 
@@ -53,20 +53,20 @@ def test_oracle_heavy_only_is_injection():
 def test_oracle_matches_pipeline_genus0():
     # 11 of the 20 (m, n) pairs are unstable in genus 0: m + min(n, 1) <= 2.
     smooth0 = load_fixture("genus0_smooth")
-    rows = oracle_compare(0, smooth0, open_series(smooth0, trunc=5), 5)
+    rows = oracle_compare(smooth0, open_series(smooth0, trunc=5), 5)
     assert len(rows) == 20 and all(ok for _, _, ok in rows)
 
 
 def test_oracle_matches_pipeline_genus2_weight0():
     # the oracle's agreement up to arity 5 is a row of `hl verify`; here, one known entry
-    got = oracle_open_ch(2, 0, 2, load_fixture("genus2_smooth_weight0"))
+    got = oracle_open_ch(0, 2, load_fixture("genus2_smooth_weight0"))
     assert got.to_schur_pairs() == {((), (2,)): UVPoly.const(-1)}
 
 
 def test_oracle_cap():
     smooth1 = load_fixture("genus1_smooth")
     with pytest.raises(ValueError):
-        oracle_open_ch(1, 4, 4, smooth1)
+        oracle_open_ch(4, 4, smooth1)
 
 
 def test_oracle_input_agnostic_identity():
@@ -76,5 +76,5 @@ def test_oracle_input_agnostic_identity():
     res = open_series(replace(stable1, variant="open", data=stable1.data.truncate(5)))
     for m in range(3):
         for n in range(3 - m):
-            got = oracle_open_ch(1, m, n, stable1)
+            got = oracle_open_ch(m, n, stable1)
             assert got == res.component(m, n)

@@ -98,7 +98,13 @@ MUTANTS = (
     ("fixture-stability-unchecked", VERIFY,
      "all(stability_ok(fx.genus, sum(lam), 0) for lam in fx.data.coeffs)", "True",
      (f"{T_FIXTURES}::test_a_term_outside_the_stable_range_fails_its_fixture_row",)),
-    ("shared-open-series-keyed-by-name", VERIFY, "id(fx), trunc)", "fx.name, trunc)",
+    ("fixture-weight0-term-unchecked", FIXTURES, 'poly.nums.keys() != {(0, 0)}', "False",
+     (f"{T_FIXTURES}::test_a_non_constant_weight0_term_is_refused_at_load",)),
+    ("fixture-term-before-genus-and-variant", FIXTURES, '{"genus", "variant", "truncation"}',
+     '{"truncation"}', (f"{T_FIXTURES}::test_a_term_before_a_header_it_needs_is_refused",
+                        f"{T_FIXTURES}::test_a_mutated_fixture_parses_or_names_a_line")),
+    ("shared-open-series-keyed-by-truncation-only", VERIFY, '("open_series", name, t)',
+     '("open_series", t)',
      (f"{T_TABLES}::test_cli_verify_all_suite", f"{T_ACCEPTANCE}::test_criterion_7_property_suites")),
     ("golden-repeated-pair-kept", TABLES,
      'raise ValueError(f"repeated pair {lam_s} {mu_s}")', "pass",
@@ -204,6 +210,8 @@ MUTANTS = (
     ("tropical-unstable-kept", PIPELINE, "if not stability_ok(g, m, n):", "if False:",
      (f"{T_PIPELINE}::test_tropical_euler_refuses_unstable_components",
       f"{T_TABLES}::test_cli_tropical_refuses_an_unstable_component_in_one_line")),
+    ("oracle-genus-zero", "src/heavylight/oracle.py", "stability_ok(fixture.genus, m, n)",
+     "stability_ok(0, m, n)", ("tests/test_oracle.py::test_oracle_heavy_only_is_injection",)),
     ("oracle-joins-at-most-4-blocks", "src/heavylight/oracle.py", "for _ in range(blocks):",
      "for _ in range(min(blocks, 4)):", ("tests/test_oracle.py::test_stirling2",)),
     ("bareiss-divides-by-the-pivot", GENERATOR, "// prev for x, y", "// p for x, y",
