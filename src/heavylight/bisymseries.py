@@ -151,4 +151,4 @@ def coproduct(f: SymSeries) -> BiSymSeries:
 
 def exp2_of_p1(trunc: int) -> BiSymSeries:
     """Exp(p_1^{(2)}) = sum over n >= 1 of h_n^{(2)}: the light-markings series."""
-    return BiSymSeries.power_sum(1, 2, trunc).exp2()
+    return BiSymSeries.inject(SymSeries.power_sum(1, trunc).exp_series(), 2)

@@ -95,8 +95,9 @@ def representative_of_type(mu: tuple) -> tuple:
     return tuple(out)
 
 
-def _block_permutation_counts(tau: tuple, j: int) -> dict:
-    """Map pi -> number of ordered partitions (B_1..B_j) with tau(B_i) = B_{pi(i)}.
+@lru_cache(maxsize=None)
+def _block_permutation_counts(tau: tuple, j: int) -> tuple:
+    """The pairs (pi, number of ordered partitions (B_1..B_j) with tau(B_i) = B_{pi(i)}).
 
     Every surjective coloring determines its pi uniquely (pi(c(x)) = c(tau(x))
     must be well defined), so the sum over pi is organized by coloring.
@@ -119,7 +120,7 @@ def _block_permutation_counts(tau: tuple, j: int) -> dict:
         if ok:
             key = tuple(pi)
             counts[key] = counts.get(key, 0) + 1
-    return counts
+    return tuple(counts.items())
 
 
 def oracle_open_ch(m: int, n: int, fixture: SeriesFixture) -> BiSymSeries:
@@ -150,7 +151,7 @@ def oracle_open_ch(m: int, n: int, fixture: SeriesFixture) -> BiSymSeries:
                 trace = UVPoly.zero()
                 for j in range(1, n + 1):
                     acc = UVPoly.zero()
-                    for pi, cnt in _block_permutation_counts(tau, j).items():
+                    for pi, cnt in _block_permutation_counts(tau, j):
                         joint = tuple(
                             sorted(lam + cycle_type(pi), reverse=True)
                         )

@@ -93,30 +93,48 @@ def parse_partition(text: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def mn_character(lam: tuple, mu: tuple) -> int:
-    """Irreducible character chi^lam evaluated on the class of type mu, |lam| == |mu|.
+def _bead_column(mu: tuple) -> dict:
+    """{beta-set: chi^lam(mu)} over the lam of n = |mu| with chi^lam(mu) != 0, the beta-set of
+    lam an int with a bead on bit lam[i] + n - 1 - i for each row i of lam padded to n rows.
 
-    Murnaghan-Nakayama on beta-numbers (Macdonald, Symmetric Functions and Hall Polynomials,
-    I.7): row i of lam is a bead on bit lam[i] + len(lam) - 1 - i of one int.  A border strip
-    of length mu[0] moves a bead down to a free bit, signed by the parity of the beads passed.
+    Murnaghan-Nakayama as a product, p_r s_nu = sum (-1)^ht(lam/nu) s_lam over the rim hooks
+    lam/nu of length r (Macdonald, Symmetric Functions and Hall Polynomials, I.3 Ex. 11):
+    under the column of mu[1:], r = mu[0] new beads fill bits 0..r-1, and each hook moves
+    one bead up r bits to a free bit, signed by the parity of the beads it passes.
     """
+    if not mu:
+        return {0: 1}
+    r, col = mu[0], {}
+    for beads, chi in _bead_column(mu[1:]).items():
+        beads = (beads << r) | ((1 << r) - 1)
+        movable = beads & ~(beads >> r)  # the beads with a free bit r above them
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            moved = beads + (low << r) - low
+            passed = beads & (low << r) - (low << 1)
+            col[moved] = col.get(moved, 0) + (-chi if passed.bit_count() & 1 else chi)
+    return {moved: chi for moved, chi in col.items() if chi}
+
+
+@lru_cache(maxsize=None)
+def _beta_sets(n: int) -> dict:
+    """{lam: its beta-set of n beads} over the partitions of n, in canonical order."""
+    return {
+        lam: sum(1 << (p + n - 1 - i) for i, p in enumerate(lam)) | ((1 << (n - len(lam))) - 1)
+        for lam in gen_partitions(n)
+    }
+
+
+def character_column(mu: tuple) -> dict:
+    """{lam: chi^lam(mu)} over the lam of |mu| with chi^lam(mu) != 0, in canonical order."""
+    col = _bead_column(mu)
+    return {lam: col[beads] for lam, beads in _beta_sets(sum(mu)).items() if beads in col}
+
+
+@lru_cache(maxsize=None)
+def mn_character(lam: tuple, mu: tuple) -> int:
+    """Irreducible character chi^lam on the class of type mu, |lam| == |mu|, read from its column."""
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    if not mu:
-        return 1
-    r, rest, k = mu[0], mu[1:], len(lam)
-    tops = [p + k - 1 - i for i, p in enumerate(lam)]
-    mask = sum(1 << top for top in tops)
-    total = 0
-    for top in tops:
-        b = top - r
-        if b >= 0 and not (mask >> b) & 1:  # bit b is free for the bead on bit top
-            smaller, free = [], 0
-            for bit in bin(mask ^ (1 << top) ^ (1 << b))[:1:-1]:  # from bit 0 up
-                if bit == "0":
-                    free += 1
-                elif free:  # a bead's part is the number of free bits below it
-                    smaller.append(free)
-            x = mn_character(tuple(reversed(smaller)), rest)
-            total += -x if (mask & ((1 << top) - (2 << b))).bit_count() & 1 else x
-    return total
+    return _bead_column(mu).get(_beta_sets(sum(mu))[lam], 0)

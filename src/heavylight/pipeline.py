@@ -97,15 +97,15 @@ def open_series(fx: SeriesFixture, trunc: int | None = None) -> HeavyLightResult
 
 def _corrector(
     stable_fx: SeriesFixture, smooth_g0: SeriesFixture, trunc: int | None
-) -> BiSymSeries:
-    """genus0_corrector in factor 2, truncated at the requested arity, after
-    checking both fixtures."""
+) -> SymSeries:
+    """genus0_corrector, truncated at the requested arity, after checking both
+    fixtures."""
     if stable_fx.variant != "closed":
         raise ValueError("the stable series must be a closed fixture")
     if smooth_g0.variant != "open" or smooth_g0.genus != 0:
         raise ValueError("the corrector fixture must be the genus-0 open series")
     t = _requested(trunc, min(stable_fx.trunc, smooth_g0.trunc - 1))
-    return BiSymSeries.inject(genus0_corrector(smooth_g0.data, t), 2)
+    return genus0_corrector(smooth_g0.data, t)
 
 
 def tail_free_series(
@@ -117,7 +117,7 @@ def tail_free_series(
     the two-step route to the closed series, exposed for the consistency
     checks.
     """
-    inner = _corrector(stable_fx, smooth_g0, trunc)
+    inner = BiSymSeries.inject(_corrector(stable_fx, smooth_g0, trunc), 2)
     return coproduct(stable_fx.data.truncate(inner.trunc)).pleth2(inner)
 
 
@@ -129,11 +129,12 @@ def closed_series(
     coproduct(stable) o_2 K with the composed corrector
     K = (p_1 - d(smooth_0)/dp_1) o_2 Exp(light generator), truncated and
     stability-masked.  Plethysm is associative, so this one substitution
-    equals tail_free_series(...) o_2 Exp, and K is formed on the small
-    factor-2 series rather than on the coproduct.
+    equals tail_free_series(...) o_2 Exp.  K lies in factor 2 alone, so it is
+    formed in the one-factor ring, not on the coproduct, and then injected.
     """
-    inner = _corrector(stable_fx, smooth_g0, trunc)
-    return _heavy_light(stable_fx, inner.pleth2(exp2_of_p1(inner.trunc)), smooth_g0)
+    corrector = _corrector(stable_fx, smooth_g0, trunc)
+    exp_p1 = SymSeries.power_sum(1, corrector.trunc).exp_series()
+    return _heavy_light(stable_fx, BiSymSeries.inject(corrector.plethysm(exp_p1), 2), smooth_g0)
 
 
 # -- genus-0 closed forms -----------------------------------------------------

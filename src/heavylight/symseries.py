@@ -27,6 +27,7 @@ from math import gcd, lcm, prod
 from operator import itemgetter
 
 from .partitions import (
+    character_column,
     format_partition,
     gen_partitions,
     is_partition,
@@ -119,10 +120,8 @@ def _partition_order(trunc: int) -> dict:
 
 
 def _schur_column(mu: tuple) -> tuple:
-    """The nonzero (lam, chi^lam(mu)) over the partitions lam of |mu|: the
-    Schur expansion p_mu = sum_lam chi^lam(mu) s_lam."""
-    chis = ((lam, mn_character(lam, mu)) for lam in gen_partitions(sum(mu)))
-    return tuple((lam, chi) for lam, chi in chis if chi)
+    """The Schur expansion p_mu = sum_lam chi^lam(mu) s_lam, as character_column's pairs."""
+    return tuple(character_column(mu).items())
 
 
 def _power_column(lam: tuple) -> tuple:

@@ -3,6 +3,8 @@ from functools import lru_cache
 import pytest
 
 from heavylight.partitions import (
+    _bead_column,
+    character_column,
     format_partition,
     gen_partitions,
     mn_character,
@@ -121,11 +123,16 @@ def test_mn_character_dimension_from_syt():
 
 
 def test_mn_character_matches_the_border_strip_reference():
-    for n in range(11):
+    # n = 11 is the largest arity the Schur integrality check converts
+    for n in range(12):
         parts = gen_partitions(n)
-        for lam in parts:
-            for mu in parts:
-                assert mn_character(lam, mu) == reference_character(lam, mu), (lam, mu)
+        for mu in parts:
+            column = [(lam, reference_character(lam, mu)) for lam in parts]
+            assert [(lam, mn_character(lam, mu)) for lam in parts] == column, mu
+            assert list(character_column(mu).items()) == [(lam, x) for lam, x in column if x], mu
+            # and the cached bead column holds nothing else: a bead moved onto a bead would
+            # leave a mask of fewer beads, which no lookup reads but the next column extends
+            assert len(_bead_column(mu)) == len(character_column(mu)), mu
 
 
 def test_mn_character_size_mismatch():

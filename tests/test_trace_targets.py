@@ -1,6 +1,7 @@
 """The benchmark's bindings into the package still resolve.
 
-`perfbench/tracing.py` wraps each function its TARGETS table names, and the
+`perfbench/tracing.py` wraps each function its TARGETS table names and reads
+the `cache_info()` of each memoised function its CACHES table names, and the
 benchmark's modules read other names of the package directly (for example
 `tables.compare_row_to_golden` in its workloads); a rename or deletion in
 src/ that left one dangling would break the benchmark.  Its files are only
@@ -33,6 +34,15 @@ def test_every_trace_target_resolves_to_a_package_function():
         found = tracing._resolve(module_name, attr)
         assert found, name
         assert all(callable(f) and f.__module__.startswith("heavylight.") for f in found), name
+
+
+def test_every_traced_cache_resolves_to_a_memoised_package_function():
+    tracing = load_tracing()
+    assert tracing.CACHES
+    for name, (module_name, attr) in tracing.CACHES.items():
+        cached = getattr(importlib.import_module(module_name), attr, None)
+        assert cached is not None and callable(getattr(cached, "cache_info", None)), name
+        assert cached.__module__ == module_name, name
 
 
 def _member(module, name):

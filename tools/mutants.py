@@ -133,9 +133,11 @@ MUTANTS = (
      "nums = dict(self.nums)", (f"{T_UVPOLY_REF}::test_ring_operations_match_the_reference",)),
     ("adams-scales-only-u", UVPOLY, "{(a * k, b * k): n", "{(a * k, b): n",
      (f"{T_UVPOLY}::test_adams",)),
-    ("mn-sign-parity-counts-the-moved-bead", PARTITIONS, "(1 << top) - (2 << b)",
-     "(2 << top) - (2 << b)", (MN_REFERENCE,)),
-    ("mn-bead-moved-onto-a-bead", PARTITIONS, "b >= 0 and not (mask >> b) & 1", "b >= 0",
+    ("mn-sign-parity-counts-the-moved-bead", PARTITIONS, "(low << r) - (low << 1)",
+     "(low << r) - low", (MN_REFERENCE,)),
+    ("mn-bead-moved-onto-a-bead", PARTITIONS, "beads & ~(beads >> r)", "beads",
+     (MN_REFERENCE,)),
+    ("mn-one-bead-too-few-below-the-tail", PARTITIONS, "(1 << r) - 1", "(1 << (r - 1)) - 1",
      (MN_REFERENCE,)),
     ("union-with-an-empty-left-side-drops-the-right", PARTITIONS, "return lam or mu", "return lam",
      (f"{T_PARTITIONS}::test_union_and_serialization",)),
