@@ -10,11 +10,13 @@ import sys
 from math import factorial
 
 from .fixtures import FixtureError, load_fixture
-from .oracle import ENUMERATION_CAP, oracle_compare
+from .oracle import oracle_compare
 from .pipeline import (
+    Refused,
     closed_series,
     closed_series_numeric,
     genus1_light_chi_egf,
+    numeric_rows,
     open_series,
     slice_n1,
     stability_ok,
@@ -36,10 +38,6 @@ FIXTURES = {
 }
 
 
-class Refused(Exception):
-    """A request the shipped data cannot serve; `main` prints it and returns 1."""
-
-
 def _integer(minimum=None):
     """An argparse type: an integer literal of the `uvpoly` grammar, no smaller than `minimum`."""
 
@@ -52,19 +50,16 @@ def _integer(minimum=None):
     return integer
 
 
-def _fixture(variant: str, genus: int, arity: int):
-    """The shipped fixture for (variant, genus); refuses an arity beyond its
-    truncation, and a fixture file that cannot be read or parsed."""
+def _fixture(variant: str, genus: int):
+    """The shipped fixture for (variant, genus); refuses a pair that is not
+    shipped and a fixture file that cannot be read or parsed."""
     if (variant, genus) not in FIXTURES:
         shipped = ", ".join(str(g) for v, g in FIXTURES if v == variant)
         raise Refused(f"no {variant} fixture for genus {genus} (shipped: genus {shipped})")
     try:
-        fx = load_fixture(FIXTURES[variant, genus])
+        return load_fixture(FIXTURES[variant, genus])
     except (FixtureError, OSError) as exc:
         raise Refused(str(exc)) from exc
-    if arity > fx.trunc:
-        raise Refused(f"needs arity {arity}, beyond the truncation {fx.trunc} of fixture {fx.name}")
-    return fx
 
 
 def cmd_closed_table(args) -> int:
@@ -73,29 +68,20 @@ def cmd_closed_table(args) -> int:
     if args.form == "numeric":
         if args.format == "latex" or args.basis == "power":
             raise Refused("the numeric form takes neither --basis power nor --format latex")
-        numeric = _fixture("numeric", 1, args.max_arity)
+        numeric = _fixture("numeric", 1)
         table = closed_series_numeric(numeric.data.rank1("x"), args.max_arity)
-        rows = []
-        for total in range(args.max_arity + 1):
-            for m in range(total + 1):
-                n = total - m
-                if not stability_ok(1, m, n):
-                    continue
-                poly = table[(m, n)] * (factorial(m) * factorial(n))
-                if not poly.is_zero():
-                    rows.append((m, n, poly))
+        rows = [(*mn, poly) for mn, poly in numeric_rows(table, numeric.genus).items()]
         for line in delimited_lines(args.format, ("m", "n", "poly"), rows):
             print(line)
         return 0
-    stable1 = _fixture("closed", 1, args.max_arity)
-    smooth0 = _fixture("open", 0, args.max_arity + 1)  # the corrector needs one arity more
+    stable1, smooth0 = _fixture("closed", 1), _fixture("open", 0)
     res = closed_series(stable1, smooth0, trunc=args.max_arity)
     sys.stdout.write(render_table(res, args.basis, args.form, args.max_arity, args.format))
     return 0
 
 
 def cmd_open_table(args) -> int:
-    fx = _fixture("open", args.genus, args.max_arity)
+    fx = _fixture("open", args.genus)
     if args.weight0 and fx.variant != "weight0":
         raise Refused("weight-zero open tables are shipped for genus 2 only")
     form = "weight0" if fx.variant == "weight0" else args.form
@@ -115,7 +101,7 @@ def cmd_euler_genfun(args) -> int:
 
 
 def cmd_slice_n1(args) -> int:
-    fx = _fixture(args.variant, args.genus, args.m + 1)
+    fx = _fixture(args.variant, args.genus)
     if not stability_ok(args.genus, args.m, 1):
         print("empty: outside the stability range")
         return 0
@@ -124,12 +110,8 @@ def cmd_slice_n1(args) -> int:
 
 
 def cmd_tropical(args) -> int:
-    fx = _fixture("open", args.genus, args.m + args.n)
-    res = open_series(fx, trunc=args.m + args.n)
-    try:
-        chi = tropical_euler(res, args.m, args.n)
-    except ValueError as exc:
-        raise Refused(str(exc)) from exc
+    res = open_series(_fixture("open", args.genus), trunc=args.m + args.n)
+    chi = tropical_euler(res, args.m, args.n)
     print(chi.pretty())
     print(f"numeric: {numeric_value(chi, args.m, args.n).constant_term()}")
     return 0
@@ -155,11 +137,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    fx = _fixture("open", args.genus, args.max_arity)
-    if args.max_arity > ENUMERATION_CAP:
-        raise Refused(f"the oracle enumerates up to total arity {ENUMERATION_CAP}")
-    res = open_series(fx, trunc=args.max_arity)
-    rows = oracle_compare(fx, res, args.max_arity)
+    fx = _fixture("open", args.genus)
+    rows = oracle_compare(fx, open_series(fx, trunc=args.max_arity), args.max_arity)
     return _print_checks([(f"({m},{n})", ok, "") for m, n, ok in rows])
 
 

@@ -17,7 +17,7 @@ from math import factorial
 from .bisymseries import BiSymSeries
 from .fixtures import SeriesFixture
 from .partitions import gen_partitions, z_of
-from .pipeline import stability_ok
+from .pipeline import Refused, stability_ok
 from .uvpoly import UVPoly
 
 ENUMERATION_CAP = 7
@@ -164,7 +164,10 @@ def oracle_open_ch(m: int, n: int, fixture: SeriesFixture) -> BiSymSeries:
 
 def oracle_compare(fixture: SeriesFixture, open_result, max_arity: int) -> list:
     """Compare oracle_open_ch against the pipeline per (m, n); returns rows
-    (m, n, ok) for every pair with m + n <= max_arity."""
+    (m, n, ok) for every pair with m + n <= max_arity, or refuses a max_arity
+    beyond the enumeration cap before enumerating anything."""
+    if max_arity > ENUMERATION_CAP:
+        raise Refused(f"the oracle enumerates up to total arity {ENUMERATION_CAP}")
     rows = []
     for total in range(max_arity + 1):
         for m in range(total + 1):

@@ -19,6 +19,7 @@ each pipeline supplies only its input checks, inner series and provenance.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 
 from .bisymseries import BiSymSeries, coproduct, exp2_of_p1
 from .fixtures import SeriesFixture
@@ -29,6 +30,11 @@ from .uvpoly import UVPoly
 # Genus-1 outputs are pure (diagonal, palindromic, nonnegative in the Schur
 # basis) up to this total arity; the weight-12 cusp form enters at arity 11.
 GENUS1_PURE_ARITY = 10
+
+
+class Refused(ValueError):
+    """A request that the inputs cannot serve: a truncation, arity or component
+    beyond what they carry.  `hl` prints it in one line and exits 1."""
 
 
 def stability_ok(g: int, m: int, n: int) -> bool:
@@ -73,7 +79,7 @@ def _requested(trunc: int | None, available: int) -> int:
     if trunc is None:
         return available
     if trunc > available:
-        raise ValueError(f"requested truncation {trunc} exceeds available {available}")
+        raise Refused(f"requested truncation {trunc} exceeds available {available}")
     return trunc
 
 
@@ -99,7 +105,7 @@ def _corrector(
     stable_fx: SeriesFixture, smooth_g0: SeriesFixture, trunc: int | None
 ) -> SymSeries:
     """genus0_corrector, truncated at the requested arity, after checking both
-    fixtures."""
+    fixtures; its derivative reads the genus-0 series one arity deeper."""
     if stable_fx.variant != "closed":
         raise ValueError("the stable series must be a closed fixture")
     if smooth_g0.variant != "open" or smooth_g0.genus != 0:
@@ -210,6 +216,15 @@ def closed_series_numeric(bbar_numeric: FormalPS1, order: int | None = None) -> 
     return _numeric_heavy_light(bbar_numeric, order, light)
 
 
+def numeric_rows(table: FormalPS2, genus: int) -> dict:
+    """{(m, n): m! n! [x^m y^n] table} over the stable cells with a nonzero entry,
+    by total arity and then by m: the rows of the numeric heavy/light table."""
+    cells = ((m, total - m) for total in range(table.order + 1) for m in range(total + 1))
+    scaled = {(m, n): table[(m, n)] * (factorial(m) * factorial(n))
+              for m, n in cells if stability_ok(genus, m, n)}
+    return {mn: poly for mn, poly in scaled.items() if not poly.is_zero()}
+
+
 # -- genus-1 Euler-characteristic closed forms --------------------------------
 
 
@@ -263,7 +278,7 @@ def slice_n1(fx: SeriesFixture, m: int) -> BiSymSeries:
     the factor-2 singleton Schur generator.
     """
     if m + 1 > fx.trunc:
-        raise ValueError(f"fixture truncation {fx.trunc} is too small for m={m}")
+        raise Refused(f"fixture truncation {fx.trunc} is too small for m={m}")
     term = fx.data.arity_part(m + 1)
     deriv = term.d_dp1()
     return BiSymSeries.inject(deriv, 1) * BiSymSeries.power_sum(1, 2, m + 1)
@@ -278,11 +293,9 @@ def tropical_euler(result: HeavyLightResult, m: int, n: int) -> BiSymSeries:
     """
     g = result.genus
     if not stability_ok(g, m, n):
-        raise ValueError(f"genus {g}, ({m},{n}) is not stable")
+        raise Refused(f"genus {g}, ({m},{n}) is not stable")
     if not (g >= 1 or (g == 0 and m + n > 4)):
-        raise ValueError(
-            f"tropical space for genus {g}, ({m},{n}) is not covered by the identity"
-        )
+        raise Refused(f"tropical space for genus {g}, ({m},{n}) is not covered by the identity")
     if result.variant not in ("open", "weight0"):
         raise ValueError("tropical_euler consumes the open-series result")
     comp = result.component(m, n).weight_zero()

@@ -110,7 +110,7 @@ def compare_row_to_golden(component: BiSymSeries, row: GoldenRow) -> list:
             if not got.is_diagonal():
                 problems.append(f"pair {key}: off-diagonal coefficient {got}")
                 continue
-            got = UVPoly({k: c for k, c in got.terms.items() if k in want.nums})
+            got = UVPoly({k: Fraction(x, got.den) for k, x in got.nums.items() if k in want.nums})
         if want != got:
             problems.append(f"pair {key}: {got} != {want}")
     return problems

@@ -28,6 +28,7 @@ from .pipeline import (
     genus0_numeric_closed_form,
     genus1_light_chi_egf,
     legendre_check,
+    numeric_rows,
     open_series,
     open_series_numeric,
     slice_n1,
@@ -127,10 +128,11 @@ class RunInputs:
         smooth0, stable0 = self.fixture("genus0_smooth"), self.fixture("genus0_stable")
         return self._once(("genus-0 gates",), lambda: _genus0_gates(smooth0, stable0))
 
-    def numeric_table(self):
-        """The closed genus-1 numeric table of the numeric stable fixture."""
+    def numeric_table(self) -> dict:
+        """The `numeric_rows` of the closed genus-1 numeric table."""
         num = self.fixture("genus1_stable_numeric")
-        return self._once(("numeric table",), lambda: closed_series_numeric(num.data.rank1("x")))
+        return self._once(("numeric table",), lambda: numeric_rows(
+            closed_series_numeric(num.data.rank1("x")), num.genus))
 
 
 def _genus0_gates(smooth0: SeriesFixture, stable0: SeriesFixture) -> tuple:
@@ -315,10 +317,10 @@ def _numeric_duality(num) -> tuple:
     return ok, ""
 
 
-def _light_euler(num, table) -> tuple:
+def _light_euler(num, rows) -> tuple:
     chi = genus1_light_chi_egf(num.trunc)
     return all(
-        (table[(0, n)] * factorial(n)).eval(1, 1) == chi[n].constant_term() * factorial(n)
+        rows.get((0, n), UVPoly.zero()).eval(1, 1) == chi[n].constant_term() * factorial(n)
         for n in range(1, num.trunc + 1)
     ), ""
 
@@ -340,15 +342,16 @@ def _schur_integrality(fixtures, num) -> tuple:
     for name in SCHUR_FIXTURES:
         for lam, poly in fixtures[name].data.to_schur().items():
             nonneg = sum(lam) <= NONNEGATIVE_UP_TO.get(name, -1)
-            for c in poly.terms.values():
-                if c.denominator != 1:
-                    bad.append(f"{name} {lam}: non-integer {c}")
-                if nonneg and c < 0:
-                    bad.append(f"{name} {lam}: negative multiplicity {c}")
+            for x in poly.nums.values():
+                if x % poly.den:
+                    bad.append(f"{name} {lam}: non-integer {Fraction(x, poly.den)}")
+                if nonneg and x < 0:
+                    bad.append(f"{name} {lam}: negative multiplicity {Fraction(x, poly.den)}")
     for n in range(1, num.trunc + 1):
-        for c in num.data.trace_from_ch((1,) * n).terms.values():
-            if c.denominator != 1 or (n <= GENUS1_PURE_ARITY and c < 0):
-                bad.append(f"numeric arity {n}: bad coefficient {c}")
+        poly = num.data.trace_from_ch((1,) * n)
+        for x in poly.nums.values():
+            if x % poly.den or (n <= GENUS1_PURE_ARITY and x < 0):
+                bad.append(f"numeric arity {n}: bad coefficient {Fraction(x, poly.den)}")
     return not bad, bad[-1] if bad else ""
 
 
@@ -359,7 +362,7 @@ def fixture_suite(run: RunInputs) -> list:
             fx = fixtures[name] = run.fixture(name)
             ok = all(stability_ok(fx.genus, sum(lam), 0) for lam in fx.data.coeffs)
             detail = f"trunc {fx.trunc}"
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
+        except (OSError, ValueError) as exc:  # as in run_suite: a loading bug still raises
             ok, detail = False, str(exc)
         rows.append((f"fixture {name} parses and satisfies bounds", ok, detail))
     if len(fixtures) < len(SHIPPED):
@@ -392,9 +395,10 @@ def _golden_pairs(result, filename, numeric=False) -> tuple:
     return not problems, "; ".join(problems[:3])
 
 
-def _golden_numeric(table) -> tuple:
+def _golden_numeric(rows) -> tuple:
     golden = parse_golden_numeric(GOLDEN_DIR / "genus1_numeric_table.txt")
-    problems = [f"n={n}" for n, (poly, _) in golden.items() if table[(0, n)] * factorial(n) != poly]
+    problems = [f"n={n}" for n, (poly, _) in golden.items()
+                if rows.get((0, n), UVPoly.zero()) != poly]
     return not problems, "; ".join(problems)
 
 

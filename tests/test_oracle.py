@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from heavylight import oracle
 from heavylight.bisymseries import BiSymSeries
 from heavylight.fixtures import load_fixture
 from heavylight.oracle import (
@@ -13,7 +14,7 @@ from heavylight.oracle import (
     stirling2,
     stirling2_recurrence,
 )
-from heavylight.pipeline import open_series
+from heavylight.pipeline import Refused, open_series
 from heavylight.uvpoly import UVPoly
 
 
@@ -63,10 +64,16 @@ def test_oracle_matches_pipeline_genus2_weight0():
     assert got.to_schur_pairs() == {((), (2,)): UVPoly.const(-1)}
 
 
-def test_oracle_cap():
+def test_oracle_cap(monkeypatch):
     smooth1 = load_fixture("genus1_smooth")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^oracle enumeration capped at total arity 7$"):
         oracle_open_ch(4, 4, smooth1)
+    with pytest.raises(ValueError, match="^fixture truncation 6 lacks arity 7$"):
+        oracle_open_ch(3, 4, smooth1)
+    # oracle_compare refuses a comparison beyond the cap before it enumerates anything
+    monkeypatch.setattr(oracle, "oracle_open_ch", lambda m, n, fx: pytest.fail(f"enumerated {m, n}"))
+    with pytest.raises(Refused, match="^the oracle enumerates up to total arity 7$"):
+        oracle_compare(smooth1, None, 8)
 
 
 def test_oracle_input_agnostic_identity():

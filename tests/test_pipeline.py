@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +8,7 @@ import pytest
 from heavylight.bisymseries import BiSymSeries
 from heavylight.fixtures import SeriesFixture, load_fixture
 from heavylight.pipeline import (
+    Refused,
     closed_series,
     closed_series_numeric,
     genus0_corrector,
@@ -116,6 +118,9 @@ def test_legendre_check():
     assert not legendre_check(smooth0, zero, trunc=8)
     assert legendre_check(smooth0, zero, trunc=1)  # arity-1 parts are both p_1
     assert legendre_check(smooth0, stable0, trunc=1)
+    genus1 = load_fixture("genus1_smooth"), load_fixture("genus1_stable")
+    with pytest.raises(ValueError, match="^legendre_check expects genus-0 fixtures$"):
+        legendre_check(*genus1)
 
 
 @pytest.mark.parametrize(
@@ -134,7 +139,26 @@ def test_a_truncation_beyond_the_inputs_is_refused(call):
     # legendre_check compares derivatives, so it reaches one arity below its
     # inputs; it refuses a deeper truncation instead of checking less
     fixtures = map(load_fixture, ("genus0_smooth", "genus0_stable", "genus1_stable"))
-    with pytest.raises(ValueError, match="exceeds available"):
+    assert issubclass(Refused, ValueError)
+    with pytest.raises(Refused, match="exceeds available"):
+        call(*fixtures)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s0, st0, st1: open_series(st1), "open_series expects an open or weight0 fixture"),
+        (lambda s0, st0, st1: closed_series(s0, s0), "the stable series must be a closed fixture"),
+        (lambda s0, st0, st1: closed_series(st1, st0),
+         "the corrector fixture must be the genus-0 open series"),
+        (lambda s0, st0, st1: closed_series(st1, replace(s0, genus=1)),
+         "the corrector fixture must be the genus-0 open series"),
+    ],
+    ids=["open-of-closed", "closed-of-open", "closed-corrector", "genus-1-corrector"],
+)
+def test_a_fixture_of_the_wrong_kind_is_refused(call, message):
+    fixtures = map(load_fixture, ("genus0_smooth", "genus0_stable", "genus1_stable"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(*fixtures)
 
 
@@ -229,6 +253,9 @@ def test_slice_n1():
     stable0 = load_fixture("genus0_stable")
     assert not stability_ok(0, 1, 1)
     assert slice_n1(stable0, 1).coeffs == {}
+    assert slice_n1(stable1, stable1.trunc - 1).coeffs  # the deepest slice the fixture holds
+    with pytest.raises(Refused, match="^fixture truncation 10 is too small for m=10$"):
+        slice_n1(stable1, stable1.trunc)
 
 
 def test_tropical_euler():
@@ -241,7 +268,7 @@ def test_tropical_euler():
     assert val == 1 - 8
     smooth0 = load_fixture("genus0_smooth")
     res0 = open_series(smooth0, trunc=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(Refused, match=r"^tropical space for genus 0, \(2,2\) is not covered"):
         tropical_euler(res0, 2, 2)
     # genus-1 ordinary spaces: wedge-of-spheres Euler characteristics
     smooth1 = load_fixture("genus1_smooth")
@@ -255,11 +282,11 @@ def test_tropical_euler():
 def test_tropical_euler_refuses_unstable_components():
     res1 = open_series(load_fixture("genus1_smooth"))
     assert not stability_ok(1, 0, 0) and res1.component(0, 0).coeffs == {}
-    with pytest.raises(ValueError, match=r"^genus 1, \(0,0\) is not stable$"):
+    with pytest.raises(Refused, match=r"^genus 1, \(0,0\) is not stable$"):
         tropical_euler(res1, 0, 0)
     assert tropical_euler(res1, 0, 1).coeffs  # the smallest stable genus-1 component
     res0 = open_series(load_fixture("genus0_smooth"), trunc=6)
-    with pytest.raises(ValueError, match=r"^genus 0, \(0,5\) is not stable$"):
+    with pytest.raises(Refused, match=r"^genus 0, \(0,5\) is not stable$"):
         tropical_euler(res0, 0, 5)  # connected by the m + n > 4 rule, but unstable
 
 

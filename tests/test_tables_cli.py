@@ -204,6 +204,8 @@ def test_cli_slice_and_tropical():
     code, out, _ = run_cli(["slice-n1", "--genus", "1", "--m", "0", "--variant", "closed"])
     assert code == 0
     assert "s1[]" in out and "s2[1]" in out
+    code, out, _ = run_cli(["slice-n1", "--genus", "0", "--m", "1"])
+    assert (code, out) == (0, "empty: outside the stability range\n")
     code, out, _ = run_cli(["tropical", "--genus", "2", "--m", "3", "--n", "2"])
     assert code == 0
     assert "numeric: -7" in out
@@ -298,25 +300,44 @@ def test_cli_negative_genus_is_a_refusal_not_a_usage_error():
 
 
 def test_cli_failure_exit_code():
-    for argv in (
-        ["closed-table", "--genus", "3"],
-        ["slice-n1", "--genus", "1", "--m", "20"],
-        ["oracle-compare", "--genus", "1", "--max-arity", "9"],
-        ["open-table", "--genus", "3"],
-        ["open-table", "--genus", "1", "--weight0"],
-        ["oracle-compare", "--genus", "0", "--max-arity", "8"],
-        ["closed-table", "--genus", "1", "--form", "numeric", "--format", "latex"],
-        ["closed-table", "--genus", "1", "--form", "numeric", "--basis", "power"],
+    # every refusal is one line on stderr; how deep each route reaches is the
+    # library's rule, and its wording: the closed route's corrector reads the
+    # genus-0 series one arity deeper than the table
+    deeper = "requested truncation {} exceeds available {}\n".format
+    for argv, err in (
+        (["closed-table", "--genus", "3"], None),
+        (["slice-n1", "--genus", "1", "--m", "20"], "fixture truncation 10 is too small for m=20\n"),
+        (["oracle-compare", "--genus", "1", "--max-arity", "9"], deeper(9, 6)),
+        (["open-table", "--genus", "3"], None),
+        (["open-table", "--genus", "1", "--weight0"], None),
+        (["oracle-compare", "--genus", "0", "--max-arity", "8"],
+         "the oracle enumerates up to total arity 7\n"),
+        (["closed-table", "--genus", "1", "--form", "numeric", "--format", "latex"], None),
+        (["closed-table", "--genus", "1", "--form", "numeric", "--basis", "power"], None),
+        (["euler-genfun", "--genus", "2"], None),
+        (["tropical", "--genus", "0", "--m", "2", "--n", "2"], None),
+        (["tropical", "--genus", "2", "--m", "4", "--n", "3"], deeper(7, 6)),
+        (["closed-table", "--genus", "1", "--max-arity", "11"], deeper(11, 10)),
+        (["closed-table", "--genus", "1", "--form", "numeric", "--max-arity", "12"], deeper(12, 11)),
+        (["open-table", "--genus", "1", "--max-arity", "7"], deeper(7, 6)),
     ):
-        code, _, err = run_cli(argv)
-        assert code == 1, argv
-        assert err.count("\n") == 1, (argv, err)
+        code, out, got = run_cli(argv)
+        assert (code, out) == (1, ""), argv
+        assert got.count("\n") == 1 and err in (None, got), (argv, got)
+
+
+def test_cli_numeric_table_leaves_out_unstable_cells(edited_fixtures):
+    # the shipped (0,0) cell is zero; a constant term makes it nonzero, and unstable
+    term = "term n=0 lambda=[] poly=1*u^0*v^0\n"
+    edited_fixtures("genus1_stable_numeric", "truncation 11\n", "truncation 11\n" + term)
+    code, out, _ = run_cli(["closed-table", "--genus", "1", "--form", "numeric", "--max-arity", "1"])
+    assert (code, out) == (0, "0 | 1 | 1*u^1*v^1+1*u^0*v^0\n1 | 0 | 1*u^1*v^1+1*u^0*v^0\n")
 
 
 def test_cli_fixture_table_matches_the_fixture_headers():
     header_variants = {"open": ("open", "weight0"), "closed": ("closed",), "numeric": ("closed",)}
     for (variant, genus), name in FIXTURES.items():
-        fx = _fixture(variant, genus, 0)
+        fx = _fixture(variant, genus)
         assert fx.name == name
         assert fx.genus == genus, name
         assert fx.variant in header_variants[variant], name

@@ -203,8 +203,10 @@ MUTANTS = (
      "SymSeries.power_sum(1, trunc) + smooth",
      (f"{T_PIPELINE}::test_genus0_closed_form_is_the_rank_of_the_corrector",)),
     ("requested-truncation-clamped", PIPELINE,
-     'raise ValueError(f"requested truncation {trunc} exceeds available {available}")',
+     'raise Refused(f"requested truncation {trunc} exceeds available {available}")',
      "return available", (f"{T_PIPELINE}::test_a_truncation_beyond_the_inputs_is_refused",)),
+    ("numeric-rows-keep-unstable-cells", PIPELINE, "for m, n in cells if stability_ok(genus, m, n)}",
+     "for m, n in cells}", (f"{T_TABLES}::test_cli_numeric_table_leaves_out_unstable_cells",)),
     ("expm1-keeps-its-constant", PIPELINE, 'identity("y", order).exp() - 1',
      'identity("y", order).exp()', (f"{T_PIPELINE}::test_numeric_pipeline_examples",)),
     ("light-chi-expm1-keeps-its-constant", PIPELINE, "compose(y.exp() - 1)", "compose(y.exp())",
@@ -214,6 +216,8 @@ MUTANTS = (
       f"{T_TABLES}::test_cli_tropical_refuses_an_unstable_component_in_one_line")),
     ("oracle-genus-zero", "src/heavylight/oracle.py", "stability_ok(fixture.genus, m, n)",
      "stability_ok(0, m, n)", ("tests/test_oracle.py::test_oracle_heavy_only_is_injection",)),
+    ("oracle-compare-enumerates-past-the-cap", "src/heavylight/oracle.py",
+     "if max_arity > ENUMERATION_CAP:", "if False:", ("tests/test_oracle.py::test_oracle_cap",)),
     ("oracle-joins-at-most-4-blocks", "src/heavylight/oracle.py", "for _ in range(blocks):",
      "for _ in range(min(blocks, 4)):", ("tests/test_oracle.py::test_stirling2",)),
     ("bareiss-divides-by-the-pivot", GENERATOR, "// prev for x, y", "// p for x, y",
