@@ -16,7 +16,7 @@ default fixture directory, the packaged data directory.
 
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .partitions import format_partition, parse_partition
@@ -45,14 +45,11 @@ class FixtureError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class SeriesFixture:
-    """A named truncated series with genus/variant metadata; its truncation is the series'."""
+class SeriesFixture(namedtuple("SeriesFixture", "name genus variant data")):
+    """A named truncated series with genus/variant metadata; its truncation is the series'.
+    Immutable: a changed copy is made with `fx._replace(field=value)`."""
 
-    name: str
-    genus: int
-    variant: str
-    data: SymSeries
+    __slots__ = ()
 
     @property
     def trunc(self) -> int:

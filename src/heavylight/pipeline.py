@@ -16,7 +16,7 @@ each pipeline supplies only its input checks, inner series and provenance.
     form under y -> log(1 + g), g the inverse of the corrector at u = v = 1.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -34,7 +34,8 @@ GENUS1_PURE_ARITY = 10
 
 class Refused(ValueError):
     """A request that the inputs cannot serve: a truncation, arity or component
-    beyond what they carry.  `hl` prints it in one line and exits 1."""
+    beyond what they carry, or a fixture of the wrong kind.  `hl` prints it in one
+    line and exits 1."""
 
 
 def stability_ok(g: int, m: int, n: int) -> bool:
@@ -44,14 +45,9 @@ def stability_ok(g: int, m: int, n: int) -> bool:
     return 2 * g - 2 + m + min(n, 1) > 0
 
 
-@dataclass(frozen=True)
-class HeavyLightResult:
-    """Output of a heavy/light pipeline run."""
-
-    genus: int
-    variant: str
-    data: BiSymSeries
-    provenance: dict = field(default_factory=dict)
+class HeavyLightResult(namedtuple("HeavyLightResult", "genus variant data provenance")):
+    """Output of a heavy/light pipeline run: genus, variant, the BiSymSeries `data` and
+    the required `provenance`, {fixture name: truncation} of the fixtures it read."""
 
     @cached_property
     def _components(self) -> dict:
@@ -97,7 +93,7 @@ def open_series(fx: SeriesFixture, trunc: int | None = None) -> HeavyLightResult
     requested total arity, with unstable components removed.
     """
     if fx.variant not in ("open", "weight0"):
-        raise ValueError("open_series expects an open or weight0 fixture")
+        raise Refused("open_series expects an open or weight0 fixture")
     return _heavy_light(fx, exp2_of_p1(_requested(trunc, fx.trunc)))
 
 
@@ -107,9 +103,9 @@ def _corrector(
     """genus0_corrector, truncated at the requested arity, after checking both
     fixtures; its derivative reads the genus-0 series one arity deeper."""
     if stable_fx.variant != "closed":
-        raise ValueError("the stable series must be a closed fixture")
+        raise Refused("the stable series must be a closed fixture")
     if smooth_g0.variant != "open" or smooth_g0.genus != 0:
-        raise ValueError("the corrector fixture must be the genus-0 open series")
+        raise Refused("the corrector fixture must be the genus-0 open series")
     t = _requested(trunc, min(stable_fx.trunc, smooth_g0.trunc - 1))
     return genus0_corrector(smooth_g0.data, t)
 
@@ -297,7 +293,7 @@ def tropical_euler(result: HeavyLightResult, m: int, n: int) -> BiSymSeries:
     if not (g >= 1 or (g == 0 and m + n > 4)):
         raise Refused(f"tropical space for genus {g}, ({m},{n}) is not covered by the identity")
     if result.variant not in ("open", "weight0"):
-        raise ValueError("tropical_euler consumes the open-series result")
+        raise Refused("tropical_euler consumes the open-series result")
     comp = result.component(m, n).weight_zero()
     t = result.data.trunc
     sm = BiSymSeries.inject(SymSeries.homogeneous_h(m, t), 1)

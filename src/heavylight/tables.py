@@ -12,7 +12,6 @@ they list.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -32,13 +31,13 @@ FORMATS = ("text", "csv", "latex")
 # -- golden files ---------------------------------------------------------------
 
 
-@dataclass
 class GoldenRow:
-    m: int
-    n: int
-    mode: str  # full | partial (`inferred` occurs only in the numeric table)
-    pairs: dict  # (lam, mu) -> UVPoly
-    numeric: Fraction | None = None
+    """One pair-table row: arity (m, n) and mode full | partial (`inferred` occurs only in
+    the numeric table).  The parser fills `pairs`, {(lam, mu): UVPoly}, and sets the
+    Fraction `numeric`, None until the row's numeric line."""
+
+    def __init__(self, m: int, n: int, mode: str):
+        self.m, self.n, self.mode, self.pairs, self.numeric = m, n, mode, {}, None
 
 
 # One pattern per golden line kind; each parser names the line's shape.
@@ -63,7 +62,7 @@ def parse_golden_pairs(path: Path) -> list:
         directive = line.split()[0]
         if directive == "row":
             m, n, mode = _fields(_PAIR_ROW, line, "row <m> <n> [full|partial]")
-            rows.append(GoldenRow(int(m), int(n), mode or "full", pairs={}))
+            rows.append(GoldenRow(int(m), int(n), mode or "full"))
         elif directive not in ("pair", "numeric"):
             raise ValueError(f"unknown golden directive {line!r}")
         elif not rows:

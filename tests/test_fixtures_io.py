@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,7 +158,7 @@ def test_round_trip_byte_stability():
 
 def test_a_fixture_truncation_is_the_truncation_of_its_series():
     smooth1 = load_fixture("genus1_smooth")
-    fx = replace(smooth1, data=smooth1.data.truncate(4))
+    fx = smooth1._replace(data=smooth1.data.truncate(4))
     assert fx.trunc == 4
     assert parse_fixture(write_fixture(fx)) == fx
     with pytest.raises(ValueError, match="requested truncation 6 exceeds available 4"):

@@ -1,0 +1,38 @@
+"""What `import heavylight.cli` and loading the fixture generator add to a fresh
+interpreter: the package builds its records without `dataclasses`, so neither
+import loads `dataclasses` or the modules it imports (`inspect` and, through it,
+`ast`, `dis` and `tokenize`).  Each probe takes the difference of `sys.modules`
+before and after its import, so a module that the interpreter loads at startup
+is not counted."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+UNWANTED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+PROBE = """import importlib.util, sys
+before = set(sys.modules)
+{load}
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+GENERATOR = ROOT / "tools" / "generate_fixtures.py"
+LOADS = {
+    "cli": "import heavylight.cli",
+    "generator": (f"spec = importlib.util.spec_from_file_location('gen', {str(GENERATOR)!r})\n"
+                  "spec.loader.exec_module(importlib.util.module_from_spec(spec))"),
+}
+
+
+@pytest.mark.parametrize("load", LOADS)
+def test_an_import_loads_no_dataclasses_machinery(load):
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    added = subprocess.run(
+        [sys.executable, "-c", PROBE.format(load=LOADS[load])], cwd=ROOT, check=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert "heavylight.fixtures" in added
+    assert UNWANTED.isdisjoint(added), added

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from heavylight import oracle
@@ -80,7 +78,7 @@ def test_oracle_input_agnostic_identity():
     # the stratification identity is linear in the input series: it holds
     # for the stable genus-1 fixture fed through the open pipeline as well
     stable1 = load_fixture("genus1_stable")
-    res = open_series(replace(stable1, variant="open", data=stable1.data.truncate(5)))
+    res = open_series(stable1._replace(variant="open", data=stable1.data.truncate(5)))
     for m in range(3):
         for n in range(3 - m):
             got = oracle_open_ch(m, n, stable1)

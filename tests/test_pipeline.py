@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -151,14 +150,17 @@ def test_a_truncation_beyond_the_inputs_is_refused(call):
         (lambda s0, st0, st1: closed_series(s0, s0), "the stable series must be a closed fixture"),
         (lambda s0, st0, st1: closed_series(st1, st0),
          "the corrector fixture must be the genus-0 open series"),
-        (lambda s0, st0, st1: closed_series(st1, replace(s0, genus=1)),
+        (lambda s0, st0, st1: closed_series(st1, s0._replace(genus=1)),
          "the corrector fixture must be the genus-0 open series"),
+        (lambda s0, st0, st1: tropical_euler(closed_series(st1, s0, trunc=2), 1, 1),
+         "tropical_euler consumes the open-series result"),
     ],
-    ids=["open-of-closed", "closed-of-open", "closed-corrector", "genus-1-corrector"],
+    ids=["open-of-closed", "closed-of-open", "closed-corrector", "genus-1-corrector",
+         "tropical-of-closed"],
 )
 def test_a_fixture_of_the_wrong_kind_is_refused(call, message):
     fixtures = map(load_fixture, ("genus0_smooth", "genus0_stable", "genus1_stable"))
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(Refused, match=f"^{message}$"):
         call(*fixtures)
 
 

@@ -446,3 +446,17 @@ def test_cli_reports_a_negative_genus_in_one_line(edited_fixtures):
     ):
         code, _, err = run_cli(argv)
         assert (code, err) == (1, "line 2: genus must be nonnegative, got -1\n"), argv
+
+
+@pytest.mark.parametrize("name, swap, argv, message", [
+    ("genus1_smooth", ("open", "closed"), ["open-table", "--genus", "1", "--max-arity", "2"],
+     "open_series expects an open or weight0 fixture"),
+    ("genus0_smooth", ("open", "closed"), ["closed-table", "--genus", "1"],
+     "the corrector fixture must be the genus-0 open series"),
+    ("genus1_stable", ("closed", "open"), ["closed-table", "--genus", "1"],
+     "the stable series must be a closed fixture"),
+], ids=["open-of-closed", "closed-corrector", "closed-of-open"])
+def test_cli_refuses_a_fixture_of_the_wrong_kind_in_one_line(edited_fixtures, name, swap, argv, message):
+    edited_fixtures(name, *(f"variant {variant}\n" for variant in swap))
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (1, "", message + "\n")

@@ -89,6 +89,9 @@ MUTANTS = (
     ("comment-not-stripped", FIXTURES, 'line = raw.split("#", 1)[0].strip()',
      "line = raw.strip()",
      (f"{T_FIXTURES}::test_comments_and_blank_lines", f"{GOLDEN_ERRORS}[pair-repeated]")),
+    ("fixture-record-from-dataclasses", FIXTURES, "from collections import namedtuple",
+     "from collections import namedtuple\nfrom dataclasses import dataclass",
+     ("tests/test_import_path.py::test_an_import_loads_no_dataclasses_machinery",)),
     ("fixture-repeated-header-kept", FIXTURES,
      'raise ValueError(f"repeated header {key!r}")', "pass",
      (f"{T_FIXTURES}::test_repeated_header_error",)),
@@ -205,6 +208,10 @@ MUTANTS = (
     ("requested-truncation-clamped", PIPELINE,
      'raise Refused(f"requested truncation {trunc} exceeds available {available}")',
      "return available", (f"{T_PIPELINE}::test_a_truncation_beyond_the_inputs_is_refused",)),
+    ("open-series-wrong-kind-not-refused", PIPELINE,
+     'raise Refused("open_series expects an open or weight0 fixture")',
+     'raise ValueError("open_series expects an open or weight0 fixture")',
+     (f"{T_TABLES}::test_cli_refuses_a_fixture_of_the_wrong_kind_in_one_line",)),
     ("numeric-rows-keep-unstable-cells", PIPELINE, "for m, n in cells if stability_ok(genus, m, n)}",
      "for m, n in cells}", (f"{T_TABLES}::test_cli_numeric_table_leaves_out_unstable_cells",)),
     ("expm1-keeps-its-constant", PIPELINE, 'identity("y", order).exp() - 1',
