@@ -10,8 +10,8 @@ File format (line-oriented, `#` starts a comment, bit-exact round trip):
 
 Each header appears once; genus, variant and truncation come before the first term,
 and a weight0 term is a constant.  <int> is ASCII [0-9]+ as in the `uvpoly` grammar,
-with no '_', '.', exponent or inner space.  HL_FIXTURE_DIR, when set, overrides the
-default fixture directory, the packaged data directory.
+with no '_', '.', exponent or inner space.  Fixtures load from HL_FIXTURE_DIR when it
+is set, else from the packaged data directory.
 """
 
 import os
@@ -139,17 +139,14 @@ def write_fixture(fx: SeriesFixture) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_fixture(name: str, directory: Path | None = None) -> SeriesFixture:
-    directory = directory or default_fixture_dir()
-    stem = SHIPPED.get(name, name)
-    path = directory / f"{stem}.hlf"
+def load_fixture(name: str) -> SeriesFixture:
+    path = default_fixture_dir() / f"{SHIPPED.get(name, name)}.hlf"
     if not path.exists():
         raise FileNotFoundError(f"fixture {name!r} not found at {path}")
     return parse_fixture(path.read_text())
 
 
-def save_fixture(fx: SeriesFixture, directory: Path | None = None) -> Path:
-    directory = directory or default_fixture_dir()
+def save_fixture(fx: SeriesFixture, directory: Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{fx.name}.hlf"
     path.write_text(write_fixture(fx))

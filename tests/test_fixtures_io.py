@@ -9,6 +9,7 @@ from heavylight.fixtures import (
     default_fixture_dir,
     load_fixture,
     parse_fixture,
+    save_fixture,
     write_fixture,
 )
 from heavylight.pipeline import open_series
@@ -245,14 +246,12 @@ def test_a_mutated_fixture_parses_or_names_a_line(shipped, mutations):
 
 def test_fixture_dir_env_override(tmp_path, monkeypatch):
     fx = parse_fixture(MINIMAL)
-    from heavylight.fixtures import save_fixture
-
+    assert save_fixture(fx, tmp_path) == tmp_path / "demo.hlf"
     monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
-    save_fixture(fx)
-    assert (tmp_path / "demo.hlf").exists()
     assert load_fixture("demo") == fx
 
 
-def test_missing_fixture_error(tmp_path):
+def test_missing_fixture_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("HL_FIXTURE_DIR", str(tmp_path))
     with pytest.raises(FileNotFoundError):
-        load_fixture("nonexistent", tmp_path)
+        load_fixture("genus0_smooth")

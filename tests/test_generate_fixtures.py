@@ -1,11 +1,13 @@
-"""The point counts and the genus-1 fit of tools/generate_fixtures.py.
+"""The point counts, the genus-1 fit and the genus-2 weight-zero route of
+tools/generate_fixtures.py.
 
 The generator is the independent route that produces every shipped
 fixture.  These tests check its orbit-reduced elliptic histograms, its
 exact batched solver, its Frobenius orbit table and its twisted counts on
 elliptic curves and on the projective line against brute-force,
-per-column and per-call references written here.  The module is loaded by
-path, the way `python tools/generate_fixtures.py` runs it.
+per-column and per-call references written here, and its inversion of the
+light rows of a heavy/light table against `open_series`.  The module is
+loaded by path, the way `python tools/generate_fixtures.py` runs it.
 """
 
 import hashlib
@@ -18,12 +20,15 @@ import sys
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from heavylight.fixtures import SeriesFixture, load_fixture
 from heavylight.partitions import gen_partitions, multiplicities, z_of
-from heavylight.pipeline import genus0_numeric_closed_form
-from heavylight.symseries import mobius
+from heavylight.pipeline import genus0_numeric_closed_form, open_series
+from heavylight.symseries import SymSeries, mobius
+from heavylight.tables import GOLDEN_DIR, parse_golden_pairs
 
 from helpers import load_path
 
@@ -226,6 +231,22 @@ def test_ends_swapped_rank_is_the_falling_product():
         for i in range(k - 1):
             want *= 5 - i
         assert rk_vm[k].eval(5, 1) * factorial(k) == want, k
+
+
+def test_light_rows_give_the_series_back():
+    # The shipped table's light rows give the shipped fixture, and the light
+    # components of a seeded random series' heavy/light series give it back;
+    # the heavy rows are handed over too, and must not be read.
+    golden = parse_golden_pairs(GOLDEN_DIR / "genus2_weight0_table.txt")
+    shipped = load_fixture("genus2_smooth_weight0").data
+    assert gen.light_rows_series(golden, shipped.trunc) == shipped
+    rng = random.Random(11)
+    lams = [lam for n in range(1, 7) for lam in gen_partitions(n)]
+    b = SymSeries({lam: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for lam in lams}, 6)
+    res = open_series(SeriesFixture("random", 2, "weight0", b))
+    rows = [SimpleNamespace(m=m, pairs=res.component(m, n).to_schur_pairs())
+            for n in range(7) for m in range(7 - n)]
+    assert gen.light_rows_series(rows, 6) == b
 
 
 def test_regeneration_writes_the_benchmark_digests(tmp_path):

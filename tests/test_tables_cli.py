@@ -15,7 +15,6 @@ from heavylight.pipeline import closed_series, open_series
 from heavylight.tables import (
     GOLDEN_DIR,
     compare_row_to_golden,
-    numeric_value,
     parse_golden_numeric,
     parse_golden_pairs,
     render_table,
@@ -128,26 +127,6 @@ def test_golden_parse_errors_carry_position(tmp_path, parse, text, shape):
     assert type(err.value) is ValueError
 
 
-def test_render_poincare_row():
-    smooth0 = load_fixture("genus0_smooth")
-    stable1 = load_fixture("genus1_stable")
-    res = closed_series(stable1, smooth0, trunc=3)
-    text = render_table(res, basis="schur", form="poincare", max_arity=3)
-    assert "0 | 3 | [] | [2,1] | t^4+t^2" in text
-    assert "0 | 3 | [] | [3] | t^6+2*t^4+2*t^2+1" in text
-    # rows without content are omitted: genus-1 (0,0) is unstable
-    assert "0 | 0" not in text
-
-
-def test_render_latex_poincare_combined_row():
-    smooth0 = load_fixture("genus0_smooth")
-    stable1 = load_fixture("genus1_stable")
-    res = closed_series(stable1, smooth0, trunc=3)
-    text = render_table(res, basis="schur", form="poincare", max_arity=3, fmt="latex")
-    # monomials follow the canonical partition order (lex-decreasing)
-    assert "(0,3) & $(t^6+2*t^4+2*t^2+1)s_{3}^{(2)} + (t^4+t^2)s_{2,1}^{(2)}$" in text
-
-
 def test_poincare_form_guard():
     open2 = open_series(load_fixture("genus2_smooth_weight0"), trunc=4)
     with pytest.raises(ValueError):
@@ -155,13 +134,6 @@ def test_poincare_form_guard():
     closed1 = closed_series(load_fixture("genus1_stable"), load_fixture("genus0_smooth"), trunc=3)
     with pytest.raises(ValueError):
         render_table(closed1, form="poincare", max_arity=11)
-
-
-def test_numeric_value_weight0_example():
-    w0 = load_fixture("genus2_smooth_weight0")
-    res = open_series(w0)
-    val = numeric_value(res.component(1, 4), 1, 4).constant_term()
-    assert val == -3
 
 
 def numeric_pair_value(pairs: dict) -> Fraction:
@@ -176,14 +148,6 @@ def test_golden_numeric_pair_sums():
     rows = parse_golden_pairs(GOLDEN_DIR / "genus2_weight0_table.txt")
     for row in rows:
         assert numeric_pair_value(row.pairs) == row.numeric
-
-
-def test_cli_closed_table_poincare():
-    code, out, _ = run_cli(
-        ["closed-table", "--genus", "1", "--max-arity", "2", "--form", "poincare"]
-    )
-    assert code == 0
-    assert "t^4+2*t^2+1" in out
 
 
 def test_cli_open_table_weight0():

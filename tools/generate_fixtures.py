@@ -32,11 +32,9 @@ Derivations (all exact):
   core (smooth elliptic vertex, or an unoriented necklace of rational
   vertices) with rational trees hanging from its slots; the necklace series
   is a dihedral Burnside sum over rotations and reflections.
-* genus-2 weight-zero: exact linear inversion of the reference table
-  through the (independently verified) open pipeline, by the same
-  fraction-free elimination; the system is
-  overdetermined by a factor of three, so any error in the pipeline or the
-  transcription makes it inconsistent.
+* genus-2 weight-zero: the reference table's all-light rows are the series
+  under plethysm by Exp(p_1) = sum_n h_n (the open pipeline with no heavy
+  points), and the plethystic inverse of Exp(p_1) undoes that plethysm.
 
 Run `python tools/generate_fixtures.py --phase all` from the repo root.  The
 run is one pass that hands each series on in memory; the three
@@ -52,8 +50,9 @@ ends-swapped vertex's rank against its running product, the genus-1 Euler
 characteristics of the numeric assembly against their closed form and the
 equivariant rank against that assembly), and a final
 `table_suite` on the fixtures just written, which reproduces every golden
-table, numeric columns included.  A check that one of these already implies
-is not repeated.
+table, numeric columns included, and is the one check of the genus-2
+weight-zero series, which is read from the light rows of the table it checks.
+A check that one of these already implies is not repeated.
 """
 
 import argparse
@@ -75,7 +74,6 @@ from heavylight.pipeline import (  # noqa: E402
     genus0_numeric_closed_form,
     genus1_stable_chi_egf,
     legendre_check,
-    open_series,
 )
 from heavylight.powerseries import FormalPS1  # noqa: E402
 from heavylight.symseries import SymSeries, mobius  # noqa: E402
@@ -525,35 +523,24 @@ def phase_assemble(smooth0: SymSeries, pd: SymSeries, smooth1: SymSeries, numeri
 
 
 # ---------------------------------------------------------------------------
-# Phase: genus-2 weight-zero inversion
+# Phase: genus-2 weight-zero series
 # ---------------------------------------------------------------------------
 
 
+def light_rows_series(rows: list, trunc: int) -> SymSeries:
+    """The series B of a smooth heavy/light table: with no heavy points the light
+    markings of `open_series` substitute Exp(p_1) = sum_n h_n into B, so the rows
+    with m = 0 hold L = B o Exp(p_1) in Schur pairs, and B = L o Exp(p_1)^<-1>."""
+    light = {mu: c for row in rows if row.m == 0 for (_, mu), c in row.pairs.items()}
+    exp_p1 = SymSeries.power_sum(1, trunc).exp_series()
+    return SymSeries.from_schur(light, trunc).plethysm(exp_p1.pleth_inverse())
+
+
 def phase_weight0():
-    log("inverting the genus-2 weight-zero table through the open pipeline")
+    log("genus-2 weight-zero series: the table's light rows under the inverse of Exp(p_1)")
     golden = parse_golden_pairs(GOLDEN_DIR / "genus2_weight0_table.txt")
-    unknowns = [nu for n in range(1, WEIGHT0_TRUNC + 1) for nu in gen_partitions(n)]
-    columns = []
-    for nu in unknowns:
-        basis = SymSeries({nu: UVPoly.one()}, WEIGHT0_TRUNC)
-        columns.append(open_series(SeriesFixture("basis", 2, "weight0", basis)))
-
-    rows, rhs = [], []
-    for row in golden:
-        schs = [col.component(row.m, row.n).to_schur_pairs() for col in columns]
-        keys = set(row.pairs)
-        for sch in schs:
-            keys |= set(sch)
-        for key in sorted(keys):
-            coeffs = [sch.get(key, UVPoly.zero()).constant_term() for sch in schs]
-            rows.append(coeffs)
-            rhs.append(row.pairs.get(key, UVPoly.zero()).eval(1, 1))
-    log(f"solving {len(rows)} equations in {len(unknowns)} unknowns")
-    (sol,) = linsolve_exact(rows, [rhs])
-
-    data = SymSeries({nu: UVPoly.const(x) for nu, x in zip(unknowns, sol)}, WEIGHT0_TRUNC)
-    fx = SeriesFixture("genus2_smooth_weight0", 2, "weight0", data)
-    save_fixture(fx, DATA_DIR)
+    data = light_rows_series(golden, WEIGHT0_TRUNC)
+    save_fixture(SeriesFixture("genus2_smooth_weight0", 2, "weight0", data), DATA_DIR)
     log("genus-2 weight-zero fixture written")
 
 

@@ -246,6 +246,10 @@ MUTANTS = (
      (f"{T_GENERATOR}::test_ends_swapped_rank_is_the_falling_product", REGEN)),
     ("necklace-rotation-weight", GENERATOR, "Fraction(euler_phi(d), 2 * d)",
      "Fraction(euler_phi(d), d)", (REGEN,)),
+    ("light-rows-without-plethystic-inverse", GENERATOR,
+     "from_schur(light, trunc).plethysm(exp_p1.pleth_inverse())",
+     "from_schur(light, trunc).plethysm(exp_p1)",
+     (f"{T_GENERATOR}::test_light_rows_give_the_series_back", REGEN)),
 )
 
 
