@@ -291,11 +291,15 @@ class _Series:
                         total[m] = get(m, 0) + x * y
 
     @classmethod
-    def _linear(cls, terms, n: int):
-        """The linear combination sum w * f over the (w, f) of `terms`, int or Fraction
-        w and f truncated at n, summed in one accumulator and reduced once."""
+    def linear(cls, terms, n: int):
+        """The linear combination sum w * f over the (w, f) of `terms` (int or Fraction w, f of
+        truncation n or more), truncated at n, summed in one accumulator and reduced once."""
         acc: dict = {}
         for w, f in terms:
+            if f.trunc < n:
+                raise ValueError("a term is truncated below the order of the combination")
+            if f.trunc > n:
+                f = f.truncate(n)
             for key, c in f.coeffs.items():
                 total, s = _slot(acc, key, c.den, w)
                 for m, x in c.nums.items():
@@ -364,7 +368,7 @@ class _Series:
         if not self.constant_term().is_zero():
             raise ValueError("Exp requires zero constant term")
         n, e = self.trunc, [{self._UNIT: UVPoly.one()}]
-        g = self._linear(((Fraction(1, k), self.adams(k)) for k in range(1, n + 1)), n)._graded()
+        g = self.linear(((Fraction(1, k), self.adams(k)) for k in range(1, n + 1)), n)._graded()
         for d in range(1, n + 1):
             acc: dict = {}
             for j in range(1, d + 1):
@@ -388,7 +392,7 @@ class _Series:
             log1p.append(dict(_reduced(acc)))
         log1p = self._built({k: c for part in log1p for k, c in part.items()}, n)
         mus = ((d, mobius(d)) for d in range(1, n + 1))
-        return self._linear(((Fraction(mu, d), log1p.adams(d)) for d, mu in mus if mu), n)
+        return self.linear(((Fraction(mu, d), log1p.adams(d)) for d, mu in mus if mu), n)
 
     def trace_from_ch(self, key) -> UVPoly:
         """The character value on the class of `key`, one cycle type per factor:

@@ -3,8 +3,8 @@ tools/generate_fixtures.py.
 
 The generator is the independent route that produces every shipped
 fixture.  These tests check its orbit-reduced elliptic histograms, its
-exact batched solver, its Frobenius orbit table and its twisted counts on
-elliptic curves and on the projective line against brute-force,
+exact batched solver, its Frobenius orbit table and its table of twisted
+counts on elliptic curves and on the projective line against brute-force,
 per-column and per-call references written here, and its inversion of the
 light rows of a heavy/light table against `open_series`.  The module is
 loaded by path, the way `python tools/generate_fixtures.py` runs it.
@@ -18,7 +18,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -182,13 +182,16 @@ def test_orbit_counts_rebuild_the_point_counts(histograms):
 
 
 def test_twisted_marked_count_matches_the_per_call_reference(histograms):
-    lams = [lam for n in range(1, 7) for lam in gen_partitions(n)]
+    # every class of arity <= 6 and (1^11), the class fitted at arity 11: the
+    # product of its table entries on each curve, divided by the rational points
+    lams = [lam for n in range(1, 7) for lam in gen_partitions(n)] + [(1,) * 11]
     for p, hist in histograms.items():
-        for t in hist:
-            orbits = gen.frobenius_orbit_counts(t, p)
-            for lam in lams:
-                got = gen.twisted_marked_count(multiplicities(lam).items(), orbits, p + 1 - t)
-                assert got == reference_marked_count(lam, t, p)
+        columns = [gen.frobenius_orbit_counts(t, p) for t in hist]
+        table = gen.falling_table(columns, gen.NUMERIC1_TRUNC)
+        for lam in lams:
+            entries = [table[lc] for lc in multiplicities(lam).items()]
+            for t, *counts in zip(hist, *entries):
+                assert prod(counts) == reference_marked_count(lam, t, p) * (p + 1 - t)
 
 
 def reference_line_count(lam: tuple, p: int) -> int:

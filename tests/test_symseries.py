@@ -7,7 +7,7 @@ from heavylight.bisymseries import BiSymSeries
 from heavylight.partitions import gen_partitions, mn_character, z_of
 from heavylight.symseries import SymSeries
 from heavylight.uvpoly import UVPoly
-from heavylight.verify import _cases, _ring_map_case, random_sparse
+from heavylight.verify import _cases, _ring_map_case, random_bi, random_sparse
 
 T = 6
 
@@ -187,3 +187,22 @@ def test_a_coefficient_on_the_left_of_a_series_sum():
     assert c + p(1, 3) == p(1, 3) + c == SymSeries({(): c, (1,): 1}, 3)
     b = BiSymSeries.inject(p(1, 3), 2)
     assert c + b == b + c
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_is_the_sum_of_the_scalar_multiples(seed):
+    # one accumulator for the whole combination: int and Fraction weights, terms
+    # of a higher truncation cut to the order asked for, and sums that cancel
+    rng = random.Random(seed)
+    for cls, make in ((SymSeries, random_sparse), (BiSymSeries, random_bi)):
+        fs = [make(rng, rng.randint(3, 6)) for _ in range(4)]
+        ws = [rng.choice([2, -1, Fraction(rng.randint(-9, 9), rng.randint(2, 6))]) for _ in fs]
+        n = min(f.trunc for f in fs)
+        got = cls.linear(zip(ws, fs), n)
+        want = sum((f * w for w, f in zip(ws, fs)), cls.zero(n))
+        assert got.trunc == want.trunc == n and got.coeffs == want.coeffs
+        w, f, g = Fraction(-3, 4), fs[0], fs[1]
+        assert cls.linear([(w, f), (Fraction(3, 4), f)], n).coeffs == {}
+        assert cls.linear([(w, f), (1, g), (-w, f)], n).coeffs == g.truncate(n).coeffs
+        with pytest.raises(ValueError, match="truncated below"):
+            cls.linear([(1, f.truncate(n - 1))], n)

@@ -19,9 +19,11 @@ Derivations (all exact):
   polynomial interpolation in q.  The Weierstrass pairs (a, b) are counted
   by trace one orbit of (a, b) -> (l^4 a, l^6 b) at a time: isomorphic
   curves share a trace, so one character sum per orbit is weighted by the
-  orbit's size.  Each (trace, prime) becomes one row of its pair count,
-  Frobenius orbit counts and rational point count, built once and read by
-  every conjugacy class.  Each arity is fitted by one exact
+  orbit's size.  Each prime gets one table of twisted counts by cycle length
+  and multiplicity, one column of Frobenius orbit counts per trace; a
+  conjugacy class counts, on each curve, the product of its cycles' entries,
+  divided exactly by the curve's rational points (its translations, which act
+  freely on configurations).  Each arity is fitted by one exact
   fraction-free (Bareiss) elimination of its integer matrix in the primes,
   with one right-hand side per conjugacy class, and every prime beyond the
   unknowns stays a consistency equation for every class.  The weight-12
@@ -60,7 +62,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -112,22 +114,21 @@ def divisors(n: int):
 # ---------------------------------------------------------------------------
 
 
-def marked_count(cycles, orbits):
-    """Twisted count of marked-point configurations on one curve: the product
-    over the (length l, multiplicity c) pairs of `cycles` of
-    l^c O_l (O_l - 1) ... (O_l - c + 1), with O_l = orbits[l] the number of
-    exact-period-l Frobenius orbits, ints or polynomials in q.  Cycles of
-    length l consume whole exact-period-l orbits; cycles of equal length
-    need distinct orbits and each orbit admits l phases.
+def falling_table(columns: list, top: int) -> dict:
+    """Twisted counts of marked-point configurations, one cycle length at a time:
+    {(l, c): one entry l^c O_l (O_l - 1) ... (O_l - c + 1) per column} for l c <= top,
+    where a column is one curve's list of O_l, its number of exact-period-l Frobenius
+    orbits, ints or polynomials in q.  Cycles of length l consume whole exact-period-l
+    orbits; cycles of equal length need distinct orbits and each orbit admits l phases,
+    so a class with c cycles of each length l counts the product of its entries (l, c).
     """
-    total = 1
-    for l, c in cycles:
-        for i in range(c):
-            total *= orbits[l] - i
-        if not total:
-            return total
-        total *= l**c
-    return total
+    table = {}
+    for l in range(1, top + 1):
+        entry = [1] * len(columns)
+        for c in range(1, top // l + 1):
+            entry = [e * (o[l] - c + 1) * l for e, o in zip(entry, columns)]
+            table[l, c] = entry
+    return table
 
 
 def genus0_smooth(trunc: int) -> SymSeries:
@@ -139,10 +140,12 @@ def genus0_smooth(trunc: int) -> SymSeries:
         for l in range(1, trunc + 1)
     ]
     aut = UVPoly.uv_power(3) - UVPoly.uv_power(1)
+    table = falling_table([orbits], trunc)
     coeffs = {}
     for n in range(3, trunc + 1):
         for lam in gen_partitions(n):
-            tr = divide_diagonal_exact(marked_count(multiplicities(lam).items(), orbits), aut)
+            count = prod(table[lc][0] for lc in multiplicities(lam).items())
+            tr = divide_diagonal_exact(count, aut)
             if not tr.is_zero():
                 coeffs[lam] = tr * Fraction(1, z_of(lam))
     return SymSeries(coeffs, trunc)
@@ -269,21 +272,6 @@ def frobenius_orbit_counts(t: int, p: int) -> tuple:
     return tuple(orbits)
 
 
-def twisted_marked_count(cycles, orbits: tuple, n1: int) -> int:
-    """`marked_count` on one elliptic curve, divided by the order of its
-    translation group.
-
-    `cycles` holds the (length l, multiplicity c) pairs of a permutation
-    type, `orbits` the curve's `frobenius_orbit_counts` and `n1` its number
-    of rational points.  The rational translations act freely on
-    configurations, and a genus-1 curve with no distinguished origin has
-    them as extra automorphisms, so the raw count is divided by n1.
-    """
-    total = marked_count(cycles, orbits)
-    assert total % n1 == 0, "translation action must be free on configurations"
-    return total // n1
-
-
 def linsolve_exact(rows: list, rhs_cols: list) -> list:
     """Solve rows * x = b exactly for each column b of `rhs_cols`, by one
     fraction-free (Bareiss) Gauss-Jordan elimination of the matrix augmented
@@ -371,9 +359,11 @@ def phase_genus1():
 
     log(f"fitting twisted traces through arity {trunc} (+ numeric {numeric_trunc})")
     arities = sorted(set(range(1, trunc + 1)) | {numeric_trunc})
-    # one row (pair count, Frobenius orbit counts, rational points) per trace
+    # per prime: the pair count and rational points of each trace, and one table
+    # column of Frobenius orbit counts per trace
     curves = {
-        p: [(cnt, frobenius_orbit_counts(t, p), p + 1 - t) for t, cnt in hists[p].items()]
+        p: (list(hists[p].values()), [p + 1 - t for t in hists[p]],
+            falling_table([frobenius_orbit_counts(t, p) for t in hists[p]], numeric_trunc))
         for p in PRIMES
     }
     trace_polys: dict = {}
@@ -385,17 +375,23 @@ def phase_genus1():
             cycles = multiplicities(lam).items()
             col = []
             for p in PRIMES:
-                acc = sum(cnt * twisted_marked_count(cycles, o, n1) for cnt, o, n1 in curves[p])
+                cnts, n1s, table = curves[p]
+                acc = 0
+                # a genus-1 curve with no distinguished origin has its rational
+                # translations as extra automorphisms, and they act freely
+                for cnt, n1, *entries in zip(cnts, n1s, *(table[lc] for lc in cycles)):
+                    total = prod(entries)
+                    assert total % n1 == 0, "translation action must be free on configurations"
+                    acc += cnt * (total // n1)
                 col.append(Fraction(acc, p - 1))
             columns.append(col)
         use_tau = n >= 11
         sols = linsolve_exact(qpolynomial_rows(n + 1, tau if use_tau else None), columns)
         for lam, sol in zip(lams, sols):
-            poly = sum((UVPoly.uv_power(i, c) for i, c in enumerate(sol[: n + 2])), UVPoly())
+            terms = {(i, i): c for i, c in enumerate(sol[: n + 2])}
             if use_tau:
-                c_tau = sol[-1]
-                poly = poly + UVPoly({(11, 0): c_tau, (0, 11): c_tau})
-            trace_polys[lam] = poly
+                terms[11, 0] = terms[0, 11] = sol[-1]
+            poly = trace_polys[lam] = UVPoly(terms)
             if lam == (1,) * n:
                 numeric_coeffs[lam] = poly * Fraction(1, factorial(n))
 
@@ -448,13 +444,11 @@ def necklace_series(vp: SymSeries, vm: SymSeries) -> SymSeries:
     powers = [vp]  # V+^m for m = 1, 2, ... up to the first that vanishes
     while powers[-1].coeffs:
         powers.append(powers[-1] * vp)
-    log_sum = sum((pw * Fraction(1, m) for m, pw in enumerate(powers, 1)), SymSeries.zero(trunc))
-    geom = sum(powers, SymSeries.one(trunc))
-    rot = SymSeries.zero(trunc)
-    for d in range(1, trunc + 1):
-        rot = rot + log_sum.adams(d) * Fraction(euler_phi(d), 2 * d)
-    refl = (vm * 2 + vm * vm + vp.adams(2)) * geom.adams(2) * Fraction(1, 4)
-    return rot + refl
+    log_sum = SymSeries.linear(((Fraction(1, m), pw) for m, pw in enumerate(powers, 1)), trunc)
+    geom = SymSeries.linear(((1, pw) for pw in [SymSeries.one(trunc)] + powers), trunc)
+    refl = SymSeries.linear(((2, vm), (1, vm * vm), (1, vp.adams(2))), trunc) * geom.adams(2)
+    rot = [(Fraction(euler_phi(d), 2 * d), log_sum.adams(d)) for d in range(1, trunc + 1)]
+    return SymSeries.linear(rot + [(Fraction(1, 4), refl)], trunc)
 
 
 def numeric_necklace_rank(closed: FormalPS1):

@@ -238,14 +238,18 @@ MUTANTS = (
      (f"{T_GENERATOR}::test_orbit_reduced_histogram_matches_the_brute_force_count",)),
     ("histogram-seen-not-updated", GENERATOR, "seen |= orbit", "pass",
      (f"{T_GENERATOR}::test_orbit_reduced_histogram_matches_the_brute_force_count",)),
-    ("marked-count-orbit-off-by-one", GENERATOR, "total *= orbits[l] - i",
-     "total *= orbits[l] - i - 1", (f"{T_GENERATOR}::test_genus0_smooth_matches_the_line_count",)),
+    ("marked-count-orbit-off-by-one", GENERATOR, "(o[l] - c + 1)", "(o[l] - c)",
+     (f"{T_GENERATOR}::test_genus0_smooth_matches_the_line_count",)),
+    ("marked-count-without-phases", GENERATOR, "(o[l] - c + 1) * l for", "(o[l] - c + 1) for",
+     (f"{T_GENERATOR}::test_twisted_marked_count_matches_the_per_call_reference",)),
     ("euler-phi-mobius-of-divisor", GENERATOR, "mobius(n // d) * d", "mobius(d) * d", (REGEN,)),
     ("ends-swapped-product-off-by-one", GENERATOR, "(UVPoly.uv_power(1) - (k - 1))",
      "(UVPoly.uv_power(1) - k)",
      (f"{T_GENERATOR}::test_ends_swapped_rank_is_the_falling_product", REGEN)),
     ("necklace-rotation-weight", GENERATOR, "Fraction(euler_phi(d), 2 * d)",
      "Fraction(euler_phi(d), d)", (REGEN,)),
+    ("necklace-reflection-weight", GENERATOR, "(Fraction(1, 4), refl)",
+     "(Fraction(1, 2), refl)", (REGEN,)),
     ("light-rows-without-plethystic-inverse", GENERATOR,
      "from_schur(light, trunc).plethysm(exp_p1.pleth_inverse())",
      "from_schur(light, trunc).plethysm(exp_p1)",
