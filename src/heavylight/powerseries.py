@@ -186,14 +186,22 @@ class FormalPS1(_TruncatedPS):
         return FormalPS1(self.var, out, self.order)
 
     def reversion(self) -> "FormalPS1":
-        """Compositional inverse of a series var + O(var^2)."""
+        """Compositional inverse g of a series f = var + O(var^2).
+
+        var = f(g) = g + sum_{k>=2} f_k g^k gives g_m = -sum_{k=2..m} f_k [var^m] g^k,
+        and [var^m] g^k = sum_j g_j [var^(m-j)] g^(k-1) needs only g_1 .. g_{m-k+1}: the
+        table of [var^m] g^k is filled one column m at a time, in O(order^3) products.
+        """
         if not self[0].is_zero() or self[1] != UVPoly.one():
             raise ValueError("reversion requires the form var + higher order")
-        inv = FormalPS1.identity(self.var, self.order)
-        for n in range(2, self.order + 1):
-            err = self.compose(inv.truncate(n))[n]
-            inv = inv._like({**inv.coeffs, n: inv[n] - err}, self.order)
-        return inv
+        n, zero = self.order, UVPoly.zero()
+        g = [zero, UVPoly.one()][: n + 1]
+        pw = [None, g] + [[zero] * (n + 1) for _ in range(2, n + 1)]  # pw[k][m] = [var^m] g^k
+        for m in range(2, n + 1):
+            for k in range(2, m + 1):
+                pw[k][m] = sum((g[j] * pw[k - 1][m - j] for j in range(1, m - k + 2)), zero)
+            g.append(-sum((self[k] * pw[k][m] for k in range(2, m + 1) if self[k]), zero))
+        return FormalPS1(self.var, g, n)
 
 
 class FormalPS2(_TruncatedPS):

@@ -2,12 +2,15 @@
 tools/generate_fixtures.py.
 
 The generator is the independent route that produces every shipped
-fixture.  These tests check its orbit-reduced elliptic histograms, its
-exact batched solver, its Frobenius orbit table and its table of twisted
-counts on elliptic curves and on the projective line against brute-force,
-per-column and per-call references written here, and its inversion of the
-light rows of a heavy/light table against `open_series`.  The module is
-loaded by path, the way `python tools/generate_fixtures.py` runs it.
+fixture.  These tests check its elliptic histograms, counted over
+isomorphism classes and quadratic twists, its exact batched solver, its
+Frobenius orbit counts and its table of twisted counts on elliptic curves
+and on the projective line against brute-force, per-column and per-call
+references written here; its discriminant-form coefficients against
+Ramanujan's tau (multiplicativity and the Hecke recursion); and its
+inversion of the light rows of a heavy/light table against `open_series`.
+The module is loaded by path, the way `python tools/generate_fixtures.py`
+runs it.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -165,15 +168,31 @@ def test_zero_first_pivot_forces_a_row_swap():
     assert gen.linsolve_exact(rows, [substitute(rows, x) for x in sols]) == sols
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 37, 61])
 def test_orbit_reduced_histogram_matches_the_brute_force_count(p):
     assert gen.elliptic_trace_histogram(p) == reference_trace_histogram(p)
 
 
+def test_discriminant_coefficients_satisfy_the_hecke_relations():
+    # Ramanujan's tau: tau(1) = 1, tau(11) = 534612, tau(m n) = tau(m) tau(n) for
+    # coprime m, n, and tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1))
+    tau = gen.discriminant_form_coefficients(61)
+    assert sorted(tau) == list(range(1, 62))
+    assert tau[1] == 1 and tau[11] == 534612
+    for m in range(2, 62):
+        for n in range(2, 61 // m + 1):
+            if gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
+    for p in (2, 3, 5, 7):
+        k = 1
+        while p ** (k + 1) <= 61:
+            assert tau[p ** (k + 1)] == tau[p] * tau[p**k] - p**11 * tau[p ** (k - 1)], (p, k)
+            k += 1
+
+
 def test_orbit_counts_rebuild_the_point_counts(histograms):
     for p, hist in histograms.items():
-        for t in hist:
-            orbits = gen.frobenius_orbit_counts(t, p)
+        for t, orbits in zip(hist, gen.frobenius_orbit_counts(p, hist)):
             assert len(orbits) == gen.NUMERIC1_TRUNC + 1 and orbits[0] == 0
             for l in range(1, gen.NUMERIC1_TRUNC + 1):
                 assert orbits[l] >= 0
@@ -186,8 +205,7 @@ def test_twisted_marked_count_matches_the_per_call_reference(histograms):
     # product of its table entries on each curve, divided by the rational points
     lams = [lam for n in range(1, 7) for lam in gen_partitions(n)] + [(1,) * 11]
     for p, hist in histograms.items():
-        columns = [gen.frobenius_orbit_counts(t, p) for t in hist]
-        table = gen.falling_table(columns, gen.NUMERIC1_TRUNC)
+        table = gen.falling_table(gen.frobenius_orbit_counts(p, hist), gen.NUMERIC1_TRUNC)
         for lam in lams:
             entries = [table[lc] for lc in multiplicities(lam).items()]
             for t, *counts in zip(hist, *entries):

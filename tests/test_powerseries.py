@@ -49,6 +49,15 @@ def test_exp_log_round_trip_random():
         assert one_plus.log().exp() == one_plus
 
 
+def reference_reversion(f):
+    """The inverse corrected one order at a time: one full composition per order."""
+    inv = FormalPS1.identity(f.var, f.order)
+    for n in range(2, f.order + 1):
+        err = f.compose(inv.truncate(n))[n]
+        inv = FormalPS1(f.var, [inv[k] for k in range(n)] + [inv[n] - err], f.order)
+    return inv
+
+
 def test_reversion():
     y = FormalPS1.identity("y", 6)
     f = y.exp() - 1
@@ -57,6 +66,18 @@ def test_reversion():
     expected = (y + 1).log()
     assert g == expected
     assert f.compose(g) == y and g.compose(f) == y
+    # order 11, off-diagonal Fraction coefficients and a zero coefficient of x^2
+    rng = random.Random(38)
+    tail = random_ps1(rng, 11)
+    f = FormalPS1("x", [0, 1, 0] + [tail[k] for k in range(3, 12)], 11)
+    assert sum(a != b for c in f.coeffs.values() for a, b in c.nums) >= 3
+    g, want = f.reversion(), reference_reversion(f)
+    x = FormalPS1.identity("x", 11)
+    assert g == want and str(g) == str(want)
+    assert f.compose(g) == x and g.compose(f) == x
+    for order in (1, 2):  # the lowest orders, with no column or one
+        h = (x + x * x).truncate(order)
+        assert h.reversion() == reference_reversion(h)
 
 
 def test_derivative():

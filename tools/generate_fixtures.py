@@ -17,9 +17,11 @@ Derivations (all exact):
 * genus-1 smooth: groupoid point counts of elliptic curves with marked
   points over many prime fields, aggregated by Frobenius trace, then exact
   polynomial interpolation in q.  The Weierstrass pairs (a, b) are counted
-  by trace one orbit of (a, b) -> (l^4 a, l^6 b) at a time: isomorphic
-  curves share a trace, so one character sum per orbit is weighted by the
-  orbit's size.  Each prime gets one table of twisted counts by cycle length
+  by trace over the isomorphism classes, the orbits of (a, b) -> (l^4 a,
+  l^6 b), from one representative each: one character sum at (c, c) gives
+  the trace of its orbit and, negated, of its quadratic twist's, and with a
+  or b zero the orbits are cosets of the 4th or 6th powers, each weighted by
+  its size.  Each prime gets one table of twisted counts by cycle length
   and multiplicity, one column of Frobenius orbit counts per trace; a
   conjugacy class counts, on each curve, the product of its cycles' entries,
   divided exactly by the curve's rational points (its translations, which act
@@ -62,7 +64,8 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import factorial, lcm, prod
+from functools import lru_cache
+from math import factorial, gcd, lcm, prod
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -100,13 +103,16 @@ def log(msg):
     print(f"[{time.strftime('%H:%M:%S')}] {msg}", flush=True)
 
 
+@lru_cache(maxsize=None)
+def divisor_mobius(n: int) -> tuple:
+    """The pairs (d, mu(n/d)) over the divisors d of n with mu(n/d) != 0: the
+    weights of every Moebius inversion here, filled for each n on first use."""
+    return tuple((d, mu) for d in range(1, n + 1) if n % d == 0 and (mu := mobius(n // d)))
+
+
 def euler_phi(n: int) -> int:
     """phi(n) = sum over d | n of mu(n/d) d."""
-    return sum(mobius(n // d) * d for d in divisors(n))
-
-
-def divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    return sum(mu * d for d, mu in divisor_mobius(n))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +142,7 @@ def genus0_smooth(trunc: int) -> SymSeries:
     projective line divided exactly by q^3 - q.  Its exact-period-l
     Frobenius orbits number (1/l) sum_{d | l} mu(l/d) (q^d + 1)."""
     orbits = [UVPoly.zero()] + [
-        sum((UVPoly.uv_power(d) + 1) * mobius(l // d) for d in divisors(l)) / l
+        sum((UVPoly.uv_power(d) + 1) * mu for d, mu in divisor_mobius(l)) / l
         for l in range(1, trunc + 1)
     ]
     aut = UVPoly.uv_power(3) - UVPoly.uv_power(1)
@@ -229,47 +235,60 @@ def phase_genus0():
 
 
 def elliptic_trace_histogram(p: int) -> dict:
-    """Count Weierstrass pairs (a, b) over F_p by Frobenius trace.
+    """Count the nonsingular Weierstrass pairs (a, b) over F_p by Frobenius trace.
 
-    (x, y) -> (l^2 x, l^3 y) is an isomorphism from y^2 = x^3 + a x + b onto
-    the curve of (l^4 a, l^6 b), so the trace is constant on each orbit of
-    that action of F_p^*; it is computed once per orbit, as minus the sum of
-    the quadratic character of x^3 + a x + b over x, and counted with the
-    orbit's size (below (p - 1)/2 at j = 0 and j = 1728, where a or b is 0).
+    (x, y) -> (l^2 x, l^3 y) maps y^2 = x^3 + a x + b onto the curve of (l^4 a, l^6 b),
+    so the trace, minus the sum over x of the quadratic character of x^3 + a x + b,
+    is computed once per orbit of F_p^* and counted with the orbit's size.  With
+    a b != 0, (c, c) and its quadratic twist, of opposite trace, are the two orbits
+    of size (p - 1)/2 with a^3 / b^2 = c; with b = 0 or a = 0 the orbits are the
+    cosets of the 4th or the 6th powers.
     """
     sqs = {(x * x) % p for x in range(1, p)}
     chi = [0] + [1 if v in sqs else -1 for v in range(1, p)]
-    scales = {(l**4 % p, l**6 % p) for l in range(1, p)}
+    cubes = [x * x * x % p for x in range(p)]
+
+    def trace(a, b):
+        return -sum(chi[(cube + a * x + b) % p] for x, cube in enumerate(cubes))
+
     hist: dict = {}
-    seen: set = set()
-    for a in range(p):
-        for b in range(p):
-            if (a, b) in seen or (4 * a * a * a + 27 * b * b) % p == 0:
-                continue
-            orbit = {(s4 * a % p, s6 * b % p) for s4, s6 in scales}
-            seen |= orbit
-            t = -sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
-            hist[t] = hist.get(t, 0) + len(orbit)
+    half = (p - 1) // 2
+    for c in range(1, p):
+        if (4 * c**3 + 27 * c**2) % p:
+            t = trace(c, c)
+            hist[t] = hist.get(t, 0) + half
+            hist[-t] = hist.get(-t, 0) + half
+    # with m the gcd of k and p - 1, r -> r^((p - 1)/m) maps F_p^* onto the m-th
+    # roots of unity with the k-th powers as its kernel: one representative per coset
+    for k in (4, 6):
+        m = gcd(k, p - 1)
+        for r in {pow(r, (p - 1) // m, p): r for r in range(1, p)}.values():
+            t = trace(r, 0) if k == 4 else trace(0, r)
+            hist[t] = hist.get(t, 0) + (p - 1) // m
     return hist
 
 
-def frobenius_orbit_counts(t: int, p: int) -> tuple:
-    """Frobenius orbits of exact period l on a curve over F_p with trace t.
+def frobenius_orbit_counts(p: int, traces) -> list:
+    """Frobenius orbits of exact period l on curves over F_p, one tuple per trace t.
 
     Entry l, for 1 <= l <= NUMERIC1_TRUNC, is the number of such orbits;
     entry 0 is 0.  The curve has p^d + 1 - s_d points over F_{p^d}, where
     s_d = alpha^d + beta^d for the Frobenius eigenvalues, and Moebius
     inversion over the divisors of l leaves the points of exact period l.
     """
-    s = [2, t]
-    for d in range(2, NUMERIC1_TRUNC + 1):
-        s.append(t * s[d - 1] - p * s[d - 2])
-    orbits = [0]
-    for l in range(1, NUMERIC1_TRUNC + 1):
-        m_l = sum(mobius(l // d) * (p**d + 1 - s[d]) for d in divisors(l))
-        assert m_l % l == 0, "period count not divisible by period"
-        orbits.append(m_l // l)
-    return tuple(orbits)
+    line = [p**d + 1 for d in range(NUMERIC1_TRUNC + 1)]
+    counts = []
+    for t in traces:
+        s = [2, t]
+        for d in range(2, NUMERIC1_TRUNC + 1):
+            s.append(t * s[d - 1] - p * s[d - 2])
+        orbits = [0]
+        for l in range(1, NUMERIC1_TRUNC + 1):
+            m_l = sum(mu * (line[d] - s[d]) for d, mu in divisor_mobius(l))
+            assert m_l % l == 0, "period count not divisible by period"
+            orbits.append(m_l // l)
+        counts.append(tuple(orbits))
+    return counts
 
 
 def linsolve_exact(rows: list, rhs_cols: list) -> list:
@@ -330,19 +349,21 @@ def qpolynomial_rows(degree: int, extra_tau: dict | None = None) -> list:
 
 
 def discriminant_form_coefficients(limit: int) -> dict:
-    """Coefficients of q * prod (1-q^k)^24 up to q^limit."""
-    poly = [0] * (limit + 1)
-    poly[0] = 1
-    for k in range(1, limit + 1):
-        for _ in range(24):
-            new = list(poly)
-            for i in range(limit + 1 - k):
-                new[i + k] -= poly[i]
-            poly = new
-    tau = {}
-    for n in range(1, limit + 1):
-        tau[n] = poly[n - 1]
-    return tau
+    """Coefficients tau(n) of Delta = q * E^24 up to q^limit, E = prod_k (1 - q^k):
+    E once, then E^24 = E^16 E^8 by squaring."""
+    e = [1] + [0] * (limit - 1)  # E up to q^(limit - 1)
+    for k in range(1, limit):
+        for i in range(limit - 1, k - 1, -1):
+            e[i] -= e[i - k]
+
+    def mul(f, g):
+        return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(limit)]
+
+    e8 = e
+    for _ in range(3):
+        e8 = mul(e8, e8)
+    e24 = mul(mul(e8, e8), e8)
+    return {n: e24[n - 1] for n in range(1, limit + 1)}
 
 
 def phase_genus1():
@@ -363,7 +384,7 @@ def phase_genus1():
     # column of Frobenius orbit counts per trace
     curves = {
         p: (list(hists[p].values()), [p + 1 - t for t in hists[p]],
-            falling_table([frobenius_orbit_counts(t, p) for t in hists[p]], numeric_trunc))
+            falling_table(frobenius_orbit_counts(p, hists[p]), numeric_trunc))
         for p in PRIMES
     }
     trace_polys: dict = {}
