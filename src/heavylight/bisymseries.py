@@ -132,7 +132,8 @@ def coproduct(f: SymSeries) -> BiSymSeries:
 
     For p_lambda with multiplicities m_i the image is the product over i of
     sum_j C(m_i, j) p_i^{j (1)} p_i^{(m_i - j) (2)}, expanded directly.  Taken in
-    decreasing i, each pair is built canonical, and once: it fixes lam and j.
+    decreasing i, each pair is built canonical, and once: it fixes lam and j.  A
+    term of binomial weight 1 keeps the coefficient of p_lambda itself, not a copy.
     """
     out: dict = {}
     for lam, c in f.coeffs.items():
@@ -145,7 +146,7 @@ def coproduct(f: SymSeries) -> BiSymSeries:
                     nxt.append((l1 + (i,) * j, l2 + (i,) * (m - j), mult * w))
             pieces = nxt
         for l1, l2, mult in pieces:
-            out[l1, l2] = c * mult
+            out[l1, l2] = c if mult == 1 else c * mult
     return BiSymSeries._built(out, f.trunc)
 
 

@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-compare", help="brute-force oracle vs the open pipeline")
     p.add_argument("--genus", type=_integer(), required=True)
-    p.add_argument("--max-arity", type=_integer(0), default=5)
+    p.add_argument("--max-arity", type=_integer(1), default=5)
     p.set_defaults(fn=cmd_oracle_compare)
     return ap
 

@@ -36,7 +36,7 @@ from .partitions import (
     z_of,
 )
 from .powerseries import FormalPS1
-from .uvpoly import UVPoly, _lowest, as_poly
+from .uvpoly import MONOMIALS, UVPoly, _lowest, as_poly
 
 
 def mobius(n: int) -> int:
@@ -274,7 +274,8 @@ class _Series:
 
     def _add_products(self, acc: dict, left: dict, right: dict, n: int, w=1):
         """acc[a * b] += w * left[a] * right[b] over the pairs of arity <= n (int or
-        Fraction w), convolving the integer numerators into the running sums of `acc`."""
+        Fraction w), convolving the integer numerators into the running sums of `acc`;
+        a monomial new to a running sum is keyed by its tuple in MONOMIALS."""
         arity, key_mul = self._arity, self._key_mul
         right = sorted(((arity(k), k, c.nums, c.den) for k, c in right.items()), key=itemgetter(0))
         for k1, c1 in left.items():
@@ -288,7 +289,11 @@ class _Series:
                     x *= s
                     for (a2, b2), y in nums2.items():
                         m = (a1 + a2, b1 + b2)
-                        total[m] = get(m, 0) + x * y
+                        v = get(m)
+                        if v is None:
+                            total[MONOMIALS.setdefault(m, m)] = x * y
+                        else:
+                            total[m] = v + x * y
 
     @classmethod
     def linear(cls, terms, n: int):

@@ -10,6 +10,11 @@ coefficient takes its denominator from z_lambda (Macdonald, Symmetric
 Functions and Hall Polynomials, I.2 and I.7), and every u^a v^b term of it
 shares that denominator.  Values are immutable.
 
+Each exponent pair is one tuple for the life of the process: MONOMIALS maps
+(a, b) to the first tuple built for it, every site that makes a key for a new
+pair stores that tuple, and the table holds one entry per distinct pair the
+process builds (11 for the genus-1 closed table to arity 10).
+
 Two bit-exact text grammars: the uv form, used by fixtures and table
 emitters, and the t form, the Poincare form of a diagonal polynomial with
 t^2 = uv, used by golden tables and the poincare table form.
@@ -39,6 +44,14 @@ _RAT = re.compile(f"(-?{INT})(?:/({INT}))?")
 _TERM = re.compile(rf"(-?{_URAT})\*u\^({INT})\*v\^({INT})")
 _TTERM = re.compile(rf"(-?)(?:({_URAT})|(?:({_URAT})\*)?t\^({INT}))")
 PARTITION = re.compile(rf"\[((?:{INT},)*{INT})?\]")
+
+MONOMIALS: dict = {}  # (a, b) -> the one tuple that stands for it; see the module docstring
+
+
+def _pair(a: int, b: int) -> tuple:
+    """The canonical tuple (a, b) of MONOMIALS."""
+    m = a, b
+    return MONOMIALS.setdefault(m, m)
 
 
 class NotDiagonalError(ValueError):
@@ -107,7 +120,7 @@ class UVPoly:
 
     @staticmethod
     def one() -> "UVPoly":
-        return _lowest({(0, 0): 1}, 1)
+        return _lowest({_pair(0, 0): 1}, 1)
 
     @staticmethod
     def monomial(a: int, b: int, c=1) -> "UVPoly":
@@ -177,7 +190,11 @@ class UVPoly:
         for (a1, b1), n1 in self.nums.items():
             for (a2, b2), n2 in other.nums.items():
                 k = (a1 + a2, b1 + b2)
-                nums[k] = get(k, 0) + n1 * n2
+                v = get(k)
+                if v is None:
+                    nums[MONOMIALS.setdefault(k, k)] = n1 * n2
+                else:
+                    nums[k] = v + n1 * n2
         if 0 in nums.values():
             nums = {k: n for k, n in nums.items() if n}
         return _lowest(nums, self.den * other.den)
@@ -198,7 +215,7 @@ class UVPoly:
             raise ValueError("adams exponent must be >= 1")
         if k == 1:
             return self
-        return _lowest({(a * k, b * k): n for (a, b), n in self.nums.items()}, self.den)
+        return _lowest({_pair(a * k, b * k): n for (a, b), n in self.nums.items()}, self.den)
 
     def eval(self, u0, v0) -> Fraction:
         """Evaluate at rational u0, v0."""
@@ -226,7 +243,7 @@ class UVPoly:
         """Apply u^a v^b -> u^{dim-a} v^{dim-b} (duality reflection)."""
         if any(a > dim or b > dim for a, b in self.nums):
             raise ValueError(f"negative exponent in the mirror of {self} at {dim}")
-        return _lowest({(dim - a, dim - b): n for (a, b), n in self.nums.items()}, self.den)
+        return _lowest({_pair(dim - a, dim - b): n for (a, b), n in self.nums.items()}, self.den)
 
     # -- text form --------------------------------------------------------
 
@@ -268,7 +285,7 @@ def parse_rational(text: str) -> Fraction:
 def _from_ratios(terms: dict) -> UVPoly:
     """The UVPoly with coefficient n/d at each (a, b) -> (n, d) of `terms`, n != 0 and d > 0."""
     den = lcm(*(d for _, d in terms.values()))
-    return _lowest({k: n * (den // d) for k, (n, d) in terms.items()}, den)
+    return _lowest({MONOMIALS.setdefault(k, k): n * (den // d) for k, (n, d) in terms.items()}, den)
 
 
 def parse_uvpoly(text: str) -> UVPoly:
@@ -351,4 +368,4 @@ def divide_diagonal_exact(numerator: UVPoly, divisor: UVPoly) -> UVPoly:
         for a, c in d.items():
             rem[lead - top + a] = rem.get(lead - top + a, 0) - step * c
         rem = {a: c for a, c in rem.items() if c}
-    return _lowest({(a, a): c * divisor.den for a, c in quo.items()}, numerator.den * scale)
+    return _lowest({_pair(a, a): c * divisor.den for a, c in quo.items()}, numerator.den * scale)

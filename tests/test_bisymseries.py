@@ -104,6 +104,13 @@ def test_coproduct():
     assert coproduct(h2) == expected
 
 
+def test_coproduct_keeps_the_coefficient_of_a_weight_one_term():
+    c = UVPoly({(1, 2): Fraction(3, 4)})
+    out = coproduct(SymSeries({(2, 1, 1): c}, T)).coeffs
+    assert out[(2, 1, 1), ()] is c and out[(2,), (1, 1)] is c
+    assert out[(2, 1), (1,)] == 2 * c
+
+
 def test_coproduct_properties():
     # the property suite's case, on twice its 10 cases
     assert _cases(random.Random(15), 20, _coproduct_case) == (True, "20 cases")

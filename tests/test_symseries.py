@@ -89,6 +89,14 @@ def test_pleth_inverse():
         (p(2) + p(1) * 2).pleth_inverse()
 
 
+def test_the_plethystic_inverse_of_exp_p1_is_log_p1():
+    # Exp(g) = H o g with H = sum h_n = Exp(p_1), so Log(p_1), the g with H o g = p_1,
+    # is the plethystic inverse of H
+    for t in range(1, 11):
+        p1 = SymSeries.power_sum(1, t)
+        assert p1.exp_series().pleth_inverse() == p1.log_series(), t
+
+
 def test_exp_log_round_trip():
     rng = random.Random(5)
     for _ in range(10):

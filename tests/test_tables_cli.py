@@ -251,6 +251,7 @@ def test_cli_usage_error_exit_code():
         ["euler-genfun", "--genus", "1", "--order", "+3"],
         ["slice-n1", "--genus", "1", "--m", "1.0"],
         ["tropical", "--genus", "1", "--m", "1", "--n", "1e1"],
+        ["oracle-compare", "--genus", "1", "--max-arity", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -8,6 +8,7 @@ from heavylight.fixtures import load_fixture
 from heavylight.partitions import parse_partition
 from heavylight.pipeline import closed_series
 from heavylight.uvpoly import (
+    MONOMIALS,
     NotDiagonalError,
     UVPoly,
     divide_diagonal_exact,
@@ -195,6 +196,22 @@ def test_integral_polynomials_read_back_as_fractions():
     res = closed_series(load_fixture("genus1_stable"), load_fixture("genus0_smooth"), trunc=6)
     coeffs = [c for poly in res.data.coeffs.values() for c in poly.terms.values()]
     assert coeffs and all(exact(c) for c in coeffs)
+
+
+def test_every_exponent_pair_is_one_tuple():
+    # each site that builds a key for a new pair stores the MONOMIALS tuple, so the
+    # numerator dicts of a series share 11 tuples at arity 10, not thousands of copies
+    def canonical(polys):
+        keys = [k for p in polys for k in p.nums]
+        return keys and all(MONOMIALS.get(k) is k for k in keys)
+
+    res = closed_series(load_fixture("genus1_stable"), load_fixture("genus0_smooth"), trunc=6)
+    assert canonical(res.data.coeffs.values())
+    assert canonical(load_fixture("genus1_stable").data.coeffs.values())
+    f = UVPoly({(2, 0): 3, (1, 1): Fraction(-1, 2)}) * UVPoly({(0, 3): 5, (1, 2): 1, (9, 9): 7})
+    assert canonical([f, f.adams(2), f.mirror(11), UVPoly.one(), parse_uvpoly("1/2*u^12*v^0")])
+    q = divide_diagonal_exact(UVPoly({(3, 3): 1, (1, 1): -1}), UVPoly.uv_power(1) - UVPoly.uv_power(2))
+    assert canonical([q, parse_tpoly("3*t^26-t^2")])
 
 
 

@@ -65,6 +65,7 @@ REGEN = f"{T_GENERATOR}::test_regeneration_writes_the_benchmark_digests"
 HISTOGRAM = f"{T_GENERATOR}::test_orbit_reduced_histogram_matches_the_brute_force_count"
 CLOSED_FORM = f"{T_PIPELINE}::test_genus0_closed_form_is_the_exact_division"
 MN_REFERENCE = f"{T_PARTITIONS}::test_mn_character_matches_the_border_strip_reference"
+CANONICAL = f"{T_UVPOLY}::test_every_exponent_pair_is_one_tuple"
 
 # (id, path, old, new, tests): `old` occurs exactly once in `path`, and the
 # pytest node ids in `tests` are expected to fail once it is replaced by `new`.
@@ -135,8 +136,18 @@ MUTANTS = (
      (f"{T_UVPOLY_REF}::test_equal_values_are_equal_and_hash_alike",)),
     ("add-scales-one-operand", UVPOLY, "nums = {k: n * s1 for k, n in self.nums.items()}",
      "nums = dict(self.nums)", (f"{T_UVPOLY_REF}::test_ring_operations_match_the_reference",)),
-    ("adams-scales-only-u", UVPOLY, "{(a * k, b * k): n", "{(a * k, b): n",
+    ("adams-scales-only-u", UVPOLY, "_pair(a * k, b * k)", "_pair(a * k, b)",
      (f"{T_UVPOLY}::test_adams",)),
+    ("product-monomial-not-canonical", UVPOLY, "nums[MONOMIALS.setdefault(k, k)] = n1 * n2",
+     "nums[k] = n1 * n2", (CANONICAL,)),
+    ("product-first-term-unmultiplied", UVPOLY, ")] = n1 * n2", ")] = n1",
+     (f"{T_UVPOLY_REF}::test_ring_operations_match_the_reference",)),
+    ("mirror-monomial-not-canonical", UVPOLY, "_pair(dim - a, dim - b)", "(dim - a, dim - b)",
+     (CANONICAL,)),
+    ("quotient-monomial-not-canonical", UVPOLY, "{_pair(a, a): c * divisor.den",
+     "{(a, a): c * divisor.den", (CANONICAL,)),
+    ("parsed-monomial-not-canonical", UVPOLY, "{MONOMIALS.setdefault(k, k): n * (den // d)",
+     "{k: n * (den // d)", (CANONICAL,)),
     ("mn-sign-parity-counts-the-moved-bead", PARTITIONS, "(low << r) - (low << 1)",
      "(low << r) - low", (MN_REFERENCE,)),
     ("mn-bead-moved-onto-a-bead", PARTITIONS, "beads & ~(beads >> r)", "beads",
@@ -166,6 +177,10 @@ MUTANTS = (
     ("change-of-basis-maps-a-factor-twice", SYMSERIES, "parts[:f], parts[f + 1:]",
      "parts[:f], parts[f:]",
      (f"{T_SCHUR_REF}::test_numerators_near_and_past_the_machine_word",)),
+    ("kernel-monomial-not-canonical", SYMSERIES, "total[MONOMIALS.setdefault(m, m)] = x * y",
+     "total[m] = x * y", (CANONICAL,)),
+    ("kernel-first-term-unmultiplied", SYMSERIES, ")] = x * y", ")] = x",
+     (f"{T_SERIES_REF}::test_products_and_coproduct_match_the_reference",)),
     ("products-stop-one-arity-early", SYMSERIES, "if s1 + s2 > n:", "if s1 + s2 >= n:",
      (f"{T_SYMSERIES}::test_exp_series",)),
     ("reduced-keeps-zeros", SYMSERIES, "nums = {m: x for m, x in nums.items() if x}", "pass",
@@ -192,6 +207,8 @@ MUTANTS = (
      (f"{T_BISYMSERIES}::test_inject_is_ring_map",)),
     ("coproduct-binomial-off-by-one", BISYMSERIES, "comb(m, j)", "comb(m + 1, j)",
      (f"{T_BISYMSERIES}::test_coproduct",)),
+    ("coproduct-copies-weight-one-terms", BISYMSERIES, "c if mult == 1 else c * mult",
+     "c * mult", (f"{T_BISYMSERIES}::test_coproduct_keeps_the_coefficient_of_a_weight_one_term",)),
     ("numeric-substitutes-into-y", PIPELINE, '("x", "y"), 1, n)', '("x", "y"), 2, n)',
      (f"{T_PIPELINE}::test_numeric_pipeline_examples",)),
     ("stable-chi-without-log", PIPELINE, "(g + UVPoly.one()).log()", "(g + UVPoly.one())",
