@@ -164,18 +164,13 @@ def oracle_open_ch(m: int, n: int, fixture: SeriesFixture) -> BiSymSeries:
 
 def oracle_compare(fixture: SeriesFixture, open_result, max_arity: int) -> list:
     """Compare oracle_open_ch against the pipeline per (m, n); returns rows
-    (m, n, ok) for every pair with m + n <= max_arity, or refuses a max_arity
-    beyond the enumeration cap before enumerating anything."""
+    (m, n, ok) for every stable pair with m + n <= max_arity (both sides are zero
+    on an unstable one), and refuses, before enumerating anything, a max_arity
+    beyond the enumeration cap or a range with no stable pair."""
     if max_arity > ENUMERATION_CAP:
         raise Refused(f"the oracle enumerates up to total arity {ENUMERATION_CAP}")
-    rows = []
-    for total in range(max_arity + 1):
-        for m in range(total + 1):
-            n = total - m
-            if m + n == 0:
-                continue
-            expected = open_result.component(m, n)
-            got = oracle_open_ch(m, n, fixture)
-            ok = got == expected
-            rows.append((m, n, ok))
-    return rows
+    cells = [(m, total - m) for total in range(1, max_arity + 1) for m in range(total + 1)
+             if stability_ok(fixture.genus, m, total - m)]
+    if not cells:
+        raise Refused(f"no stable (m, n) in genus {fixture.genus} up to total arity {max_arity}")
+    return [(m, n, oracle_open_ch(m, n, fixture) == open_result.component(m, n)) for m, n in cells]

@@ -8,7 +8,8 @@ bivariate (exponent pairs).  All arithmetic is exact; binary operations
 truncate to the minimum of the two orders.
 
 These classes deliberately share no code with the symmetric-function
-series core in symseries.py.  Their composition, exp and reversion are the
+series core in symseries.py, only the L1 arithmetic of uvpoly.py, integer
+running sums included.  Their composition, exp and reversion are the
 independent route that the rank specializations (`SymSeries.rank1`,
 `BiSymSeries.rank2`) are checked against: the offdiag benchmark workload,
 the property suite, the numeric-versus-equivariant verify checks and the
@@ -18,9 +19,24 @@ rank tests compare plethysm with composition here.
 import operator
 from fractions import Fraction
 
-from .uvpoly import UVPoly, as_poly
+from .uvpoly import MONOMIALS, UVPoly, _reduced, _slot, as_poly
 
 _SCALARS = (int, Fraction, UVPoly)
+
+
+def _add_product(acc: dict, e, c1: UVPoly, c2: UVPoly):
+    """acc[e] += c1 * c2 on the running sum of `acc`, a new monomial keyed as in MONOMIALS."""
+    total, s = _slot(acc, e, c1.den * c2.den)
+    get = total.get
+    for (a1, b1), x in c1.nums.items():
+        x *= s
+        for (a2, b2), y in c2.nums.items():
+            m = (a1 + a2, b1 + b2)
+            v = get(m)
+            if v is None:
+                total[MONOMIALS.setdefault(m, m)] = x * y
+            else:
+                total[m] = v + x * y
 
 
 class _TruncatedPS:
@@ -91,15 +107,13 @@ class _TruncatedPS:
         n = min(self.order, other.order)
         degree, key_add = self._degree, self._key_add
         right = [(e, degree(e), c) for e, c in other.coeffs.items()]
-        out: dict = {}
+        acc: dict = {}
         for e1, c1 in self.coeffs.items():
             room = n - degree(e1)
             for e2, d2, c2 in right:
                 if d2 <= room:
-                    e = key_add(e1, e2)
-                    s = out.get(e)
-                    out[e] = c1 * c2 if s is None else s + c1 * c2
-        return self._like(out, n)
+                    _add_product(acc, key_add(e1, e2), c1, c2)
+        return self._like(dict(_reduced(acc)), n)
 
     __rmul__ = __mul__
 
@@ -108,14 +122,15 @@ class _TruncatedPS:
         if not self[self._ONE].is_zero():
             raise ValueError("substitution requires zero constant term in the inner series")
         n = min(outer.order, self.order)
-        inner = self.truncate(n)
-        acc = self._like({self._ONE: outer[0]}, n)
-        power = self._like({self._ONE: UVPoly.one()}, n)
-        for i in range(1, n + 1):
-            power = power * inner
-            if not outer[i].is_zero():
-                acc = acc + power * outer[i]
-        return acc
+        power = self._like({self._ONE: UVPoly.one()}, n)  # self^i truncated at n
+        acc: dict = {}
+        for i in range(n + 1):
+            if i:
+                power = power * self
+            if outer[i]:
+                for e, c in power.coeffs.items():
+                    _add_product(acc, e, outer[i], c)
+        return self._like(dict(_reduced(acc)), n)
 
     def __str__(self):
         parts = [f"({self.coeffs[e]})*{self._monomial(e)}" for e in sorted(self.coeffs)]

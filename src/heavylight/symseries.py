@@ -23,7 +23,7 @@ Binary operations truncate to the minimum of the two operand orders.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import itemgetter
 
 from .partitions import (
@@ -36,7 +36,7 @@ from .partitions import (
     z_of,
 )
 from .powerseries import FormalPS1
-from .uvpoly import MONOMIALS, UVPoly, _lowest, as_poly
+from .uvpoly import MONOMIALS, UVPoly, _lowest, _reduced, _slot, as_poly
 
 
 def mobius(n: int) -> int:
@@ -54,34 +54,6 @@ def mobius(n: int) -> int:
     if m > 1:
         result = -result
     return result
-
-
-def _slot(acc: dict, key, den: int, w=1) -> tuple:
-    """The numerators of the running sum acc[key] = [nums, lcm of the denominators
-    added so far] and the factor that puts w / den, for an int or Fraction w, on
-    that lcm; the numerators are rescaled when the new denominator raises it."""
-    den *= w.denominator
-    entry = acc.get(key)
-    if entry is None:
-        acc[key] = entry = [{}, den]
-    nums, d = entry
-    if d % den:
-        s = den // gcd(d, den)
-        for m in nums:
-            nums[m] *= s
-        entry[1] = d = d * s
-    return nums, d // den * w.numerator
-
-
-def _reduced(acc: dict):
-    """The nonzero running sums of `acc` as (key, UVPoly) pairs in lowest terms,
-    each key released from `acc` as it is reduced."""
-    for key in list(acc):
-        nums, den = acc.pop(key)
-        if 0 in nums.values():
-            nums = {m: x for m, x in nums.items() if x}
-        if nums:
-            yield key, _lowest(nums, den)
 
 
 def _unpack(packed: int, W: int, monos: list) -> dict:

@@ -8,7 +8,8 @@ equality and hashing are structural, and arithmetic is on ints with one gcd
 at the end.  One denominator per polynomial fits the data: a power-sum
 coefficient takes its denominator from z_lambda (Macdonald, Symmetric
 Functions and Hall Polynomials, I.2 and I.7), and every u^a v^b term of it
-shares that denominator.  Values are immutable.
+shares that denominator.  Values are immutable.  Both series rings add into
+integer running sums (`_slot`), each reduced once (`_reduced`).
 
 Each exponent pair is one tuple for the life of the process: MONOMIALS maps
 (a, b) to the first tuple built for it, every site that makes a key for a new
@@ -82,6 +83,34 @@ def _lowest(nums: dict, den: int) -> "UVPoly":
     p = object.__new__(UVPoly)
     p.nums, p.den = nums, den
     return p
+
+
+def _slot(acc: dict, key, den: int, w=1) -> tuple:
+    """The numerators of the running sum acc[key] = [nums, lcm of the denominators
+    added so far] and the factor that puts w / den, for an int or Fraction w, on
+    that lcm; the numerators are rescaled when the new denominator raises it."""
+    den *= w.denominator
+    entry = acc.get(key)
+    if entry is None:
+        acc[key] = entry = [{}, den]
+    nums, d = entry
+    if d % den:
+        s = den // gcd(d, den)
+        for m in nums:
+            nums[m] *= s
+        entry[1] = d = d * s
+    return nums, d // den * w.numerator
+
+
+def _reduced(acc: dict):
+    """The nonzero running sums of `acc` as (key, UVPoly) pairs in lowest terms,
+    each key released from `acc` as it is reduced."""
+    for key in list(acc):
+        nums, den = acc.pop(key)
+        if 0 in nums.values():
+            nums = {m: x for m, x in nums.items() if x}
+        if nums:
+            yield key, _lowest(nums, den)
 
 
 class UVPoly:

@@ -21,7 +21,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -207,9 +207,10 @@ def test_twisted_marked_count_matches_the_per_call_reference(histograms):
     for p, hist in histograms.items():
         table = gen.falling_table(gen.frobenius_orbit_counts(p, hist), gen.NUMERIC1_TRUNC)
         for lam in lams:
-            entries = [table[lc] for lc in multiplicities(lam).items()]
-            for t, *counts in zip(hist, *entries):
-                assert prod(counts) == reference_marked_count(lam, t, p) * (p + 1 - t)
+            counts = gen.class_counts(table, multiplicities(lam).items())
+            assert len(counts) == len(hist)
+            for t, count in zip(hist, counts):
+                assert count == reference_marked_count(lam, t, p) * (p + 1 - t)
 
 
 def reference_line_count(lam: tuple, p: int) -> int:

@@ -3,8 +3,10 @@ interpreter: the package builds its records without `dataclasses`, so neither
 import loads `dataclasses` or the modules it imports (`inspect` and, through it,
 `ast`, `dis` and `tokenize`).  Each probe takes the difference of `sys.modules`
 before and after its import, so a module that the interpreter loads at startup
-is not counted."""
+is not counted.  And the reference power-series ring imports package code from
+uvpoly.py only, never from the series core it is checked against."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +38,15 @@ def test_an_import_loads_no_dataclasses_machinery(load):
     ).stdout.split()
     assert "heavylight.fixtures" in added
     assert UNWANTED.isdisjoint(added), added
+
+
+def test_the_power_series_ring_imports_package_code_from_uvpoly_only():
+    tree = ast.parse((ROOT / "src" / "heavylight" / "powerseries.py").read_text())
+    relative = {(node.level, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == {(1, "uvpoly")}
+    assert not any(name.split(".")[0] == "heavylight" for name in absolute), absolute

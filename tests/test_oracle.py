@@ -50,10 +50,29 @@ def test_oracle_heavy_only_is_injection():
 
 
 def test_oracle_matches_pipeline_genus0():
-    # 11 of the 20 (m, n) pairs are unstable in genus 0: m + min(n, 1) <= 2.
+    # 11 of the 20 (m, n) pairs are unstable in genus 0, m + min(n, 1) <= 2, and get no row
     smooth0 = load_fixture("genus0_smooth")
     rows = oracle_compare(smooth0, open_series(smooth0, trunc=5), 5)
-    assert len(rows) == 20 and all(ok for _, _, ok in rows)
+    assert len(rows) == 9 and all(ok for _, _, ok in rows)
+
+
+@pytest.mark.parametrize("name", ["genus0_smooth", "genus1_smooth", "genus2_smooth_weight0"])
+def test_oracle_compare_rows_the_stable_cells_only(name):
+    # a cell where the oracle and the pipeline are both zero by stability is no check;
+    # genus 0 has no stable cell to total arity 2, genus 1 and 2 have no unstable one
+    fx = load_fixture(name)
+    refused = []
+    for max_arity in range(1, 4):
+        stable = [(m, t - m) for t in range(1, max_arity + 1) for m in range(t + 1)
+                  if 2 * fx.genus - 2 + m + min(t - m, 1) > 0]
+        try:
+            rows = oracle_compare(fx, open_series(fx, trunc=max_arity), max_arity)
+        except Refused as exc:
+            assert str(exc) == f"no stable (m, n) in genus {fx.genus} up to total arity {max_arity}"
+            refused.append(max_arity)
+            continue
+        assert [(m, n) for m, n, ok in rows if ok] == stable
+    assert refused == ([1, 2] if fx.genus == 0 else [])
 
 
 def test_oracle_matches_pipeline_genus2_weight0():

@@ -158,3 +158,83 @@ def test_a_foreign_operand_is_refused_naming_the_operator():
         with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{op}: {pair}"):
             eval(f"x {op} y", {"x": x, "y": y})
     assert UVPoly.one() + f == f + UVPoly.one()
+
+
+def reference_product(f, g):
+    """f * g one UVPoly term product at a time, each added into a UVPoly sum."""
+    n = min(f.order, g.order)
+    out: dict = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            if f._degree(e1) + f._degree(e2) <= n:
+                e = f._key_add(e1, e2)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return f._like(out, n)
+
+
+def reference_substitution(outer, inner):
+    """outer(inner) by the power loop, adding each outer[i] * inner^i as a whole series."""
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    acc = inner._like({inner._ONE: outer[0]}, n)
+    power = inner._like({inner._ONE: UVPoly.one()}, n)
+    for i in range(1, n + 1):
+        power = reference_product(power, inner)
+        if not outer[i].is_zero():
+            acc = acc + power * outer[i]
+    return acc
+
+
+def random_ps2(rng, order, constant_term=True):
+    """A seeded FormalPS2 in x, y with off-diagonal Fraction UVPoly coefficients."""
+    coeffs = {
+        (i, j): UVPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+                        Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))
+                        for _ in range(rng.randint(0, 3))})
+        for i in range(order + 1) for j in range(order + 1 - i)
+    }
+    if not constant_term:
+        coeffs[0, 0] = UVPoly.zero()
+    return FormalPS2(("x", "y"), coeffs, order)
+
+
+def assert_same(got, want):
+    assert got == want and str(got) == str(want) and got.order == want.order
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_products_and_substitution_match_the_reference(seed):
+    # orders 0 and 1 included; the outer series once with a zero constant term and once
+    # with a nonzero one, and with a zero middle coefficient
+    rng = random.Random(400 + seed)
+    for order in (0, 1, 2, 3, 5):
+        f, g = random_ps1(rng, order), random_ps1(rng, order + rng.randint(0, 2))
+        big_f, big_g = random_ps2(rng, order), random_ps2(rng, order + rng.randint(0, 2))
+        assert_same(f * g, reference_product(f, g))
+        assert_same(big_f * big_g, reference_product(big_f, big_g))
+        inner1 = random_ps1(rng, order + rng.randint(0, 1), constant_term=False)
+        inner2 = random_ps2(rng, order + rng.randint(0, 1), constant_term=False)
+        tail = random_ps1(rng, order)
+        for head in (UVPoly.zero(), UVPoly.monomial(1, 0, Fraction(-2, 3))):
+            coeffs = [head] + [tail[k] for k in range(1, order + 1)]
+            if order >= 3:
+                coeffs[2] = UVPoly.zero()
+            outer = FormalPS1("x", coeffs, order)
+            assert_same(outer.compose(inner1), reference_substitution(outer, inner1))
+            assert_same(compose_ps1_into_ps2(outer, inner2), reference_substitution(outer, inner2))
+    assert sum(a != b for c in big_f.coeffs.values() for a, b in c.nums) >= 3
+
+
+def test_a_product_coefficient_that_cancels_is_dropped():
+    # u/2 x + v/3 y times -3u/5 x + 2v/5 y: the two terms of x y are uv/5 and -uv/5, added
+    # over the lcm 30 of their denominators 10 and 15
+    half, third = UVPoly.monomial(1, 0, Fraction(1, 2)), UVPoly.monomial(0, 1, Fraction(1, 3))
+    f = FormalPS2(("x", "y"), {(1, 0): half, (0, 1): third}, 2)
+    g = FormalPS2(("x", "y"), {(1, 0): UVPoly.monomial(1, 0, Fraction(-3, 5)),
+                               (0, 1): UVPoly.monomial(0, 1, Fraction(2, 5))}, 2)
+    got = f * g
+    assert_same(got, reference_product(f, g))
+    assert sorted(got.coeffs) == [(0, 2), (2, 0)]
+    assert str(got) == "(2/15*u^0*v^2)*x^0*y^2 + (-3/10*u^2*v^0)*x^2*y^0"
+    # and one that cancels to zero by truncation alone
+    assert_same(f.truncate(1) * g, FormalPS2.zero(("x", "y"), 1))

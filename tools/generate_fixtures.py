@@ -24,11 +24,12 @@ Derivations (all exact):
   its size.  Each prime gets one table of twisted counts by cycle length
   and multiplicity, one column of Frobenius orbit counts per trace; a
   conjugacy class counts, on each curve, the product of its cycles' entries,
-  divided exactly by the curve's rational points (its translations, which act
-  freely on configurations).  Each arity is fitted by one exact
-  fraction-free (Bareiss) elimination of its integer matrix in the primes,
-  with one right-hand side per conjugacy class, and every prime beyond the
-  unknowns stays a consistency equation for every class.  The weight-12
+  built one prime at a time as one list product per further cycle group
+  (`class_counts`), and divided exactly by the curve's rational points (its
+  translations, which act freely on configurations).  Each arity is fitted
+  by one exact fraction-free (Bareiss) elimination of its integer matrix in
+  the primes, with one right-hand side per conjugacy class, and every prime
+  beyond the unknowns stays a consistency equation for every class.  The weight-12
   cusp-form correction enters at arity 11 and is detected by fitting
   against the discriminant-form coefficients and replaced by its Hodge
   realization u^11 + v^11.
@@ -135,6 +136,17 @@ def falling_table(columns: list, top: int) -> dict:
             entry = [e * (o[l] - c + 1) * l for e, o in zip(entry, columns)]
             table[l, c] = entry
     return table
+
+
+def class_counts(table: dict, cycles) -> list:
+    """A conjugacy class's twisted counts on the columns of a `falling_table`, one per
+    column: the column of its first cycle group (l, c) times, elementwise, the column
+    of each further group."""
+    first, *rest = cycles
+    counts = table[first]
+    for lc in rest:
+        counts = [x * y for x, y in zip(counts, table[lc])]
+    return counts
 
 
 def genus0_smooth(trunc: int) -> SymSeries:
@@ -391,21 +403,19 @@ def phase_genus1():
     numeric_coeffs = {}
     for n in arities:
         lams = [lam for lam in gen_partitions(n) if n <= trunc or lam == (1,) * n]
-        columns = []
-        for lam in lams:
-            cycles = multiplicities(lam).items()
-            col = []
-            for p in PRIMES:
-                cnts, n1s, table = curves[p]
+        classes = [multiplicities(lam).items() for lam in lams]
+        columns = [[] for _ in lams]
+        for p in PRIMES:
+            cnts, n1s, table = curves[p]
+            for cycles, col in zip(classes, columns):
                 acc = 0
                 # a genus-1 curve with no distinguished origin has its rational
                 # translations as extra automorphisms, and they act freely
-                for cnt, n1, *entries in zip(cnts, n1s, *(table[lc] for lc in cycles)):
-                    total = prod(entries)
-                    assert total % n1 == 0, "translation action must be free on configurations"
-                    acc += cnt * (total // n1)
+                for cnt, n1, total in zip(cnts, n1s, class_counts(table, cycles)):
+                    q, r = divmod(total, n1)
+                    assert not r, "translation action must be free on configurations"
+                    acc += cnt * q
                 col.append(Fraction(acc, p - 1))
-            columns.append(col)
         use_tau = n >= 11
         sols = linsolve_exact(qpolynomial_rows(n + 1, tau if use_tau else None), columns)
         for lam, sol in zip(lams, sols):

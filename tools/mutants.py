@@ -47,6 +47,8 @@ FIXTURES = "src/heavylight/fixtures.py"
 VERIFY = "src/heavylight/verify.py"
 TABLES = "src/heavylight/tables.py"
 GENERATOR = "tools/generate_fixtures.py"
+POWERSERIES = "src/heavylight/powerseries.py"
+ORACLE = "src/heavylight/oracle.py"
 T_UVPOLY = "tests/test_uvpoly.py"
 T_UVPOLY_REF = "tests/test_uvpoly_reference.py"
 T_SYMSERIES = "tests/test_symseries.py"
@@ -59,6 +61,8 @@ T_FIXTURES = "tests/test_fixtures_io.py"
 T_TABLES = "tests/test_tables_cli.py"
 T_GENERATOR = "tests/test_generate_fixtures.py"
 T_ACCEPTANCE = "tests/test_acceptance.py"
+T_POWERSERIES = "tests/test_powerseries.py"
+T_ORACLE = "tests/test_oracle.py"
 GOLDEN_ERRORS = f"{T_TABLES}::test_golden_parse_errors_carry_position"
 RENDER_DIGESTS = f"{T_TABLES}::test_rendered_tables_match_their_recorded_digests"
 REGEN = f"{T_GENERATOR}::test_regeneration_writes_the_benchmark_digests"
@@ -66,6 +70,8 @@ HISTOGRAM = f"{T_GENERATOR}::test_orbit_reduced_histogram_matches_the_brute_forc
 CLOSED_FORM = f"{T_PIPELINE}::test_genus0_closed_form_is_the_exact_division"
 MN_REFERENCE = f"{T_PARTITIONS}::test_mn_character_matches_the_border_strip_reference"
 CANONICAL = f"{T_UVPOLY}::test_every_exponent_pair_is_one_tuple"
+PS_REFERENCE = f"{T_POWERSERIES}::test_products_and_substitution_match_the_reference"
+ORACLE_STABLE = f"{T_ORACLE}::test_oracle_compare_rows_the_stable_cells_only"
 
 # (id, path, old, new, tests): `old` occurs exactly once in `path`, and the
 # pytest node ids in `tests` are expected to fail once it is replaced by `new`.
@@ -156,9 +162,9 @@ MUTANTS = (
      (MN_REFERENCE,)),
     ("union-with-an-empty-left-side-drops-the-right", PARTITIONS, "return lam or mu", "return lam",
      (f"{T_PARTITIONS}::test_union_and_serialization",)),
-    ("slot-without-rescale", SYMSERIES, "nums[m] *= s", "nums[m] *= 1",
+    ("slot-without-rescale", UVPOLY, "nums[m] *= s", "nums[m] *= 1",
      (f"{T_SYMSERIES}::test_exp_log_round_trip",)),
-    ("slot-without-weight-numerator", SYMSERIES, "d // den * w.numerator", "d // den",
+    ("slot-without-weight-numerator", UVPOLY, "d // den * w.numerator", "d // den",
      (f"{T_SERIES_REF}::test_exp_and_its_inverse_match_the_reference",)),
     ("packed-bound-without-partition-count", SYMSERIES, "len(cols) * max(abs(w)", "max(abs(w)",
      (f"{T_SCHUR_REF}::test_two_sources_add_into_one_slot",)),
@@ -183,7 +189,7 @@ MUTANTS = (
      (f"{T_SERIES_REF}::test_products_and_coproduct_match_the_reference",)),
     ("products-stop-one-arity-early", SYMSERIES, "if s1 + s2 > n:", "if s1 + s2 >= n:",
      (f"{T_SYMSERIES}::test_exp_series",)),
-    ("reduced-keeps-zeros", SYMSERIES, "nums = {m: x for m, x in nums.items() if x}", "pass",
+    ("reduced-keeps-zeros", UVPOLY, "nums = {m: x for m, x in nums.items() if x}", "pass",
      (f"{T_SERIES_REF}::test_a_monomial_that_cancels_leaves_no_zero_numerator",)),
     ("series-adams-keeps-coefficients", SYMSERIES, "): c.adams(k)", "): c",
      (f"{T_ACCEPTANCE}::test_criterion_7_property_suites",
@@ -200,8 +206,13 @@ MUTANTS = (
      (f"{T_SYMSERIES}::test_pleth_inverse",)),
     ("canonical-order-factors-reversed", SYMSERIES, "tuple(map(sum, parts)), tuple(order",
      "tuple(map(sum, parts[::-1])), tuple(order", (RENDER_DIGESTS,)),
-    ("reversion-inner-sum-one-term-short", "src/heavylight/powerseries.py",
-     "range(1, m - k + 2)", "range(1, m - k + 1)", ("tests/test_powerseries.py::test_reversion",)),
+    ("reversion-inner-sum-one-term-short", POWERSERIES,
+     "range(1, m - k + 2)", "range(1, m - k + 1)", (f"{T_POWERSERIES}::test_reversion",)),
+    ("substitution-skips-outer-0", POWERSERIES, "for i in range(n + 1):",
+     "for i in range(1, n + 1):", (PS_REFERENCE,)),
+    ("ps-product-skips-the-lcm-rescale", POWERSERIES, "x *= s", "pass",
+     (PS_REFERENCE, f"{T_POWERSERIES}::test_a_product_coefficient_that_cancels_is_dropped")),
+    ("ps-product-over-one-denominator", POWERSERIES, "c1.den * c2.den", "c1.den", (PS_REFERENCE,)),
     ("bisym-key-mul-factors-swapped", BISYMSERIES,
      "(union(a[0], b[0]), union(a[1], b[1]))", "(union(a[1], b[1]), union(a[0], b[0]))",
      (f"{T_BISYMSERIES}::test_inject_is_ring_map",)),
@@ -241,12 +252,15 @@ MUTANTS = (
     ("tropical-unstable-kept", PIPELINE, "if not stability_ok(g, m, n):", "if False:",
      (f"{T_PIPELINE}::test_tropical_euler_refuses_unstable_components",
       f"{T_TABLES}::test_cli_tropical_refuses_an_unstable_component_in_one_line")),
-    ("oracle-genus-zero", "src/heavylight/oracle.py", "stability_ok(fixture.genus, m, n)",
+    ("oracle-genus-zero", ORACLE, "stability_ok(fixture.genus, m, n)",
      "stability_ok(0, m, n)", ("tests/test_oracle.py::test_oracle_heavy_only_is_injection",)),
-    ("oracle-compare-enumerates-past-the-cap", "src/heavylight/oracle.py",
-     "if max_arity > ENUMERATION_CAP:", "if False:", ("tests/test_oracle.py::test_oracle_cap",)),
-    ("oracle-joins-at-most-4-blocks", "src/heavylight/oracle.py", "for _ in range(blocks):",
-     "for _ in range(min(blocks, 4)):", ("tests/test_oracle.py::test_stirling2",)),
+    ("oracle-compare-enumerates-past-the-cap", ORACLE,
+     "if max_arity > ENUMERATION_CAP:", "if False:", (f"{T_ORACLE}::test_oracle_cap",)),
+    ("oracle-compare-rows-unstable-cells", ORACLE,
+     "if stability_ok(fixture.genus, m, total - m)]", "]", (ORACLE_STABLE,)),
+    ("oracle-compare-passes-an-empty-range", ORACLE, "if not cells:", "if False:", (ORACLE_STABLE,)),
+    ("oracle-joins-at-most-4-blocks", ORACLE, "for _ in range(blocks):",
+     "for _ in range(min(blocks, 4)):", (f"{T_ORACLE}::test_stirling2",)),
     ("bareiss-divides-by-the-pivot", GENERATOR, "// prev for x, y", "// p for x, y",
      (f"{T_GENERATOR}::test_batched_solve_equals_one_solve_per_column",)),
     ("bareiss-without-row-swap", GENERATOR, "m[r], m[piv] = m[piv], m[r]", "pass",
@@ -264,6 +278,8 @@ MUTANTS = (
      (f"{T_GENERATOR}::test_discriminant_coefficients_satisfy_the_hecke_relations",)),
     ("marked-count-orbit-off-by-one", GENERATOR, "(o[l] - c + 1)", "(o[l] - c)",
      (f"{T_GENERATOR}::test_genus0_smooth_matches_the_line_count",)),
+    ("class-counts-drop-a-cycle-group", GENERATOR, "for lc in rest:", "for lc in rest[1:]:",
+     (f"{T_GENERATOR}::test_twisted_marked_count_matches_the_per_call_reference",)),
     ("marked-count-without-phases", GENERATOR, "(o[l] - c + 1) * l for", "(o[l] - c + 1) for",
      (f"{T_GENERATOR}::test_twisted_marked_count_matches_the_per_call_reference",)),
     ("divisor-table-mobius-of-divisor", GENERATOR, "(mu := mobius(n // d))", "(mu := mobius(d))",
