@@ -8,8 +8,9 @@ bivariate (exponent pairs).  All arithmetic is exact; binary operations
 truncate to the minimum of the two orders.
 
 These classes deliberately share no code with the symmetric-function
-series core in symseries.py, only the L1 arithmetic of uvpoly.py, integer
-running sums included.  Their composition, exp and reversion are the
+series core in symseries.py, only the L1 arithmetic of uvpoly.py: a product
+adds each coefficient product into a running sum of uvpoly's (`_add_product`),
+reduced once (`_reduced`).  Their composition, exp and reversion are the
 independent route that the rank specializations (`SymSeries.rank1`,
 `BiSymSeries.rank2`) are checked against: the offdiag benchmark workload,
 the property suite, the numeric-versus-equivariant verify checks and the
@@ -19,24 +20,9 @@ rank tests compare plethysm with composition here.
 import operator
 from fractions import Fraction
 
-from .uvpoly import MONOMIALS, UVPoly, _reduced, _slot, as_poly
+from .uvpoly import UVPoly, _add_product, _reduced, as_poly
 
 _SCALARS = (int, Fraction, UVPoly)
-
-
-def _add_product(acc: dict, e, c1: UVPoly, c2: UVPoly):
-    """acc[e] += c1 * c2 on the running sum of `acc`, a new monomial keyed as in MONOMIALS."""
-    total, s = _slot(acc, e, c1.den * c2.den)
-    get = total.get
-    for (a1, b1), x in c1.nums.items():
-        x *= s
-        for (a2, b2), y in c2.nums.items():
-            m = (a1 + a2, b1 + b2)
-            v = get(m)
-            if v is None:
-                total[MONOMIALS.setdefault(m, m)] = x * y
-            else:
-                total[m] = v + x * y
 
 
 class _TruncatedPS:

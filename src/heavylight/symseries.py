@@ -36,7 +36,7 @@ from .partitions import (
     z_of,
 )
 from .powerseries import FormalPS1
-from .uvpoly import MONOMIALS, UVPoly, _lowest, _reduced, _slot, as_poly
+from .uvpoly import UVPoly, _add_product, _add_scaled, _lowest, _reduced, as_poly
 
 
 def mobius(n: int) -> int:
@@ -246,26 +246,16 @@ class _Series:
 
     def _add_products(self, acc: dict, left: dict, right: dict, n: int, w=1):
         """acc[a * b] += w * left[a] * right[b] over the pairs of arity <= n (int or
-        Fraction w), convolving the integer numerators into the running sums of `acc`;
-        a monomial new to a running sum is keyed by its tuple in MONOMIALS."""
+        Fraction w), each by `_add_product`; the right keys go by ascending arity, so
+        each left key stops at its first pair past n."""
         arity, key_mul = self._arity, self._key_mul
-        right = sorted(((arity(k), k, c.nums, c.den) for k, c in right.items()), key=itemgetter(0))
+        right = sorted(((arity(k), k, c) for k, c in right.items()), key=itemgetter(0))
         for k1, c1 in left.items():
-            s1, nums1, den1 = arity(k1), c1.nums, c1.den
-            for s2, k2, nums2, den2 in right:
+            s1 = arity(k1)
+            for s2, k2, c2 in right:
                 if s1 + s2 > n:
                     break
-                total, s = _slot(acc, key_mul(k1, k2), den1 * den2, w)
-                get = total.get
-                for (a1, b1), x in nums1.items():
-                    x *= s
-                    for (a2, b2), y in nums2.items():
-                        m = (a1 + a2, b1 + b2)
-                        v = get(m)
-                        if v is None:
-                            total[MONOMIALS.setdefault(m, m)] = x * y
-                        else:
-                            total[m] = v + x * y
+                _add_product(acc, key_mul(k1, k2), c1, c2, w)
 
     @classmethod
     def linear(cls, terms, n: int):
@@ -278,9 +268,7 @@ class _Series:
             if f.trunc > n:
                 f = f.truncate(n)
             for key, c in f.coeffs.items():
-                total, s = _slot(acc, key, c.den, w)
-                for m, x in c.nums.items():
-                    total[m] = total.get(m, 0) + x * s
+                _add_scaled(acc, key, c, w)
         return cls._built(dict(_reduced(acc)), n)
 
     # -- plethystic operations ----------------------------------------------
@@ -363,7 +351,9 @@ class _Series:
             raise ValueError("Log requires zero constant term")
         n, f, log1p = self.trunc, self._graded(), [{}]
         for d in range(1, n + 1):
-            acc = {key: [dict(c.nums), c.den] for key, c in f[d].items()}
+            acc: dict = {}
+            for key, c in f[d].items():
+                _add_scaled(acc, key, c)
             for j in range(1, d):
                 self._add_products(acc, log1p[j], f[d - j], n, Fraction(-j, d))
             log1p.append(dict(_reduced(acc)))

@@ -8,8 +8,10 @@ equality and hashing are structural, and arithmetic is on ints with one gcd
 at the end.  One denominator per polynomial fits the data: a power-sum
 coefficient takes its denominator from z_lambda (Macdonald, Symmetric
 Functions and Hall Polynomials, I.2 and I.7), and every u^a v^b term of it
-shares that denominator.  Values are immutable.  Both series rings add into
-integer running sums (`_slot`), each reduced once (`_reduced`).
+shares that denominator.  Values are immutable.  `_convolve` is the one
+product loop of the package.  Both series rings add into integer running sums
+through `_add_product` and `_add_scaled`, each reduced once (`_reduced`); the
+format of a running sum is private to this module.
 
 Each exponent pair is one tuple for the life of the process: MONOMIALS maps
 (a, b) to the first tuple built for it, every site that makes a key for a new
@@ -100,6 +102,34 @@ def _slot(acc: dict, key, den: int, w=1) -> tuple:
             nums[m] *= s
         entry[1] = d = d * s
     return nums, d // den * w.numerator
+
+
+def _convolve(total: dict, nums1: dict, nums2: dict, s=1):
+    """total += s * nums1 * nums2 on numerators keyed by exponent pair, a monomial
+    new to `total` keyed by its MONOMIALS tuple."""
+    get = total.get
+    for (a1, b1), x in nums1.items():
+        x *= s
+        for (a2, b2), y in nums2.items():
+            m = (a1 + a2, b1 + b2)
+            v = get(m)
+            if v is None:
+                total[MONOMIALS.setdefault(m, m)] = x * y
+            else:
+                total[m] = v + x * y
+
+
+def _add_product(acc: dict, key, p: "UVPoly", q: "UVPoly", w=1):
+    """acc[key] += w * p * q on the running sums of `acc`, for an int or Fraction w."""
+    total, s = _slot(acc, key, p.den * q.den, w)
+    _convolve(total, p.nums, q.nums, s)
+
+
+def _add_scaled(acc: dict, key, p: "UVPoly", w=1):
+    """acc[key] += w * p on the running sums of `acc`, for an int or Fraction w."""
+    total, s = _slot(acc, key, p.den, w)
+    for m, x in p.nums.items():
+        total[m] = total.get(m, 0) + x * s
 
 
 def _reduced(acc: dict):
@@ -215,15 +245,7 @@ class UVPoly:
         if not isinstance(other, UVPoly):
             return NotImplemented
         nums: dict = {}
-        get = nums.get
-        for (a1, b1), n1 in self.nums.items():
-            for (a2, b2), n2 in other.nums.items():
-                k = (a1 + a2, b1 + b2)
-                v = get(k)
-                if v is None:
-                    nums[MONOMIALS.setdefault(k, k)] = n1 * n2
-                else:
-                    nums[k] = v + n1 * n2
+        _convolve(nums, self.nums, other.nums)
         if 0 in nums.values():
             nums = {k: n for k, n in nums.items() if n}
         return _lowest(nums, self.den * other.den)

@@ -4,7 +4,8 @@ import loads `dataclasses` or the modules it imports (`inspect` and, through it,
 `ast`, `dis` and `tokenize`).  Each probe takes the difference of `sys.modules`
 before and after its import, so a module that the interpreter loads at startup
 is not counted.  And the reference power-series ring imports package code from
-uvpoly.py only, never from the series core it is checked against."""
+uvpoly.py only, never from the series core it is checked against; neither ring
+names the running-sum slot or the monomial table, both private to uvpoly.py."""
 
 import ast
 import os
@@ -50,3 +51,13 @@ def test_the_power_series_ring_imports_package_code_from_uvpoly_only():
                  if isinstance(node, ast.ImportFrom) and not node.level}
     assert relative == {(1, "uvpoly")}
     assert not any(name.split(".")[0] == "heavylight" for name in absolute), absolute
+
+
+@pytest.mark.parametrize("module", ["symseries", "powerseries"])
+def test_the_series_rings_leave_the_running_sum_format_to_uvpoly(module):
+    tree = ast.parse((ROOT / "src" / "heavylight" / f"{module}.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names.isdisjoint({"_slot", "MONOMIALS"}), names & {"_slot", "MONOMIALS"}

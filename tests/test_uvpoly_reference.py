@@ -2,7 +2,8 @@
 
 The reference keeps one Fraction per term and follows the definitions with
 no shared denominator, so a slip in UVPoly's common-denominator bookkeeping
-(a missed gcd reduction, an operand left unscaled) shows up as a mismatch.
+(a missed gcd reduction, an operand left unscaled) shows up as a mismatch.  The
+running sums that the series rings add into are checked against it the same way.
 """
 
 from fractions import Fraction
@@ -10,7 +11,7 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from heavylight.uvpoly import UVPoly, parse_uvpoly
+from heavylight.uvpoly import MONOMIALS, UVPoly, _add_product, _add_scaled, _reduced, parse_uvpoly
 
 from strategies import examples
 
@@ -64,6 +65,9 @@ EXPONENT = st.integers(0, 4)
 COEFF = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 TERMS = st.dictionaries(st.tuples(EXPONENT, EXPONENT), COEFF, max_size=6)
 SCALAR = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+WEIGHT = st.one_of(st.integers(-3, 3), COEFF)
+# (w, p, q) adds w * p * q, and (w, r, None) adds w * r
+STEPS = st.lists(st.tuples(WEIGHT, TERMS, st.none() | TERMS), max_size=6)
 SETTINGS = examples(75)
 
 
@@ -124,3 +128,27 @@ def test_equal_values_are_equal_and_hash_alike():
     assert third == UVPoly.monomial(1, 0, Fraction(1, 3))
     assert hash(third) == hash(UVPoly.monomial(1, 0, Fraction(1, 3)))
     assert UVPoly.zero().den == 1 and (half - half).den == 1
+
+
+@SETTINGS
+@given(STEPS, st.integers(0, 6))
+def test_running_sums_match_the_reference(steps, undone):
+    # the first `undone` steps are added again with the opposite weight, so that
+    # some monomials, or the whole sum, cancel
+    acc, ref = {}, Ref({})
+    for w, s, t in steps + [(-w, s, t) for w, s, t in steps[:undone]]:
+        if t is None:
+            _add_scaled(acc, "key", UVPoly(s), w)
+            ref = ref + Ref(s) * w
+        else:
+            _add_product(acc, "key", UVPoly(s), UVPoly(t), w)
+            ref = ref + Ref(s) * Ref(t) * w
+    out = dict(_reduced(acc))
+    assert not acc
+    if not ref.terms:
+        assert out == {}
+        return
+    p = out["key"]
+    assert agrees(p, ref)
+    assert p.den > 0 and all(p.nums.values()) and gcd(p.den, *p.nums.values()) == 1
+    assert all(MONOMIALS.get(k) is k for k in p.nums)

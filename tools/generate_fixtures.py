@@ -66,7 +66,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -162,7 +162,7 @@ def genus0_smooth(trunc: int) -> SymSeries:
     coeffs = {}
     for n in range(3, trunc + 1):
         for lam in gen_partitions(n):
-            count = prod(table[lc][0] for lc in multiplicities(lam).items())
+            count = class_counts(table, multiplicities(lam).items())[0]
             tr = divide_diagonal_exact(count, aut)
             if not tr.is_zero():
                 coeffs[lam] = tr * Fraction(1, z_of(lam))
