@@ -1,8 +1,9 @@
 """Independent small-arity verification by brute-force enumeration.
 
 The pipeline computes heavy/light series through plethysm; this module
-recomputes small components directly from the stratification by the number
-of distinct light points, averaging over explicit permutations, so that any
+recomputes small components directly from the stratification of the smooth
+locus by which light points coincide: one stratum M_{g,m+|P|} per set
+partition P of the light markings, summed explicitly, so that any
 systematic error in the plethysm machinery is caught by exact comparison.
 Enumeration is capped at total arity 7.  The Stirling numbers S(n, k) are
 counted too, in one cached walk per n, never by the recurrence they are
@@ -11,12 +12,10 @@ checked against.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial
 
 from .bisymseries import BiSymSeries
 from .fixtures import SeriesFixture
-from .partitions import gen_partitions, z_of
+from .partitions import gen_partitions, union, z_of
 from .pipeline import Refused, stability_ok
 from .uvpoly import UVPoly
 
@@ -95,42 +94,32 @@ def representative_of_type(mu: tuple) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _block_permutation_counts(tau: tuple, j: int) -> tuple:
-    """The pairs (pi, number of ordered partitions (B_1..B_j) with tau(B_i) = B_{pi(i)}).
+def _set_partitions(n: int) -> list:
+    """The set partitions of 1..n as restricted growth strings: entry x - 1 is
+    the block of x, blocks numbered 0, 1, ... in order of their least element."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return strings
 
-    Every surjective coloring determines its pi uniquely (pi(c(x)) = c(tau(x))
-    must be well defined), so the sum over pi is organized by coloring.
-    """
-    n = len(tau)
-    counts: dict = {}
-    for assignment in product(range(1, j + 1), repeat=n):
-        if len(set(assignment)) != j:
-            continue
-        pi = [0] * j
-        ok = True
-        for x in range(n):
-            src = assignment[x]
-            dst = assignment[tau[x] - 1]
-            if pi[src - 1] == 0:
-                pi[src - 1] = dst
-            elif pi[src - 1] != dst:
-                ok = False
-                break
-        if ok:
-            key = tuple(pi)
-            counts[key] = counts.get(key, 0) + 1
-    return tuple(counts.items())
+
+def _block_cycle_type(tau: tuple, blocks: tuple):
+    """The cycle type of the permutation tau induces on the blocks of a set
+    partition, or None when tau does not map blocks onto blocks."""
+    image: dict = {}
+    for x, b in enumerate(blocks):
+        if image.setdefault(b, blocks[tau[x] - 1]) != blocks[tau[x] - 1]:
+            return None
+    return cycle_type(tuple(image[b] + 1 for b in range(len(image))))
 
 
 def oracle_open_ch(m: int, n: int, fixture: SeriesFixture) -> BiSymSeries:
     """Arity-(m, n) open heavy/light component computed without plethysm.
 
-    For each class pair (type of sigma on the heavy markings, explicit tau on
-    the light ones) and each number j of distinct light positions, averages
-    over pi in S_j the count of ordered block decompositions compatible with
-    (tau, pi), times the trace of (sigma, pi) on the arity-(m+j) term of the
-    input series.
+    For each class pair (sigma of type lam on the heavy markings, explicit tau
+    of type mu on the light ones), sums over the set partitions P of the light
+    markings with tau(P) = P the trace of (sigma, the permutation tau induces
+    on the blocks of P) on the arity-(m + |P|) term of the input series.
     """
     if m + n > ENUMERATION_CAP:
         raise ValueError(f"oracle enumeration capped at total arity {ENUMERATION_CAP}")
@@ -141,23 +130,16 @@ def oracle_open_ch(m: int, n: int, fixture: SeriesFixture) -> BiSymSeries:
     trunc = m + n
     if not stability_ok(fixture.genus, m, n):
         return BiSymSeries.zero(trunc)
+    strings = _set_partitions(n)
     out: dict = {}
     for lam in gen_partitions(m):
         for mu in gen_partitions(n):
             tau = representative_of_type(mu)
-            if n == 0:
-                trace = fixture.data.trace_from_ch(lam)
-            else:
-                trace = UVPoly.zero()
-                for j in range(1, n + 1):
-                    acc = UVPoly.zero()
-                    for pi, cnt in _block_permutation_counts(tau, j):
-                        joint = tuple(
-                            sorted(lam + cycle_type(pi), reverse=True)
-                        )
-                        tr = fixture.data.trace_from_ch(joint)
-                        acc = acc + tr * cnt
-                    trace = trace + acc * Fraction(1, factorial(j))
+            trace = UVPoly.zero()
+            for blocks in strings:
+                nu = _block_cycle_type(tau, blocks)
+                if nu is not None:
+                    trace = trace + fixture.data.trace_from_ch(union(lam, nu))
             out[(lam, mu)] = trace * Fraction(1, z_of(lam) * z_of(mu))
     return BiSymSeries(out, trunc)
 

@@ -5,7 +5,9 @@ import loads `dataclasses` or the modules it imports (`inspect` and, through it,
 before and after its import, so a module that the interpreter loads at startup
 is not counted.  And the reference power-series ring imports package code from
 uvpoly.py only, never from the series core it is checked against; neither ring
-names the running-sum slot or the monomial table, both private to uvpoly.py."""
+names the running-sum slot or the monomial table, both private to uvpoly.py.
+The brute-force oracle names none of the plethysm, Exp, coproduct or pipeline
+routes that it checks."""
 
 import ast
 import os
@@ -53,11 +55,23 @@ def test_the_power_series_ring_imports_package_code_from_uvpoly_only():
     assert not any(name.split(".")[0] == "heavylight" for name in absolute), absolute
 
 
-@pytest.mark.parametrize("module", ["symseries", "powerseries"])
-def test_the_series_rings_leave_the_running_sum_format_to_uvpoly(module):
+def names_in(module):
+    """The names a package module imports, reads or looks up as attributes."""
     tree = ast.parse((ROOT / "src" / "heavylight" / f"{module}.py").read_text())
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_the_oracle_names_none_of_the_routes_it_checks():
+    names = names_in("oracle")
+    routes = {"plethysm", "pleth2", "_pleth", "exp_series", "exp2", "_exp", "coproduct",
+              "exp2_of_p1", "open_series", "closed_series"}
+    assert names.isdisjoint(routes), names & routes
+
+
+@pytest.mark.parametrize("module", ["symseries", "powerseries"])
+def test_the_series_rings_leave_the_running_sum_format_to_uvpoly(module):
+    names = names_in(module)
     assert names.isdisjoint({"_slot", "MONOMIALS"}), names & {"_slot", "MONOMIALS"}

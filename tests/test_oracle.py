@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from heavylight import oracle
 from heavylight.bisymseries import BiSymSeries
 from heavylight.fixtures import load_fixture
 from heavylight.oracle import (
+    ENUMERATION_CAP,
+    _set_partitions,
     block_counts,
     cycle_type,
     oracle_compare,
@@ -20,6 +24,11 @@ def test_set_partitions_bell_numbers():
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
     for n, b in enumerate(bell):
         assert sum(block_counts(n)) == b
+    # the oracle's restricted growth strings, tallied by number of blocks, agree
+    for n in range(ENUMERATION_CAP + 1):
+        strings = _set_partitions(n)
+        assert len(set(strings)) == len(strings)
+        assert tuple(Counter(len(set(s)) for s in strings)[k] for k in range(n + 1)) == block_counts(n)
 
 
 def test_stirling2():
@@ -95,10 +104,11 @@ def test_oracle_cap(monkeypatch):
 
 def test_oracle_input_agnostic_identity():
     # the stratification identity is linear in the input series: it holds
-    # for the stable genus-1 fixture fed through the open pipeline as well
+    # for the stable genus-1 fixture fed through the open pipeline as well,
+    # on every cell up to the enumeration cap
     stable1 = load_fixture("genus1_stable")
-    res = open_series(stable1._replace(variant="open", data=stable1.data.truncate(5)))
-    for m in range(3):
-        for n in range(3 - m):
+    res = open_series(stable1._replace(variant="open", data=stable1.data.truncate(ENUMERATION_CAP)))
+    for m in range(ENUMERATION_CAP + 1):
+        for n in range(ENUMERATION_CAP + 1 - m):
             got = oracle_open_ch(m, n, stable1)
             assert got == res.component(m, n)

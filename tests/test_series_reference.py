@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from heavylight.bisymseries import BiSymSeries, coproduct
 from heavylight.fixtures import load_fixture
@@ -137,8 +137,18 @@ def in_lowest_terms(coeffs):
     )
 
 
+def _two_denominators(cls, keys):
+    """A product of two two-term series whose key `keys[1]` gets u/5 * u/7 + u/11 * u/2:
+    two products over the denominators 35 and 22 on one output key and monomial."""
+    def series(c0, c1):
+        return cls({keys[0]: UVPoly({(1, 0): c0}), keys[1]: UVPoly({(1, 0): c1})}, ARITY)
+    return series(Fraction(1, 5), Fraction(1, 11)), series(Fraction(1, 2), Fraction(1, 7))
+
+
 @SETTINGS
 @given(SYM, SYM, BISYM, BISYM)
+@example(*_two_denominators(SymSeries, [(), (1,)]),
+         *_two_denominators(BiSymSeries, [((), ()), ((), (1,))]))
 def test_products_and_coproduct_match_the_reference(f, g, a, b):
     assert ref(f * g) == ref(mul(ref(f), ref(g), {}))
     assert ref(a * b) == ref(mul(ref(a), ref(b), {}))

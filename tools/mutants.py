@@ -74,6 +74,7 @@ PS_REFERENCE = f"{T_POWERSERIES}::test_products_and_substitution_match_the_refer
 RUNNING_SUMS = f"{T_UVPOLY_REF}::test_running_sums_match_the_reference"
 SERIES_PRODUCTS = f"{T_SERIES_REF}::test_products_and_coproduct_match_the_reference"
 ORACLE_STABLE = f"{T_ORACLE}::test_oracle_compare_rows_the_stable_cells_only"
+ORACLE_IDENTITY = f"{T_ORACLE}::test_oracle_input_agnostic_identity"
 
 # (id, path, old, new, tests): `old` occurs exactly once in `path`, and the
 # pytest node ids in `tests` are expected to fail once it is replaced by `new`.
@@ -150,7 +151,8 @@ MUTANTS = (
      "total[m] = x * y", (RUNNING_SUMS, CANONICAL)),
     ("product-first-term-unmultiplied", UVPOLY, ")] = x * y", ")] = x", (RUNNING_SUMS,
      f"{T_UVPOLY_REF}::test_ring_operations_match_the_reference", SERIES_PRODUCTS, PS_REFERENCE)),
-    ("product-skips-the-lcm-rescale", UVPOLY, "x *= s", "pass", (RUNNING_SUMS, PS_REFERENCE)),
+    ("product-skips-the-lcm-rescale", UVPOLY, "x *= s", "pass",
+     (RUNNING_SUMS, SERIES_PRODUCTS, PS_REFERENCE)),
     ("product-over-one-denominator", UVPOLY, "p.den * q.den", "p.den",
      (RUNNING_SUMS, SERIES_PRODUCTS, PS_REFERENCE)),
     ("scaled-add-ignores-the-weight", UVPOLY, "0) + x * s", "0) + x", (RUNNING_SUMS,)),
@@ -260,6 +262,12 @@ MUTANTS = (
     ("oracle-compare-passes-an-empty-range", ORACLE, "if not cells:", "if False:", (ORACLE_STABLE,)),
     ("oracle-joins-at-most-4-blocks", ORACLE, "for _ in range(blocks):",
      "for _ in range(min(blocks, 4)):", (f"{T_ORACLE}::test_stirling2",)),
+    ("oracle-counts-moved-strata", ORACLE, "!= blocks[tau[x] - 1]", "is None",
+     (ORACLE_IDENTITY,)),
+    ("oracle-stratum-drops-the-heavy-cycles", ORACLE, "union(lam, nu)", "nu or lam",
+     (ORACLE_IDENTITY, f"{T_ORACLE}::test_oracle_matches_pipeline_genus0")),
+    ("oracle-strings-open-no-new-block", ORACLE, "default=-1) + 2", "default=-1) + 1",
+     (ORACLE_IDENTITY, f"{T_ORACLE}::test_set_partitions_bell_numbers")),
     ("bareiss-divides-by-the-pivot", GENERATOR, "// prev for x, y", "// p for x, y",
      (f"{T_GENERATOR}::test_batched_solve_equals_one_solve_per_column",)),
     ("bareiss-without-row-swap", GENERATOR, "m[r], m[piv] = m[piv], m[r]", "pass",
