@@ -10,15 +10,18 @@ truncate to the minimum of the two orders.
 These classes deliberately share no code with the symmetric-function
 series core in symseries.py, only the L1 arithmetic of uvpoly.py: a product
 adds each coefficient product into a running sum of uvpoly's (`_add_product`),
-reduced once (`_reduced`).  Their composition, exp and reversion are the
-independent route that the rank specializations (`SymSeries.rank1`,
-`BiSymSeries.rank2`) are checked against: the offdiag benchmark workload,
-the property suite, the numeric-versus-equivariant verify checks and the
-rank tests compare plethysm with composition here.
+reduced once (`_reduced`).  exp and log are substitutions of closed-form
+series; reversion is a power table.  The Exp/Log recurrence is written once,
+in the core, so this route shares no algorithm with it.  Composition, exp,
+log and reversion are the independent route that the rank specializations
+(`SymSeries.rank1`, `BiSymSeries.rank2`) are checked against: the offdiag
+benchmark workload, the property suite, the numeric-versus-equivariant verify
+checks and the rank tests compare plethysm with composition here.
 """
 
 import operator
 from fractions import Fraction
+from math import factorial
 
 from .uvpoly import UVPoly, _add_product, _reduced, as_poly
 
@@ -160,31 +163,20 @@ class FormalPS1(_TruncatedPS):
         return inner._substituted_into(self)
 
     def exp(self) -> "FormalPS1":
-        """exp of a series with zero constant term."""
+        """exp of a series with zero constant term: the closed-form series
+        sum_k var^k/k! substituted into it."""
         if not self[0].is_zero():
             raise ValueError("exp requires zero constant term")
-        out = [UVPoly.one()]
-        # e' = f' e  =>  n e_n = sum_{k=1..n} k f_k e_{n-k}
-        for n in range(1, self.order + 1):
-            s = UVPoly.zero()
-            for k in range(1, n + 1):
-                if not self[k].is_zero():
-                    s = s + self[k] * out[n - k] * k
-            out.append(s / n)
-        return FormalPS1(self.var, out, self.order)
+        series = [Fraction(1, factorial(k)) for k in range(self.order + 1)]
+        return FormalPS1(self.var, series, self.order).compose(self)
 
     def log(self) -> "FormalPS1":
-        """log of a series with constant term 1."""
+        """log of a series g with constant term 1: the closed-form series
+        sum_{k>=1} (-1)^(k+1) var^k/k substituted into g - 1."""
         if self[0] != UVPoly.one():
             raise ValueError("log requires constant term 1")
-        out = [UVPoly.zero()]
-        # f = e^g  =>  n f_n = sum_{k=1..n} k g_k f_{n-k}
-        for n in range(1, self.order + 1):
-            s = self[n] * n
-            for k in range(1, n):
-                s = s - (out[k] * k) * self[n - k]
-            out.append(s / n)
-        return FormalPS1(self.var, out, self.order)
+        series = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, self.order + 1)]
+        return FormalPS1(self.var, series, self.order).compose(self - 1)
 
     def reversion(self) -> "FormalPS1":
         """Compositional inverse g of a series f = var + O(var^2).
@@ -217,10 +209,6 @@ class FormalPS2(_TruncatedPS):
         if any(i < 0 or j < 0 for i, j in coeffs):
             raise ValueError("negative exponent in bivariate series")
         super().__init__((str(vars[0]), str(vars[1])), coeffs, order)
-
-    @staticmethod
-    def zero(vars: tuple, order: int) -> "FormalPS2":
-        return FormalPS2(vars, {}, order)
 
     @staticmethod
     def variable(vars: tuple, which: int, order: int) -> "FormalPS2":

@@ -172,4 +172,4 @@ def render_table(result, basis="schur", form="hodge", max_arity=5, fmt="text") -
                         piece += f"{tag}_{_latex_partition(part)}^{{({i})}}"
                 terms.append(piece)
             lines.append(f"({m},{n}) & ${' + '.join(terms)}$ \\\\")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)

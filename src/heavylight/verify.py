@@ -181,7 +181,7 @@ def _rank_composition_case(rng) -> bool:
     g = random_bi(rng, 6)
     lhs = f.pleth2(g).rank2()
     rf, rg = f.rank2(), g.rank2()
-    acc = FormalPS2.zero(("x", "y"), 6)
+    acc = FormalPS2(("x", "y"), {}, 6)
     xv = FormalPS2.variable(("x", "y"), 1, 6)
     for (i, j), c in rf.coeffs.items():
         term = FormalPS2(("x", "y"), {(0, 0): c}, 6)

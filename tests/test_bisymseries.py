@@ -65,7 +65,7 @@ def test_exp2():
 
 def test_rank2():
     assert (P(1, 1) * P(1, 2)).rank2()[(1, 1)] == UVPoly.one()
-    assert P(2, 1).rank2() == FormalPS2.zero(("x", "y"), T)
+    assert P(2, 1).rank2() == FormalPS2(("x", "y"), {}, T)
     h2 = BiSymSeries.inject(SymSeries.homogeneous_h(2, T), 2)
     assert h2.rank2()[(0, 2)] == UVPoly.const(Fraction(1, 2))
 

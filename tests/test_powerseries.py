@@ -3,9 +3,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heavylight.powerseries import FormalPS1, FormalPS2, compose_ps1_into_ps2
 from heavylight.uvpoly import UVPoly
+from strategies import COEFF, examples
 
 
 def const_series(values, var="y"):
@@ -47,6 +49,19 @@ def test_exp_log_round_trip_random():
         assert f.exp().log() == f
         one_plus = f + UVPoly.one()
         assert one_plus.log().exp() == one_plus
+
+
+@examples(30)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(COEFF, min_size=n, max_size=n)))
+def test_exp_and_log_solve_their_defining_equations(tail):
+    # off-diagonal, non-integral coefficients at orders 1 to 8: e = exp(f) is the
+    # solution of e' = f' e with e_0 = 1, and lg = log(g) that of lg' g = g' with lg_0 = 0
+    f = FormalPS1("y", [0, *tail], len(tail))
+    e = f.exp()
+    assert e[0] == UVPoly.one() and e.derivative() == f.derivative() * e
+    g = f + 1
+    lg = g.log()
+    assert lg[0].is_zero() and lg.derivative() * g == g.derivative()
 
 
 def reference_reversion(f):
@@ -237,4 +252,4 @@ def test_a_product_coefficient_that_cancels_is_dropped():
     assert sorted(got.coeffs) == [(0, 2), (2, 0)]
     assert str(got) == "(2/15*u^0*v^2)*x^0*y^2 + (-3/10*u^2*v^0)*x^2*y^0"
     # and one that cancels to zero by truncation alone
-    assert_same(f.truncate(1) * g, FormalPS2.zero(("x", "y"), 1))
+    assert_same(f.truncate(1) * g, FormalPS2(("x", "y"), {}, 1))

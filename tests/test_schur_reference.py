@@ -139,9 +139,9 @@ def test_sums_that_cancel_yield_no_key():
     }
 
 
-def test_shifts_of_both_signs_share_one_block():
-    # b - a runs from -3 (u^3) to +2 (v^2) within the arity-3 block: the block's six
-    # monomials, on both sides of the diagonal, each need a slot of their own.
+def test_six_monomials_on_both_sides_of_the_diagonal_keep_their_own_slots():
+    # The arity-3 block holds six monomials: u^3, u and u^4 v below the diagonal,
+    # u v on it, v^2 and u^2 v^4 above it.  Each one keeps a slot of its own.
     terms = {
         (3,): UVPoly({(3, 0): 1, (0, 2): -2, (1, 1): Fraction(1, 3)}),
         (2, 1): UVPoly({(1, 0): 4, (0, 2): 5}),

@@ -301,6 +301,15 @@ def test_cli_numeric_table_leaves_out_unstable_cells(edited_fixtures):
     assert (code, out) == (0, "0 | 1 | 1*u^1*v^1+1*u^0*v^0\n1 | 0 | 1*u^1*v^1+1*u^0*v^0\n")
 
 
+def test_an_empty_table_prints_no_blank_line():
+    # no cell of total arity 0 is stable: text and latex print nothing, csv its header alone
+    header = "m,n,lambda,mu,coefficient\n"
+    for table, genus in (("closed-table", "1"), ("open-table", "0")):
+        for fmt, want in (("text", ""), ("latex", ""), ("csv", header)):
+            argv = [table, "--genus", genus, "--max-arity", "0", "--format", fmt]
+            assert run_cli(argv) == (0, want, ""), argv
+
+
 def test_cli_fixture_table_matches_the_fixture_headers():
     header_variants = {"open": ("open", "weight0"), "closed": ("closed",), "numeric": ("closed",)}
     for (variant, genus), name in FIXTURES.items():

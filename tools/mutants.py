@@ -75,6 +75,7 @@ RUNNING_SUMS = f"{T_UVPOLY_REF}::test_running_sums_match_the_reference"
 SERIES_PRODUCTS = f"{T_SERIES_REF}::test_products_and_coproduct_match_the_reference"
 ORACLE_STABLE = f"{T_ORACLE}::test_oracle_compare_rows_the_stable_cells_only"
 ORACLE_IDENTITY = f"{T_ORACLE}::test_oracle_input_agnostic_identity"
+EXP_LOG_EQUATIONS = f"{T_POWERSERIES}::test_exp_and_log_solve_their_defining_equations"
 
 # (id, path, old, new, tests): `old` occurs exactly once in `path`, and the
 # pytest node ids in `tests` are expected to fail once it is replaced by `new`.
@@ -133,6 +134,8 @@ MUTANTS = (
      (f"{GOLDEN_ERRORS}[numeric-row-pair-table-mode]",)),
     ("golden-pair-colon-optional", TABLES, r"pair\s+(\S+)\s+(\S+)\s*:\s*",
      r"pair\s+(\S+)\s+(\S+)\s*:?\s*", (f"{GOLDEN_ERRORS}[pair-no-colon]",)),
+    ("empty-table-prints-a-blank-line", TABLES, '"".join(line + "\\n" for line in lines)',
+     '"\\n".join(lines) + "\\n"', (f"{T_TABLES}::test_an_empty_table_prints_no_blank_line",)),
     ("csv-without-header", TABLES, 'lines = [sep.join(header)] if fmt == "csv" else []',
      "lines = []", (RENDER_DIGESTS,)),
     ("latex-factor-tags-from-2", TABLES, "enumerate((lam, mu), start=1)",
@@ -187,7 +190,7 @@ MUTANTS = (
     ("packed-read-back-without-borrow", SYMSERIES, "x -= 1 << W", "pass",
      (f"{T_SCHUR_REF}::test_a_negative_slot_borrows_from_the_slot_above",)),
     ("packed-monomials-share-a-slot", SYMSERIES, "{m: W * i for", "{m: W * (i // 2) for",
-     (f"{T_SCHUR_REF}::test_shifts_of_both_signs_share_one_block",)),
+     (f"{T_SCHUR_REF}::test_six_monomials_on_both_sides_of_the_diagonal_keep_their_own_slots",)),
     ("change-of-basis-maps-a-factor-twice", SYMSERIES, "parts[:f], parts[f + 1:]",
      "parts[:f], parts[f:]",
      (f"{T_SCHUR_REF}::test_numerators_near_and_past_the_machine_word",)),
@@ -210,6 +213,9 @@ MUTANTS = (
      (f"{T_SYMSERIES}::test_pleth_inverse",)),
     ("canonical-order-factors-reversed", SYMSERIES, "tuple(map(sum, parts)), tuple(order",
      "tuple(map(sum, parts[::-1])), tuple(order", (RENDER_DIGESTS,)),
+    ("exp-series-factorial-off-by-one", POWERSERIES, "factorial(k)", "factorial(k + 1)",
+     (EXP_LOG_EQUATIONS,)),
+    ("log-series-sign", POWERSERIES, "(-1) ** (k + 1)", "(-1) ** k", (EXP_LOG_EQUATIONS,)),
     ("reversion-inner-sum-one-term-short", POWERSERIES,
      "range(1, m - k + 2)", "range(1, m - k + 1)", (f"{T_POWERSERIES}::test_reversion",)),
     ("substitution-skips-outer-0", POWERSERIES, "for i in range(n + 1):",
