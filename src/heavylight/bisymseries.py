@@ -97,12 +97,12 @@ class BiSymSeries(_Series):
 
     # -- specializations -----------------------------------------------------
 
-    def rank2(self, vars=("x", "y")) -> FormalPS2:
+    def rank2(self) -> FormalPS2:
         """p_1^{(1)} -> x, p_1^{(2)} -> y, higher power sums -> 0: x^i y^j takes
         the coefficient of p_1^{(1) i} p_1^{(2) j}, the one monomial that survives."""
         n = self.trunc
         coeffs = {(i, j): self[((1,) * i, (1,) * j)] for i in range(n + 1) for j in range(n + 1 - i)}
-        return FormalPS2(vars, coeffs, n)
+        return FormalPS2(("x", "y"), coeffs, n)
 
     def to_schur_pairs(self) -> dict:
         """Expansion into products s_lam^{(1)} s_mu^{(2)}: map (lam, mu) -> UVPoly,

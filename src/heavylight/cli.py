@@ -9,7 +9,7 @@ import argparse
 import sys
 from math import factorial
 
-from .fixtures import FixtureError, load_fixture
+from .fixtures import FIXTURES, FixtureError, load_fixture
 from .oracle import oracle_compare
 from .pipeline import (
     Refused,
@@ -25,17 +25,6 @@ from .pipeline import (
 from .tables import BASES, FORMATS, delimited_lines, numeric_value, render_table
 from .uvpoly import parse_int
 from .verify import SUITES, run_suite
-
-# The shipped fixture serving each (variant, genus).  Genus 2 ships only the
-# weight-zero part of its open series.
-FIXTURES = {
-    ("open", 0): "genus0_smooth",
-    ("open", 1): "genus1_smooth",
-    ("open", 2): "genus2_smooth_weight0",
-    ("closed", 0): "genus0_stable",
-    ("closed", 1): "genus1_stable",
-    ("numeric", 1): "genus1_stable_numeric",
-}
 
 
 def _integer(minimum=None):
@@ -84,9 +73,8 @@ def cmd_open_table(args) -> int:
     fx = _fixture("open", args.genus)
     if args.weight0 and fx.variant != "weight0":
         raise Refused("weight-zero open tables are shipped for genus 2 only")
-    form = "weight0" if fx.variant == "weight0" else args.form
     res = open_series(fx, trunc=args.max_arity)
-    sys.stdout.write(render_table(res, args.basis, form, args.max_arity, args.format))
+    sys.stdout.write(render_table(res, args.basis, args.form, args.max_arity, args.format))
     return 0
 
 

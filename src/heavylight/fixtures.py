@@ -26,15 +26,18 @@ from .uvpoly import parse_int, parse_uvpoly
 VARIANTS = ("open", "closed", "weight0")
 _TERM_FIELDS = re.compile(r"n=(\S*)\s+lambda=(\S*)\s+poly=(\S*)")
 
-# shipped fixture names -> file stem
-SHIPPED = {
-    "genus0_smooth": "genus0_smooth",
-    "genus0_stable": "genus0_stable",
-    "genus1_smooth": "genus1_smooth",
-    "genus1_stable": "genus1_stable",
-    "genus1_stable_numeric": "genus1_stable_numeric",
-    "genus2_smooth_weight0": "genus2_smooth_weight0",
+# The shipped fixture serving each (variant, genus).  Genus 2 ships only the
+# weight-zero part of its open series.
+FIXTURES = {
+    ("open", 0): "genus0_smooth",
+    ("closed", 0): "genus0_stable",
+    ("open", 1): "genus1_smooth",
+    ("closed", 1): "genus1_stable",
+    ("numeric", 1): "genus1_stable_numeric",
+    ("open", 2): "genus2_smooth_weight0",
 }
+# shipped fixture names -> file stem
+SHIPPED = {name: name for name in FIXTURES.values()}
 
 
 class FixtureError(ValueError):
@@ -140,7 +143,7 @@ def write_fixture(fx: SeriesFixture) -> str:
 
 
 def load_fixture(name: str) -> SeriesFixture:
-    path = default_fixture_dir() / f"{SHIPPED.get(name, name)}.hlf"
+    path = default_fixture_dir() / f"{name}.hlf"
     if not path.exists():
         raise FileNotFoundError(f"fixture {name!r} not found at {path}")
     return parse_fixture(path.read_text())

@@ -50,14 +50,16 @@ Three kinds of check gate a run, and each fact is checked once: known-value
 assertions (the first arities, the genus-0 Euler characteristics, the
 weight-zero constants, the discriminant-form coefficients), cross-route
 equalities (twisted counts against plethysm, the corrector's rank against
-its numeric closed form, the Legendre pair, the dissymmetry derivative, the
-ends-swapped vertex's rank against its running product, the genus-1 Euler
-characteristics of the numeric assembly against their closed form and the
-equivariant rank against that assembly), and a final
-`table_suite` on the fixtures just written, which reproduces every golden
-table, numeric columns included, and is the one check of the genus-2
-weight-zero series, which is read from the light rows of the table it checks.
-A check that one of these already implies is not repeated.
+its numeric closed form one order deeper than `hl verify` reads it, the
+dissymmetry derivative, the ends-swapped vertex's rank against its running
+product, the genus-1 Euler characteristics of the numeric assembly against
+their closed form), and a final `table_suite` on the fixtures just written,
+which reproduces every golden table, numeric columns included, and is the one
+check of the genus-2 weight-zero series, which is read from the light rows of
+the table it checks.  A check that one of these already implies is not
+repeated, and neither is a row of `hl verify --suite all` on the files written:
+the genus-0 Legendre pair, the numeric fixture's palindromy and the equivariant
+rank against the numeric fixture.  The regeneration digests pin those files.
 """
 
 import argparse
@@ -75,11 +77,9 @@ sys.path.insert(0, str(REPO / "src"))
 from heavylight.fixtures import SeriesFixture, save_fixture, write_fixture  # noqa: E402
 from heavylight.partitions import gen_partitions, multiplicities, z_of  # noqa: E402
 from heavylight.pipeline import (  # noqa: E402
-    GENUS1_PURE_ARITY,
     genus0_corrector,
     genus0_numeric_closed_form,
     genus1_stable_chi_egf,
-    legendre_check,
 )
 from heavylight.powerseries import FormalPS1  # noqa: E402
 from heavylight.symseries import SymSeries, mobius  # noqa: E402
@@ -229,10 +229,8 @@ def phase_genus0():
     assert deriv_stable == rooted.truncate(t_stable - 1), "dissymmetry derivative mismatch"
 
     smooth_fx = SeriesFixture("genus0_smooth", 0, "open", smooth.truncate(SMOOTH0_SHIP_TRUNC))
-    stable_fx = SeriesFixture("genus0_stable", 0, "closed", stable)
-    assert legendre_check(smooth_fx, stable_fx), "genus-0 inverse check failed"
     save_fixture(smooth_fx, DATA_DIR)
-    save_fixture(stable_fx, DATA_DIR)
+    save_fixture(SeriesFixture("genus0_stable", 0, "closed", stable), DATA_DIR)
 
     CACHE_DIR.mkdir(exist_ok=True)
     cache_fx = SeriesFixture("_cache_rooted_inverse", 0, "open", pd)
@@ -529,12 +527,6 @@ def phase_assemble(smooth0: SymSeries, pd: SymSeries, smooth1: SymSeries, numeri
         got = stable1_numeric[n].eval(1, 1)
         want = chi_series[n].constant_term()
         assert got == want, f"numeric chi mismatch at {n}: {got} != {want}"
-        poly = stable1_numeric[n] * factorial(n)
-        assert poly.is_palindromic(n) or n > GENUS1_PURE_ARITY, f"palindromy fails at {n}"
-
-    assert stable1.rank1("y") == stable1_numeric.truncate(trunc), (
-        "equivariant rank disagrees with the numeric assembly"
-    )
 
     stable_fx = SeriesFixture("genus1_stable", 1, "closed", stable1)
     save_fixture(stable_fx, DATA_DIR)

@@ -142,6 +142,9 @@ MUTANTS = (
      "enumerate((lam, mu), start=2)", (RENDER_DIGESTS,)),
     ("render-not-truncated", TABLES, "data = result.data.truncate(max_arity)",
      "data = result.data", (RENDER_DIGESTS,)),
+    ("fixture-role-names-the-wrong-fixture", FIXTURES, '("closed", 1): "genus1_stable"',
+     '("closed", 1): "genus1_smooth"',
+     (f"{T_TABLES}::test_cli_fixture_table_matches_the_fixture_headers",)),
     ("cli-int-builtin", "src/heavylight/cli.py", 'value = parse_int(text, "value")',
      "value = int(text)", (f"{T_TABLES}::test_cli_usage_error_exit_code",)),
     ("lowest-without-gcd", UVPOLY, "g = gcd(den, *nums.values())", "g = 1",
@@ -214,7 +217,7 @@ MUTANTS = (
     ("canonical-order-factors-reversed", SYMSERIES, "tuple(map(sum, parts)), tuple(order",
      "tuple(map(sum, parts[::-1])), tuple(order", (RENDER_DIGESTS,)),
     ("exp-series-factorial-off-by-one", POWERSERIES, "factorial(k)", "factorial(k + 1)",
-     (EXP_LOG_EQUATIONS,)),
+     (EXP_LOG_EQUATIONS, f"{T_POWERSERIES}::test_compose")),
     ("log-series-sign", POWERSERIES, "(-1) ** (k + 1)", "(-1) ** k", (EXP_LOG_EQUATIONS,)),
     ("reversion-inner-sum-one-term-short", POWERSERIES,
      "range(1, m - k + 2)", "range(1, m - k + 1)", (f"{T_POWERSERIES}::test_reversion",)),
